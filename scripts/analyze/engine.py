@@ -15,7 +15,7 @@ Suppression: a finding on a line whose source carries
     // uolap-analyze: allow(RULE-ID) reason
 
 is dropped (several IDs comma-separate).  The legacy
-``// lint:allow(rule)`` markers from scripts/lint_contracts.py are NOT
+``// lint:allow(rule)`` markers of the former line-regex lint are NOT
 honoured — they were migrated when this framework replaced the lint.
 
 Baseline: a JSON file of grandfathered findings.  Matching is by

@@ -1,7 +1,7 @@
 """Contract rule family (CON-*).
 
 The simulation contracts the compiler cannot enforce (DESIGN.md §5d),
-promoted from scripts/lint_contracts.py onto the token/structure model:
+promoted from the former line-regex lint onto the token/structure model:
 
   * region discipline — engine/bench code uses core::ScopedRegion, never
     raw ``PushRegion``/``PopRegion``; and wherever raw calls are legal

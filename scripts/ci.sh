@@ -12,7 +12,8 @@
 #   3. an UOLAP_VALIDATE=ON build: the full test suite plus a figure-bench
 #      sweep with every model-invariant checker armed (a violation aborts);
 #   4. an UndefinedBehaviorSanitizer build running the test suite;
-#   5. an AddressSanitizer smoke (build + unit tests);
+#   5. an AddressSanitizer smoke (build + unit tests + crash-recovery
+#      smoke);
 #   6. a ThreadSanitizer build that runs the test suite through the
 #      parallel runtime (ThreadPool, RunSweep, threaded ProfileMulti), so
 #      data races in engine ForEach bodies fail CI instead of silently
@@ -54,6 +55,10 @@ asan_stage() {
   cmake --build build-asan -j "$JOBS"
   # ASan roughly halves simulator throughput; keep a generous timeout.
   (cd build-asan && ctest --output-on-failure -j "$JOBS" --timeout 900)
+  # The snapshot and journal parsers read files from disk; run the
+  # kill/corrupt/resume cycle under ASan too.
+  echo "=== crash-recovery smoke (asan) ==="
+  crash_recovery_smoke build-asan
 }
 
 # Chaos smoke: the robustness layer end to end (DESIGN.md §9). A serve

@@ -68,6 +68,8 @@ class Rng {
     for (int i = 0; i < 4; ++i) state_[i] = state[static_cast<size_t>(i)];
   }
 
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

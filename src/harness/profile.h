@@ -107,40 +107,11 @@ template <typename Fn>
 obs::RunRecord ProfileSingleObs(const core::MachineConfig& cfg,
                                 const ObsOptions& opts,
                                 const std::string& label, Fn&& fn) {
-  core::Machine machine(cfg, 1);
-  if (audit::ValidationEnabled()) audit::ArmMachine(machine);
-  obs::RegionProfiler profiler(
-      machine.core(0),
-      obs::RegionProfiler::Options{opts.sample_interval_instructions});
-  engine::Workers w(machine.core(0));
-  fn(w);
-  machine.FinalizeAll();
-
-  obs::RunRecord run;
-  run.label = label;
-  run.threads = 1;
-  run.config = cfg;
-  run.bw_scale = 1.0;
-  obs::CoreRecord rec;
-  rec.whole = machine.AnalyzeCore(0);
-  rec.regions = profiler.Finish();
-  obs::AnalyzeTree(cfg, &rec.regions, run.bw_scale);
-  rec.timeline = profiler.timeline();
-  rec.events = profiler.events();
-  rec.begin = profiler.begin_counters();
-  run.makespan_cycles = rec.whole.total_cycles;
-  run.time_ms = rec.whole.time_ms;
-  run.socket_bandwidth_gbps = rec.whole.bandwidth_gbps;
-  run.cores.push_back(std::move(rec));
-  if (audit::ValidationEnabled()) {
-    audit::AuditReport rep =
-        AuditRun(machine, &run.cores[0].whole, 1, label);
-    run.audited = true;
-    run.audit_checks = rep.checks;
-    run.violations = rep.violations;
-    audit::ReportViolations(rep, label);
-  }
-  return run;
+  return obs::ProfileSolo(cfg, opts.sample_interval_instructions, label,
+                          [&fn](core::Core& core) {
+                            engine::Workers w(core);
+                            fn(w);
+                          });
 }
 
 /// ProfileMulti with one RegionProfiler per simulated core. The profilers

@@ -1,11 +1,18 @@
 #ifndef UOLAP_OBS_ATTRIBUTION_H_
 #define UOLAP_OBS_ATTRIBUTION_H_
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "audit/invariants.h"
+#include "audit/validation.h"
 #include "core/config.h"
 #include "core/counters.h"
+#include "core/machine.h"
 #include "core/topdown.h"
+#include "obs/record.h"
 #include "obs/region_profiler.h"
 
 namespace uolap::obs {
@@ -41,6 +48,50 @@ std::vector<core::CycleBreakdown> AttributeCycles(
 /// contended multi-core runs).
 void AnalyzeTree(const core::MachineConfig& config, RegionTree* tree,
                  double bw_scale = 1.0);
+
+/// The solo-profile recipe: runs `body(core::Core&)` on a fresh
+/// single-core machine with a RegionProfiler attached and returns the
+/// whole-run analysis plus the per-region tree / timeline / events as a
+/// RunRecord (cores[0].whole carries the ProfileResult; region breakdowns
+/// are already attributed). Audited when validation is enabled. Both
+/// harness::ProfileSingleObs and the serving runtime's per-class solo
+/// runs use it, so the two record the same thing.
+template <typename Body>
+RunRecord ProfileSolo(const core::MachineConfig& cfg,
+                      uint64_t sample_interval_instructions,
+                      const std::string& label, Body&& body) {
+  core::Machine machine(cfg, 1);
+  if (audit::ValidationEnabled()) audit::ArmMachine(machine);
+  RegionProfiler profiler(
+      machine.core(0), RegionProfiler::Options{sample_interval_instructions});
+  std::forward<Body>(body)(machine.core(0));
+  machine.FinalizeAll();
+
+  RunRecord run;
+  run.label = label;  // threads = 1 and bw_scale = 1.0 are the defaults
+  run.config = cfg;
+  CoreRecord rec;
+  rec.whole = machine.AnalyzeCore(0);
+  rec.regions = profiler.Finish();
+  AnalyzeTree(cfg, &rec.regions);
+  rec.timeline = profiler.timeline();
+  rec.events = profiler.events();
+  rec.begin = profiler.begin_counters();
+  run.makespan_cycles = rec.whole.total_cycles;
+  run.time_ms = rec.whole.time_ms;
+  run.socket_bandwidth_gbps = rec.whole.bandwidth_gbps;
+  run.cores.push_back(std::move(rec));
+  if (audit::ValidationEnabled()) {
+    audit::AuditReport rep = audit::AuditMachine(machine, label);
+    audit::CheckBreakdown(run.cores[0].whole, cfg.freq_ghz,
+                          label + "/core0/topdown", &rep);
+    run.audited = true;
+    run.audit_checks = rep.checks;
+    run.violations = rep.violations;
+    audit::ReportViolations(rep, label);
+  }
+  return run;
+}
 
 }  // namespace uolap::obs
 

@@ -2,10 +2,10 @@
 #define UOLAP_OBS_METRIC_NAMES_H_
 
 // Central registry of every metric name published into
-// obs::MetricsRegistry. All names live here — scripts/lint_contracts.py
-// flags metric-publication call sites that pass a raw string literal
-// instead of one of these constants, and checks that every constant
-// matches the canonical grammar:
+// obs::MetricsRegistry. All names live here — uolap-analyze's
+// CON-METRIC-NAME rule (scripts/analyze) flags metric-publication call
+// sites that pass a raw string literal instead of one of these constants,
+// and checks that every constant matches the canonical grammar:
 //
 //   ^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$
 //

@@ -103,6 +103,8 @@ struct QueueSample {
   double vtime_ms = 0;
   uint32_t running = 0;
   uint32_t queued = 0;
+
+  friend bool operator==(const QueueSample&, const QueueSample&) = default;
 };
 
 /// Latency percentiles of one subject (tenant or class) inside one epoch
@@ -113,6 +115,8 @@ struct WindowStat {
   double p50_ms = 0;
   double p95_ms = 0;
   double p99_ms = 0;
+
+  friend bool operator==(const WindowStat&, const WindowStat&) = default;
 };
 
 /// One SLO epoch: a fixed-width virtual-time window with its own latency
@@ -130,6 +134,8 @@ struct EpochRecord {
   uint32_t max_queued = 0;
   std::vector<WindowStat> tenants;  ///< name-sorted, sparse
   std::vector<WindowStat> classes;  ///< label-sorted, sparse
+
+  friend bool operator==(const EpochRecord&, const EpochRecord&) = default;
 };
 
 /// One sampled query's span tree in virtual time: admission → core
@@ -147,6 +153,8 @@ struct QuerySpan {
   /// "timed_out", or "failed".
   std::string outcome = "ok";
   uint32_t attempts = 1;  ///< execution attempts (> 1 after retries)
+
+  friend bool operator==(const QuerySpan&, const QuerySpan&) = default;
 };
 
 /// Everything the serving runtime reports for one Server::Run(); exported

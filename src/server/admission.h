@@ -103,6 +103,8 @@ class AdmissionController {
   struct ClassModel {
     double est_ms = 0;   ///< current mean estimate
     uint64_t count = 0;  ///< observed completions folded in
+
+    friend bool operator==(const ClassModel&, const ClassModel&) = default;
   };
 
   /// Full load-model state, for checkpointing. Restoring a saved vector

@@ -5,10 +5,15 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/file_io.h"
+#include "common/rng.h"
 #include "server/journal.h"
 #include "server/serving.h"
 
@@ -16,449 +21,213 @@ namespace uolap::server {
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'U', 'O', 'L', 'A', 'P', 'C', 'K', 'P'};
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
-// --- bit-exact binary (de)serialization -----------------------------------
+// --- bit-exact two-way binary archive -------------------------------------
 // Little-endian fixed-width fields; doubles travel as raw bit patterns so
-// a restored state is bit-identical to the captured one.
+// a restored state is bit-identical to the captured one. One Archive both
+// encodes and decodes, so each struct lists its fields exactly once (the
+// Io overloads below) and the two directions cannot drift apart. Encoding
+// only reads through the references it is handed.
 
-class BinWriter {
+class Archive {
  public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
+  /// An encoder appending to bytes().
+  Archive() = default;
+  /// A decoder over `data`.
+  explicit Archive(std::string_view data) : reading_(true), in_(data) {}
+
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (Field(fields), ...);
   }
-  void B(bool v) { U8(v ? 1 : 0); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  void VecF64(const std::vector<double>& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (const double x : v) F64(x);
-  }
-  void VecU64(const std::vector<uint64_t>& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (const uint64_t x : v) U64(x);
-  }
-  void Raw(const void* p, size_t n) {
-    out_.append(static_cast<const char*>(p), n);
+  /// Encodes values that have no lvalue (computed fingerprint inputs).
+  template <typename... Values>
+  void Put(Values... values) {
+    (Field(values), ...);
   }
 
-  const std::string& str() const { return out_; }
+  template <typename T>
+    requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+  void Field(T& v) {
+    Raw(&v, sizeof(v));
+  }
+  void Field(bool& v) {
+    uint8_t byte = v ? 1 : 0;
+    Field(byte);
+    if (reading_) v = byte != 0;
+  }
+  void Field(std::string& s) {
+    const size_t n = Count(s.size());
+    if (reading_) s.resize(n);
+    Raw(s.data(), n);
+  }
+  void Field(Rng& rng) {
+    std::array<uint64_t, 4> state = rng.SaveState();
+    for (uint64_t& word : state) Field(word);
+    if (reading_) rng.LoadState(state);
+  }
+  template <typename T>
+  void Field(std::vector<T>& v) {
+    const size_t n = Count(v.size());
+    if (reading_) v.assign(n, T{});
+    for (T& e : v) Field(e);
+  }
+  template <typename V>
+  void Field(std::map<std::string, V>& m) {
+    const size_t n = Count(m.size());
+    if (!reading_) {
+      for (auto& [key, value] : m) {
+        std::string k = key;
+        Field(k);
+        Field(value);
+      }
+      return;
+    }
+    m.clear();
+    for (size_t i = 0; i < n && !failed(); ++i) {
+      std::string key;
+      Field(key);
+      if (m.contains(key)) Fail("duplicate map key " + key);
+      Field(m[key]);
+    }
+  }
+  /// Structs: their single field list.
+  template <typename T>
+    requires std::is_class_v<T>
+  void Field(T& s) {
+    Io(*this, s);
+  }
+
+  /// A one-byte enum; the field list checks the decoded value's range.
+  template <typename E>
+    requires std::is_enum_v<E>
+  void Field(E& e) {
+    auto byte = static_cast<uint8_t>(e);
+    Field(byte);
+    if (reading_) e = static_cast<E>(byte);
+  }
+
+  void Raw(void* p, size_t n) {
+    if (!reading_) {
+      out_.append(static_cast<const char*>(p), n);
+    } else if (failed_ || in_.size() - pos_ < n) {
+      Fail("payload truncated");
+      std::memset(p, 0, n);
+    } else {
+      std::memcpy(p, in_.data() + pos_, n);
+      pos_ += n;
+    }
+  }
+
+  /// Marks a decode failed; encoding writes whatever it is handed.
+  void Fail(std::string why) {
+    if (!reading_ || failed_) return;
+    error_ = std::move(why);
+    failed_ = true;
+  }
+  bool failed() const { return failed_; }
+  const std::string& error() const { return error_; }
+  bool AtEnd() const { return !failed_ && pos_ == in_.size(); }
+  const std::string& bytes() const { return out_; }
 
  private:
-  std::string out_;
-};
-
-class BinReader {
- public:
-  explicit BinReader(std::string_view data) : data_(data) {}
-
-  uint8_t U8() {
-    uint8_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Take(&v, sizeof(v));
-    return v;
-  }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  double F64() {
-    const uint64_t bits = U64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool B() { return U8() != 0; }
-  std::string Str() {
-    const size_t n = Count();
-    std::string s;
-    if (failed_) return s;
-    s.assign(data_.data() + pos_, n);
-    pos_ += n;
-    return s;
-  }
-  std::vector<double> VecF64() {
-    const size_t n = Count();
-    std::vector<double> v;
-    if (failed_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && !failed_; ++i) v.push_back(F64());
-    return v;
-  }
-  std::vector<uint64_t> VecU64() {
-    const size_t n = Count();
-    std::vector<uint64_t> v;
-    if (failed_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && !failed_; ++i) v.push_back(U64());
-    return v;
-  }
-  /// A container count, bounded by the remaining bytes (every element is
-  /// at least one byte) so corrupt data cannot force a huge allocation.
-  size_t Count() {
-    const uint32_t n = U32();
-    if (!failed_ && n > data_.size() - pos_) failed_ = true;
+  /// A container count. Decoding bounds it by the remaining bytes (every
+  /// element is at least one byte) so corrupt data cannot force a huge
+  /// allocation.
+  size_t Count(size_t size) {
+    auto n = static_cast<uint32_t>(size);
+    Field(n);
+    if (reading_ && !failed_ && n > in_.size() - pos_) {
+      Fail("container count " + std::to_string(n) + " exceeds the payload");
+    }
     return failed_ ? 0 : n;
   }
 
-  bool failed() const { return failed_; }
-  bool AtEnd() const { return !failed_ && pos_ == data_.size(); }
-
- private:
-  void Take(void* p, size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      std::memset(p, 0, n);
-      return;
-    }
-    std::memcpy(p, data_.data() + pos_, n);
-    pos_ += n;
-  }
-
-  std::string_view data_;
+  bool reading_ = false;
+  std::string out_;
+  std::string_view in_;
   size_t pos_ = 0;
   bool failed_ = false;
+  std::string error_;
 };
 
-// --- per-struct codecs ----------------------------------------------------
+// --- field lists ----------------------------------------------------------
 
-void PutInstance(BinWriter& w, const QueryInstance& q) {
-  w.I32(q.tenant);
-  w.U64(q.cls);
-  w.I32(q.client);
-  w.U64(q.seq);
-  w.B(q.sampled);
-  w.F64(q.arrival);
-  w.F64(q.start);
-  w.F64(q.remaining);
-  w.F64(q.scale_cycles);
-  w.F64(q.run_cycles);
-  w.I32(q.attempt);
-  w.F64(q.deadline);
-  w.F64(q.est_ms);
-  w.F64(q.cancel_remaining);
-  w.F64(q.retry_ready);
-  w.B(q.will_fail);
-  w.F64(q.slow);
+void Io(Archive& ar, QueryInstance& q) {
+  ar(q.tenant, q.cls, q.client, q.seq, q.arrival, q.start, q.remaining,
+     q.scale_cycles, q.run_cycles, q.attempt, q.deadline, q.est_ms,
+     q.cancel_remaining, q.retry_ready, q.will_fail, q.slow);
 }
 
-QueryInstance GetInstance(BinReader& r) {
-  QueryInstance q;
-  q.tenant = r.I32();
-  q.cls = r.U64();
-  q.client = r.I32();
-  q.seq = r.U64();
-  q.sampled = r.B();
-  q.arrival = r.F64();
-  q.start = r.F64();
-  q.remaining = r.F64();
-  q.scale_cycles = r.F64();
-  q.run_cycles = r.F64();
-  q.attempt = r.I32();
-  q.deadline = r.F64();
-  q.est_ms = r.F64();
-  q.cancel_remaining = r.F64();
-  q.retry_ready = r.F64();
-  q.will_fail = r.B();
-  q.slow = r.F64();
-  return q;
+void Io(Archive& ar, TenantLoopState& t) {
+  ar(t.rng, t.submitted, t.rejected, t.shed, t.timed_out, t.failed,
+     t.retries, t.next_open_arrival, t.client_wake, t.latencies_ms);
 }
 
-void PutInstances(BinWriter& w, const std::vector<QueryInstance>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const QueryInstance& q : v) PutInstance(w, q);
+void Io(Archive& ar, ClassLoopStats& c) {
+  ar(c.executions, c.service_cycles, c.scale_cycles, c.run_cycles);
 }
 
-std::vector<QueryInstance> GetInstances(BinReader& r) {
-  const size_t n = r.Count();
-  std::vector<QueryInstance> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) v.push_back(GetInstance(r));
-  return v;
+void Io(Archive& ar, obs::QueueSample& s) {
+  ar(s.vtime_ms, s.running, s.queued);
 }
 
-void PutLatMap(BinWriter& w,
-               const std::map<std::string, std::vector<double>>& m) {
-  w.U32(static_cast<uint32_t>(m.size()));
-  for (const auto& [key, values] : m) {
-    w.Str(key);
-    w.VecF64(values);
-  }
+void Io(Archive& ar, obs::QuerySpan& s) {
+  ar(s.seq, s.tenant, s.cls, s.arrival_ms, s.start_ms, s.end_ms, s.core,
+     s.outcome, s.attempts);
 }
 
-std::map<std::string, std::vector<double>> GetLatMap(BinReader& r) {
-  const size_t n = r.Count();
-  std::map<std::string, std::vector<double>> m;
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    std::string key = r.Str();
-    m[std::move(key)] = r.VecF64();
-  }
-  return m;
+void Io(Archive& ar, obs::WindowStat& s) {
+  ar(s.subject, s.completed, s.p50_ms, s.p95_ms, s.p99_ms);
 }
 
-void PutWindowStats(BinWriter& w, const std::vector<obs::WindowStat>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const obs::WindowStat& s : v) {
-    w.Str(s.subject);
-    w.U64(s.completed);
-    w.F64(s.p50_ms);
-    w.F64(s.p95_ms);
-    w.F64(s.p99_ms);
-  }
+void Io(Archive& ar, obs::EpochRecord& e) {
+  ar(e.index, e.start_ms, e.end_ms, e.completed, e.p50_ms, e.p95_ms,
+     e.p99_ms, e.max_running, e.max_queued, e.tenants, e.classes);
 }
 
-std::vector<obs::WindowStat> GetWindowStats(BinReader& r) {
-  const size_t n = r.Count();
-  std::vector<obs::WindowStat> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    obs::WindowStat s;
-    s.subject = r.Str();
-    s.completed = r.U64();
-    s.p50_ms = r.F64();
-    s.p95_ms = r.F64();
-    s.p99_ms = r.F64();
-    v.push_back(std::move(s));
-  }
-  return v;
+void Io(Archive& ar, EpochAccState& a) {
+  ar(a.tenant_lat, a.class_lat, a.max_running, a.max_queued);
 }
 
-void PutLoopState(BinWriter& w, const LoopState& st) {
-  w.F64(st.vtime);
-  w.U32(static_cast<uint32_t>(st.tenants.size()));
-  for (const TenantLoopState& t : st.tenants) {
-    const std::array<uint64_t, 4> rng = t.rng.SaveState();
-    for (const uint64_t word : rng) w.U64(word);
-    w.U64(t.cap);
-    w.U64(t.submitted);
-    w.U64(t.completed);
-    w.U64(t.rejected);
-    w.U64(t.shed);
-    w.U64(t.timed_out);
-    w.U64(t.failed);
-    w.U64(t.retries);
-    w.F64(t.next_open_arrival);
-    w.VecF64(t.client_wake);
-    w.VecF64(t.zipf_cdf);
-    w.VecF64(t.latencies_ms);
-    w.VecU64(t.histogram);
-  }
-  w.U32(static_cast<uint32_t>(st.classes.size()));
-  for (const ClassLoopStats& c : st.classes) {
-    w.U64(c.executions);
-    w.F64(c.service_cycles);
-    w.F64(c.scale_cycles);
-    w.F64(c.run_cycles);
-  }
-  PutInstances(w, st.slots);
-  PutInstances(w, st.queue);
-  PutInstances(w, st.retry_queue);
-  w.U64(st.queue_head);
-  w.F64(st.queued_est_ms);
-  w.U64(st.faults_injected);
-  w.U64(st.slowdowns_injected);
-  w.U64(st.brownout_downgrades);
-  w.F64(st.total_bytes);
-  w.F64(st.peak_gbps);
-  w.B(st.saturated);
-  w.U32(static_cast<uint32_t>(st.timeline.size()));
-  for (const obs::QueueSample& s : st.timeline) {
-    w.F64(s.vtime_ms);
-    w.U32(s.running);
-    w.U32(s.queued);
-  }
-  PutLatMap(w, st.engine_latencies);
-  w.U64(st.seq_counter);
-  w.U32(static_cast<uint32_t>(st.spans.size()));
-  for (const obs::QuerySpan& s : st.spans) {
-    w.U64(s.seq);
-    w.Str(s.tenant);
-    w.Str(s.cls);
-    w.F64(s.arrival_ms);
-    w.F64(s.start_ms);
-    w.F64(s.end_ms);
-    w.I32(s.core);
-    w.Str(s.outcome);
-    w.U32(s.attempts);
-  }
-  w.VecF64(st.all_latencies);
-  w.U32(st.cur_running);
-  w.U32(st.cur_queued);
-  w.U32(st.peak_queued);
-  w.VecF64(st.acc.lat);
-  PutLatMap(w, st.acc.tenant_lat);
-  PutLatMap(w, st.acc.class_lat);
-  w.U32(st.acc.max_running);
-  w.U32(st.acc.max_queued);
-  w.I32(st.epoch_index);
-  w.F64(st.epoch_start);
-  w.U32(static_cast<uint32_t>(st.epochs.size()));
-  for (const obs::EpochRecord& e : st.epochs) {
-    w.I32(e.index);
-    w.F64(e.start_ms);
-    w.F64(e.end_ms);
-    w.U64(e.completed);
-    w.F64(e.p50_ms);
-    w.F64(e.p95_ms);
-    w.F64(e.p99_ms);
-    w.U32(e.max_running);
-    w.U32(e.max_queued);
-    PutWindowStats(w, e.tenants);
-    PutWindowStats(w, e.classes);
-  }
+void Io(Archive& ar, LoopState& st) {
+  ar(st.vtime, st.tenants, st.classes, st.slots, st.queue, st.retry_queue,
+     st.queue_head, st.queued_est_ms, st.faults_injected,
+     st.slowdowns_injected, st.brownout_downgrades, st.total_bytes,
+     st.peak_gbps, st.saturated, st.timeline, st.engine_latencies, st.spans,
+     st.acc, st.epoch_start, st.epochs);
 }
 
-LoopState GetLoopState(BinReader& r) {
-  LoopState st;
-  st.vtime = r.F64();
-  size_t n = r.Count();
-  st.tenants.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    TenantLoopState& t = st.tenants[i];
-    std::array<uint64_t, 4> rng = {};
-    for (uint64_t& word : rng) word = r.U64();
-    t.rng.LoadState(rng);
-    t.cap = r.U64();
-    t.submitted = r.U64();
-    t.completed = r.U64();
-    t.rejected = r.U64();
-    t.shed = r.U64();
-    t.timed_out = r.U64();
-    t.failed = r.U64();
-    t.retries = r.U64();
-    t.next_open_arrival = r.F64();
-    t.client_wake = r.VecF64();
-    t.zipf_cdf = r.VecF64();
-    t.latencies_ms = r.VecF64();
-    t.histogram = r.VecU64();
-  }
-  n = r.Count();
-  st.classes.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    ClassLoopStats& c = st.classes[i];
-    c.executions = r.U64();
-    c.service_cycles = r.F64();
-    c.scale_cycles = r.F64();
-    c.run_cycles = r.F64();
-  }
-  st.slots = GetInstances(r);
-  st.queue = GetInstances(r);
-  st.retry_queue = GetInstances(r);
-  st.queue_head = r.U64();
-  st.queued_est_ms = r.F64();
-  st.faults_injected = r.U64();
-  st.slowdowns_injected = r.U64();
-  st.brownout_downgrades = r.U64();
-  st.total_bytes = r.F64();
-  st.peak_gbps = r.F64();
-  st.saturated = r.B();
-  n = r.Count();
-  st.timeline.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    st.timeline[i].vtime_ms = r.F64();
-    st.timeline[i].running = r.U32();
-    st.timeline[i].queued = r.U32();
-  }
-  st.engine_latencies = GetLatMap(r);
-  st.seq_counter = r.U64();
-  n = r.Count();
-  st.spans.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    obs::QuerySpan& s = st.spans[i];
-    s.seq = r.U64();
-    s.tenant = r.Str();
-    s.cls = r.Str();
-    s.arrival_ms = r.F64();
-    s.start_ms = r.F64();
-    s.end_ms = r.F64();
-    s.core = r.I32();
-    s.outcome = r.Str();
-    s.attempts = r.U32();
-  }
-  st.all_latencies = r.VecF64();
-  st.cur_running = r.U32();
-  st.cur_queued = r.U32();
-  st.peak_queued = r.U32();
-  st.acc.lat = r.VecF64();
-  st.acc.tenant_lat = GetLatMap(r);
-  st.acc.class_lat = GetLatMap(r);
-  st.acc.max_running = r.U32();
-  st.acc.max_queued = r.U32();
-  st.epoch_index = r.I32();
-  st.epoch_start = r.F64();
-  n = r.Count();
-  st.epochs.resize(n);
-  for (size_t i = 0; i < n && !r.failed(); ++i) {
-    obs::EpochRecord& e = st.epochs[i];
-    e.index = r.I32();
-    e.start_ms = r.F64();
-    e.end_ms = r.F64();
-    e.completed = r.U64();
-    e.p50_ms = r.F64();
-    e.p95_ms = r.F64();
-    e.p99_ms = r.F64();
-    e.max_running = r.U32();
-    e.max_queued = r.U32();
-    e.tenants = GetWindowStats(r);
-    e.classes = GetWindowStats(r);
-  }
-  return st;
+void Io(Archive& ar, AdmissionController::ClassModel& m) {
+  ar(m.est_ms, m.count);
 }
 
-void PutMetricsSnapshot(BinWriter& w, const obs::MetricsSnapshot& snap) {
-  w.U32(static_cast<uint32_t>(snap.families.size()));
-  for (const obs::MetricFamily& f : snap.families) {
-    w.Str(f.name);
-    w.U8(static_cast<uint8_t>(f.kind));
-    w.U32(static_cast<uint32_t>(f.series.size()));
-    for (const obs::MetricSeries& s : f.series) {
-      w.Str(s.label_key);
-      w.Str(s.label_value);
-      w.U64(s.counter);
-      w.F64(s.gauge);
-      w.VecU64(s.histogram.buckets);
-      w.U64(s.histogram.count);
-      w.U64(s.histogram.sum_micro);
-    }
-  }
+void Io(Archive& ar, obs::HistogramCell& h) {
+  ar(h.buckets, h.count, h.sum_micro);
 }
 
-obs::MetricsSnapshot GetMetricsSnapshot(BinReader& r) {
-  obs::MetricsSnapshot snap;
-  const size_t nf = r.Count();
-  snap.families.resize(nf);
-  for (size_t i = 0; i < nf && !r.failed(); ++i) {
-    obs::MetricFamily& f = snap.families[i];
-    f.name = r.Str();
-    f.kind = static_cast<obs::MetricKind>(r.U8());
-    const size_t ns = r.Count();
-    f.series.resize(ns);
-    for (size_t j = 0; j < ns && !r.failed(); ++j) {
-      obs::MetricSeries& s = f.series[j];
-      s.label_key = r.Str();
-      s.label_value = r.Str();
-      s.counter = r.U64();
-      s.gauge = r.F64();
-      s.histogram.buckets = r.VecU64();
-      s.histogram.count = r.U64();
-      s.histogram.sum_micro = r.U64();
-    }
+void Io(Archive& ar, obs::MetricSeries& s) {
+  ar(s.label_key, s.label_value, s.counter, s.gauge, s.histogram);
+}
+
+void Io(Archive& ar, obs::MetricFamily& f) {
+  ar(f.name, f.kind, f.series);
+  if (f.kind > obs::MetricKind::kHistogram) ar.Fail("unknown metric kind");
+}
+
+void Io(Archive& ar, obs::MetricsSnapshot& m) { ar(m.families); }
+
+void Io(Archive& ar, CheckpointSnapshot& s) {
+  ar(s.config_fingerprint, s.class_digest, s.epoch_index, s.freq_ghz,
+     s.state, s.admission_models, s.metrics);
+}
+
+void Io(Archive& ar, JournalEvent& e) {
+  ar(e.type, e.seq, e.tenant, e.attempt, e.vtime_ms);
+  if (e.type < JournalEventType::kAdmit || e.type > JournalEventType::kRetry) {
+    ar.Fail("unknown journal event type");
   }
-  return snap;
 }
 
 /// Parses "<prefix><8 digits><suffix>" file names; returns the index or
@@ -502,49 +271,28 @@ std::string_view JournalEventTypeName(JournalEventType type) {
 }
 
 std::string EncodeJournalEvent(const JournalEvent& event) {
-  BinWriter w;
-  w.U8(static_cast<uint8_t>(event.type));
-  w.U64(event.seq);
-  w.I32(event.tenant);
-  w.U32(event.attempt);
-  w.F64(event.vtime_ms);
-  return w.str();
+  Archive ar;
+  ar(const_cast<JournalEvent&>(event));
+  return ar.bytes();
 }
 
 StatusOr<JournalEvent> DecodeJournalEvent(std::string_view payload) {
-  BinReader r(payload);
+  Archive ar(payload);
   JournalEvent e;
-  const uint8_t type = r.U8();
-  e.seq = r.U64();
-  e.tenant = r.I32();
-  e.attempt = r.U32();
-  e.vtime_ms = r.F64();
-  if (!r.AtEnd() ||
-      type < static_cast<uint8_t>(JournalEventType::kAdmit) ||
-      type > static_cast<uint8_t>(JournalEventType::kRetry)) {
+  ar(e);
+  if (!ar.AtEnd()) {
     return Status::InvalidArgument("malformed journal event payload");
   }
-  e.type = static_cast<JournalEventType>(type);
   return e;
 }
 
 std::string EncodeSnapshot(const CheckpointSnapshot& snapshot) {
-  BinWriter w;
-  w.Raw(kSnapshotMagic, sizeof(kSnapshotMagic));
-  w.U32(kSnapshotVersion);
-  w.U64(snapshot.config_fingerprint);
-  w.U32(snapshot.class_digest);
-  w.I32(snapshot.epoch_index);
-  w.F64(snapshot.freq_ghz);
-  PutLoopState(w, snapshot.state);
-  w.U32(static_cast<uint32_t>(snapshot.admission_models.size()));
-  for (const AdmissionController::ClassModel& m : snapshot.admission_models) {
-    w.F64(m.est_ms);
-    w.U64(m.count);
-  }
-  PutMetricsSnapshot(w, snapshot.metrics);
-  const uint32_t crc = Crc32c(w.str());
-  std::string out = w.str();
+  Archive ar;
+  ar.Put(kSnapshotVersion);
+  ar(const_cast<CheckpointSnapshot&>(snapshot));
+  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
+  out += ar.bytes();
+  const uint32_t crc = Crc32c(out);
   out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   return out;
 }
@@ -558,35 +306,27 @@ StatusOr<CheckpointSnapshot> DecodeSnapshot(std::string_view bytes) {
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc),
               sizeof(stored_crc));
-  const std::string_view body = bytes.substr(0, bytes.size() - sizeof(stored_crc));
+  const std::string_view body =
+      bytes.substr(0, bytes.size() - sizeof(stored_crc));
   if (Crc32c(body) != stored_crc) {
     return Status::InvalidArgument("snapshot CRC mismatch");
   }
   if (std::memcmp(body.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     return Status::InvalidArgument("not a checkpoint snapshot (bad magic)");
   }
+  Archive ar(body.substr(sizeof(kSnapshotMagic)));
   uint32_t version = 0;
-  std::memcpy(&version, body.data() + sizeof(kSnapshotMagic), sizeof(version));
+  ar(version);
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version));
   }
-  BinReader r(body.substr(kHeader));
   CheckpointSnapshot snap;
-  snap.config_fingerprint = r.U64();
-  snap.class_digest = r.U32();
-  snap.epoch_index = r.I32();
-  snap.freq_ghz = r.F64();
-  snap.state = GetLoopState(r);
-  const size_t nm = r.Count();
-  snap.admission_models.resize(nm);
-  for (size_t i = 0; i < nm && !r.failed(); ++i) {
-    snap.admission_models[i].est_ms = r.F64();
-    snap.admission_models[i].count = r.U64();
-  }
-  snap.metrics = GetMetricsSnapshot(r);
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("snapshot payload truncated or malformed");
+  ar(snap);
+  if (!ar.AtEnd()) {
+    return Status::InvalidArgument(
+        "snapshot payload malformed: " +
+        (ar.failed() ? ar.error() : std::string("trailing bytes")));
   }
   return snap;
 }
@@ -601,6 +341,12 @@ std::string JournalFileName(int index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "journal-%08d.wal", index);
   return buf;
+}
+
+StatusOr<CheckpointSnapshot> ReadSnapshotFile(const std::string& path) {
+  StatusOr<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  return DecodeSnapshot(bytes.value());
 }
 
 Status WriteSnapshotFile(const std::string& dir,
@@ -629,13 +375,7 @@ StatusOr<RecoveredCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
   std::string last_error;
   for (const int index : indices) {
     const std::string path = dir + "/" + SnapshotFileName(index);
-    StatusOr<std::string> bytes = ReadFileToString(path);
-    if (!bytes.ok()) {
-      ++out.skipped_snapshots;
-      last_error = path + ": " + bytes.status().ToString();
-      continue;
-    }
-    StatusOr<CheckpointSnapshot> snap = DecodeSnapshot(bytes.value());
+    StatusOr<CheckpointSnapshot> snap = ReadSnapshotFile(path);
     if (!snap.ok()) {
       ++out.skipped_snapshots;
       last_error = path + ": " + snap.status().ToString();
@@ -670,56 +410,74 @@ StatusOr<RecoveredCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
   return out;
 }
 
+Status CheckSnapshotFits(const CheckpointSnapshot& snapshot,
+                         const std::vector<TenantConfig>& tenants,
+                         size_t num_classes, int cores) {
+  const LoopState& st = snapshot.state;
+  if (st.tenants.size() != tenants.size() ||
+      st.classes.size() != num_classes ||
+      snapshot.admission_models.size() != num_classes ||
+      st.slots.size() != static_cast<size_t>(cores)) {
+    return Status::FailedPrecondition(
+        "does not match the tenant/class/core-pool shape");
+  }
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    if (st.tenants[t].client_wake.size() !=
+        static_cast<size_t>(tenants[t].concurrency)) {
+      return Status::FailedPrecondition(
+          "tenant " + std::to_string(t) +
+          " has a different closed-loop client count");
+    }
+  }
+  // Every in-flight instance must index real tenants, classes and clients
+  // (a free slot has tenant -1; queued and retrying work never does).
+  for (const auto* list : {&st.slots, &st.queue, &st.retry_queue}) {
+    for (const QueryInstance& q : *list) {
+      if (list == &st.slots && q.tenant == -1) continue;
+      if (q.tenant < 0 || static_cast<size_t>(q.tenant) >= tenants.size() ||
+          q.cls >= num_classes || q.client < -1 ||
+          q.client >= tenants[static_cast<size_t>(q.tenant)].concurrency) {
+        return Status::InvalidArgument(
+            "in-flight query seq " + std::to_string(q.seq) +
+            " has an out-of-range tenant, class or client");
+      }
+    }
+  }
+  if (st.queue_head > st.queue.size()) {
+    return Status::InvalidArgument("queue head is past the queue's end");
+  }
+  return Status::OK();
+}
+
 uint64_t ServingConfigFingerprint(const ServerConfig& config,
                                   const std::vector<TenantConfig>& tenants) {
-  BinWriter w;
-  w.F64(config.machine.freq_ghz);
-  w.U32(config.machine.cores_per_socket);
-  w.F64(config.machine.SocketSeqBytesPerCycle());
-  w.F64(config.machine.SocketRandBytesPerCycle());
-  w.I32(config.cores);
-  w.U64(config.default_max_queries);
-  w.U64(config.sample_interval_instructions);
-  w.F64(config.epoch_ms);
-  w.U64(config.trace_sample_n);
-  w.U32(static_cast<uint32_t>(config.slos.size()));
-  for (const obs::SloSpec& slo : config.slos) w.Str(slo.ToString());
-  w.Str(ShedPolicyName(config.admission.policy));
-  w.F64(config.admission.default_deadline_ms);
-  w.F64(config.admission.safety_factor);
-  w.U64(config.admission.tenant_shed_quota);
-  w.I32(config.admission.protect_priority);
-  w.I32(config.retry.max_retries);
-  w.F64(config.retry.backoff_base_ms);
-  w.F64(config.retry.backoff_multiplier);
-  w.F64(config.retry.backoff_jitter);
-  w.I32(config.brownout.queue_depth);
-  w.U32(static_cast<uint32_t>(config.brownout.downgrade.size()));
-  for (const auto& [from, to] : config.brownout.downgrade) {
-    w.Str(from);
-    w.Str(to);
-  }
-  w.Str(config.faults.ToString());
-  w.I32(config.checkpoint.every_epochs);
-  w.U32(static_cast<uint32_t>(tenants.size()));
+  Archive w;
+  w.Put(config.machine.freq_ghz, config.machine.cores_per_socket,
+        config.machine.SocketSeqBytesPerCycle(),
+        config.machine.SocketRandBytesPerCycle(), config.cores,
+        config.default_max_queries, config.sample_interval_instructions,
+        config.epoch_ms, config.trace_sample_n,
+        static_cast<uint32_t>(config.slos.size()));
+  for (const obs::SloSpec& slo : config.slos) w.Put(slo.ToString());
+  const AdmissionConfig& adm = config.admission;
+  const RetryPolicy& retry = config.retry;
+  w.Put(std::string(ShedPolicyName(adm.policy)), adm.default_deadline_ms,
+        adm.safety_factor, adm.tenant_shed_quota, adm.protect_priority,
+        retry.max_retries, retry.backoff_base_ms, retry.backoff_multiplier,
+        retry.backoff_jitter, config.brownout.queue_depth,
+        static_cast<uint32_t>(config.brownout.downgrade.size()));
+  for (const auto& [from, to] : config.brownout.downgrade) w.Put(from, to);
+  w.Put(config.faults.ToString(), config.checkpoint.every_epochs,
+        static_cast<uint32_t>(tenants.size()));
   for (const TenantConfig& t : tenants) {
-    w.Str(t.name);
-    w.Str(t.engine);
-    w.U32(static_cast<uint32_t>(t.catalog.size()));
+    w.Put(t.name, t.engine, static_cast<uint32_t>(t.catalog.size()));
     for (const engine::QuerySpec& spec : t.catalog) {
-      w.Str(spec.Label());
-      w.F64(spec.deadline_ms);
-      w.F64(spec.cost_hint_ms);
+      w.Put(spec.Label(), spec.deadline_ms, spec.cost_hint_ms);
     }
-    w.F64(t.zipf_s);
-    w.F64(t.arrival_qps);
-    w.I32(t.concurrency);
-    w.F64(t.think_ms);
-    w.U64(t.max_queries);
-    w.U64(t.seed);
-    w.I32(t.priority);
+    w.Put(t.zipf_s, t.arrival_qps, t.concurrency, t.think_ms, t.max_queries,
+          t.seed, t.priority);
   }
-  const std::string& data = w.str();
+  const std::string& data = w.bytes();
   return (static_cast<uint64_t>(Crc32c(data)) << 32) |
          Crc32c(data, 0x9E3779B9u);
 }
@@ -734,25 +492,21 @@ StatusOr<CheckpointDirSummary> InspectCheckpointDir(const std::string& dir) {
     if (snap_index >= 0) {
       SnapshotFileInfo info;
       info.index = snap_index;
-      StatusOr<std::string> bytes = ReadFileToString(path);
-      if (!bytes.ok()) {
-        info.error = bytes.status().ToString();
+      StatusOr<uint64_t> size = FileSize(path);
+      info.bytes = size.ok() ? size.value() : 0;
+      StatusOr<CheckpointSnapshot> snap = ReadSnapshotFile(path);
+      if (!snap.ok()) {
+        info.error = snap.status().ToString();
       } else {
-        info.bytes = bytes.value().size();
-        StatusOr<CheckpointSnapshot> snap = DecodeSnapshot(bytes.value());
-        if (!snap.ok()) {
-          info.error = snap.status().ToString();
-        } else {
-          info.valid = true;
-          const LoopState& st = snap.value().state;
-          const double freq = snap.value().freq_ghz;
-          info.vtime_ms = freq > 0 ? st.vtime / (freq * 1e6) : 0;
-          for (const TenantLoopState& t : st.tenants) {
-            info.submitted += t.submitted;
-          }
-          info.epochs_closed = st.epoch_index;
-          if (snap_index > out.resume_index) out.resume_index = snap_index;
+        info.valid = true;
+        const LoopState& st = snap.value().state;
+        const double freq = snap.value().freq_ghz;
+        info.vtime_ms = freq > 0 ? st.vtime / (freq * 1e6) : 0;
+        for (const TenantLoopState& t : st.tenants) {
+          info.submitted += t.submitted;
         }
+        info.epochs_closed = static_cast<int>(st.epochs.size());
+        if (snap_index > out.resume_index) out.resume_index = snap_index;
       }
       out.snapshots.push_back(std::move(info));
       continue;

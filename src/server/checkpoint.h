@@ -93,6 +93,9 @@ struct CheckpointSnapshot {
   LoopState state;
   std::vector<AdmissionController::ClassModel> admission_models;
   obs::MetricsSnapshot metrics;
+
+  friend bool operator==(const CheckpointSnapshot&,
+                         const CheckpointSnapshot&) = default;
 };
 
 std::string EncodeSnapshot(const CheckpointSnapshot& snapshot);
@@ -106,6 +109,8 @@ std::string JournalFileName(int index);
 /// (tmp + fsync + rename) under its SnapshotFileName.
 Status WriteSnapshotFile(const std::string& dir,
                          const CheckpointSnapshot& snapshot);
+/// Reads and decodes one snapshot file.
+StatusOr<CheckpointSnapshot> ReadSnapshotFile(const std::string& path);
 
 /// What recovery found in a checkpoint directory.
 struct RecoveredCheckpoint {
@@ -124,6 +129,14 @@ struct RecoveredCheckpoint {
 /// skipped (reported via skipped_*); NotFound when the directory holds no
 /// snapshot at all, FailedPrecondition when none validates.
 StatusOr<RecoveredCheckpoint> LoadLatestCheckpoint(const std::string& dir);
+
+/// Checks that a decoded (CRC-valid) snapshot fits the configuration it is
+/// about to resume, so resuming it cannot index out of bounds:
+/// FailedPrecondition when the tenant/class/core/client counts differ,
+/// InvalidArgument for an out-of-range instance index or queue head.
+Status CheckSnapshotFits(const CheckpointSnapshot& snapshot,
+                         const std::vector<TenantConfig>& tenants,
+                         size_t num_classes, int cores);
 
 /// CRC fingerprint of everything the fluid loop's behavior depends on:
 /// serving knobs, robustness policies, the fault plan, and the tenant

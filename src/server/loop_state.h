@@ -15,10 +15,12 @@ namespace uolap::server {
 /// The complete mutable state of the serving fluid loop (Server::TryRun),
 /// made explicit so checkpointing can capture it at an epoch boundary and
 /// recovery can restore it bit for bit. Every field the loop mutates
-/// lives here; everything else the loop touches is either configuration
-/// (immutable for the run) or derivable per iteration (the running-set
-/// pointer vector, the fixed-point scratch). DESIGN.md §10 documents the
-/// capture-vs-derive split.
+/// lives here, once; everything else the loop touches is configuration
+/// (immutable for the run), a function of configuration (submission caps,
+/// Zipf CDFs), a function of other fields here (completion counts,
+/// histograms, the all-traffic latency series, current and peak occupancy,
+/// the admission sequence number, the epoch index), or per-iteration
+/// scratch. DESIGN.md §10 documents the capture-vs-derive split.
 
 /// A query in flight. `remaining` is the fraction of the class's work
 /// outstanding; under bandwidth scale s it drains at rate 1/g(s) per
@@ -27,8 +29,7 @@ struct QueryInstance {
   int tenant = -1;  ///< -1 marks a free core slot
   uint64_t cls = 0;
   int client = -1;  ///< closed-loop client index (-1 when open-loop)
-  uint64_t seq = 0;      ///< global admission order (span sampling key)
-  bool sampled = false;  ///< head-sampled for span tracing
+  uint64_t seq = 0;  ///< global admission order (span sampling key)
   double arrival = 0;
   double start = 0;
   double remaining = 1.0;
@@ -46,15 +47,16 @@ struct QueryInstance {
   double retry_ready = 0;  ///< absolute cycles a retry backoff expires at
   bool will_fail = false;  ///< fault plan fails this attempt at its end
   double slow = 1.0;       ///< fault-plan service-time multiplier
+
+  friend bool operator==(const QueryInstance&, const QueryInstance&) = default;
 };
 
-/// Per-tenant loop state: the seeded RNG stream, submission accounting,
-/// the arrival process heads, and the completed-latency series.
+/// Per-tenant loop state: the seeded RNG stream, outcome accounting, the
+/// arrival process heads, and the completed-latency series (whose size is
+/// the tenant's completion count).
 struct TenantLoopState {
   Rng rng{0};
-  uint64_t cap = 0;
   uint64_t submitted = 0;
-  uint64_t completed = 0;
   uint64_t rejected = 0;
   uint64_t shed = 0;
   uint64_t timed_out = 0;
@@ -63,9 +65,10 @@ struct TenantLoopState {
   /// Cycles; open-loop stream head (infinity once capped/closed-loop).
   double next_open_arrival = std::numeric_limits<double>::infinity();
   std::vector<double> client_wake;  ///< cycles; closed-loop clients
-  std::vector<double> zipf_cdf;
-  std::vector<double> latencies_ms;
-  std::vector<uint64_t> histogram;
+  std::vector<double> latencies_ms;  ///< completion order
+
+  friend bool operator==(const TenantLoopState&, const TenantLoopState&) =
+      default;
 };
 
 /// Per-class contention accounting.
@@ -74,16 +77,21 @@ struct ClassLoopStats {
   double service_cycles = 0;  ///< observed (contended) service time
   double scale_cycles = 0;
   double run_cycles = 0;
+
+  friend bool operator==(const ClassLoopStats&, const ClassLoopStats&) =
+      default;
 };
 
-/// One SLO epoch window being accumulated (latencies completed inside it
-/// plus occupancy extremes).
+/// One SLO epoch window being accumulated: the latencies completed inside
+/// it per tenant and per class (the all-traffic window is their union)
+/// plus occupancy extremes.
 struct EpochAccState {
-  std::vector<double> lat;
   std::map<std::string, std::vector<double>> tenant_lat;
   std::map<std::string, std::vector<double>> class_lat;
   uint32_t max_running = 0;
   uint32_t max_queued = 0;
+
+  friend bool operator==(const EpochAccState&, const EpochAccState&) = default;
 };
 
 /// Everything Server::TryRun mutates between events.
@@ -102,18 +110,16 @@ struct LoopState {
   double total_bytes = 0;
   double peak_gbps = 0;
   bool saturated = false;
+  /// Occupancy samples, appended whenever occupancy changes; the last one
+  /// is the current (running, queued) level.
   std::vector<obs::QueueSample> timeline;
   std::map<std::string, std::vector<double>> engine_latencies;
-  uint64_t seq_counter = 0;
   std::vector<obs::QuerySpan> spans;
-  std::vector<double> all_latencies;
-  uint32_t cur_running = 0;
-  uint32_t cur_queued = 0;
-  uint32_t peak_queued = 0;
   EpochAccState acc;
-  int epoch_index = 0;
   double epoch_start = 0;  ///< cycles
-  std::vector<obs::EpochRecord> epochs;
+  std::vector<obs::EpochRecord> epochs;  ///< closed; size = epoch index
+
+  friend bool operator==(const LoopState&, const LoopState&) = default;
 };
 
 }  // namespace uolap::server

@@ -153,11 +153,10 @@ class Server {
     std::string label;   ///< "<engine key>/<QuerySpec::Label()>"
     std::string engine;  ///< registry key
     engine::QuerySpec spec;
-    core::CoreCounters counters;  ///< full solo execution counter set
-    core::ProfileResult solo;     ///< Analyze(counters, 1.0)
-    double bytes_seq = 0;         ///< seq-class DRAM bytes (incl. waste/wb)
+    double bytes_seq = 0;  ///< seq-class DRAM bytes (incl. waste/wb)
     double bytes_rand = 0;
-    obs::RunRecord solo_run;  ///< regions/timeline profile of the solo run
+    /// The solo run's profile: whole-run analysis, regions and timeline.
+    obs::RunRecord solo_run;
     engine::QueryResult result;  ///< the verified solo answer
     /// Ascending progress fractions of the solo run's top-level region
     /// boundaries (always ends with 1.0): the points where a timed-out
@@ -166,7 +165,14 @@ class Server {
     std::vector<double> cancel_fractions;
     /// Index into classes_ of the brown-out downgrade class (-1 = none).
     int downgrade = -1;
+
+    /// Analyze(counters, 1.0) of the solo execution; `.counters` is its
+    /// full counter set.
+    const core::ProfileResult& solo() const { return solo_run.cores[0].whole; }
   };
+
+  /// One Run()'s event machine (defined in serving.cc).
+  class ServeLoop;
 
   /// Simulates every distinct class referenced by the tenants (idempotent).
   void EnsureClasses();

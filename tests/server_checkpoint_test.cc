@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -206,33 +207,123 @@ TEST(JournalEventTest, RejectsGarbage) {
 
 // --- snapshot encode/decode ------------------------------------------------
 
+/// An in-flight instance with every field off its default.
+QueryInstance SampleInstance(int tenant, int client, uint64_t seq) {
+  QueryInstance q;
+  q.tenant = tenant;
+  q.cls = 0;
+  q.client = client;
+  q.seq = seq;
+  q.arrival = 1.0e6 + static_cast<double>(seq);
+  q.start = 2.0e6;
+  q.remaining = 0.375;
+  q.scale_cycles = 3.5e5;
+  q.run_cycles = 4.25e5;
+  q.attempt = 2;
+  q.deadline = 9.0e6;
+  q.est_ms = 1.5;
+  q.cancel_remaining = 0.125;
+  q.retry_ready = 5.0e6;
+  q.will_fail = true;
+  q.slow = 1.75;
+  return q;
+}
+
+obs::WindowStat SampleWindow(const std::string& subject) {
+  obs::WindowStat w;
+  w.subject = subject;
+  w.completed = 3;
+  w.p50_ms = 1.5;
+  w.p95_ms = 2.5;
+  w.p99_ms = 3.5;
+  return w;
+}
+
+/// The tenants SampleSnapshot() fits: a closed-loop tenant with two
+/// clients and an open-loop one, over one class and two cores.
+std::vector<TenantConfig> SampleTenants() {
+  TenantConfig closed;
+  closed.concurrency = 2;
+  TenantConfig open;
+  open.arrival_qps = 100;
+  return {closed, open};
+}
+
+/// A snapshot with every LoopState field set, so a field dropped from the
+/// codec (in both directions at once) still fails the equality check.
 CheckpointSnapshot SampleSnapshot() {
   CheckpointSnapshot snap;
   snap.config_fingerprint = 0xDEADBEEFCAFEF00Dull;
   snap.class_digest = 0x1234ABCDu;
   snap.epoch_index = 7;
   snap.freq_ghz = 2.2;
-  snap.state.vtime = 1.5e9;
-  snap.state.queue_head = 0;
-  snap.state.tenants.resize(2);
-  snap.state.tenants[0].submitted = 11;
-  snap.state.tenants[0].zipf_cdf = {0.5, 1.0};
-  snap.state.tenants[0].latencies_ms = {1.25, 2.5};
-  snap.state.tenants[1].rng = Rng(99);
-  snap.state.classes.resize(1);
-  snap.state.classes[0].executions = 4;
-  QueryInstance inst;
-  inst.tenant = 1;
-  inst.cls = 0;
-  inst.seq = 42;
-  snap.state.queue.push_back(inst);
-  snap.state.slots.resize(2);
-  snap.state.slots[0] = inst;  // tenant >= 0 marks the slot occupied
+  LoopState& st = snap.state;
+  st.vtime = 1.5e9;
+  st.tenants.resize(2);
+  for (size_t t = 0; t < st.tenants.size(); ++t) {
+    TenantLoopState& ts = st.tenants[t];
+    ts.rng = Rng(99 + t);
+    ts.submitted = 11 + t;
+    ts.rejected = 1;
+    ts.shed = 2;
+    ts.timed_out = 3;
+    ts.failed = 4;
+    ts.retries = 5;
+    ts.latencies_ms = {1.25, 2.5};
+  }
+  st.tenants[0].client_wake = {7.0e6, std::numeric_limits<double>::infinity()};
+  st.tenants[1].next_open_arrival = 8.0e6;
+  st.classes.resize(1);
+  st.classes[0] = ClassLoopStats{4, 1.0e7, 2.0e6, 3.0e6};
+  st.slots.resize(2);
+  st.slots[0] = SampleInstance(0, 1, 40);  // tenant >= 0: occupied
+  st.queue = {SampleInstance(1, -1, 41), SampleInstance(0, 0, 42)};
+  st.queue_head = 1;
+  st.retry_queue = {SampleInstance(1, -1, 43)};
+  st.queued_est_ms = 6.5;
+  st.faults_injected = 6;
+  st.slowdowns_injected = 7;
+  st.brownout_downgrades = 8;
+  st.total_bytes = 1.0e9;
+  st.peak_gbps = 12.5;
+  st.saturated = true;
+  st.timeline = {{0.0, 1, 0}, {0.5, 2, 3}};
+  st.engine_latencies = {{"rowstore", {3.0}}, {"typer", {1.25, 2.5}}};
+  obs::QuerySpan span;
+  span.seq = 40;
+  span.tenant = "scans";
+  span.cls = "typer/projection-d4";
+  span.arrival_ms = 0.25;
+  span.start_ms = 0.5;
+  span.end_ms = 0.75;
+  span.core = 1;
+  span.outcome = "timed_out";
+  span.attempts = 2;
+  st.spans = {span};
+  st.acc.tenant_lat = {{"scans", {0.5, 0.25}}};
+  st.acc.class_lat = {{"typer/projection-d4", {0.5}}};
+  st.acc.max_running = 2;
+  st.acc.max_queued = 3;
+  st.epoch_start = 1.4e9;
+  obs::EpochRecord epoch;
+  epoch.index = 6;
+  epoch.start_ms = 0.5;
+  epoch.end_ms = 1.5;
+  epoch.completed = 3;
+  epoch.p50_ms = 1.0;
+  epoch.p95_ms = 2.0;
+  epoch.p99_ms = 3.0;
+  epoch.max_running = 2;
+  epoch.max_queued = 4;
+  epoch.tenants = {SampleWindow("scans")};
+  epoch.classes = {SampleWindow("typer/projection-d4")};
+  st.epochs = {epoch};
   snap.admission_models.resize(1);
   snap.admission_models[0].est_ms = 3.25;
   snap.admission_models[0].count = 9;
   obs::MetricsRegistry reg;
   reg.Count("server.testing_total", 5);
+  reg.SetGauge("server.testing_depth", 4.5);
   reg.Observe("server.testing_ms", 1.75);
   snap.metrics = reg.Snapshot();
   return snap;
@@ -264,6 +355,82 @@ TEST(SnapshotTest, DetectsCorruptionTruncationAndWrongMagic) {
   std::string wrong_magic = bytes;
   wrong_magic[0] = 'X';
   EXPECT_FALSE(DecodeSnapshot(wrong_magic).ok());
+}
+
+TEST(SnapshotTest, DecodedStateEqualsTheOriginal) {
+  const CheckpointSnapshot snap = SampleSnapshot();
+  const auto back = DecodeSnapshot(EncodeSnapshot(snap));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // Field-wise equality, not a re-encode: a field missing from both
+  // directions of the codec would re-encode identically but compare
+  // unequal here.
+  EXPECT_EQ(back.value().state, snap.state);
+  EXPECT_EQ(back.value(), snap);
+}
+
+TEST(SnapshotTest, RejectsAnUnknownMetricKind) {
+  CheckpointSnapshot snap = SampleSnapshot();
+  ASSERT_FALSE(snap.metrics.families.empty());
+  snap.metrics.families[0].kind = static_cast<obs::MetricKind>(7);
+  // Encoded with a valid CRC: only the field check can refuse it.
+  const auto back = DecodeSnapshot(EncodeSnapshot(snap));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().message().find("metric kind"), std::string::npos);
+}
+
+// Crafted snapshots that decode cleanly (valid CRC) but do not fit the
+// configuration they would resume.
+class SnapshotFitTest : public ::testing::Test {
+ protected:
+  static StatusCode Fit(const CheckpointSnapshot& crafted) {
+    const auto decoded = DecodeSnapshot(EncodeSnapshot(crafted));
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    if (!decoded.ok()) return StatusCode::kOk;
+    return CheckSnapshotFits(decoded.value(), SampleTenants(),
+                             /*num_classes=*/1, /*cores=*/2)
+        .code();
+  }
+};
+
+TEST_F(SnapshotFitTest, AcceptsAFittingSnapshot) {
+  EXPECT_EQ(Fit(SampleSnapshot()), StatusCode::kOk);
+}
+
+TEST_F(SnapshotFitTest, RefusesAShapeMismatch) {
+  CheckpointSnapshot snap = SampleSnapshot();
+  snap.admission_models.push_back({});
+  EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
+  snap = SampleSnapshot();
+  snap.state.slots.pop_back();
+  EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
+  snap = SampleSnapshot();
+  snap.state.tenants[0].client_wake.push_back(0);
+  EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
+  snap = SampleSnapshot();
+  snap.state.tenants[1].client_wake.push_back(0);  // open-loop tenant
+  EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(SnapshotFitTest, RefusesOutOfRangeInstances) {
+  CheckpointSnapshot snap = SampleSnapshot();
+  snap.state.slots[0].cls = 1;
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.slots[1].tenant = 2;
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.queue[0].tenant = -1;  // queued work is never a free slot
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.queue[1].client = 2;  // the closed-loop tenant has 2 clients
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.retry_queue[0].client = 0;  // open-loop tenants have none
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.queue_head = 3;
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
 }
 
 // --- MetricsRegistry::Restore ----------------------------------------------
@@ -591,6 +758,39 @@ TEST_F(CheckpointServeTest, ResumeRejectsAMismatchedConfiguration) {
   const StatusOr<ServeResult> run = server.TryRun();
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(CheckpointServeTest, ResumeRefusesASnapshotThatDoesNotFit) {
+  const std::string tmp = TempDir();
+  CheckpointConfig crash;
+  crash.dir = tmp + "/ck";
+  crash.every_epochs = 2;
+  crash.crash_at_ms = 1.6;
+  CheckpointConfig resume = crash;
+  resume.crash_at_ms = 0;
+  resume.resume = true;
+  ChildGroup group({{crash, tmp + "/a.json", ""}, {resume, tmp + "/c.json", ""}});
+  ASSERT_EQ(group.Run(0), 137);
+
+  // Rewrite the newest snapshot with a slot naming a class the server
+  // does not have. The file stays CRC-valid and matches the config
+  // fingerprint and class digest, so only the fit check stands between it
+  // and an out-of-bounds index.
+  const auto summary = InspectCheckpointDir(crash.dir);
+  ASSERT_TRUE(summary.ok());
+  ASSERT_GE(summary.value().resume_index, 0);
+  const std::string path =
+      crash.dir + "/" + SnapshotFileName(summary.value().resume_index);
+  auto snap = ReadSnapshotFile(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  snap.value().state.slots[0].tenant = 0;
+  snap.value().state.slots[0].client = -1;
+  snap.value().state.slots[0].cls = 1000;
+  ASSERT_TRUE(WriteSnapshotFile(crash.dir, snap.value()).ok());
+
+  EXPECT_EQ(group.Run(1), 3) << "resume must fail with a Status";
+  EXPECT_EQ(ReadFileToString(tmp + "/c.json").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(CheckpointServeTest, InspectSummarizesTheDirectory) {
