@@ -3,7 +3,7 @@
 // the run is bit-identical on every host — no ASLR pinning needed) that
 // drives every accelerated lane of the simulation kernels: bulk
 // resident runs, stream establish/advance/kill churn, the translation
-// memo, random probes through the stream-index reject filter, line and
+// memo, random probes through the stream-index candidate masks, line and
 // page straddles, and branchy retire traffic. The finalized counters are
 // exported as a real versioned profile.
 //

@@ -11,7 +11,8 @@
 #      resume, byte-compare against the uninterrupted run);
 #   3. an UOLAP_VALIDATE=ON build: the full test suite plus a figure-bench
 #      sweep with every model-invariant checker armed (a violation aborts);
-#   4. an UndefinedBehaviorSanitizer build running the test suite;
+#   4. an UndefinedBehaviorSanitizer Debug build (UOLAP_DCHECKs armed)
+#      running the test suite;
 #   5. an AddressSanitizer smoke (build + unit tests + crash-recovery
 #      smoke);
 #   6. a ThreadSanitizer build that runs the test suite through the
@@ -398,8 +399,14 @@ cmake --build build-validate -j "$JOBS"
 build-validate/bench/bench_fig11_14_join --quick --validate >/dev/null
 build-validate/bench/bench_fig07_10_selection --quick --validate >/dev/null
 
-echo "=== undefined-behavior-sanitizer build ==="
-cmake -B build-ubsan -S . -DUOLAP_SANITIZE=undefined >/dev/null
+echo "=== undefined-behavior-sanitizer build (Debug: DCHECKs armed) ==="
+# Every other stage builds RelWithDebInfo, whose NDEBUG compiles the
+# UOLAP_DCHECK lockstep checks out (fast stream match == reference scan,
+# fast stream victim == reference scan, probed cache victim == a fresh
+# InsertAbsent choice). Debug keeps them; the sanitizer flags still
+# compile at -O1.
+cmake -B build-ubsan -S . -DUOLAP_SANITIZE=undefined \
+  -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 (cd build-ubsan && ctest --output-on-failure -j "$JOBS" --timeout 600)
 

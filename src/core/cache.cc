@@ -1,6 +1,6 @@
 #include "core/cache.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 namespace uolap::core {
@@ -37,39 +37,17 @@ SetAssociativeCache::SetAssociativeCache(uint64_t num_sets, uint32_t ways)
   const uint64_t n = num_sets_ * ways_;
   // The front-slot array stores global way indices as uint32_t.
   UOLAP_CHECK_MSG(n <= UINT32_MAX, "cache geometry exceeds front-slot range");
-  recs_ = CallocArray<WayRec>(n);
+  // Over-allocate by one host line and start the records on its boundary,
+  // so every set occupies whole host lines and PrefetchSet's 64-byte steps
+  // cover it exactly. Still calloc: the lazily zeroed pages are kept.
+  recs_block_ = CallocArray<char>(n * sizeof(WayRec) + kHostLine);
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(recs_block_.get());
+  recs_ = reinterpret_cast<WayRec*>((raw + kHostLine - 1) & ~(kHostLine - 1));
+  UOLAP_CHECK(reinterpret_cast<uintptr_t>(recs_) % kHostLine == 0);
   mru_ = CallocArray<uint32_t>(num_sets_);
   for (uint64_t s = 0; s < num_sets_; ++s) {
     mru_[s] = static_cast<uint32_t>(s * ways_);
   }
-}
-
-CacheAccessResult SetAssociativeCache::InsertAt(uint64_t set, uint64_t key,
-                                                bool dirty) {
-  CacheAccessResult result;
-  // The victim is the way with the minimum timestamp, first-wins on ties:
-  // invalid ways carry stamp 0 and so are picked (in way order) before any
-  // valid way; otherwise this is true-LRU.
-  const uint64_t base = set * ways_;
-  uint64_t victim = base;
-  uint64_t victim_ts = recs_[base].ts;
-  for (uint32_t w = 1; w < ways_; ++w) {
-    if (recs_[base + w].ts < victim_ts) {
-      victim = base + w;
-      victim_ts = recs_[base + w].ts;
-    }
-  }
-  const uint64_t victim_tag = recs_[victim].tag & kTagMask;
-  if (victim_tag != 0) {
-    result.evicted = true;
-    result.evicted_dirty = (recs_[victim].tag & kDirtyBit) != 0;
-    result.evicted_key = victim_tag - 1;
-  }
-  recs_[victim].tag = (key + 1) | (dirty ? kDirtyBit : 0);
-  recs_[victim].ts = ++clock_;
-  mru_[set] = static_cast<uint32_t>(victim);
-  result.slot = victim;
-  return result;
 }
 
 CacheAccessResult SetAssociativeCache::Insert(uint64_t key, bool dirty) {
@@ -85,13 +63,7 @@ CacheAccessResult SetAssociativeCache::Insert(uint64_t key, bool dirty) {
     result.slot = u;
     return result;
   }
-  return InsertAt(set, key, dirty);
-}
-
-CacheAccessResult SetAssociativeCache::InsertAbsent(uint64_t key,
-                                                    bool dirty) {
-  UOLAP_DCHECK(Find(key) < 0);
-  return InsertAt(SetIndex(key), key, dirty);
+  return FillWay(set, VictimIn(set), key, dirty);
 }
 
 bool SetAssociativeCache::Invalidate(uint64_t key, bool* was_dirty) {
@@ -109,7 +81,7 @@ bool SetAssociativeCache::Invalidate(uint64_t key, bool* was_dirty) {
 
 void SetAssociativeCache::Clear() {
   const uint64_t n = num_sets_ * ways_;
-  std::memset(recs_.get(), 0, n * sizeof(WayRec));
+  std::memset(recs_, 0, n * sizeof(WayRec));
   for (uint64_t s = 0; s < num_sets_; ++s) {
     mru_[s] = static_cast<uint32_t>(s * ways_);
   }

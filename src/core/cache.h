@@ -18,8 +18,8 @@ struct CacheAccessResult {
   bool evicted_dirty = false;
   uint64_t evicted_key = 0;
   /// Global way index (set * ways + way) the key now occupies. Valid after
-  /// Insert/InsertAbsent; the translation memo caches it so repeated
-  /// same-page accesses can replay the hit without a tag scan.
+  /// Insert/InsertAbsent/FillMiss; the translation memo caches it so
+  /// repeated same-page accesses can replay the hit without a tag scan.
   uint64_t slot = 0;
 };
 
@@ -28,26 +28,32 @@ struct CacheAccessResult {
 ///
 /// Keys are whatever granule the instantiation chooses: the data/instruction
 /// caches key by line address (addr >> 6), the TLBs key by page number.
-/// The simulator calls `Access` for lookups and `Insert` for fills; the two
-/// are split so the memory system can walk the hierarchy, decide where the
-/// line came from, and then fill the upper levels (modelling demand fills
-/// and writeback propagation explicitly).
+/// The memory system walks the hierarchy with `Probe`, which on a miss
+/// also names the way a fill would take (the victim), decides where the
+/// line came from, and then services each missed level with `FillMiss` —
+/// one set index and one tag scan per level. `Access`/`Insert`/
+/// `InsertAbsent` are the plain lookup and fills, used by the dirty-
+/// writeback chains and tests; debug builds check every FillMiss victim
+/// against the choice InsertAbsent would make.
 ///
 /// This sits on the simulator's hottest path (one tag scan per simulated
 /// line access, several per miss), so each set's metadata is interleaved
-/// into one contiguous block of 16-byte {tag, ts} way records — a random
-/// set probe (the dominant pattern of hash-probe workloads against the
-/// multi-MB L3 image) costs a couple of host cache lines instead of one
-/// per parallel array. The dirty bit lives in the tag's top bit (keys are
-/// line/page numbers < 2^58, so key + 1 never reaches it). Backing is
-/// calloc, whose zero pages the OS maps lazily: constructing the L3 image
-/// costs nothing until its sets are actually touched. Two lookup
-/// accelerators sit in front of the scan, both invisible to the model
-/// (they change which probe finds a tag, never what is found):
+/// into one contiguous block of 16-byte {tag, ts} way records, and the
+/// record array starts on a 64-byte boundary — a set of 4k ways occupies
+/// exactly k host cache lines (five for Broadwell's 20-way L3), all of
+/// which PrefetchSet warms. The dirty bit lives in the tag's top bit
+/// (keys are line/page numbers < 2^58, so key + 1 never reaches it).
+/// Backing is calloc, whose zero pages the OS maps lazily: constructing
+/// the L3 image costs nothing until its sets are actually touched. Two
+/// lookup accelerators sit in front of the scan, both invisible to the
+/// model (they change which probe finds a tag, never what is found):
 ///  - a per-set recently-used-way front slot (`mru_`), checked first —
 ///    hash-table probes hammer the same hot set/way repeatedly;
 ///  - a way-unrolled scan fallback that ORs four tag compares per step
 ///    (one branch per group instead of one per way).
+/// Victim selection is a branch-free minimum-stamp select (conditional
+/// moves, first way on ties), so a miss into a set with random LRU order
+/// costs no mispredicted branch per way.
 class SetAssociativeCache {
  public:
   /// `num_sets` and `ways` define the geometry; both must be >= 1.
@@ -58,25 +64,52 @@ class SetAssociativeCache {
   /// Looks up `key`. On a hit, promotes the line to MRU and (for stores)
   /// marks it dirty.
   bool Access(uint64_t key, bool is_store) {
-    return AccessSlot(key, is_store) >= 0;
-  }
-
-  /// Access() that additionally reports where the key landed: the global
-  /// way index on a hit, -1 on a miss. Counter/LRU effects are exactly
-  /// Access()'s (this *is* the access; Access is a thin wrapper).
-  int64_t AccessSlot(uint64_t key, bool is_store) {
     const uint64_t set = SetIndex(key);
     const int64_t i = FindInSet(set, key + 1);
     if (i < 0) {
       ++misses_;
-      return -1;
+      return false;
     }
-    const uint64_t u = static_cast<uint64_t>(i);
-    ++hits_;
-    if (is_store) recs_[u].tag |= kDirtyBit;
-    recs_[u].ts = ++clock_;
-    mru_[set] = static_cast<uint32_t>(u);
-    return i;
+    Promote(set, static_cast<uint64_t>(i), is_store);
+    return true;
+  }
+
+  /// Outcome of Probe: where `key` is, or where a fill would put it.
+  struct ProbeResult {
+    bool hit = false;
+    uint64_t set = 0;
+    /// Global way index (set * ways + way): the way holding the key on a
+    /// hit; on a miss the victim InsertAbsent(key) would pick right now.
+    uint64_t way = 0;
+  };
+
+  /// Exactly Access(key, is_store) — same hit/miss count, dirty update and
+  /// LRU stamp — that on a miss also selects the victim way, so the miss
+  /// can be serviced by FillMiss without a second set index or scan.
+  ProbeResult Probe(uint64_t key, bool is_store) {
+    ProbeResult p;
+    p.set = SetIndex(key);
+    const int64_t i = FindInSet(p.set, key + 1);
+    if (i < 0) {
+      ++misses_;
+      p.way = VictimIn(p.set);
+      return p;
+    }
+    p.hit = true;
+    p.way = static_cast<uint64_t>(i);
+    Promote(p.set, p.way, is_store);
+    return p;
+  }
+
+  /// Exactly InsertAbsent(key, dirty) for the key of a missed Probe,
+  /// provided nothing has touched this cache since that probe: victim
+  /// choice depends only on the set's stamps, which only this cache's own
+  /// mutators change. The hierarchy walk guarantees it by filling each
+  /// level straight after probing the levels below it.
+  CacheAccessResult FillMiss(const ProbeResult& p, uint64_t key, bool dirty) {
+    UOLAP_DCHECK(!p.hit && p.set == SetIndex(key) && Find(key) < 0);
+    UOLAP_DCHECK(p.way == VictimIn(p.set));
+    return FillWay(p.set, p.way, key, dirty);
   }
 
   /// Exactly Access(key, is_store) when `key` is resident — same hit
@@ -88,16 +121,12 @@ class SetAssociativeCache {
     const uint64_t set = SetIndex(key);
     const int64_t i = FindInSet(set, key + 1);
     if (i < 0) return false;
-    const uint64_t u = static_cast<uint64_t>(i);
-    ++hits_;
-    if (is_store) recs_[u].tag |= kDirtyBit;
-    recs_[u].ts = ++clock_;
-    mru_[set] = static_cast<uint32_t>(u);
+    Promote(set, static_cast<uint64_t>(i), is_store);
     return true;
   }
 
   /// Replays Access()'s hit path on a known-resident way (`slot` as
-  /// reported by a prior AccessSlot/Insert of the same key, with no
+  /// reported by a prior Probe/Insert of the same key, with no
   /// intervening operation that could move or evict it): hit count and
   /// LRU stamp, bit for bit. The translation memo uses this to skip the
   /// set index + tag scan entirely on same-page runs.
@@ -127,18 +156,25 @@ class SetAssociativeCache {
   /// MarkDirty, or Contains on this cache with no intervening inserts):
   /// skips Insert's residency re-check but is otherwise exactly
   /// Insert(key, dirty).
-  CacheAccessResult InsertAbsent(uint64_t key, bool dirty);
+  CacheAccessResult InsertAbsent(uint64_t key, bool dirty) {
+    UOLAP_DCHECK(Find(key) < 0);
+    const uint64_t set = SetIndex(key);
+    return FillWay(set, VictimIn(set), key, dirty);
+  }
 
   /// Host-side hint: pulls `key`'s set metadata toward the host caches so
-  /// an upcoming FindInSet/InsertAt on the same set does not stall on host
+  /// an upcoming Probe/FillMiss on the same set does not stall on host
   /// DRAM. Touches no simulator state whatsoever — callers may issue it
   /// speculatively and arbitrarily early.
   void PrefetchSet(uint64_t key) const {
-    const char* p =
-        reinterpret_cast<const char*>(&recs_[SetIndex(key) * ways_]);
-    const uint64_t bytes = static_cast<uint64_t>(ways_) * sizeof(WayRec);
-    for (uint64_t off = 0; off < bytes; off += 64) {
-      __builtin_prefetch(p + off);
+    // Every host line the set's records touch, from the one holding the
+    // first byte to the one holding the last (sets of 4k ways start on a
+    // line; other geometries straddle one).
+    const uintptr_t first =
+        reinterpret_cast<uintptr_t>(recs_ + SetIndex(key) * ways_);
+    const uintptr_t last = first + ways_ * sizeof(WayRec) - 1;
+    for (uintptr_t a = first & ~(kHostLine - 1); a <= last; a += kHostLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(a));
     }
   }
 
@@ -229,6 +265,7 @@ class SetAssociativeCache {
   };
   static constexpr uint64_t kDirtyBit = 1ull << 63;
   static constexpr uint64_t kTagMask = kDirtyBit - 1;
+  static constexpr uintptr_t kHostLine = 64;
 
   struct FreeDeleter {
     void operator()(void* p) const { std::free(p); }
@@ -294,7 +331,47 @@ class SetAssociativeCache {
     return FindInSet(SetIndex(key), key + 1);
   }
 
-  CacheAccessResult InsertAt(uint64_t set, uint64_t key, bool dirty);
+  /// Access()'s hit effects on the resident global way `u` of `set`.
+  void Promote(uint64_t set, uint64_t u, bool is_store) {
+    ++hits_;
+    if (is_store) recs_[u].tag |= kDirtyBit;
+    recs_[u].ts = ++clock_;
+    mru_[set] = static_cast<uint32_t>(u);
+  }
+
+  /// The fill victim of `set` as a global way index: the minimum stamp,
+  /// first way on ties — so invalid ways (stamp 0) win in way order before
+  /// any valid way, and otherwise this is true LRU. Conditional moves
+  /// instead of a data-dependent branch per way.
+  uint64_t VictimIn(uint64_t set) const {
+    const WayRec* r = recs_ + set * ways_;
+    uint32_t victim = 0;
+    uint64_t victim_ts = r[0].ts;
+    for (uint32_t w = 1; w < ways_; ++w) {
+      const uint64_t ts = r[w].ts;
+      const bool older = ts < victim_ts;
+      victim = older ? w : victim;
+      victim_ts = older ? ts : victim_ts;
+    }
+    return set * ways_ + victim;
+  }
+
+  /// Evicts global way `victim` of `set` and fills it with `key` as MRU.
+  CacheAccessResult FillWay(uint64_t set, uint64_t victim, uint64_t key,
+                            bool dirty) {
+    CacheAccessResult result;
+    const uint64_t victim_tag = recs_[victim].tag & kTagMask;
+    if (victim_tag != 0) {
+      result.evicted = true;
+      result.evicted_dirty = (recs_[victim].tag & kDirtyBit) != 0;
+      result.evicted_key = victim_tag - 1;
+    }
+    recs_[victim].tag = (key + 1) | (dirty ? kDirtyBit : 0);
+    recs_[victim].ts = ++clock_;
+    mru_[set] = static_cast<uint32_t>(victim);
+    result.slot = victim;
+    return result;
+  }
 
   uint64_t num_sets_;
   uint32_t ways_;
@@ -307,7 +384,9 @@ class SetAssociativeCache {
   uint32_t odd_shift_ = 0;
   bool odd_fast_ = false;
 
-  Array<WayRec> recs_;
+  // recs_ points at the first 64-byte boundary inside recs_block_.
+  Array<char> recs_block_;
+  WayRec* recs_ = nullptr;
   Array<uint32_t> mru_;
   uint64_t clock_ = 0;
   uint64_t hits_ = 0;

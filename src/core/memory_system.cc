@@ -16,6 +16,8 @@ static_assert(kStreamTableEntries == 32,
 
 namespace {
 
+using ProbeResult = SetAssociativeCache::ProbeResult;
+
 uint64_t Log2Exact(uint64_t x) {
   UOLAP_CHECK_MSG(x != 0 && (x & (x - 1)) == 0, "expected a power of two");
   uint64_t shift = 0;
@@ -131,7 +133,7 @@ void MemorySystem::KillStream(int index) {
     ++counters_.streams_killed;
   }
   if (stream_valid_[u] && !stream_index_stale_) {
-    stream_index_.Remove(stream_next_fwd_[u]);
+    stream_index_.Remove(index, stream_next_fwd_[u]);
     stream_valid_mask_ &= ~(1u << static_cast<uint32_t>(index));
     LruDetach(index);
   }
@@ -145,39 +147,35 @@ void MemorySystem::KillStream(int index) {
 }
 
 int MemorySystem::ScanStreams(uint64_t line) const {
-  constexpr uint64_t kTol = static_cast<uint64_t>(kStreamSkipTolerance);
-  // First-match scan in table order; the subtractions deliberately wrap:
-  // line - next_fwd <= tol  <=>  next_fwd <= line <= next_fwd + tol.
+  // First-match scan in table order.
   for (int i = 0; i < kStreamTableEntries; ++i) {
-    const size_t u = static_cast<size_t>(i);
-    if (!stream_valid_[u]) continue;
-    const int8_t dir = stream_dir_[u];
-    const bool re = line + 1 == stream_next_fwd_[u];
-    const bool fwd = dir >= 0 && line - stream_next_fwd_[u] <= kTol;
-    const bool bwd = dir <= 0 && stream_next_bwd_[u] - line <= kTol;
-    if (re || fwd || bwd) return i;
+    if (stream_valid_[static_cast<size_t>(i)] && StreamMatches(i, line)) {
+      return i;
+    }
   }
   return -1;
 }
 
 int MemorySystem::IndexStreams(uint64_t line) const {
   constexpr uint64_t kTol = static_cast<uint64_t>(kStreamSkipTolerance);
-  // Every ScanStreams match condition places some valid entry's next_fwd
-  // inside [line - tol, line + tol + 2]:
+  // Every StreamMatches condition places the entry's next_fwd inside
+  // [line - tol, line + tol + 2]:
   //   re-access:  next_fwd == line + 1              (any direction)
   //   forward:    next_fwd in [line - tol, line]    and dir >= 0
   //   backward:   next_bwd in [line, line + tol]    and dir <= 0,
   //               i.e. next_fwd in [line + 2, line + 2 + tol]
-  // If the filter proves no tracked prediction lies in that window, the
-  // scan cannot match — the common case for random probes, answered in
-  // one or two bit tests. Otherwise run the reference scan itself: a
-  // stream is nearby, the scan exits at it, and first-match-in-table-
-  // order semantics are inherited rather than reproduced. (Window keys
-  // that wrap around 0 cannot be tracked — line numbers are < 2^58 — so
-  // clamping the low end is exact.)
+  // so an entry the index does not name for that window cannot match.
+  // The candidates are valid entries; testing them in ascending order
+  // returns the first match in table order, exactly as ScanStreams does.
+  // (Window keys that wrap around 0 cannot be tracked — line numbers are
+  // < 2^58 — so clamping the low end is exact.)
   const uint64_t lo = line >= kTol ? line - kTol : 0;
-  if (!stream_index_.MaybeNear(lo, line + kTol + 2)) return -1;
-  return ScanStreams(line);
+  for (uint32_t c = stream_index_.Near(lo, line + kTol + 2); c != 0;
+       c &= c - 1) {
+    const int i = std::countr_zero(c);
+    if (StreamMatches(i, line)) return i;
+  }
+  return -1;
 }
 
 int MemorySystem::ScanVictim() const {
@@ -228,7 +226,7 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
         counters_.dram_prefetch_waste_bytes += skipped * 64;
       }
       if (!stream_index_stale_) {
-        stream_index_.Move(stream_next_fwd_[u], line + 1);
+        stream_index_.Move(matched, stream_next_fwd_[u], line + 1);
       }
       stream_dir_[u] = fwd_match ? 1 : -1;
       stream_next_fwd_[u] = line + 1;
@@ -269,7 +267,7 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
   stream_run_[v] = 1;
   stream_last_fill_dram_[v] = 0;
   if (!stream_index_stale_) {
-    stream_index_.Insert(line + 1);
+    stream_index_.Insert(victim, line + 1);
     stream_valid_mask_ |= 1u << static_cast<uint32_t>(victim);
     LruAppend(victim);
   }
@@ -279,57 +277,40 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
 }
 
 int MemorySystem::WalkData(uint64_t line, bool is_store) {
-  if (l1d_.Access(line, is_store)) return 1;
-  if (l2_.Access(line, /*is_store=*/false)) {
-    FillUpperLevels(line, is_store, /*from_level=*/2);
-    return 2;
+  // One probe per level: a missed probe already names the way its fill
+  // takes, and nothing touches a level between its probe and its fill, so
+  // FillMiss is exactly the InsertAbsent it replaces. Fill order is
+  // outside-in so that evictions cascade naturally; the dirty-writeback
+  // chains insert keys probed by MarkDirty and go through InsertAbsent.
+  const ProbeResult p1 = l1d_.Probe(line, is_store);
+  if (p1.hit) return 1;
+  int level = 2;
+  const ProbeResult p2 = l2_.Probe(line, /*is_store=*/false);
+  if (!p2.hit) {
+    level = 3;
+    const ProbeResult p3 = l3_.Probe(line, /*is_store=*/false);
+    if (!p3.hit) {
+      level = 4;
+      if (l3_.FillMiss(p3, line, /*dirty=*/false).evicted_dirty) {
+        counters_.dram_writeback_bytes += 64;
+      }
+    }
+    const CacheAccessResult ev2 = l2_.FillMiss(p2, line, /*dirty=*/false);
+    if (ev2.evicted_dirty) WriteBackToL3(ev2.evicted_key);
   }
-  if (l3_.Access(line, /*is_store=*/false)) {
-    FillUpperLevels(line, is_store, /*from_level=*/3);
-    return 3;
+  const CacheAccessResult ev1 = l1d_.FillMiss(p1, line, /*dirty=*/is_store);
+  if (ev1.evicted_dirty && !l2_.MarkDirty(ev1.evicted_key)) {
+    const CacheAccessResult ev2 =
+        l2_.InsertAbsent(ev1.evicted_key, /*dirty=*/true);
+    if (ev2.evicted_dirty) WriteBackToL3(ev2.evicted_key);
   }
-  FillUpperLevels(line, is_store, /*from_level=*/4);
-  return 4;
+  return level;
 }
 
-void MemorySystem::FillUpperLevels(uint64_t line, bool is_store,
-                                   int from_level) {
-  // Fill order is outside-in so that evictions cascade naturally.
-  // Every fill below is for a key just proven absent — a failed Access on
-  // that level, or a failed MarkDirty in a writeback chain — so the
-  // residency re-check inside Insert is skipped via InsertAbsent.
-  if (from_level >= 4) {
-    CacheAccessResult ev3 = l3_.InsertAbsent(line, /*dirty=*/false);
-    if (ev3.evicted && ev3.evicted_dirty) {
-      counters_.dram_writeback_bytes += 64;
-    }
-  }
-  if (from_level >= 3) {
-    CacheAccessResult ev2 = l2_.InsertAbsent(line, /*dirty=*/false);
-    if (ev2.evicted && ev2.evicted_dirty) {
-      if (!l3_.MarkDirty(ev2.evicted_key)) {
-        CacheAccessResult ev3 =
-            l3_.InsertAbsent(ev2.evicted_key, /*dirty=*/true);
-        if (ev3.evicted && ev3.evicted_dirty) {
-          counters_.dram_writeback_bytes += 64;
-        }
-      }
-    }
-  }
-  CacheAccessResult ev1 = l1d_.InsertAbsent(line, /*dirty=*/is_store);
-  if (ev1.evicted && ev1.evicted_dirty) {
-    if (!l2_.MarkDirty(ev1.evicted_key)) {
-      CacheAccessResult ev2 = l2_.InsertAbsent(ev1.evicted_key, /*dirty=*/true);
-      if (ev2.evicted && ev2.evicted_dirty) {
-        if (!l3_.MarkDirty(ev2.evicted_key)) {
-          CacheAccessResult ev3 =
-              l3_.InsertAbsent(ev2.evicted_key, /*dirty=*/true);
-          if (ev3.evicted && ev3.evicted_dirty) {
-            counters_.dram_writeback_bytes += 64;
-          }
-        }
-      }
-    }
+void MemorySystem::WriteBackToL3(uint64_t line) {
+  if (l3_.MarkDirty(line)) return;
+  if (l3_.InsertAbsent(line, /*dirty=*/true).evicted_dirty) {
+    counters_.dram_writeback_bytes += 64;
   }
 }
 
@@ -350,24 +331,22 @@ void MemorySystem::AccessDataLine(uint64_t line, bool is_store) {
     dtlb_.TouchHit(memo_dtlb_slot_);
     ++fast_stats_.memo_hits;
   } else {
-    const int64_t hit_slot = dtlb_.AccessSlot(page, /*is_store=*/false);
-    if (hit_slot >= 0) {
+    const ProbeResult pd = dtlb_.Probe(page, /*is_store=*/false);
+    memo_page_ = page;
+    if (pd.hit) {
       ++counters_.dtlb_hits;
-      memo_page_ = page;
-      memo_dtlb_slot_ = static_cast<uint64_t>(hit_slot);
-    } else if (stlb_.Access(page, /*is_store=*/false)) {
-      ++counters_.stlb_hits;
-      counters_.tlb_cycles += stlb_cost_;
-      const CacheAccessResult fill = dtlb_.InsertAbsent(page, /*dirty=*/false);
-      memo_page_ = page;
-      memo_dtlb_slot_ = fill.slot;
+      memo_dtlb_slot_ = pd.way;
     } else {
-      ++counters_.page_walks;
-      counters_.tlb_cycles += page_walk_cost_;
-      stlb_.InsertAbsent(page, /*dirty=*/false);
-      const CacheAccessResult fill = dtlb_.InsertAbsent(page, /*dirty=*/false);
-      memo_page_ = page;
-      memo_dtlb_slot_ = fill.slot;
+      const ProbeResult ps = stlb_.Probe(page, /*is_store=*/false);
+      if (ps.hit) {
+        ++counters_.stlb_hits;
+        counters_.tlb_cycles += stlb_cost_;
+      } else {
+        ++counters_.page_walks;
+        counters_.tlb_cycles += page_walk_cost_;
+        stlb_.FillMiss(ps, page, /*dirty=*/false);
+      }
+      memo_dtlb_slot_ = dtlb_.FillMiss(pd, page, /*dirty=*/false).slot;
     }
   }
 
@@ -483,13 +462,18 @@ uint64_t MemorySystem::AccessDataRunResidentSlow(uint64_t first_line,
   if (n == 0) return 0;
   // A lower-index valid entry whose prediction window overlaps any line
   // of the run would steal the per-line first-match; refuse the run if
-  // one exists (conservative: direction is not even consulted).
+  // one exists (conservative: direction is not even consulted). Only the
+  // index's candidates for the window can satisfy the test.
   constexpr uint64_t kTol = static_cast<uint64_t>(kStreamSkipTolerance);
   const uint64_t window_lo = first_line - kTol;       // wrapping is fine
   const uint64_t window_span = (n - 1) + 2 * kTol + 2;  // .. last + tol + 2
-  for (int j = 0; j < m; ++j) {
-    if (!stream_valid_[static_cast<size_t>(j)]) continue;
-    if (stream_next_fwd_[static_cast<size_t>(j)] - window_lo <= window_span) {
+  const uint64_t near_lo = first_line >= kTol ? window_lo : 0;
+  const uint32_t lower = (1u << static_cast<uint32_t>(m)) - 1;
+  for (uint32_t c = stream_index_.Near(near_lo, window_lo + window_span) &
+                    lower;
+       c != 0; c &= c - 1) {
+    const size_t j = static_cast<size_t>(std::countr_zero(c));
+    if (stream_valid_[j] && stream_next_fwd_[j] - window_lo <= window_span) {
       return 0;
     }
   }
@@ -507,7 +491,7 @@ uint64_t MemorySystem::AccessDataRunResidentSlow(uint64_t first_line,
   counters_.dtlb_hits += c;
   dtlb_.TouchHitN(memo_dtlb_slot_, c);
   fast_stats_.memo_hits += c;
-  stream_index_.Move(stream_next_fwd_[u], first_line + c);
+  stream_index_.Move(m, stream_next_fwd_[u], first_line + c);
   stream_next_fwd_[u] = first_line + c;
   stream_next_bwd_[u] = first_line + c - 2;
   stream_run_[u] += static_cast<uint32_t>(c);
@@ -527,7 +511,7 @@ uint64_t MemorySystem::AccessDataRunResidentSlow(uint64_t first_line,
 }
 
 void MemorySystem::ValidateFill(uint64_t line, int from_level) {
-  // After servicing a miss from `from_level`, FillUpperLevels must have
+  // After servicing a miss from `from_level`, WalkData must have
   // left the line resident in L1D and, when it came from L3/DRAM, in L2;
   // when it came from DRAM, in L3 as well (fill-inclusive policy —
   // evictions may break containment later, fills never may). The freshly
@@ -541,20 +525,24 @@ void MemorySystem::ValidateFill(uint64_t line, int from_level) {
 }
 
 int MemorySystem::WalkCode(uint64_t line) {
-  if (l1i_.Access(line, /*is_store=*/false)) return 1;
-  if (l2_.Access(line, /*is_store=*/false)) {
-    l1i_.InsertAbsent(line, /*dirty=*/false);
-    return 2;
+  // WalkData's one-probe-per-level walk; code lines are never dirty, and
+  // the instruction side does not model writebacks of the data lines its
+  // fills displace.
+  const ProbeResult p1 = l1i_.Probe(line, /*is_store=*/false);
+  if (p1.hit) return 1;
+  int level = 2;
+  const ProbeResult p2 = l2_.Probe(line, /*is_store=*/false);
+  if (!p2.hit) {
+    level = 3;
+    const ProbeResult p3 = l3_.Probe(line, /*is_store=*/false);
+    if (!p3.hit) {
+      level = 4;
+      l3_.FillMiss(p3, line, /*dirty=*/false);
+    }
+    l2_.FillMiss(p2, line, /*dirty=*/false);
   }
-  if (l3_.Access(line, /*is_store=*/false)) {
-    l2_.InsertAbsent(line, /*dirty=*/false);
-    l1i_.InsertAbsent(line, /*dirty=*/false);
-    return 3;
-  }
-  l3_.InsertAbsent(line, /*dirty=*/false);
-  l2_.InsertAbsent(line, /*dirty=*/false);
-  l1i_.InsertAbsent(line, /*dirty=*/false);
-  return 4;
+  l1i_.FillMiss(p1, line, /*dirty=*/false);
+  return level;
 }
 
 void MemorySystem::FetchCode(uint64_t line) {

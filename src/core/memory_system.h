@@ -28,16 +28,22 @@ namespace uolap::core {
 /// Hot-path architecture (DESIGN.md §7): three accelerators sit in front
 /// of the per-line reference machinery, each bit-identical to it by
 /// construction and each switchable back off via SetReferencePaths —
-///  1. an expected-next-line reject filter over the stream-detector table
-///     (StreamIndex) short-circuiting the linear match scan whenever no
-///     tracked stream is near the accessed line, plus a valid-entry
-///     bitmask and an LRU list replacing the linear victim scan;
+///  1. a candidate index over the stream-detector table (StreamIndex:
+///     per-granule owner masks of the predicted lines) so a line tests
+///     only the entries that can match it, in table order, instead of the
+///     linear match scan; plus a valid-entry bitmask and an LRU list
+///     replacing the linear victim scan;
 ///  2. a page-granular translation memo (the (page, dtlb way) of the
 ///     immediately-previous access) replaying the DTLB hit path without a
 ///     tag scan;
 ///  3. a bulk resident-run lane (AccessDataRunResident) servicing
 ///     provably L1-resident, stream-established forward runs with
 ///     closed-form counter arithmetic.
+/// The hierarchy walk has one form in both modes: each level is probed
+/// once (SetAssociativeCache::Probe), and a missed level is filled into
+/// the victim its probe named (FillMiss) — exact because nothing touches
+/// a level between its probe and its fill. Debug builds check every such
+/// victim against a fresh InsertAbsent choice.
 class MemorySystem {
  public:
   explicit MemorySystem(const MachineConfig& config);
@@ -141,8 +147,8 @@ class MemorySystem {
   // --- validation / introspection (audit layer; off the hot path) -------
 
   /// When enabled, every miss-path fill is re-checked for containment
-  /// (the filled line must be resident in every level FillUpperLevels just
-  /// inserted it into — the model's fill-inclusive policy). Violations
+  /// (the filled line must be resident in every level WalkData just
+  /// filled it into — the model's fill-inclusive policy). Violations
   /// only count; the audit layer reads them out. One branch per demand
   /// miss when enabled, zero cost when not.
   void SetValidateFills(bool on) { validate_fills_ = on; }
@@ -231,10 +237,23 @@ class MemorySystem {
   /// Updates the stream detector with `line`; returns whether the access
   /// belongs to an established sequential stream.
   bool UpdateStreams(uint64_t line, bool* is_reaccess);
+  /// Whether valid entry `i` claims `line`: a re-access of its current
+  /// line, or a forward/backward advance within the skip tolerance. The
+  /// subtractions deliberately wrap:
+  /// line - next_fwd <= tol  <=>  next_fwd <= line <= next_fwd + tol.
+  bool StreamMatches(int i, uint64_t line) const {
+    constexpr uint64_t kTol = static_cast<uint64_t>(kStreamSkipTolerance);
+    const size_t u = static_cast<size_t>(i);
+    const int8_t dir = stream_dir_[u];
+    const bool re = line + 1 == stream_next_fwd_[u];
+    const bool fwd = dir >= 0 && line - stream_next_fwd_[u] <= kTol;
+    const bool bwd = dir <= 0 && stream_next_bwd_[u] - line <= kTol;
+    return re || fwd || bwd;
+  }
   /// Reference matcher: first-match scan in table order. Pure.
   int ScanStreams(uint64_t line) const;
-  /// Fast matcher: O(1) StreamIndex window reject, falling back to
-  /// ScanStreams when a tracked stream is nearby; returns the same entry
+  /// Fast matcher: tests only StreamIndex's candidates for the line's
+  /// match window, in ascending entry order; returns the same entry
   /// ScanStreams would (asserted in debug builds).
   int IndexStreams(uint64_t line) const;
   /// Eligibility proof + closed-form servicing behind the inline
@@ -297,13 +316,15 @@ class MemorySystem {
   /// acceleration state.
   void ResetFastPathState();
 
-  /// Walks L1D -> L2 -> L3 -> DRAM and performs fills; returns 1/2/3/4 for
-  /// the level that serviced the access (4 == DRAM).
+  /// Walks L1D -> L2 -> L3 -> DRAM with one probe per level and fills
+  /// every missed level (each level's set index computed once); returns
+  /// 1/2/3/4 for the level that serviced the access (4 == DRAM).
   int WalkData(uint64_t line, bool is_store);
   /// Same for the instruction side (L1I -> shared L2/L3 -> DRAM).
   int WalkCode(uint64_t line);
-
-  void FillUpperLevels(uint64_t line, bool is_store, int from_level);
+  /// Dirty L2 victim `line` goes to L3: marks it dirty there, or inserts
+  /// it dirty (counting DRAM writeback bytes if that evicts a dirty line).
+  void WriteBackToL3(uint64_t line);
 
   /// Slow-path re-check behind SetValidateFills: after a fill from
   /// `from_level`, the line must be resident in every level at or above it.

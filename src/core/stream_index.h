@@ -2,81 +2,89 @@
 #define UOLAP_CORE_STREAM_INDEX_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/macros.h"
 
 namespace uolap::core {
 
-/// Expected-next-line reject filter over the stream-detector table.
+/// Candidate index over the stream-detector table: which entries can
+/// possibly match a line.
 ///
 /// Every valid detector entry predicts one line (`next_fwd`), and every
 /// matching condition in MemorySystem::ScanStreams is a small window
 /// around the predicted lines (re-access, forward with skip tolerance,
-/// backward translated through `next_bwd == next_fwd - 2`). This filter
-/// summarizes the set of predicted lines at 16-line granularity in a
-/// 256-bucket counting Bloom filter: `MaybeNear(lo, hi)` checks the one
-/// or two granule bits the ~9-line candidate window can span, and a false
-/// answer proves no detector entry can match — the common case for random
-/// probes, which almost never land near a tracked stream. On a true
-/// answer the caller falls back to the reference match scan, which is the
-/// cheap case for sequential shapes (the matching entry exists and the
-/// scan exits at it).
+/// backward translated through `next_bwd == next_fwd - 2`). The index
+/// buckets the predicted lines at 16-line granularity into 256 buckets,
+/// each holding a 32-bit owner mask with one bit per detector entry
+/// (kStreamTableEntries = 32). `Near(lo, hi)` ORs the masks of the buckets
+/// the window spans — one or two for the ~9-line match window — and the
+/// result is exact in the direction that matters: an entry outside it
+/// predicts no line in [lo, hi]. The caller then tests only the
+/// candidates, in ascending entry order, which keeps the reference scan's
+/// first-match-in-table-order semantics. Random probes almost never land
+/// near a tracked stream, so their mask is empty; sequential shapes find
+/// their own entry as the first (usually only) candidate.
 ///
-/// Counts (uint8, one per granule; at most kStreamTableEntries = 32 keys
-/// are ever tracked, so they cannot saturate) make removal exact; the
-/// derived occupancy bitset is what MaybeNear tests. Maintenance is O(1)
-/// per insert/remove/move — no hashing, no probe chains — which is what
-/// keeps the filter off the scan shapes' critical path.
+/// Each entry lives in exactly one bucket, so maintenance is one bit set
+/// or clear per insert/remove and two per move.
 class StreamIndex {
  public:
-  void Clear() {
-    near_sig_.fill(0);
-    near_cnt_.fill(0);
-  }
+  void Clear() { owners_.fill(0); }
 
-  /// Constant-time negative filter over the whole candidate window
-  /// [lo, hi]: false guarantees no tracked predicted line lies in the
-  /// range, true means "maybe — run the reference match scan".
-  bool MaybeNear(uint64_t lo, uint64_t hi) const {
-    uint64_t g = lo >> kGranuleShift;
+  /// Entries whose predicted line may lie in [lo, hi] (lo <= hi): a
+  /// superset of those whose line does, with no entry that is not
+  /// inserted. Windows of up to 17 lines cost two loads and one
+  /// predictable branch.
+  uint32_t Near(uint64_t lo, uint64_t hi) const {
+    const uint64_t first = lo >> kGranuleShift;
     const uint64_t last = hi >> kGranuleShift;
-    for (;; ++g) {
-      const uint32_t b = static_cast<uint32_t>(g) & (kGranules - 1);
-      if ((near_sig_[b >> 6] >> (b & 63)) & 1) return true;
-      if (g >= last) return false;
+    uint32_t mask = owners_[Bucket(first)] | owners_[Bucket(last)];
+    if (UOLAP_UNLIKELY(last - first > 1)) {
+      // Wide windows (the resident-run lane): every bucket in between,
+      // each at most once.
+      const uint64_t end = last - first >= kGranules ? first + kGranules
+                                                     : last;
+      for (uint64_t g = first + 1; g < end; ++g) mask |= owners_[Bucket(g)];
     }
+    return mask;
   }
 
-  /// Records that some detector entry now predicts `line`.
-  void Insert(uint64_t line) {
-    const uint32_t g =
-        static_cast<uint32_t>(line >> kGranuleShift) & (kGranules - 1);
-    if (near_cnt_[g]++ == 0) near_sig_[g >> 6] |= 1ull << (g & 63);
+  /// Records that detector entry `entry` now predicts `line`.
+  void Insert(int entry, uint64_t line) {
+    uint32_t& owners = owners_[Bucket(line >> kGranuleShift)];
+    UOLAP_DCHECK((owners & Bit(entry)) == 0);
+    owners |= Bit(entry);
   }
 
-  /// Removes one prediction of `line` (which must be tracked).
-  void Remove(uint64_t line) {
-    const uint32_t g =
-        static_cast<uint32_t>(line >> kGranuleShift) & (kGranules - 1);
-    UOLAP_DCHECK(near_cnt_[g] != 0);
-    if (--near_cnt_[g] == 0) near_sig_[g >> 6] &= ~(1ull << (g & 63));
+  /// Removes entry `entry`'s prediction of `line` (which must be tracked).
+  void Remove(int entry, uint64_t line) {
+    uint32_t& owners = owners_[Bucket(line >> kGranuleShift)];
+    UOLAP_DCHECK((owners & Bit(entry)) != 0);
+    owners &= ~Bit(entry);
   }
 
-  /// Moves one prediction from `from_line` to `to_line`.
-  void Move(uint64_t from_line, uint64_t to_line) {
-    Remove(from_line);
-    Insert(to_line);
+  /// Moves entry `entry`'s prediction from `from_line` to `to_line`.
+  void Move(int entry, uint64_t from_line, uint64_t to_line) {
+    Remove(entry, from_line);
+    Insert(entry, to_line);
   }
 
  private:
   static constexpr uint32_t kGranuleShift = 4;  // 16-line granules
   static constexpr uint32_t kGranules = 256;
 
-  /// Counting Bloom summary: per-granule prediction counts and the
-  /// derived occupancy bitset (4x 64 bits) MaybeNear tests.
-  std::array<uint64_t, kGranules / 64> near_sig_{};
-  std::array<uint8_t, kGranules> near_cnt_{};
+  static size_t Bucket(uint64_t granule) {
+    return static_cast<size_t>(granule & (kGranules - 1));
+  }
+  static uint32_t Bit(int entry) {
+    return 1u << static_cast<uint32_t>(entry);
+  }
+
+  /// Per-bucket owner masks: bit i set iff entry i predicts a line whose
+  /// granule maps to the bucket.
+  std::array<uint32_t, kGranules> owners_{};
 };
 
 }  // namespace uolap::core

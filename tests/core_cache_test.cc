@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace uolap::core {
 namespace {
 
@@ -130,6 +136,275 @@ TEST(SetAssociativeCacheTest, NonPowerOfTwoSetsWork) {
   c.Insert(3, false);
   EXPECT_TRUE(c.Contains(0));
   EXPECT_TRUE(c.Contains(3));
+}
+
+TEST(SetAssociativeCacheTest, ProbeOnMissNamesTheFillVictim) {
+  SetAssociativeCache c(4, 2);
+  c.Insert(0, false);
+  c.Insert(4, false);
+  EXPECT_TRUE(c.Access(0, false));  // 4 becomes LRU
+  const SetAssociativeCache::ProbeResult miss = c.Probe(8, false);
+  EXPECT_FALSE(miss.hit);
+  EXPECT_EQ(miss.set, 0u);
+  EXPECT_EQ(c.misses(), 1u);  // counted like Access; Insert counts none
+  const CacheAccessResult r = c.FillMiss(miss, 8, /*dirty=*/true);
+  EXPECT_TRUE(r.evicted);
+  EXPECT_EQ(r.evicted_key, 4u);
+  EXPECT_EQ(r.slot, miss.way);
+  const SetAssociativeCache::ProbeResult hit = c.Probe(8, false);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(hit.way, miss.way);
+  EXPECT_TRUE(c.way_state(0, static_cast<uint32_t>(hit.way)).dirty);
+}
+
+// --- LRU oracle -------------------------------------------------------------
+// A deliberately naive model of the same cache: explicit per-way records
+// plus a per-set recency list of the valid ways (front = least recent).
+// The fill victim is the first invalid way, else the list front. Random
+// operation sequences drive it and SetAssociativeCache in lockstep; every
+// result, eviction and way is compared.
+
+class LruOracle {
+ public:
+  LruOracle(uint64_t num_sets, uint32_t ways)
+      : num_sets_(num_sets), ways_(ways), sets_(num_sets) {
+    for (Set& s : sets_) s.ways.resize(ways);
+  }
+
+  struct Way {
+    bool valid = false;
+    bool dirty = false;
+    uint64_t key = 0;
+    uint64_t stamp = 0;
+  };
+  struct Eviction {
+    bool evicted = false;
+    bool dirty = false;
+    uint64_t key = 0;
+  };
+
+  uint64_t SetOf(uint64_t key) const { return key % num_sets_; }
+
+  /// Way holding `key`, or -1.
+  int Find(uint64_t key) const {
+    const Set& s = sets_[SetOf(key)];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (s.ways[w].valid && s.ways[w].key == key) return static_cast<int>(w);
+    }
+    return -1;
+  }
+
+  /// Way the next fill of `key`'s set takes.
+  uint32_t Victim(uint64_t key) const {
+    const Set& s = sets_[SetOf(key)];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (!s.ways[w].valid) return w;
+    }
+    return s.lru.front();
+  }
+
+  bool Access(uint64_t key, bool is_store) {
+    const int w = Find(key);
+    if (w < 0) return false;
+    Touch(key, static_cast<uint32_t>(w), is_store);
+    return true;
+  }
+
+  /// Insert semantics: promote when resident, else fill the victim.
+  Eviction Insert(uint64_t key, bool dirty) {
+    const int w = Find(key);
+    if (w >= 0) {
+      Touch(key, static_cast<uint32_t>(w), dirty);
+      return {};
+    }
+    Set& s = sets_[SetOf(key)];
+    const uint32_t v = Victim(key);
+    Way& way = s.ways[v];
+    Eviction ev;
+    if (way.valid) {
+      ev = {true, way.dirty, way.key};
+      s.lru.remove(v);
+    }
+    way = {true, dirty, key, ++clock_};
+    s.lru.push_back(v);
+    return ev;
+  }
+
+  bool MarkDirty(uint64_t key) {
+    const int w = Find(key);
+    if (w < 0) return false;
+    sets_[SetOf(key)].ways[static_cast<uint32_t>(w)].dirty = true;
+    return true;
+  }
+
+  bool Invalidate(uint64_t key, bool* was_dirty) {
+    const int w = Find(key);
+    *was_dirty = false;
+    if (w < 0) return false;
+    Set& s = sets_[SetOf(key)];
+    const uint32_t u = static_cast<uint32_t>(w);
+    *was_dirty = s.ways[u].dirty;
+    s.ways[u] = Way{};
+    s.lru.remove(u);
+    return true;
+  }
+
+  const Way& way(uint64_t set, uint32_t w) const { return sets_[set].ways[w]; }
+  uint64_t clock() const { return clock_; }
+
+ private:
+  struct Set {
+    std::vector<Way> ways;
+    std::list<uint32_t> lru;
+  };
+
+  void Touch(uint64_t key, uint32_t w, bool dirty) {
+    Set& s = sets_[SetOf(key)];
+    s.ways[w].dirty = s.ways[w].dirty || dirty;
+    s.ways[w].stamp = ++clock_;
+    s.lru.remove(w);
+    s.lru.push_back(w);
+  }
+
+  uint64_t num_sets_;
+  uint32_t ways_;
+  std::vector<Set> sets_;
+  uint64_t clock_ = 0;
+};
+
+void ExpectSetMatches(const SetAssociativeCache& c, const LruOracle& o,
+                      uint64_t set, const char* after) {
+  for (uint32_t w = 0; w < c.ways(); ++w) {
+    const SetAssociativeCache::WayState got = c.way_state(set, w);
+    const LruOracle::Way& want = o.way(set, w);
+    ASSERT_EQ(got.valid, want.valid) << after << " set " << set << " way " << w;
+    ASSERT_EQ(got.dirty, want.dirty) << after << " set " << set << " way " << w;
+    if (want.valid) {
+      ASSERT_EQ(got.key, want.key) << after << " set " << set << " way " << w;
+    }
+    ASSERT_EQ(got.last_touch, want.stamp)
+        << after << " set " << set << " way " << w;
+  }
+}
+
+void ExpectEviction(const CacheAccessResult& got,
+                    const LruOracle::Eviction& want, const char* op) {
+  ASSERT_EQ(got.evicted, want.evicted) << op;
+  if (want.evicted) {
+    ASSERT_EQ(got.evicted_dirty, want.dirty) << op;
+    ASSERT_EQ(got.evicted_key, want.key) << op;
+  }
+}
+
+void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
+  SCOPED_TRACE(testing::Message() << num_sets << "x" << ways);
+  SetAssociativeCache c(num_sets, ways);
+  LruOracle o(num_sets, ways);
+  Rng rng(seed);
+  // A handful of hot sets (so ways fill, conflict and evict) plus the odd
+  // random one; tags from a small range so keys recur and hit.
+  const uint64_t hot_sets = num_sets < 5 ? num_sets : 5;
+  const uint64_t tags = 2 * ways + 3;
+  uint64_t hits = 0, evictions = 0, invalidations = 0, tie_fills = 0;
+  for (int i = 0; i < ops; ++i) {
+    const uint64_t set = rng.Bernoulli(0.9)
+                             ? (rng.Next() % hot_sets) * (num_sets / hot_sets)
+                             : rng.Next() % num_sets;
+    const uint64_t key = set + num_sets * (rng.Next() % tags);
+    const bool flag = rng.Bernoulli(0.3);
+    const uint64_t op = rng.Next() % 16;
+    if (op < 3) {
+      const bool hit = c.Access(key, flag);
+      ASSERT_EQ(hit, o.Access(key, flag)) << "Access " << key;
+      hits += hit ? 1 : 0;
+    } else if (op < 6) {
+      const bool resident = o.Find(key) >= 0;
+      const CacheAccessResult r = c.Insert(key, flag);
+      ASSERT_EQ(r.hit, resident) << "Insert " << key;
+      ExpectEviction(r, o.Insert(key, flag), "Insert");
+      evictions += r.evicted ? 1 : 0;
+    } else if (op < 8) {
+      if (o.Find(key) >= 0) continue;  // its precondition: key absent
+      const CacheAccessResult r = c.InsertAbsent(key, flag);
+      ExpectEviction(r, o.Insert(key, flag), "InsertAbsent");
+      evictions += r.evicted ? 1 : 0;
+    } else if (op < 9) {
+      ASSERT_EQ(c.MarkDirty(key), o.MarkDirty(key)) << "MarkDirty " << key;
+    } else if (op < 11) {
+      bool got_dirty = false, want_dirty = false;
+      const bool was = c.Invalidate(key, &got_dirty);
+      ASSERT_EQ(was, o.Invalidate(key, &want_dirty)) << "Invalidate " << key;
+      ASSERT_EQ(got_dirty, want_dirty) << "Invalidate " << key;
+      invalidations += was ? 1 : 0;
+    } else {
+      // Probe, then fill the miss: the probe's victim must be the way the
+      // oracle (and InsertAbsent) would fill.
+      const SetAssociativeCache::ProbeResult p = c.Probe(key, flag);
+      const int want_way = o.Find(key);
+      ASSERT_EQ(p.hit, want_way >= 0) << "Probe " << key;
+      ASSERT_EQ(p.set, set);
+      if (p.hit) {
+        ASSERT_EQ(p.way, set * ways + static_cast<uint32_t>(want_way));
+        o.Access(key, flag);
+      } else {
+        ASSERT_EQ(p.way, set * ways + o.Victim(key)) << "Probe " << key;
+        uint32_t invalid = 0;
+        for (uint32_t w = 0; w < ways; ++w) {
+          invalid += o.way(set, w).valid ? 0 : 1;
+        }
+        tie_fills += invalid >= 2 && invalid < ways ? 1 : 0;
+        const bool dirty = rng.Bernoulli(0.5);
+        const CacheAccessResult r = c.FillMiss(p, key, dirty);
+        ASSERT_EQ(r.slot, p.way);
+        ExpectEviction(r, o.Insert(key, dirty), "FillMiss");
+        evictions += r.evicted ? 1 : 0;
+      }
+    }
+    ExpectSetMatches(c, o, set, "op");
+    ASSERT_EQ(c.lru_clock(), o.clock());
+  }
+  for (uint64_t set = 0; set < num_sets; ++set) {
+    ExpectSetMatches(c, o, set, "final");
+  }
+  // The trace must have exercised what it is meant to.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(invalidations, 0u);
+  if (ways >= 4) {
+    EXPECT_GT(tie_fills, 0u);  // fills chose among several invalid ways
+  }
+}
+
+TEST(SetAssociativeCacheTest, MatchesNaiveLruOracle) {
+  struct Geometry {
+    uint64_t sets;
+    uint32_t ways;
+  };
+  // L1/L2-like, the sliced 35 MB L3, the STLB, a small power-of-two and a
+  // degenerate odd direct-mapped one.
+  for (const Geometry g : {Geometry{64, 8}, Geometry{512, 8},
+                           Geometry{28672, 20}, Geometry{128, 12},
+                           Geometry{16, 4}, Geometry{3, 1}}) {
+    RunLruOracle(g.sets, g.ways, 1000 + g.sets * 31 + g.ways, 20000);
+  }
+}
+
+TEST(SetAssociativeCacheTest, FirstInvalidWayWinsTies) {
+  // Invalidate two ways in the middle of a full set: both carry stamp 0,
+  // and the fills must take them in way order before evicting anything.
+  SetAssociativeCache c(1, 6);
+  for (uint64_t k = 0; k < 6; ++k) c.Insert(k, false);
+  bool dirty = false;
+  ASSERT_TRUE(c.Invalidate(4, &dirty));
+  ASSERT_TRUE(c.Invalidate(1, &dirty));
+  const SetAssociativeCache::ProbeResult p = c.Probe(10, false);
+  ASSERT_FALSE(p.hit);
+  EXPECT_EQ(p.way, 1u);
+  EXPECT_FALSE(c.FillMiss(p, 10, false).evicted);
+  const CacheAccessResult r = c.InsertAbsent(11, false);
+  EXPECT_FALSE(r.evicted);
+  EXPECT_EQ(r.slot, 4u);
+  EXPECT_EQ(c.InsertAbsent(12, false).evicted_key, 0u);  // then true LRU
 }
 
 }  // namespace

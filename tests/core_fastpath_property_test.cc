@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/core.h"
 #include "core/machine.h"
+#include "core/stream_index.h"
 
 namespace uolap::core {
 namespace {
@@ -297,6 +299,152 @@ TEST(FastPathPropertyTest, FinalizedCountersMatch) {
   MismatchLog log;
   CompareMem(fast.memory().counters(), ref.memory().counters(), &log);
   EXPECT_EQ(log.count, 0);
+}
+
+/// Adversarial stream trace, aimed at the stream index's corner cases:
+///  - 48 interleaved streams, so the 32-entry detector table stays full
+///    and LRU eviction runs constantly;
+///  - stream heads 4096 * k lines apart, so every head shares one of the
+///    index's 256 granule buckets (4096 lines == 256 granules of 16);
+///  - pairs of streams 1-3 lines apart, so one line matches two entries
+///    and first-match-in-table-order decides which one advances;
+///  - backward streams starting just past a 16-line granule edge, so their
+///    predictions cross bucket boundaries;
+///  - probes landing inside live streams' match windows (re-access, small
+///    skips both ways, and just outside the tolerance).
+std::vector<Op> MakeAdversarialStreamTrace(uint64_t seed, size_t ops) {
+  Rng rng(seed);
+  constexpr int kStreams = 48;
+  constexpr uint64_t kBaseLine = 1ull << 16;  // byte address 4 MB
+  std::array<uint64_t, kStreams> cursor{};  // next line of each stream
+  std::array<int64_t, kStreams> step{};     // lines per advance
+  for (int s = 0; s < kStreams; ++s) {
+    const uint64_t head = kBaseLine + 4096ull * static_cast<uint64_t>(s / 2);
+    if (s % 2 == 0) {
+      cursor[s] = head;
+    } else {
+      // Twin stream 1-3 lines behind or ahead of its pair.
+      cursor[s] = head + 1 + rng.Next() % 3;
+    }
+    const uint64_t kind = rng.Next() % 4;
+    if (kind == 0) {
+      // Backward, starting just past a granule edge.
+      cursor[s] = (cursor[s] & ~15ull) + 16 + rng.Next() % 3;
+      step[s] = -1 - static_cast<int64_t>(rng.Next() % 2);
+    } else {
+      step[s] = static_cast<int64_t>(kind);  // 1..3: skips up to 2 lines
+    }
+  }
+  std::vector<Op> trace;
+  trace.reserve(ops);
+  for (size_t i = 0; i < ops; ++i) {
+    const int s = static_cast<int>(rng.Next() % kStreams);
+    Op op;
+    op.elem_bytes = 8;
+    op.is_store = rng.Bernoulli(0.25);
+    const uint64_t pick = rng.Next() % 8;
+    if (pick < 5) {
+      // Advance the stream by one line-sized element.
+      op.addr = cursor[s] * 64 + (rng.Next() % 8) * 8;
+      cursor[s] = static_cast<uint64_t>(static_cast<int64_t>(cursor[s]) +
+                                        step[s]);
+    } else if (pick < 7) {
+      // Probe within 4 lines of the stream's cursor: re-access, forward
+      // and backward skips inside the tolerance, and the first line past
+      // each edge of the match window.
+      const uint64_t delta = rng.Next() % 9;
+      op.addr = (cursor[s] + delta - 4) * 64;
+    } else {
+      // Short batched forward run from the cursor (bulk-lane shapes when
+      // the stream is established and resident).
+      op.addr = cursor[s] * 64;
+      op.count = static_cast<uint32_t>(2 + rng.Next() % 24);
+      if (step[s] == 1) cursor[s] += (op.count * 8 + 63) / 64;
+    }
+    trace.push_back(op);
+  }
+  return trace;
+}
+
+TEST(FastPathPropertyTest, AdversarialStreamTraceMatchesReference) {
+  const MachineConfig cfg = MachineConfig::Broadwell();
+  for (uint64_t seed : {3ull, 17ull, 2024ull}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Core fast(cfg), ref(cfg);
+    fast.SetReferencePaths(false);
+    ref.SetReferencePaths(true);
+    size_t i = 0;
+    for (const Op& op : MakeAdversarialStreamTrace(seed, 20000)) {
+      Apply(fast, op);
+      Apply(ref, op);
+      if (++i % 2000 == 0) {
+        MismatchLog log;
+        CompareMem(fast.memory().counters(), ref.memory().counters(), &log);
+        CompareStreams(fast.memory(), ref.memory(), &log);
+        ASSERT_EQ(log.count, 0) << "diverged by op " << i;
+      }
+    }
+    ExpectIdentical(fast, ref);
+    // The detector must have been full, evicting and advancing streams.
+    const MemCounters& mc = fast.memory().counters();
+    EXPECT_GT(mc.streams_established, 100u);
+    EXPECT_GT(mc.streams_killed, 0u);
+    for (int e = 0; e < MemorySystem::kNumStreamEntries; ++e) {
+      EXPECT_TRUE(fast.memory().stream_state(e).valid) << "entry " << e;
+    }
+  }
+}
+
+TEST(StreamIndexTest, NearCoversEveryEntryInTheWindow) {
+  // Random Insert/Move/Remove against a plain list of each entry's line:
+  // Near(lo, hi) must name every entry whose line lies in [lo, hi], and
+  // no entry that is not inserted. Lines cluster in a few 4096-line
+  // strides so buckets are shared; windows range from one line to wider
+  // than all 256 buckets.
+  Rng rng(77);
+  StreamIndex index;
+  std::array<bool, 32> live{};
+  std::array<uint64_t, 32> line{};
+  auto random_line = [&rng] {
+    return (rng.Next() % 4) * 4096 + rng.Next() % 200 +
+           (rng.Bernoulli(0.1) ? rng.Next() % (1ull << 40) : 0);
+  };
+  for (int step = 0; step < 50000; ++step) {
+    const int e = static_cast<int>(rng.Next() % 32);
+    const size_t u = static_cast<size_t>(e);
+    const uint64_t op = rng.Next() % 3;
+    if (!live[u]) {
+      line[u] = random_line();
+      index.Insert(e, line[u]);
+      live[u] = true;
+    } else if (op == 0) {
+      index.Remove(e, line[u]);
+      live[u] = false;
+    } else {
+      const uint64_t to = op == 1 ? line[u] + 1 : random_line();
+      index.Move(e, line[u], to);
+      line[u] = to;
+    }
+    const uint64_t width_kind = rng.Next() % 4;
+    const uint64_t width = width_kind == 0   ? rng.Next() % 10
+                           : width_kind == 1 ? rng.Next() % 17
+                           : width_kind == 2 ? rng.Next() % 200
+                                             : rng.Next() % 10000;
+    const uint64_t anchor = line[static_cast<size_t>(rng.Next() % 32)];
+    const uint64_t lo = anchor >= width / 2 ? anchor - width / 2 : 0;
+    const uint64_t hi = lo + width;
+    const uint32_t near = index.Near(lo, hi);
+    for (size_t j = 0; j < 32; ++j) {
+      const bool bit = (near >> j) & 1;
+      if (!live[j]) {
+        ASSERT_FALSE(bit) << "dead entry " << j << " at step " << step;
+      } else if (line[j] >= lo && line[j] <= hi) {
+        ASSERT_TRUE(bit) << "entry " << j << " line " << line[j]
+                         << " missing from [" << lo << ", " << hi
+                         << "] at step " << step;
+      }
+    }
+  }
 }
 
 TEST(FastPathPropertyTest, ReferenceDefaultIsInherited) {
