@@ -38,14 +38,14 @@ int main(int argc, char** argv) {
   uolap::core::Core scratch(ctx.machine());
 
   // Join table: the large join's build side (dense unique orderkeys).
-  JoinHashTable join_ht(ctx.db().orders.size());
+  JoinHashTable join_ht(scratch, ctx.db().orders.size());
   for (size_t i = 0; i < ctx.db().orders.size(); ++i) {
     join_ht.Insert(scratch, ctx.db().orders.orderkey[i], 1);
   }
 
   // Group-by table: Q18's phase-1 aggregation keys (l_orderkey occurrences
   // collapse onto ~orders-many groups through FindOrCreate).
-  AggHashTable<1> groupby_ht(ctx.db().orders.size());
+  AggHashTable<1> groupby_ht(scratch, ctx.db().orders.size());
   const auto& l = ctx.db().lineitem;
   for (size_t i = 0; i < l.size(); ++i) {
     auto* e = groupby_ht.FindOrCreate(scratch, 1, l.orderkey[i]);
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   // A deliberately correlated group-by (the paper's point about groups
   // sharing common attribute values): key = (returnflag, linestatus,
   // quantity bucket) — low-entropy keys.
-  AggHashTable<1> corr_ht(1024);
+  AggHashTable<1> corr_ht(scratch, 1024);
   for (size_t i = 0; i < l.size(); ++i) {
     const int64_t key = (static_cast<int64_t>(l.returnflag[i]) << 16) |
                         (static_cast<int64_t>(l.linestatus[i]) << 8) |

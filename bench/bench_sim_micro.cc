@@ -96,7 +96,7 @@ BENCHMARK(BM_BranchPredictor);
 
 void BM_HashTableProbe(benchmark::State& state) {
   Core core(MachineConfig::Broadwell());
-  uolap::engine::JoinHashTable ht(1 << 16);
+  uolap::engine::JoinHashTable ht(core, 1 << 16);
   for (int64_t k = 0; k < (1 << 16); ++k) ht.Insert(core, k, k);
   int64_t k = 0;
   int64_t payload;
@@ -116,7 +116,7 @@ BENCHMARK(BM_HashTableProbe);
 void BM_CoreRandomProbe(benchmark::State& state) {
   Core core(MachineConfig::Broadwell());
   core.SetReferencePaths(state.range(0) != 0);
-  uolap::engine::JoinHashTable ht(1 << 16);
+  uolap::engine::JoinHashTable ht(core, 1 << 16);
   for (int64_t k = 0; k < (1 << 16); ++k) ht.Insert(core, k, k);
   core.SetMlpHint(uolap::core::kMlpScalarProbe);
   Rng rng(7);
@@ -195,7 +195,7 @@ std::pair<double, double> RefFastSeconds(Fn&& fn) {
 /// per-key loop, so the before/after pair measures the real API).
 double RandomProbeSeconds(size_t probes) {
   Core core(MachineConfig::Broadwell());
-  uolap::engine::JoinHashTable ht(1 << 16);
+  uolap::engine::JoinHashTable ht(core, 1 << 16);
   for (int64_t k = 0; k < (1 << 16); ++k) ht.Insert(core, k, k);
   Rng rng(11);
   std::vector<int64_t> keys(probes);

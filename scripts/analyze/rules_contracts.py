@@ -16,6 +16,8 @@ promoted from the former line-regex lint onto the token/structure model:
   * structure — include guards, own-header-first, no file-scope
     using-directives in headers, and the storage discipline (charge
     through the Core/ColumnView API, not raw ``memory()``).
+  * simulated addresses — engine code charges the addresses its
+    structures were placed at (core::Placement), never host pointers.
 """
 
 import os
@@ -248,6 +250,73 @@ def check_storage(ctx, rule, sf):
                        "through the Core/ColumnView API")
 
 
+# --- CON-SIM-ADDR ---------------------------------------------------------
+
+# The cache/TLB model must see simulated addresses (DESIGN.md §5e): a host
+# pointer handed to Core or to memory() makes counters depend on ASLR and
+# malloc history.  Engine-side code only — bench/ and examples/ drive the
+# model with synthetic addresses on purpose.  A call is flagged when its
+# address argument takes an address (`&x`), a container's `.data()` or a
+# smart pointer's `.get()`, or reinterpret_casts one.
+_SIM_ADDR_DIRS = ("src/engines", "src/engine", "src/storage")
+# Access method -> index of its address argument.
+_SIM_ADDR_CALLS = {"Load": 0, "Store": 0, "LoadSeq": 0, "StoreSeq": 0,
+                   "LoadRange": 1, "StoreRange": 1, "PrefetchHint": 0,
+                   "AccessData": 0, "PrefetchData": 0}
+
+
+def _call_args(toks, open_idx, close_idx):
+    """Token slices of the top-level arguments of a call."""
+    args, start, depth = [], open_idx + 1, 0
+    for k in range(open_idx + 1, close_idx):
+        t = toks[k].text
+        if t in ("(", "[", "{"):
+            depth += 1
+        elif t in (")", "]", "}"):
+            depth -= 1
+        elif t == "," and depth == 0:
+            args.append(toks[start:k])
+            start = k + 1
+    args.append(toks[start:close_idx])
+    return args
+
+
+def _host_pointer(arg):
+    texts = [t.text for t in arg]
+    if not texts:
+        return False
+    if texts[0] == "&" or "reinterpret_cast" in texts:
+        return True
+    for k in range(len(texts) - 3):
+        if texts[k] in (".", "->") and texts[k + 1] in ("data", "get") \
+                and texts[k + 2] == "(" and texts[k + 3] == ")":
+            return True
+    return False
+
+
+def check_sim_addr(ctx, rule, sf):
+    if not sf.in_dirs(_SIM_ADDR_DIRS):
+        return
+    toks = sf.model.tokens
+    for k, t in enumerate(toks):
+        if t.kind != KIND_IDENT or t.text not in _SIM_ADDR_CALLS:
+            continue
+        if k == 0 or toks[k - 1].text not in (".", "->"):
+            continue
+        if k + 1 >= len(toks) or toks[k + 1].text != "(":
+            continue
+        close = _match_close(toks, k + 1)
+        if close < 0:
+            continue
+        args = _call_args(toks, k + 1, close)
+        index = _SIM_ADDR_CALLS[t.text]
+        if index < len(args) and _host_pointer(args[index]):
+            ctx.report(rule, sf, t.line,
+                       f"host pointer passed to {t.text}(): the model "
+                       "must see simulated addresses; charge the address "
+                       "the structure was placed at (core::Placement)")
+
+
 # --- CON-STATUS-DISCARD ---------------------------------------------------
 
 # The dispatch surface reports errors by value: engine::OlapEngine::Run
@@ -433,6 +502,9 @@ RULES = [
     Rule("CON-STORAGE", "error", "contracts",
          "charge memory through Core/ColumnView, not raw MemorySystem",
          check_storage),
+    Rule("CON-SIM-ADDR", "error", "contracts",
+         "engine code charges simulated addresses, never host pointers",
+         check_sim_addr),
     Rule("CON-STATUS-DISCARD", "error", "contracts",
          "dispatch-surface Run/Get call sites must consume the Status "
          "channel", check_status_discard),

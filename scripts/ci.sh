@@ -5,8 +5,8 @@
 #      clang-tidy when installed;
 #   2. the normal optimized build (the configuration every figure runs in)
 #      with its test suite, exporter and multi-tenant serving smokes,
-#      byte-level determinism gates (a figure bench and a uolap_serve run,
-#      each executed twice, must serialize identical profiles), and the
+#      byte-level determinism gates (figure benches and uolap_serve runs,
+#      each executed twice, must serialize identical output), and the
 #      crash-recovery smoke (kill mid-run, corrupt the journal tail,
 #      resume, byte-compare against the uninterrupted run);
 #   3. an UOLAP_VALIDATE=ON build: the full test suite plus a figure-bench
@@ -65,9 +65,9 @@ asan_stage() {
 # Chaos smoke: the robustness layer end to end (DESIGN.md §9). A serve
 # run with every degradation path armed — per-query deadlines, admission
 # reject + queue shed, bounded retry with backoff, brown-out downgrade,
-# and a deterministic fault plan — executed twice with identical argv,
-# must serialize byte-identical profile JSON including the shed/timeout/
-# retry/fault counters (the graceful-degradation determinism contract).
+# and a deterministic fault plan — executed twice, must serialize
+# byte-identical profile JSON including the shed/timeout/retry/fault
+# counters (the graceful-degradation determinism contract).
 # The parameters are tuned so every path actually fires at --quick scale:
 # the outcome rollup and the injection rollup must both be non-trivial.
 # Finally the SLO gate must fail a deliberately-unmeetable latency bound
@@ -80,22 +80,14 @@ chaos_smoke() {
     --stable-json --epoch-ms=5 --deadline=5 --shed-policy=both
     --retries=2 --brownout=4
     --fault-plan='seed=13,fail=0.2,slow=0.2,x=2,epoch=0.5')
-  # Identical argv shape both runs: the simulated caches key on raw heap
-  # addresses, so even an extra flag string breaks the byte-compare.
-  if setarch "$(uname -m)" -R true 2>/dev/null; then
-    setarch "$(uname -m)" -R "${serve[@]}" --json="$out/a.json" \
-      >"$out/a.txt"
-    setarch "$(uname -m)" -R "${serve[@]}" --json="$out/b.json" \
-      >"$out/b.txt"
-    cmp "$out/a.json" "$out/b.json"
-    # The stdout rollups must agree too; only the echoed output path and
-    # the dbgen wall-time line legitimately differ between the two runs
-    # (everything else is virtual-time state).
-    cmp <(grep -v "^# wrote \|^# generated " "$out/a.txt") \
-        <(grep -v "^# wrote \|^# generated " "$out/b.txt")
-  else
-    "${serve[@]}" --json="$out/a.json" >"$out/a.txt"
-  fi
+  "${serve[@]}" --json="$out/a.json" >"$out/a.txt"
+  "${serve[@]}" --json="$out/b.json" >"$out/b.txt"
+  cmp "$out/a.json" "$out/b.json"
+  # The stdout rollups must agree too; only the echoed output path and
+  # the dbgen wall-time line legitimately differ between the two runs
+  # (everything else is virtual-time state).
+  cmp <(grep -v "^# wrote \|^# generated " "$out/a.txt") \
+      <(grep -v "^# wrote \|^# generated " "$out/b.txt")
   "$build_dir/examples/uolap_report" validate "$out/a.json"
   grep "^# outcomes:" "$out/a.txt" >/dev/null
   # The fault plan must have injected work to degrade gracefully from:
@@ -135,60 +127,39 @@ chaos_stage() {
 # the bytes a real kill could have half-written — and the resume must
 # discard that tail LOUDLY, replay the journal as verification, and still
 # serialize profile JSON byte-identical to A's. `uolap_report checkpoint`
-# must validate the directory along the way. Cross-process resume keys on
-# the solo class profiles, which are execution-driven off raw heap
-# addresses, so the byte steps need ASLR pinned and identical argv shapes
-# ("00" vs "25", "0" vs "1" — equal byte lengths run for run).
+# must validate the directory along the way. The three runs are separate
+# processes with different argv; the solo class profiles they recompute
+# are a function of the workload alone, so resume works across processes.
 crash_recovery_smoke() {
   local build_dir="$1"
   local out
   out="$(mktemp -d)"
   local serve=("$build_dir/examples/uolap_serve" --quick --seed=11
     --stable-json --epoch-ms=5 --checkpoint-every=2)
-  if setarch "$(uname -m)" -R true 2>/dev/null; then
-    setarch "$(uname -m)" -R "${serve[@]}" --checkpoint-dir="$out/ck_a" \
-      --crash-at=00 --resume=0 --json="$out/a.json" >/dev/null
-    local rc=0
-    setarch "$(uname -m)" -R "${serve[@]}" --checkpoint-dir="$out/ck_b" \
-      --crash-at=25 --resume=0 --json="$out/b.json" >/dev/null || rc=$?
-    if [[ "$rc" != 137 ]]; then
-      echo "crash smoke: expected exit 137 from --crash-at, got $rc" >&2
-      return 1
-    fi
-    if [[ -e "$out/b.json" ]]; then
-      echo "crash smoke: killed run must not write a profile" >&2
-      return 1
-    fi
-    # The crash directory must validate as resumable, and the resume
-    # point names the journal a kill could have torn.
-    "$build_dir/examples/uolap_report" checkpoint "$out/ck_b" \
-      >"$out/ck.txt"
-    local snap wal
-    snap="$(sed -n 's/^resume point: //p' "$out/ck.txt")"
-    wal="${snap/snap-/journal-}"
-    wal="${wal%.ckpt}.wal"
-    printf 'GARBAGE-TAIL' >>"$out/ck_b/$wal"
-    setarch "$(uname -m)" -R "${serve[@]}" --checkpoint-dir="$out/ck_b" \
-      --crash-at=00 --resume=1 --json="$out/c.json" \
-      >/dev/null 2>"$out/c.err"
-    grep "discarding torn journal tail" "$out/c.err" >/dev/null
-    cmp "$out/a.json" "$out/c.json"
-  else
-    # Unpinned fallback: resume needs identical class profiles across
-    # processes, which ASLR scrambles — exercise checkpoint writing and
-    # the crash exit only.
-    "${serve[@]}" --checkpoint-dir="$out/ck_a" \
-      --crash-at=00 --resume=0 --json="$out/a.json" >/dev/null
-    local rc=0
-    "${serve[@]}" --checkpoint-dir="$out/ck_b" \
-      --crash-at=25 --resume=0 --json="$out/b.json" >/dev/null || rc=$?
-    if [[ "$rc" != 137 ]]; then
-      echo "crash smoke: expected exit 137 from --crash-at, got $rc" >&2
-      return 1
-    fi
-    "$build_dir/examples/uolap_report" checkpoint "$out/ck_b" >/dev/null
-    echo "setarch cannot pin ASLR here; skipping resume byte-compare"
+  "${serve[@]}" --checkpoint-dir="$out/ck_a" --json="$out/a.json" >/dev/null
+  local rc=0
+  "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=25 \
+    --json="$out/b.json" >/dev/null || rc=$?
+  if [[ "$rc" != 137 ]]; then
+    echo "crash smoke: expected exit 137 from --crash-at, got $rc" >&2
+    return 1
   fi
+  if [[ -e "$out/b.json" ]]; then
+    echo "crash smoke: killed run must not write a profile" >&2
+    return 1
+  fi
+  # The crash directory must validate as resumable, and the resume point
+  # names the journal a kill could have torn.
+  "$build_dir/examples/uolap_report" checkpoint "$out/ck_b" >"$out/ck.txt"
+  local snap wal
+  snap="$(sed -n 's/^resume point: //p' "$out/ck.txt")"
+  wal="${snap/snap-/journal-}"
+  wal="${wal%.ckpt}.wal"
+  printf 'GARBAGE-TAIL' >>"$out/ck_b/$wal"
+  "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=0 --resume=1 \
+    --json="$out/resumed-from-torn-journal.json" >/dev/null 2>"$out/c.err"
+  grep "discarding torn journal tail" "$out/c.err" >/dev/null
+  cmp "$out/a.json" "$out/resumed-from-torn-journal.json"
   rm -rf "$out"
 }
 
@@ -253,32 +224,21 @@ exporter_smoke() {
 echo "=== exporter smoke (release) ==="
 exporter_smoke build
 
-# Determinism gate: the same bench run twice must produce byte-identical
-# profile JSON. --stable-json zeroes wall_ms (the only host-time field);
-# everything else is simulated state, which the determinism contract pins.
-# The simulator keys caches by real heap addresses, so ASLR must be pinned
-# (setarch -R) for two *processes* to see identical conflict patterns;
-# within one process, threaded vs serial is bit-identical unconditionally
-# (machine_invariance_test).
 # Serving smoke: a quick multi-tenant uolap_serve run at small SF with a
 # fixed seed. The serving runtime is pure virtual time from seeded
-# generators, so two runs must serialize byte-identical profile JSON
-# (ASLR pinned: the solo class profiles are execution-driven). The
-# summary must carry the serving block.
+# generators and the solo class profiles simulate at placement-chosen
+# addresses, so two runs — with output paths of different lengths, to
+# prove argv cannot move the counters — must serialize byte-identical
+# profile JSON. The summary must carry the serving block.
 serve_smoke() {
   local build_dir="$1"
   local out
   out="$(mktemp -d)"
-  if setarch "$(uname -m)" -R true 2>/dev/null; then
-    setarch "$(uname -m)" -R "$build_dir/examples/uolap_serve" --quick \
-      --seed=7 --stable-json --json="$out/a.json" >/dev/null
-    setarch "$(uname -m)" -R "$build_dir/examples/uolap_serve" --quick \
-      --seed=7 --stable-json --json="$out/b.json" >/dev/null
-    cmp "$out/a.json" "$out/b.json"
-  else
-    "$build_dir/examples/uolap_serve" --quick --seed=7 \
-      --stable-json --json="$out/a.json" >/dev/null
-  fi
+  "$build_dir/examples/uolap_serve" --quick --seed=7 --stable-json \
+    --json="$out/a.json" >/dev/null
+  "$build_dir/examples/uolap_serve" --quick --seed=7 --stable-json \
+    --json="$out/a-much-longer-name.json" >/dev/null
+  cmp "$out/a.json" "$out/a-much-longer-name.json"
   "$build_dir/examples/uolap_report" validate "$out/a.json"
   # No -q: grep must drain the whole stream, or an early exit can SIGPIPE
   # the writer and fail the pipeline under pipefail.
@@ -292,7 +252,7 @@ serve_smoke build
 
 # Serving-telemetry smoke: span tracing, SLO epoch windows, and the
 # metrics registry, end to end. Two fully-traced runs must serialize
-# byte-identical profile AND Chrome-trace JSON; the SLO gate must pass
+# byte-identical profile AND Chrome-trace JSON and Prometheus text; the SLO gate must pass
 # the checked-in loose spec and fail an absurdly tight one; the
 # Prometheus exposition must carry the serve-path counters.
 telemetry_smoke() {
@@ -301,21 +261,13 @@ telemetry_smoke() {
   out="$(mktemp -d)"
   local serve=("$build_dir/examples/uolap_serve" --quick --seed=7
     --stable-json --epoch-ms=5 --trace-sample=1/1)
-  # Both runs must pass the same flags (same argv shape): the simulated
-  # caches key on raw heap addresses, so even an extra flag string shifts
-  # allocations and breaks the byte-compare.
-  if setarch "$(uname -m)" -R true 2>/dev/null; then
-    setarch "$(uname -m)" -R "${serve[@]}" --json="$out/a.json" \
-      --trace="$out/a.trace" --metrics="$out/a.prom" >/dev/null
-    setarch "$(uname -m)" -R "${serve[@]}" --json="$out/b.json" \
-      --trace="$out/b.trace" --metrics="$out/b.prom" >/dev/null
-    cmp "$out/a.json" "$out/b.json"
-    cmp "$out/a.trace" "$out/b.trace"
-    cmp "$out/a.prom" "$out/b.prom"
-  else
-    "${serve[@]}" --json="$out/a.json" --trace="$out/a.trace" \
-      --metrics="$out/a.prom" >/dev/null
-  fi
+  "${serve[@]}" --json="$out/a.json" --trace="$out/a.trace" \
+    --metrics="$out/a.prom" >/dev/null
+  "${serve[@]}" --json="$out/b.json" --trace="$out/b.trace" \
+    --metrics="$out/b.prom" >/dev/null
+  cmp "$out/a.json" "$out/b.json"
+  cmp "$out/a.trace" "$out/b.trace"
+  cmp "$out/a.prom" "$out/b.prom"
   "$build_dir/examples/uolap_report" validate "$out/a.json" "$out/a.trace"
   # SLO gate, both directions: the checked-in loose spec must pass, a
   # sub-microsecond p99 bound must fail with a non-zero exit.
@@ -377,18 +329,24 @@ build/bench/bench_sim_micro \
   --benchmark_filter='BM_CoreRandomProbe' --benchmark_min_time=0.05 \
   --sim-json= >/dev/null
 
+# Determinism gate: the same bench run twice must produce byte-identical
+# output. --stable-json zeroes wall_ms (the only host-time field of the
+# profile); everything else is simulated state, a pure function of
+# (config, seed, SF). The threaded multicore bench's stdout must match
+# too, minus the dbgen wall-time line.
 echo "=== determinism gate ==="
-if setarch "$(uname -m)" -R true 2>/dev/null; then
-  DET_OUT="$(mktemp -d)"
-  setarch "$(uname -m)" -R build/bench/bench_fig11_14_join --quick \
-    --stable-json --json="$DET_OUT/a.json" >/dev/null
-  setarch "$(uname -m)" -R build/bench/bench_fig11_14_join --quick \
-    --stable-json --json="$DET_OUT/b.json" >/dev/null
-  cmp "$DET_OUT/a.json" "$DET_OUT/b.json"
-  rm -rf "$DET_OUT"
-else
-  echo "setarch cannot pin ASLR here; skipping cross-process byte-diff"
-fi
+DET_OUT="$(mktemp -d)"
+build/bench/bench_fig11_14_join --quick --stable-json \
+  --json="$DET_OUT/a.json" >/dev/null
+build/bench/bench_fig11_14_join --quick --stable-json \
+  --json="$DET_OUT/second-run.json" >/dev/null
+cmp "$DET_OUT/a.json" "$DET_OUT/second-run.json"
+build/bench/bench_fig27_30_multicore --quick | grep -v "^# generated " \
+  >"$DET_OUT/a.txt"
+build/bench/bench_fig27_30_multicore --quick --seed=42 |
+  grep -v "^# generated " >"$DET_OUT/b.txt"
+cmp "$DET_OUT/a.txt" "$DET_OUT/b.txt"
+rm -rf "$DET_OUT"
 
 echo "=== validated build (UOLAP_VALIDATE=ON) ==="
 cmake -B build-validate -S . -DUOLAP_VALIDATE=ON >/dev/null

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace uolap::core {
 
@@ -19,8 +18,8 @@ double DivByPort(double x, double port, double recip) {
 }
 }  // namespace
 
-Core::Core(const MachineConfig& config)
-    : config_(config), memory_(config), predictor_() {
+Core::Core(const MachineConfig& config, uint32_t index)
+    : config_(config), memory_(config), predictor_(), placement_(index) {
   ResetFilter();
   RecomputeIfetchFractions();
   const ExecConfig& xc = config_.exec;
@@ -53,12 +52,11 @@ void Core::RecomputeIfetchFractions() {
 }
 
 void Core::ResetFilter() {
-  std::memset(filter_line_, 0xFF, sizeof(filter_line_));
-  std::memset(filter_dirty_, 0, sizeof(filter_dirty_));
+  for (SeqCursor& slot : filter_) slot.Reset();
 }
 
-void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
-                     bool is_store) {
+void Core::AccessRun(SeqCursor* cur, uint64_t addr, uint32_t elem_bytes,
+                     uint64_t count, bool is_store) {
   if (count == 0) return;
   if (is_store) {
     mix_.store += count;
@@ -74,7 +72,7 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
     const uint64_t off = a & 63;
     if (UOLAP_UNLIKELY(off + elem_bytes > 64)) {
       // Line-straddling element: identical to Load()'s straddle arm — walk
-      // every touched line, leave the filter untouched.
+      // every touched line, leave the memo untouched.
       memory_.AccessData(a, elem_bytes, is_store);
       a += elem_bytes;
       --left;
@@ -86,16 +84,16 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
     const uint64_t line = a >> 6;
     uint64_t k = (64 - off - elem_bytes) / elem_bytes + 1;
     if (k > left) k = left;
-    const int slot = static_cast<int>((line >> 6) & (kFilterSlots - 1));
+    SeqCursor& memo = cur != nullptr ? *cur : FilterSlot(line);
     // Bulk resident-run lane: when the elements tile whole lines from a
     // line boundary and the first line would take the walk arm below
-    // (filter mismatch), MemorySystem may service a provably L1-resident
+    // (memo mismatch), MemorySystem may service a provably L1-resident
     // stream run in closed form. Each serviced line then took exactly the
-    // walk the mismatch arm issues, every line of the run shares this 4 KB
-    // page's filter slot, and the per-line filter writes telescope to the
-    // final line — so the element accounting and filter update below are
-    // bit-identical to iterating.
-    if (off == 0 && 64 % elem_bytes == 0 && filter_line_[slot] != line) {
+    // walk the mismatch arm issues; the memo is either the caller's cursor
+    // or, for a run inside one 4 KB page, that page's filter slot, so the
+    // per-line memo writes telescope to the final line — the element
+    // accounting and memo update below are bit-identical to iterating.
+    if (off == 0 && 64 % elem_bytes == 0 && memo.line != line) {
       const uint64_t per_line = 64 / elem_bytes;
       const uint64_t lines_wanted = (left + per_line - 1) / per_line;
       const uint64_t n =
@@ -104,86 +102,23 @@ void Core::AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
         const uint64_t elems = std::min(left, n * per_line);
         mc->data_accesses += elems - n;
         mc->l1d_hits += elems - n;
-        filter_line_[slot] = line + n - 1;
-        filter_dirty_[slot] = is_store;
+        memo.line = line + n - 1;
+        memo.dirty = is_store;
         a += elems * elem_bytes;
         left -= elems;
         continue;
       }
     }
     uint64_t hits = k;
-    if (filter_line_[slot] == line) {
-      if (is_store && !filter_dirty_[slot]) {
-        filter_dirty_[slot] = true;
+    if (memo.line == line) {
+      if (is_store && !memo.dirty) {
+        memo.dirty = true;
         memory_.AccessDataLine(line, /*is_store=*/true);
         --hits;
       }
     } else {
-      filter_line_[slot] = line;
-      filter_dirty_[slot] = is_store;
-      memory_.AccessDataLine(line, is_store);
-      --hits;
-    }
-    mc->data_accesses += hits;
-    mc->l1d_hits += hits;
-    a += k * elem_bytes;
-    left -= k;
-  }
-  if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnProgress();
-}
-
-void Core::AccessRange(SeqCursor& cur, uint64_t addr, uint32_t elem_bytes,
-                       uint64_t count, bool is_store) {
-  if (count == 0) return;
-  if (is_store) {
-    mix_.store += count;
-    pending_.store += count;
-  } else {
-    mix_.load += count;
-    pending_.load += count;
-  }
-  MemCounters* mc = memory_.mutable_counters();
-  uint64_t a = addr;
-  uint64_t left = count;
-  while (left > 0) {
-    const uint64_t off = a & 63;
-    if (UOLAP_UNLIKELY(off + elem_bytes > 64)) {
-      memory_.AccessData(a, elem_bytes, is_store);
-      a += elem_bytes;
-      --left;
-      continue;
-    }
-    const uint64_t line = a >> 6;
-    uint64_t k = (64 - off - elem_bytes) / elem_bytes + 1;
-    if (k > left) k = left;
-    // Same bulk resident-run lane as AccessSeq, with the caller's cursor
-    // standing in for the filter slot (same telescoping argument).
-    if (off == 0 && 64 % elem_bytes == 0 && cur.line != line) {
-      const uint64_t per_line = 64 / elem_bytes;
-      const uint64_t lines_wanted = (left + per_line - 1) / per_line;
-      const uint64_t n =
-          memory_.AccessDataRunResident(line, lines_wanted, is_store);
-      if (n > 0) {
-        const uint64_t elems = std::min(left, n * per_line);
-        mc->data_accesses += elems - n;
-        mc->l1d_hits += elems - n;
-        cur.line = line + n - 1;
-        cur.dirty = is_store;
-        a += elems * elem_bytes;
-        left -= elems;
-        continue;
-      }
-    }
-    uint64_t hits = k;
-    if (cur.line == line) {
-      if (is_store && !cur.dirty) {
-        cur.dirty = true;
-        memory_.AccessDataLine(line, /*is_store=*/true);
-        --hits;
-      }
-    } else {
-      cur.line = line;
-      cur.dirty = is_store;
+      memo.line = line;
+      memo.dirty = is_store;
       memory_.AccessDataLine(line, is_store);
       --hits;
     }
@@ -289,6 +224,7 @@ void Core::Reset() {
   RecomputeIfetchFractions();
   ifetch_l1_ = ifetch_l2_ = ifetch_l3_ = ifetch_dram_ = 0;
   ResetFilter();
+  placement_.Reset();
 }
 
 }  // namespace uolap::core

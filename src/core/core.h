@@ -11,6 +11,7 @@
 #include "core/counters.h"
 #include "core/memory_system.h"
 #include "core/observer.h"
+#include "core/placement.h"
 
 namespace uolap::core {
 
@@ -55,10 +56,17 @@ struct SeqCursor {
 ///    footprint, `SetMlpHint` when entering a phase with different
 ///    memory-level parallelism (see calibration.h).
 ///
+/// Addresses are simulated addresses: engine code charges the addresses
+/// its structures were given by `placement()`, never host pointers. The
+/// `const void*` overloads forward the pointer's value unchanged, for
+/// callers that drive the model with synthetic addresses.
+///
 /// The average x86 instruction is modelled as 4 bytes for I-fetch purposes.
 class Core {
  public:
-  explicit Core(const MachineConfig& config);
+  /// `index` selects this core's simulated address range (Machine passes
+  /// each core its position).
+  explicit Core(const MachineConfig& config, uint32_t index = 0);
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -79,16 +87,18 @@ class Core {
   /// the filter's short-circuit is forgone). `LoadSeq`/`StoreSeq`
   /// straddle elements take the identical arm, which is what keeps the
   /// batched and per-element paths counter-equivalent.
-  void Load(const void* p, uint32_t bytes) {
+  void Load(uint64_t addr, uint32_t bytes) {
     ++mix_.load;
     ++pending_.load;
-    AccessFiltered(reinterpret_cast<uint64_t>(p), bytes, /*is_store=*/false);
+    AccessFiltered(addr, bytes, /*is_store=*/false);
   }
-  void Store(const void* p, uint32_t bytes) {
+  void Store(uint64_t addr, uint32_t bytes) {
     ++mix_.store;
     ++pending_.store;
-    AccessFiltered(reinterpret_cast<uint64_t>(p), bytes, /*is_store=*/true);
+    AccessFiltered(addr, bytes, /*is_store=*/true);
   }
+  void Load(const void* p, uint32_t bytes) { Load(Addr(p), bytes); }
+  void Store(const void* p, uint32_t bytes) { Store(Addr(p), bytes); }
 
   /// --- batched sequential access (hot-path fast lane) ------------------
   /// `LoadSeq(p, esz, count)` is counter-equivalent to
@@ -99,13 +109,17 @@ class Core {
   /// The equivalence is exact whenever no other access interleaves inside
   /// the call (which is what "one call" means); core_batched_access_test
   /// asserts it bit-for-bit, straddles and page crossings included.
+  void LoadSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count) {
+    AccessRun(nullptr, addr, elem_bytes, count, /*is_store=*/false);
+  }
+  void StoreSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count) {
+    AccessRun(nullptr, addr, elem_bytes, count, /*is_store=*/true);
+  }
   void LoadSeq(const void* p, uint32_t elem_bytes, uint64_t count) {
-    AccessSeq(reinterpret_cast<uint64_t>(p), elem_bytes, count,
-              /*is_store=*/false);
+    LoadSeq(Addr(p), elem_bytes, count);
   }
   void StoreSeq(void* p, uint32_t elem_bytes, uint64_t count) {
-    AccessSeq(reinterpret_cast<uint64_t>(p), elem_bytes, count,
-              /*is_store=*/true);
+    StoreSeq(Addr(p), elem_bytes, count);
   }
 
   /// Cursor-based variant for scan loops that interleave several arrays:
@@ -114,15 +128,21 @@ class Core {
   /// is immune to two interleaved arrays aliasing onto the same filter
   /// slot (an artifact of the small filter, not of real caches). Identical
   /// counters to the per-element path whenever no such aliasing occurs.
+  void LoadRange(SeqCursor& cur, uint64_t addr, uint32_t elem_bytes,
+                 uint64_t count) {
+    AccessRun(&cur, addr, elem_bytes, count, /*is_store=*/false);
+  }
+  void StoreRange(SeqCursor& cur, uint64_t addr, uint32_t elem_bytes,
+                  uint64_t count) {
+    AccessRun(&cur, addr, elem_bytes, count, /*is_store=*/true);
+  }
   void LoadRange(SeqCursor& cur, const void* p, uint32_t elem_bytes,
                  uint64_t count) {
-    AccessRange(cur, reinterpret_cast<uint64_t>(p), elem_bytes, count,
-                /*is_store=*/false);
+    LoadRange(cur, Addr(p), elem_bytes, count);
   }
   void StoreRange(SeqCursor& cur, void* p, uint32_t elem_bytes,
                   uint64_t count) {
-    AccessRange(cur, reinterpret_cast<uint64_t>(p), elem_bytes, count,
-                /*is_store=*/true);
+    StoreRange(cur, Addr(p), elem_bytes, count);
   }
 
   /// Host-side prefetch hint for a simulated access that is about to
@@ -130,9 +150,7 @@ class Core {
   /// host cache lines holding the L2/L3/STLB set metadata that access will
   /// scan. Never touches simulated state or counters — it is safe to hint
   /// speculatively or not at all. See MemorySystem::PrefetchData.
-  void PrefetchHint(const void* p) const {
-    memory_.PrefetchData(reinterpret_cast<uint64_t>(p));
-  }
+  void PrefetchHint(uint64_t addr) const { memory_.PrefetchData(addr); }
 
   /// --- branch side -----------------------------------------------------
   /// Returns true if the simulated predictor mispredicted.
@@ -209,15 +227,25 @@ class Core {
   const MemorySystem& memory() const { return memory_; }
   const BranchPredictor& predictor() const { return predictor_; }
 
+  /// This core's simulated address space (see placement.h).
+  Placement& placement() { return placement_; }
+
   /// Forwards to MemorySystem::SetValidateFills (audit layer).
   void SetValidateFills(bool on) { memory_.SetValidateFills(on); }
 
-  /// Full state reset (caches, predictor, counters).
+  /// Full state reset (caches, predictor, counters, placement).
   void Reset();
 
  private:
   static constexpr int kFilterSlots = 16;
   static constexpr double kAvgInstrBytes = 4.0;
+
+  static uint64_t Addr(const void* p) { return reinterpret_cast<uint64_t>(p); }
+
+  /// The filter slot of `line`: one per 4 KB page, modulo the slot count.
+  SeqCursor& FilterSlot(uint64_t line) {
+    return filter_[(line >> 6) & (kFilterSlots - 1)];
+  }
 
   void AccessFiltered(uint64_t addr, uint32_t bytes, bool is_store) {
     const uint64_t line = addr >> 6;
@@ -226,9 +254,9 @@ class Core {
       memory_.AccessData(addr, bytes, is_store);
       return;
     }
-    const int slot = static_cast<int>((line >> 6) & (kFilterSlots - 1));
-    if (filter_line_[slot] == line) {
-      if (!is_store || filter_dirty_[slot]) {
+    SeqCursor& slot = FilterSlot(line);
+    if (slot.line == line) {
+      if (!is_store || slot.dirty) {
         // Repeated same-line access: an L1 hit by construction.
         ++memory_.mutable_counters()->data_accesses;
         ++memory_.mutable_counters()->l1d_hits;
@@ -236,19 +264,20 @@ class Core {
       }
       // First store to a filtered line must reach the cache to set the
       // dirty bit (writeback accounting).
-      filter_dirty_[slot] = true;
+      slot.dirty = true;
       memory_.AccessDataLine(line, /*is_store=*/true);
       return;
     }
-    filter_line_[slot] = line;
-    filter_dirty_[slot] = is_store;
+    slot.line = line;
+    slot.dirty = is_store;
     memory_.AccessDataLine(line, is_store);
   }
 
-  void AccessSeq(uint64_t addr, uint32_t elem_bytes, uint64_t count,
-                 bool is_store);
-  void AccessRange(SeqCursor& cur, uint64_t addr, uint32_t elem_bytes,
-                   uint64_t count, bool is_store);
+  /// The one batched-access loop behind LoadSeq/StoreSeq (`cur` null: the
+  /// line's filter slot is the {line, dirty} memo) and LoadRange/
+  /// StoreRange (`cur`: the caller's stream cursor is the memo).
+  void AccessRun(SeqCursor* cur, uint64_t addr, uint32_t elem_bytes,
+                 uint64_t count, bool is_store);
   /// Shared by the constructor and Reset(): an empty filter.
   void ResetFilter();
   /// Re-derives the per-level I-fetch fractions for the current code
@@ -293,8 +322,8 @@ class Core {
   double ifetch_l3_ = 0;
   double ifetch_dram_ = 0;
 
-  uint64_t filter_line_[kFilterSlots];
-  bool filter_dirty_[kFilterSlots];
+  SeqCursor filter_[kFilterSlots];
+  Placement placement_;
 
   CoreObserver* observer_ = nullptr;
 };

@@ -21,6 +21,10 @@ namespace uolap::core {
 /// sharing is second-order for the paper's Section 10 experiments (working
 /// sets far exceed the L3 either way); the shared resource that matters —
 /// socket memory bandwidth — is modelled explicitly.
+///
+/// Core `i` places its structures in its own simulated address range
+/// (Placement), so what a worker allocates never depends on what another
+/// worker allocated or when.
 class Machine {
  public:
   explicit Machine(const MachineConfig& config, uint32_t num_cores = 1)
@@ -30,7 +34,7 @@ class Machine {
                     "experiments are numa-localized to one socket");
     cores_.reserve(num_cores);
     for (uint32_t i = 0; i < num_cores; ++i) {
-      cores_.push_back(std::make_unique<Core>(config));
+      cores_.push_back(std::make_unique<Core>(config, i));
     }
   }
 

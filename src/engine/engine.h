@@ -48,12 +48,12 @@ struct Workers {
   /// Runs `body(t)` for every worker `t` in [0, count()). Parallel when an
   /// executor is attached and there is more than one worker, serial
   /// otherwise. Bodies must confine all mutable state to `cores[t]` plus
-  /// worker-private data prepared *before* the call: shared structures may
-  /// only be read, and nothing whose address feeds the simulated model may
-  /// be allocated inside a body (heap layout must not depend on thread
-  /// interleaving). Under that contract the per-core simulated state is
-  /// untouched by scheduling, which is what makes threaded runs
-  /// bit-deterministic.
+  /// worker-private data: shared structures may only be read. Scratch a
+  /// body allocates is placed by `cores[t]` (core::Placement), in its own
+  /// address range and in program order, so where malloc puts it and when
+  /// other workers run are both invisible to the model. Under that
+  /// contract the per-core simulated state is untouched by scheduling,
+  /// which is what makes threaded runs bit-deterministic.
   template <typename Body>
   void ForEach(Body&& body) const {
     const size_t n = count();
@@ -97,8 +97,7 @@ class OlapEngine {
   /// Returns InvalidArgument when `spec.Validate()` fails and
   /// Unimplemented when this engine does not support the query — the
   /// error channel the serving runtime's degradation paths flow through
-  /// instead of the former CHECK-abort. The success path allocates
-  /// exactly what the pre-Status dispatch did (bit-determinism).
+  /// instead of the former CHECK-abort.
   [[nodiscard]] StatusOr<QueryResult> Run(const QuerySpec& spec,
                                           Workers& w) const;
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "common/rng.h"
 #include "core/core.h"
 #include "core/counters.h"
+#include "storage/column_view.h"
 
 namespace uolap::engine {
 
@@ -43,8 +45,8 @@ inline uint64_t NextPow2(uint64_t x) {
 }
 
 template <typename Entry>
-ChainStats ChainStatsOf(const std::vector<int32_t>& heads,
-                        const std::vector<Entry>& entries) {
+ChainStats ChainStatsOf(const storage::SimVector<int32_t>& heads,
+                        const storage::SimVector<Entry>& entries) {
   ChainStats s;
   s.buckets = heads.size();
   s.entries = entries.size();
@@ -69,7 +71,8 @@ ChainStats ChainStatsOf(const std::vector<int32_t>& heads,
 /// keys allowed. The layout (bucket head array + entry pool) matches the
 /// Typer/Tectorwise design; every access is driven through the simulated
 /// hierarchy via the Core passed per call (multi-core builds pass each
-/// slice's own core, modelling a shared parallel build).
+/// slice's own core, modelling a shared parallel build). Both arrays are
+/// scratch placed on the constructing core (storage::SimVector).
 class JoinHashTable {
  public:
   struct Entry {
@@ -82,13 +85,13 @@ class JoinHashTable {
   /// `hash_shift` discards that many low hash bits before bucket
   /// indexing; a radix-partitioned join must pass its radix width here,
   /// since all keys of one partition share those low bits.
-  explicit JoinHashTable(size_t expected_entries, uint32_t hash_shift = 0)
-      : hash_shift_(hash_shift) {
-    const uint64_t buckets =
-        internal::NextPow2(std::max<uint64_t>(16, expected_entries * 2));
-    heads_.assign(buckets, -1);
-    mask_ = buckets - 1;
-    entries_.reserve(expected_entries);
+  JoinHashTable(core::Core& core, size_t expected_entries,
+                uint32_t hash_shift = 0)
+      : heads_(core, BucketCount(expected_entries)),
+        entries_(core, 0, expected_entries),
+        mask_(heads_.size() - 1),
+        hash_shift_(hash_shift) {
+    std::fill(heads_.data(), heads_.data() + heads_.size(), -1);
   }
 
   static uint64_t HashKey(int64_t key) {
@@ -101,7 +104,7 @@ class JoinHashTable {
   void Insert(core::Core& core, int64_t key, int64_t payload) {
     core.Retire(HashInstrCost());
     const uint64_t b = BucketOf(key);
-    core.Load(&heads_[b], sizeof(int32_t));
+    core.Load(heads_.At(b), sizeof(int32_t));
     Entry e;
     e.key = key;
     e.payload = payload;
@@ -109,8 +112,8 @@ class JoinHashTable {
     e.pad = 0;
     entries_.push_back(e);
     const int32_t idx = static_cast<int32_t>(entries_.size() - 1);
-    core.Store(&entries_[static_cast<size_t>(idx)], sizeof(Entry));
-    core.Store(&heads_[b], sizeof(int32_t));
+    core.Store(entries_.At(static_cast<size_t>(idx)), sizeof(Entry));
+    core.Store(heads_.At(b), sizeof(int32_t));
     heads_[b] = idx;
     // Pointer swizzling / bookkeeping.
     core::InstrMix m;
@@ -130,7 +133,7 @@ class JoinHashTable {
     hash.chain_cycles = 5;  // hash -> bucket -> entry dependent chase
     core.Retire(hash);
     const uint64_t b = BucketOf(key);
-    core.Load(&heads_[b], sizeof(int32_t));
+    core.Load(heads_.At(b), sizeof(int32_t));
     int matches = 0;
     int32_t e = heads_[b];
     uint32_t step = 0;
@@ -140,7 +143,7 @@ class JoinHashTable {
       ++step;
       if (!has) break;
       const Entry& entry = entries_[static_cast<size_t>(e)];
-      core.Load(&entry, 16);  // key + payload
+      core.Load(entries_.At(static_cast<size_t>(e)), 16);  // key + payload
       core::InstrMix m;
       m.alu = 2;  // compare + advance
       core.Retire(m);
@@ -164,7 +167,7 @@ class JoinHashTable {
     hash.chain_cycles = 5;
     core.Retire(hash);
     const uint64_t b = BucketOf(key);
-    core.Load(&heads_[b], sizeof(int32_t));
+    core.Load(heads_.At(b), sizeof(int32_t));
     int32_t e = heads_[b];
     uint32_t step = 0;
     while (true) {
@@ -172,7 +175,7 @@ class JoinHashTable {
       core.Branch(branch_site + std::min(step, 3u), has);
       if (!has) return false;
       const Entry& entry = entries_[static_cast<size_t>(e)];
-      core.Load(&entry, 16);
+      core.Load(entries_.At(static_cast<size_t>(e)), 16);
       core::InstrMix m;
       m.alu = 2;
       core.Retire(m);
@@ -217,16 +220,15 @@ class JoinHashTable {
     int64_t payload;
     for (size_t i = begin; i < end; ++i) {
       if (hint && i + 2 < end) {
-        const int32_t* head = &heads_[BucketOf(key_of(i + 2))];
-        __builtin_prefetch(head);
-        core.PrefetchHint(head);
+        const uint64_t b = BucketOf(key_of(i + 2));
+        __builtin_prefetch(&heads_[b]);
+        core.PrefetchHint(heads_.At(b));
       }
       if (hint && i + 1 < end) {
         const int32_t e = heads_[BucketOf(key_of(i + 1))];
         if (e >= 0) {
-          const Entry* entry = &entries_[static_cast<size_t>(e)];
-          __builtin_prefetch(entry);
-          core.PrefetchHint(entry);
+          __builtin_prefetch(&entries_[static_cast<size_t>(e)]);
+          core.PrefetchHint(entries_.At(static_cast<size_t>(e)));
         }
       }
       if (ProbeFirst(core, branch_site, key_of(i), &payload)) {
@@ -238,8 +240,8 @@ class JoinHashTable {
   size_t num_entries() const { return entries_.size(); }
   uint64_t num_buckets() const { return mask_ + 1; }
   uint64_t mask() const { return mask_; }
-  const std::vector<int32_t>& heads() const { return heads_; }
-  const std::vector<Entry>& entries() const { return entries_; }
+  const storage::SimVector<int32_t>& heads() const { return heads_; }
+  const storage::SimVector<Entry>& entries() const { return entries_; }
   /// Approximate resident bytes (for working-set discussions in benches).
   size_t MemoryBytes() const {
     return heads_.size() * sizeof(int32_t) + entries_.size() * sizeof(Entry);
@@ -250,8 +252,12 @@ class JoinHashTable {
   }
 
  private:
-  std::vector<int32_t> heads_;
-  std::vector<Entry> entries_;
+  static size_t BucketCount(size_t expected_entries) {
+    return internal::NextPow2(std::max<uint64_t>(16, expected_entries * 2));
+  }
+
+  storage::SimVector<int32_t> heads_;
+  storage::SimVector<Entry> entries_;
   uint64_t mask_;
   uint32_t hash_shift_;
 };
@@ -272,15 +278,14 @@ class AggHashTable {
 
   /// `reserve_entries` pre-sizes the entry pool beyond `expected_groups`
   /// (which alone sizes the bucket array, so chain behaviour is
-  /// unaffected). Pass a worst-case group count when the table must not
-  /// reallocate mid-run — e.g. inside a parallel worker body, where a
-  /// realloc would move simulated entry addresses nondeterministically.
-  explicit AggHashTable(size_t expected_groups, size_t reserve_entries = 0) {
-    const uint64_t buckets =
-        internal::NextPow2(std::max<uint64_t>(16, expected_groups * 2));
-    heads_.assign(buckets, -1);
-    mask_ = buckets - 1;
-    entries_.reserve(std::max(expected_groups, reserve_entries));
+  /// unaffected). Both arrays are scratch placed on `core`.
+  AggHashTable(core::Core& core, size_t expected_groups,
+               size_t reserve_entries = 0)
+      : heads_(core, internal::NextPow2(
+                         std::max<uint64_t>(16, expected_groups * 2))),
+        entries_(core, 0, std::max(expected_groups, reserve_entries)),
+        mask_(heads_.size() - 1) {
+    std::fill(heads_.data(), heads_.data() + heads_.size(), -1);
   }
 
   /// Finds the group entry for `key`, creating it (zero-initialized
@@ -293,7 +298,7 @@ class AggHashTable {
     core.Retire(hash);
     const uint64_t b =
         Mix64(static_cast<uint64_t>(key)) & mask_;
-    core.Load(&heads_[b], sizeof(int32_t));
+    core.Load(heads_.At(b), sizeof(int32_t));
     int32_t e = heads_[b];
     uint32_t step = 0;
     while (true) {
@@ -302,7 +307,7 @@ class AggHashTable {
       ++step;
       if (!has) break;
       Entry& entry = entries_[static_cast<size_t>(e)];
-      core.Load(&entry, 12);  // key + next
+      core.Load(entries_.At(static_cast<size_t>(e)), 12);  // key + next
       core::InstrMix m;
       m.alu = 2;
       core.Retire(m);
@@ -316,8 +321,8 @@ class AggHashTable {
     for (int i = 0; i < NAGG; ++i) fresh.aggs[i] = 0;
     entries_.push_back(fresh);
     const int32_t idx = static_cast<int32_t>(entries_.size() - 1);
-    core.Store(&entries_[static_cast<size_t>(idx)], sizeof(Entry));
-    core.Store(&heads_[b], sizeof(int32_t));
+    core.Store(entries_.At(static_cast<size_t>(idx)), sizeof(Entry));
+    core.Store(heads_.At(b), sizeof(int32_t));
     heads_[b] = idx;
     return &entries_[static_cast<size_t>(idx)];
   }
@@ -328,8 +333,12 @@ class AggHashTable {
   /// paper's Q1 analysis (low-cardinality group-by is core-bound).
   void Add(core::Core& core, Entry* entry, int slot, int64_t delta) {
     UOLAP_DCHECK(slot >= 0 && slot < NAGG);
-    core.Load(&entry->aggs[slot], 8);
-    core.Store(&entry->aggs[slot], 8);
+    const uint64_t addr = entries_.At(static_cast<size_t>(
+                              entry - entries_.data())) +
+                          offsetof(Entry, aggs) +
+                          static_cast<uint64_t>(slot) * sizeof(int64_t);
+    core.Load(addr, 8);
+    core.Store(addr, 8);
     entry->aggs[slot] += delta;
     core::InstrMix m;
     m.alu = 1;
@@ -337,7 +346,7 @@ class AggHashTable {
     core.Retire(m);
   }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  const storage::SimVector<Entry>& entries() const { return entries_; }
   size_t num_groups() const { return entries_.size(); }
   size_t MemoryBytes() const {
     return heads_.size() * sizeof(int32_t) + entries_.size() * sizeof(Entry);
@@ -347,8 +356,8 @@ class AggHashTable {
   }
 
  private:
-  std::vector<int32_t> heads_;
-  std::vector<Entry> entries_;
+  storage::SimVector<int32_t> heads_;
+  storage::SimVector<Entry> entries_;
   uint64_t mask_;
 };
 

@@ -84,8 +84,7 @@ struct QuerySpec {
   static QuerySpec Q18();
 
   /// Structural validation: parameter ranges, finite non-negative
-  /// deadline/cost. Allocation-free on the success path (dispatch calls
-  /// it per query and the bit-determinism contract pins heap layout).
+  /// deadline/cost.
   Status Validate() const;
 
   /// Deterministic label of the query class, e.g. "selection/s0.10" or

@@ -102,10 +102,6 @@ Money ColstoreEngine::Projection(Workers& w, int degree) const {
   const auto& l = db_.lineitem;
   const size_t n = l.size();
 
-  // Per-worker intermediate buffers, allocated serially up front — their
-  // simulated addresses must not depend on thread scheduling.
-  std::vector<std::vector<int64_t>> inters(w.count());
-  for (auto& v : inters) v.resize(kBatch);
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -119,7 +115,7 @@ Money ColstoreEngine::Projection(Workers& w, int degree) const {
     ColumnView<int64_t> disc(l.discount, &core);
     ColumnView<int64_t> tax(l.tax, &core);
     ColumnView<int64_t> qty(l.quantity, &core);
-    std::vector<int64_t>& inter = inters[t];
+    storage::SimVector<int64_t> inter(core, kBatch);
 
     Money acc = 0;
     for (size_t base = r.begin; base < r.end; base += kBatch) {
@@ -136,7 +132,7 @@ Money ColstoreEngine::Projection(Workers& w, int degree) const {
           case 2: tax.Touch(base, m); break;
           case 3: qty.Touch(base, m); break;
         }
-        core.StoreSeq(inter.data(), 8, m);
+        core.StoreSeq(inter.At(0), 8, m);
         for (size_t k = 0; k < m; ++k) {
           const size_t i = base + k;
           int64_t v = 0;
@@ -152,7 +148,7 @@ Money ColstoreEngine::Projection(Workers& w, int degree) const {
         core.RetireN(ColOpElemMix(), m);
       }
       core.Retire(BatchDispatchMix());
-      core.LoadSeq(inter.data(), 8, m);
+      core.LoadSeq(inter.At(0), 8, m);
       for (size_t k = 0; k < m; ++k) {
         acc += inter[k];
       }
@@ -172,8 +168,6 @@ Money ColstoreEngine::Selection(Workers& w,
   const auto& l = db_.lineitem;
   const size_t n = l.size();
 
-  std::vector<std::vector<uint32_t>> sels(w.count());
-  for (auto& v : sels) v.resize(kBatch);
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -190,7 +184,7 @@ Money ColstoreEngine::Selection(Workers& w,
     ColumnView<int64_t> disc(l.discount, &core);
     ColumnView<int64_t> tax(l.tax, &core);
     ColumnView<int64_t> qty(l.quantity, &core);
-    std::vector<uint32_t>& sel = sels[t];
+    storage::SimVector<uint32_t> sel(core, kBatch);
     core::SeqCursor sel_cur;  // the compacted selection-vector write stream
 
     Money acc = 0;
@@ -209,14 +203,14 @@ Money ColstoreEngine::Selection(Workers& w,
         const bool pass = ship.GetRaw(i) < p.ship_cut;
         core.Branch(engine::branch_site::kSelectionP1, pass);
         if (pass) {
-          core.StoreRange(sel_cur, &sel[ms], 4, 1);
+          core.StoreRange(sel_cur, sel.At(ms), 4, 1);
           sel[ms++] = static_cast<uint32_t>(k);
         }
       }
       core.RetireN(ColOpElemMix(), m);
       size_t ms2 = 0;
       core.Retire(BatchDispatchMix());
-      if (ms != 0) core.LoadSeq(sel.data(), 4, ms);
+      if (ms != 0) core.LoadSeq(sel.At(0), 4, ms);
       for (size_t k = 0; k < ms; ++k) {
         const size_t i = base + sel[k];
         const bool pass = commit.Get(i) < p.commit_cut;
@@ -226,7 +220,7 @@ Money ColstoreEngine::Selection(Workers& w,
       core.RetireN(ColOpElemMix(), ms);
       size_t ms3 = 0;
       core.Retire(BatchDispatchMix());
-      if (ms2 != 0) core.LoadSeq(sel.data(), 4, ms2);
+      if (ms2 != 0) core.LoadSeq(sel.At(0), 4, ms2);
       for (size_t k = 0; k < ms2; ++k) {
         const size_t i = base + sel[k];
         const bool pass = receipt.Get(i) < p.receipt_cut;
@@ -254,30 +248,28 @@ Money ColstoreEngine::Selection(Workers& w,
 Money ColstoreEngine::Join(Workers& w, engine::JoinSize size) const {
   const std::vector<int64_t>* build_keys = nullptr;
   const std::vector<int64_t>* probe_keys = nullptr;
-  const std::vector<int64_t>* sum_a = nullptr;
-  const std::vector<int64_t>* sum_b = nullptr;
+  // The columns summed for every match.
+  std::vector<const std::vector<int64_t>*> sum_cols;
+  const auto& l = db_.lineitem;
   switch (size) {
     case engine::JoinSize::kSmall:
       build_keys = &db_.nation.nationkey;
       probe_keys = &db_.supplier.nationkey;
-      sum_a = &db_.supplier.acctbal;
-      sum_b = &db_.supplier.suppkey;
+      sum_cols = {&db_.supplier.acctbal, &db_.supplier.suppkey};
       break;
     case engine::JoinSize::kMedium:
       build_keys = &db_.supplier.suppkey;
       probe_keys = &db_.partsupp.suppkey;
-      sum_a = &db_.partsupp.availqty;
-      sum_b = &db_.partsupp.supplycost;
+      sum_cols = {&db_.partsupp.availqty, &db_.partsupp.supplycost};
       break;
     case engine::JoinSize::kLarge:
       build_keys = &db_.orders.orderkey;
-      probe_keys = &db_.lineitem.orderkey;
-      sum_a = nullptr;  // the 4-column lineitem sum, handled below
-      sum_b = nullptr;
+      probe_keys = &l.orderkey;
+      sum_cols = {&l.extendedprice, &l.discount, &l.tax, &l.quantity};
       break;
   }
 
-  engine::JoinHashTable ht(build_keys->size());
+  engine::JoinHashTable ht(*w.cores[0], build_keys->size());
   for (size_t t = 0; t < w.count(); ++t) {
     core::Core& core = *w.cores[t];
     const RowRange r = PartitionRange(build_keys->size(), t, w.count());
@@ -291,7 +283,6 @@ Money ColstoreEngine::Join(Workers& w, engine::JoinSize size) const {
     }
   }
 
-  const auto& l = db_.lineitem;
   const size_t n = probe_keys->size();
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
@@ -302,6 +293,8 @@ Money ColstoreEngine::Join(Workers& w, engine::JoinSize size) const {
     core.SetMlpHint(core::kMlpScalarProbe);
     EdgePaths edges(0xC03 + t);
     ColumnView<int64_t> keys(*probe_keys, &core);
+    std::vector<ColumnView<int64_t>> sums;
+    for (const auto* c : sum_cols) sums.emplace_back(*c, &core);
     Money acc = 0;
     for (size_t base = r.begin; base < r.end; base += kBatch) {
       const size_t m = std::min(kBatch, r.end - base);
@@ -315,18 +308,7 @@ Money ColstoreEngine::Join(Workers& w, engine::JoinSize size) const {
                            keys.GetRaw(i), &unused)) {
           continue;
         }
-        if (size == engine::JoinSize::kLarge) {
-          core.Load(&l.extendedprice[i], 8);
-          core.Load(&l.discount[i], 8);
-          core.Load(&l.tax[i], 8);
-          core.Load(&l.quantity[i], 8);
-          acc += l.extendedprice[i] + l.discount[i] + l.tax[i] +
-                 l.quantity[i];
-        } else {
-          core.Load(&(*sum_a)[i], 8);
-          core.Load(&(*sum_b)[i], 8);
-          acc += (*sum_a)[i] + (*sum_b)[i];
-        }
+        for (const ColumnView<int64_t>& v : sums) acc += v.Get(i);
         edges.Touch(core, engine::branch_site::kColstoreSel);
       }
       core.RetireN(JoinProbeElemMix(), m);
@@ -342,13 +324,13 @@ int64_t ColstoreEngine::GroupBy(Workers& w, int64_t num_groups) const {
   UOLAP_CHECK(num_groups >= 1);
   const auto& l = db_.lineitem;
   const size_t n = l.size();
-  // Per-worker aggregation tables, allocated serially up front; a
-  // worker's key space is bounded by num_groups, so no realloc happens
-  // inside the parallel bodies.
+  // Per-worker aggregation tables; a worker's key space is bounded by
+  // num_groups.
   std::vector<std::unique_ptr<engine::AggHashTable<1>>> aggs;
   for (size_t t = 0; t < w.count(); ++t) {
     const RowRange r = PartitionRange(n, t, w.count());
     aggs.push_back(std::make_unique<engine::AggHashTable<1>>(
+        *w.cores[t],
         static_cast<size_t>(std::min<int64_t>(
             num_groups, static_cast<int64_t>(r.size())) + 1)));
   }
@@ -394,10 +376,9 @@ engine::Q1Result ColstoreEngine::Q1(Workers& w) const {
   const size_t n = l.size();
   const tpch::Date cut = engine::Q1ShipdateCut();
 
-  // Per-worker aggregation tables, allocated serially up front.
   std::vector<std::unique_ptr<engine::AggHashTable<5>>> aggs;
   for (size_t t = 0; t < w.count(); ++t) {
-    aggs.push_back(std::make_unique<engine::AggHashTable<5>>(8));
+    aggs.push_back(std::make_unique<engine::AggHashTable<5>>(*w.cores[t], 8));
   }
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];

@@ -41,13 +41,29 @@ std::unique_ptr<Expr> Expr::Binary(Op op, std::unique_ptr<Expr> l,
   return e;
 }
 
+namespace {
+size_t CountNodes(const Expr* e) {
+  return e == nullptr ? 0 : 1 + CountNodes(e->lhs.get()) +
+                                CountNodes(e->rhs.get());
+}
+uint64_t AssignAddrs(Expr* e, uint64_t addr) {
+  if (e == nullptr) return addr;
+  e->addr = addr;
+  return AssignAddrs(e->rhs.get(),
+                     AssignAddrs(e->lhs.get(), addr + sizeof(Expr)));
+}
+}  // namespace
+
+void PlaceExpr(core::Core& core, Expr& e) {
+  AssignAddrs(&e, core.placement().Fresh(CountNodes(&e) * sizeof(Expr)));
+}
+
 int64_t EvalExpr(core::Core& core, const Expr& e,
-                 const storage::RowTableStorage& table,
-                 const uint8_t* tuple) {
+                 const storage::RowTableView& table, storage::RowRef tuple) {
   // Interpretation cost of this node: load the node, microcoded dispatch
   // on the operator tag, recursion bookkeeping. The tree walk is a serial
   // dependency chain (chain_cycles).
-  core.Load(&e, sizeof(Expr));
+  core.Load(e.addr, sizeof(Expr));
   core::InstrMix node;
   node.complex = 1;
   node.alu = 3;
@@ -58,11 +74,11 @@ int64_t EvalExpr(core::Core& core, const Expr& e,
 
   switch (e.op) {
     case Expr::Op::kColI64:
-      return table.ReadI64(tuple, e.col, &core);
+      return table.ReadI64(tuple, e.col);
     case Expr::Op::kColI32:
-      return table.ReadI32(tuple, e.col, &core);
+      return table.ReadI32(tuple, e.col);
     case Expr::Op::kColI8:
-      return table.ReadI8(tuple, e.col, &core);
+      return table.ReadI8(tuple, e.col);
     case Expr::Op::kConst:
       return e.value;
     case Expr::Op::kAdd:

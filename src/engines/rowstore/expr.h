@@ -35,6 +35,8 @@ struct Expr {
   int64_t value = 0;
   std::unique_ptr<Expr> lhs;
   std::unique_ptr<Expr> rhs;
+  /// Simulated address of this node (PlaceExpr).
+  uint64_t addr = 0;
 
   static std::unique_ptr<Expr> ColI64(int field);
   static std::unique_ptr<Expr> ColI32(int field);
@@ -44,11 +46,16 @@ struct Expr {
                                       std::unique_ptr<Expr> r);
 };
 
+/// Gives every node of the tree rooted at `e` a simulated address: one
+/// fresh block on `core`, nodes in pre-order, the way a plan's expression
+/// arena lays them out. Call once per tree before evaluating it.
+void PlaceExpr(core::Core& core, Expr& e);
+
 /// Evaluates `e` against `tuple` of `table`, charging the interpretation
 /// cost per node: the node load, the microcoded dispatch, and the operand
 /// arithmetic, plus the serial dependency of a tree walk.
 int64_t EvalExpr(core::Core& core, const Expr& e,
-                 const storage::RowTableStorage& table, const uint8_t* tuple);
+                 const storage::RowTableView& table, storage::RowRef tuple);
 
 }  // namespace uolap::rowstore
 

@@ -11,6 +11,7 @@
 #include "core/calibration.h"
 #include "engine/hash_table.h"
 #include "engines/rowstore/expr.h"
+#include "storage/column_view.h"
 
 namespace uolap::rowstore {
 
@@ -18,8 +19,11 @@ using core::InstrMix;
 using engine::PartitionRange;
 using engine::RowRange;
 using engine::Workers;
+using storage::ColumnView;
+using storage::RowRef;
 using storage::RowSchema;
 using storage::RowTableStorage;
+using storage::RowTableView;
 using tpch::Money;
 
 namespace {
@@ -105,13 +109,15 @@ constexpr size_t kStateArenaBytes = 48ull << 20;
 /// paper's contrast with OLTP systems.
 constexpr uint64_t kRowstoreCodeFootprint = 24 * 1024;
 
-/// Touches `kStateLoadsPerTuple` pseudo-random arena locations.
-inline void TouchState(core::Core& core, const std::vector<uint64_t>& arena,
+/// Touches `kStateLoadsPerTuple` pseudo-random locations of the arena
+/// view `arena`.
+inline void TouchState(core::Core& core,
+                       const storage::ColumnView<uint64_t>& arena,
                        uint64_t* cursor) {
   for (int i = 0; i < kStateLoadsPerTuple; ++i) {
     *cursor = *cursor * 6364136223846793005ULL + 1442695040888963407ULL;
     const size_t idx = (*cursor >> 17) % arena.size();
-    core.Load(&arena[idx], 8);
+    core.Load(arena.At(idx), 8);
   }
 }
 
@@ -213,11 +219,6 @@ Money RowstoreEngine::Projection(Workers& w, int degree) const {
   };
 
   const size_t n = lineitem_->num_tuples();
-  // Per-worker expression trees, allocated serially up front: EvalExpr
-  // loads the nodes through the simulated core, so their addresses must
-  // not depend on thread scheduling.
-  std::vector<std::unique_ptr<Expr>> exprs;
-  for (size_t t = 0; t < w.count(); ++t) exprs.push_back(make_expr());
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -225,16 +226,19 @@ Money RowstoreEngine::Projection(Workers& w, int degree) const {
     core::ScopedRegion op_region(core, "project");
     core.SetCodeRegion({"dbmsr/projection", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpDefault);
-    const Expr& expr = *exprs[t];
+    const std::unique_ptr<Expr> expr = make_expr();
+    PlaceExpr(core, *expr);
+    const RowTableView rows(*lineitem_, &core);
+    const ColumnView<uint64_t> arena(state_arena_, &core);
     uint64_t cursor = 0x1234 + t;
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());  // Agg::Next
       core.Retire(IterNextMix());  // Scan::Next
       core.Retire(ScanOverheadMix());
-      TouchState(core, state_arena_, &cursor);
-      const uint8_t* tuple = lineitem_->TupleForScan(i, &core);
-      acc += EvalExpr(core, expr, *lineitem_, tuple);
+      TouchState(core, arena, &cursor);
+      const RowRef tuple = rows.TupleForScan(i);
+      acc += EvalExpr(core, *expr, rows, tuple);
       core.RetireN(ColumnAccessMix(), static_cast<uint64_t>(degree));
     }
     partial[t] = acc;
@@ -249,18 +253,6 @@ Money RowstoreEngine::Selection(Workers& w,
   UOLAP_CHECK_MSG(!p.predicated,
                   "DBMS R has no user-controllable predication mode");
   const size_t n = lineitem_->num_tuples();
-  // Sum expression (interpreted); predicates go through the SARG fast
-  // path, as a commercial optimizer would plan `col < const`. One tree
-  // per worker, allocated serially up front (EvalExpr loads the nodes).
-  std::vector<std::unique_ptr<Expr>> exprs;
-  for (size_t t = 0; t < w.count(); ++t) {
-    exprs.push_back(Expr::Binary(
-        Expr::Op::kAdd,
-        Expr::Binary(Expr::Op::kAdd, Expr::ColI64(lf_.extendedprice),
-                     Expr::ColI64(lf_.discount)),
-        Expr::Binary(Expr::Op::kAdd, Expr::ColI64(lf_.tax),
-                     Expr::ColI64(lf_.quantity))));
-  }
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -268,7 +260,17 @@ Money RowstoreEngine::Selection(Workers& w,
     core::ScopedRegion op_region(core, "select");
     core.SetCodeRegion({"dbmsr/selection", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpDefault);
-    const Expr& expr = *exprs[t];
+    // Sum expression (interpreted); predicates go through the SARG fast
+    // path, as a commercial optimizer would plan `col < const`.
+    const std::unique_ptr<Expr> expr = Expr::Binary(
+        Expr::Op::kAdd,
+        Expr::Binary(Expr::Op::kAdd, Expr::ColI64(lf_.extendedprice),
+                     Expr::ColI64(lf_.discount)),
+        Expr::Binary(Expr::Op::kAdd, Expr::ColI64(lf_.tax),
+                     Expr::ColI64(lf_.quantity)));
+    PlaceExpr(core, *expr);
+    const RowTableView rows(*lineitem_, &core);
+    const ColumnView<uint64_t> arena(state_arena_, &core);
     uint64_t cursor = 0x9876 + t;
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
@@ -276,18 +278,17 @@ Money RowstoreEngine::Selection(Workers& w,
       core.Retire(IterNextMix());  // Filter::Next
       core.Retire(IterNextMix());  // Scan::Next
       core.Retire(ScanOverheadMix());
-      TouchState(core, state_arena_, &cursor);
-      const uint8_t* tuple = lineitem_->TupleForScan(i, &core);
+      TouchState(core, arena, &cursor);
+      const RowRef tuple = rows.TupleForScan(i);
       // Three SARG checks, evaluated eagerly, one branch on the result.
       const bool pass =
-          (lineitem_->ReadI32(tuple, lf_.shipdate, &core) < p.ship_cut) &
-          (lineitem_->ReadI32(tuple, lf_.commitdate, &core) < p.commit_cut) &
-          (lineitem_->ReadI32(tuple, lf_.receiptdate, &core) <
-           p.receipt_cut);
+          (rows.ReadI32(tuple, lf_.shipdate) < p.ship_cut) &
+          (rows.ReadI32(tuple, lf_.commitdate) < p.commit_cut) &
+          (rows.ReadI32(tuple, lf_.receiptdate) < p.receipt_cut);
       core.RetireN(SargMix(), 3);
       core.Branch(engine::branch_site::kRowstoreExpr, pass);
       if (pass) {
-        acc += EvalExpr(core, expr, *lineitem_, tuple);
+        acc += EvalExpr(core, *expr, rows, tuple);
         core.RetireN(ColumnAccessMix(), 4);
       }
     }
@@ -338,7 +339,7 @@ Money RowstoreEngine::Join(Workers& w, engine::JoinSize size) const {
       break;
   }
 
-  engine::JoinHashTable ht(side.build_keys->size());
+  engine::JoinHashTable ht(*w.cores[0], side.build_keys->size());
   for (size_t t = 0; t < w.count(); ++t) {
     core::Core& core = *w.cores[t];
     const RowRange r =
@@ -346,15 +347,16 @@ Money RowstoreEngine::Join(Workers& w, engine::JoinSize size) const {
     core::ScopedRegion op_region(core, "build");
     core.SetCodeRegion({"dbmsr/join-build", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpScalarProbe);
+    const ColumnView<int64_t> keys(*side.build_keys, &core);
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(BulkJoinTupleMix());
-      core.Load(&(*side.build_keys)[i], 8);
-      ht.Insert(core, (*side.build_keys)[i], 1);
+      ht.Insert(core, keys.Get(i), 1);
     }
   }
 
   const size_t n = side.probe->num_tuples();
   // The probe fans out; the sum expression tree is shared read-only.
+  PlaceExpr(*w.cores[0], *side.sum_expr);
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -362,19 +364,20 @@ Money RowstoreEngine::Join(Workers& w, engine::JoinSize size) const {
     core::ScopedRegion op_region(core, "probe");
     core.SetCodeRegion({"dbmsr/join-probe", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpScalarProbe);
+    const RowTableView rows(*side.probe, &core);
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       // Bulk/block hash-join path: light per-tuple machinery.
       core.Retire(BulkJoinTupleMix());
-      const uint8_t* tuple = side.probe->TupleForScan(i, &core);
-      const int64_t key = side.probe->ReadI64(tuple, side.key_field, &core);
+      const RowRef tuple = rows.TupleForScan(i);
+      const int64_t key = rows.ReadI64(tuple, side.key_field);
       int64_t unused;
       const bool matched = ht.ProbeFirst(
           core, engine::branch_site::kJoinChain, key, &unused);
       if (matched) {
         // The sum expression still runs through the interpreter, but on
         // the bulk path its per-column datum boxing is amortized.
-        acc += EvalExpr(core, *side.sum_expr, *side.probe, tuple);
+        acc += EvalExpr(core, *side.sum_expr, rows, tuple);
       }
     }
     partial[t] = acc;
@@ -387,33 +390,31 @@ Money RowstoreEngine::Join(Workers& w, engine::JoinSize size) const {
 int64_t RowstoreEngine::GroupBy(Workers& w, int64_t num_groups) const {
   UOLAP_CHECK(num_groups >= 1);
   const size_t n = lineitem_->num_tuples();
-  // Per-worker aggregation tables, allocated serially up front; a
-  // worker's key space is bounded by num_groups, so no realloc happens
-  // inside the parallel bodies.
-  std::vector<std::unique_ptr<engine::AggHashTable<1>>> aggs;
-  for (size_t t = 0; t < w.count(); ++t) {
-    const RowRange r = PartitionRange(n, t, w.count());
-    aggs.push_back(std::make_unique<engine::AggHashTable<1>>(
-        static_cast<size_t>(std::min<int64_t>(
-            num_groups, static_cast<int64_t>(r.size())) + 1)));
-  }
+  // Per-worker aggregation tables; a worker's key space is bounded by
+  // num_groups.
+  std::vector<std::unique_ptr<engine::AggHashTable<1>>> aggs(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
     const RowRange r = PartitionRange(n, t, w.count());
     core::ScopedRegion op_region(core, "groupby");
     core.SetCodeRegion({"dbmsr/groupby", 24 * 1024});
     core.SetMlpHint(core::kMlpScalarProbe);
+    aggs[t] = std::make_unique<engine::AggHashTable<1>>(
+        core, static_cast<size_t>(std::min<int64_t>(
+                  num_groups, static_cast<int64_t>(r.size())) + 1));
     engine::AggHashTable<1>& agg = *aggs[t];
+    const RowTableView rows(*lineitem_, &core);
+    const ColumnView<uint64_t> arena(state_arena_, &core);
     uint64_t cursor = 0x6B + t;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());  // Agg::Next
       core.Retire(IterNextMix());  // Scan::Next
       core.Retire(ScanOverheadMix());
-      TouchState(core, state_arena_, &cursor);
-      const uint8_t* tuple = lineitem_->TupleForScan(i, &core);
+      TouchState(core, arena, &cursor);
+      const RowRef tuple = rows.TupleForScan(i);
       const int64_t key = engine::groupby::GroupKey(
-          lineitem_->ReadI64(tuple, lf_.orderkey, &core), num_groups);
-      const Money ep = lineitem_->ReadI64(tuple, lf_.extendedprice, &core);
+          rows.ReadI64(tuple, lf_.orderkey), num_groups);
+      const Money ep = rows.ReadI64(tuple, lf_.extendedprice);
       core.RetireN(ColumnAccessMix(), 2);
       auto* entry = agg.FindOrCreate(
           core, engine::branch_site::kGroupByChain, key);
@@ -434,36 +435,34 @@ int64_t RowstoreEngine::GroupBy(Workers& w, int64_t num_groups) const {
 engine::Q1Result RowstoreEngine::Q1(Workers& w) const {
   const size_t n = lineitem_->num_tuples();
   const tpch::Date cut = engine::Q1ShipdateCut();
-  // Per-worker aggregation tables, allocated serially up front.
-  std::vector<std::unique_ptr<engine::AggHashTable<5>>> aggs;
-  for (size_t t = 0; t < w.count(); ++t) {
-    aggs.push_back(std::make_unique<engine::AggHashTable<5>>(8));
-  }
+  std::vector<std::unique_ptr<engine::AggHashTable<5>>> aggs(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
     const RowRange r = PartitionRange(n, t, w.count());
     core::ScopedRegion op_region(core, "agg");
     core.SetCodeRegion({"dbmsr/q1", kRowstoreCodeFootprint + 8192});
     core.SetMlpHint(core::kMlpDefault);
+    aggs[t] = std::make_unique<engine::AggHashTable<5>>(core, 8);
     engine::AggHashTable<5>& agg = *aggs[t];
+    const RowTableView rows(*lineitem_, &core);
+    const ColumnView<uint64_t> arena(state_arena_, &core);
     uint64_t cursor = 0x31 + t;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());
       core.Retire(IterNextMix());
       core.Retire(ScanOverheadMix());
-      TouchState(core, state_arena_, &cursor);
-      const uint8_t* tuple = lineitem_->TupleForScan(i, &core);
-      const bool pass =
-          lineitem_->ReadI32(tuple, lf_.shipdate, &core) <= cut;
+      TouchState(core, arena, &cursor);
+      const RowRef tuple = rows.TupleForScan(i);
+      const bool pass = rows.ReadI32(tuple, lf_.shipdate) <= cut;
       core.Retire(SargMix());
       core.Branch(engine::branch_site::kRowstoreExpr, pass);
       if (!pass) continue;
-      const int64_t flag = lineitem_->ReadI8(tuple, lf_.returnflag, &core);
-      const int64_t status = lineitem_->ReadI8(tuple, lf_.linestatus, &core);
-      const Money ep = lineitem_->ReadI64(tuple, lf_.extendedprice, &core);
-      const int64_t d = lineitem_->ReadI64(tuple, lf_.discount, &core);
-      const int64_t tax = lineitem_->ReadI64(tuple, lf_.tax, &core);
-      const int64_t qty = lineitem_->ReadI64(tuple, lf_.quantity, &core);
+      const int64_t flag = rows.ReadI8(tuple, lf_.returnflag);
+      const int64_t status = rows.ReadI8(tuple, lf_.linestatus);
+      const Money ep = rows.ReadI64(tuple, lf_.extendedprice);
+      const int64_t d = rows.ReadI64(tuple, lf_.discount);
+      const int64_t tax = rows.ReadI64(tuple, lf_.tax);
+      const int64_t qty = rows.ReadI64(tuple, lf_.quantity);
       core.RetireN(ColumnAccessMix(), 6);
       const Money dp = tpch::DiscountedPrice(ep, d);
       auto* entry = agg.FindOrCreate(core, engine::branch_site::kAggChain,
@@ -513,17 +512,19 @@ Money RowstoreEngine::Q6(Workers& w, const engine::Q6Params& p) const {
     core::ScopedRegion op_region(core, "select");
     core.SetCodeRegion({"dbmsr/q6", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpDefault);
+    const RowTableView rows(*lineitem_, &core);
+    const ColumnView<uint64_t> arena(state_arena_, &core);
     uint64_t cursor = 0x66 + t;
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());
       core.Retire(IterNextMix());
       core.Retire(ScanOverheadMix());
-      TouchState(core, state_arena_, &cursor);
-      const uint8_t* tuple = lineitem_->TupleForScan(i, &core);
-      const auto ship = lineitem_->ReadI32(tuple, lf_.shipdate, &core);
-      const int64_t d = lineitem_->ReadI64(tuple, lf_.discount, &core);
-      const int64_t qty = lineitem_->ReadI64(tuple, lf_.quantity, &core);
+      TouchState(core, arena, &cursor);
+      const RowRef tuple = rows.TupleForScan(i);
+      const auto ship = rows.ReadI32(tuple, lf_.shipdate);
+      const int64_t d = rows.ReadI64(tuple, lf_.discount);
+      const int64_t qty = rows.ReadI64(tuple, lf_.quantity);
       const bool pass = (ship >= p.date_lo) & (ship < p.date_hi) &
                         (d >= p.discount_lo) & (d <= p.discount_hi) &
                         (qty < p.quantity_lim);
@@ -531,7 +532,7 @@ Money RowstoreEngine::Q6(Workers& w, const engine::Q6Params& p) const {
       core.Branch(engine::branch_site::kRowstoreExpr, pass);
       if (pass) {
         const Money ep =
-            lineitem_->ReadI64(tuple, lf_.extendedprice, &core);
+            rows.ReadI64(tuple, lf_.extendedprice);
         core.RetireN(ColumnAccessMix(), 2);
         InstrMix mul;
         mul.mul = 1;

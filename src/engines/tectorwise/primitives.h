@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -10,6 +11,7 @@
 #include "core/core.h"
 #include "core/counters.h"
 #include "engine/hash_table.h"
+#include "storage/column_view.h"
 
 namespace uolap::tectorwise {
 
@@ -23,6 +25,11 @@ struct VecCtx {
   core::Core* core;
   bool simd;  ///< AVX-512 flavour of every primitive (Skylake experiments)
 };
+
+/// Every array a primitive touches is passed as a storage::SimPtr: values
+/// move through the host pointer, accesses are charged at the simulated
+/// address.
+using storage::SimPtr;
 
 /// AVX-512 lane count for 64-bit elements.
 inline constexpr uint64_t kSimdLanes = 8;
@@ -74,25 +81,14 @@ inline void ChargeSimdLoop(VecCtx ctx, size_t n, uint64_t simd_per_group,
 /// load/store instructions — the wide SIMD ops in ChargeSimdLoop carry the
 /// instruction cost. A "wide" variant is used for sequential data.
 template <typename T>
-inline T LoadElem(VecCtx ctx, const T* p) {
+inline std::remove_const_t<T> LoadElem(VecCtx ctx, SimPtr<T> p) {
   if (ctx.simd) {
-    ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(p), sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
+    ctx.core->memory().AccessData(p.addr, sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
                                   /*is_store=*/false);
   } else {
-    ctx.core->Load(p, sizeof(T));
+    ctx.core->Load(p.addr, sizeof(T));
   }
-  return *p;
-}
-
-template <typename T>
-inline void StoreElem(VecCtx ctx, T* p, T v) {
-  if (ctx.simd) {
-    ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(p), sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                  /*is_store=*/true);
-  } else {
-    ctx.core->Store(p, sizeof(T));
-  }
-  *p = v;
+  return *p.host;
 }
 
 /// Batched sequential-run charges: a full-vector sequential load/store is
@@ -103,28 +99,28 @@ inline void StoreElem(VecCtx ctx, T* p, T v) {
 /// instruction cost and the access-per-element stream shape is part of the
 /// gather/scatter model).
 template <typename T>
-inline void TouchVecLoad(VecCtx ctx, const T* p, size_t n) {
+inline void TouchVecLoad(VecCtx ctx, SimPtr<T> p, size_t n) {
   if (n == 0) return;
   if (ctx.simd) {
     for (size_t i = 0; i < n; ++i) {
-      ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(p + i),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
+      ctx.core->memory().AccessData(p.At(i),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
                                     sizeof(T), /*is_store=*/false);
     }
   } else {
-    ctx.core->LoadSeq(p, sizeof(T), n);
+    ctx.core->LoadSeq(p.addr, sizeof(T), n);
   }
 }
 
 template <typename T>
-inline void TouchVecStore(VecCtx ctx, T* p, size_t n) {
+inline void TouchVecStore(VecCtx ctx, SimPtr<T> p, size_t n) {
   if (n == 0) return;
   if (ctx.simd) {
     for (size_t i = 0; i < n; ++i) {
-      ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(p + i),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
+      ctx.core->memory().AccessData(p.At(i),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
                                     sizeof(T), /*is_store=*/true);
     }
   } else {
-    ctx.core->StoreSeq(p, sizeof(T), n);
+    ctx.core->StoreSeq(p.addr, sizeof(T), n);
   }
 }
 
@@ -133,14 +129,14 @@ inline void TouchVecStore(VecCtx ctx, T* p, size_t n) {
 /// batches the stream line-by-line in scalar mode regardless of what other
 /// accesses interleave.
 template <typename T>
-inline void StoreCompact(VecCtx ctx, core::SeqCursor& cur, T* p, T v) {
+inline void StoreCompact(VecCtx ctx, core::SeqCursor& cur, SimPtr<T> p, T v) {
   if (ctx.simd) {
-    ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(p), sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
+    ctx.core->memory().AccessData(p.addr, sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
                                   /*is_store=*/true);
   } else {
-    ctx.core->StoreRange(cur, p, sizeof(T), 1);
+    ctx.core->StoreRange(cur, p.addr, sizeof(T), 1);
   }
-  *p = v;
+  *p.host = v;
 }
 
 }  // namespace detail
@@ -151,7 +147,8 @@ inline void StoreCompact(VecCtx ctx, core::SeqCursor& cur, T* p, T v) {
 
 /// out[i] = a[i] + b[i].
 template <typename TA, typename TB>
-void MapAdd(VecCtx ctx, int64_t* out, const TA* a, const TB* b, size_t n) {
+void MapAdd(VecCtx ctx, SimPtr<int64_t> out, SimPtr<TA> a, SimPtr<TB> b,
+            size_t n) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, a, n);
   detail::TouchVecLoad(ctx, b, n);
@@ -168,7 +165,7 @@ void MapAdd(VecCtx ctx, int64_t* out, const TA* a, const TB* b, size_t n) {
 
 /// sum over a full vector.
 template <typename T>
-int64_t SumColumn(VecCtx ctx, const T* a, size_t n) {
+int64_t SumColumn(VecCtx ctx, SimPtr<T> a, size_t n) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, a, n);
   int64_t acc = 0;
@@ -193,8 +190,9 @@ int64_t SumColumn(VecCtx ctx, const T* a, size_t n) {
 /// *individual* predicate selectivity (the paper's Section 4 contrast with
 /// the compiled engine).
 template <typename T>
-size_t SelLess(VecCtx ctx, uint32_t branch_site, const T* col, T cut,
-               uint32_t* sel_out, size_t n) {
+size_t SelLess(VecCtx ctx, uint32_t branch_site, SimPtr<T> col,
+               std::remove_const_t<T> cut, SimPtr<uint32_t> sel_out,
+               size_t n) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, col, n);
   core::SeqCursor out_cur;
@@ -203,7 +201,7 @@ size_t SelLess(VecCtx ctx, uint32_t branch_site, const T* col, T cut,
     const bool pass = col[i] < cut;
     ctx.core->Branch(branch_site, pass);
     if (pass) {
-      detail::StoreCompact(ctx, out_cur, &sel_out[m],
+      detail::StoreCompact(ctx, out_cur, sel_out + m,
                            static_cast<uint32_t>(i));
       ++m;
     }
@@ -214,18 +212,19 @@ size_t SelLess(VecCtx ctx, uint32_t branch_site, const T* col, T cut,
 
 /// Branched subsequent-pass selection over an input selection vector.
 template <typename T>
-size_t SelLessOnSel(VecCtx ctx, uint32_t branch_site, const T* col, T cut,
-                    const uint32_t* sel_in, size_t m_in, uint32_t* sel_out) {
+size_t SelLessOnSel(VecCtx ctx, uint32_t branch_site, SimPtr<T> col,
+                    std::remove_const_t<T> cut, SimPtr<const uint32_t> sel_in,
+                    size_t m_in, SimPtr<uint32_t> sel_out) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, sel_in, m_in);
   core::SeqCursor out_cur;
   size_t m = 0;
   for (size_t k = 0; k < m_in; ++k) {
     const uint32_t i = sel_in[k];
-    const bool pass = detail::LoadElem(ctx, &col[i]) < cut;
+    const bool pass = detail::LoadElem(ctx, col + i) < cut;
     ctx.core->Branch(branch_site, pass);
     if (pass) {
-      detail::StoreCompact(ctx, out_cur, &sel_out[m], i);
+      detail::StoreCompact(ctx, out_cur, sel_out + m, i);
       ++m;
     }
   }
@@ -236,15 +235,15 @@ size_t SelLessOnSel(VecCtx ctx, uint32_t branch_site, const T* col, T cut,
 /// Predicated (branch-free) variants: sel_out[m] = i; m += pass. More
 /// stores, no branches (Section 7).
 template <typename T>
-size_t SelLessPredicated(VecCtx ctx, const T* col, T cut, uint32_t* sel_out,
-                         size_t n) {
+size_t SelLessPredicated(VecCtx ctx, SimPtr<T> col, std::remove_const_t<T> cut,
+                         SimPtr<uint32_t> sel_out, size_t n) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, col, n);
   core::SeqCursor out_cur;
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
     const bool pass = col[i] < cut;
-    detail::StoreCompact(ctx, out_cur, &sel_out[m], static_cast<uint32_t>(i));
+    detail::StoreCompact(ctx, out_cur, sel_out + m, static_cast<uint32_t>(i));
     m += static_cast<size_t>(pass);
   }
   if (ctx.simd) {
@@ -257,17 +256,18 @@ size_t SelLessPredicated(VecCtx ctx, const T* col, T cut, uint32_t* sel_out,
 }
 
 template <typename T>
-size_t SelLessPredicatedOnSel(VecCtx ctx, const T* col, T cut,
-                              const uint32_t* sel_in, size_t m_in,
-                              uint32_t* sel_out) {
+size_t SelLessPredicatedOnSel(VecCtx ctx, SimPtr<T> col,
+                              std::remove_const_t<T> cut,
+                              SimPtr<const uint32_t> sel_in, size_t m_in,
+                              SimPtr<uint32_t> sel_out) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, sel_in, m_in);
   core::SeqCursor out_cur;
   size_t m = 0;
   for (size_t k = 0; k < m_in; ++k) {
     const uint32_t i = sel_in[k];
-    const bool pass = detail::LoadElem(ctx, &col[i]) < cut;
-    detail::StoreCompact(ctx, out_cur, &sel_out[m], i);
+    const bool pass = detail::LoadElem(ctx, col + i) < cut;
+    detail::StoreCompact(ctx, out_cur, sel_out + m, i);
     m += static_cast<size_t>(pass);
   }
   if (ctx.simd) {
@@ -280,19 +280,20 @@ size_t SelLessPredicatedOnSel(VecCtx ctx, const T* col, T cut,
 
 /// Generic comparator variants used by Q6 (>=, <, between): branched.
 template <typename T, typename Pred>
-size_t SelPred(VecCtx ctx, uint32_t branch_site, const T* col,
-               const uint32_t* sel_in, size_t m_in, uint32_t* sel_out,
-               Pred pred, uint64_t alu_per_elem = 1) {
+size_t SelPred(VecCtx ctx, uint32_t branch_site, SimPtr<T> col,
+               SimPtr<const uint32_t> sel_in, size_t m_in,
+               SimPtr<uint32_t> sel_out, Pred pred,
+               uint64_t alu_per_elem = 1) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, sel_in, m_in);
   core::SeqCursor out_cur;
   size_t m = 0;
   for (size_t k = 0; k < m_in; ++k) {
     const uint32_t i = sel_in[k];
-    const bool pass = pred(detail::LoadElem(ctx, &col[i]));
+    const bool pass = pred(detail::LoadElem(ctx, col + i));
     ctx.core->Branch(branch_site, pass);
     if (pass) {
-      detail::StoreCompact(ctx, out_cur, &sel_out[m], i);
+      detail::StoreCompact(ctx, out_cur, sel_out + m, i);
       ++m;
     }
   }
@@ -302,8 +303,9 @@ size_t SelPred(VecCtx ctx, uint32_t branch_site, const T* col,
 
 /// Generic comparator over the full input (first predicate in a conjunct).
 template <typename T, typename Pred>
-size_t SelPredFull(VecCtx ctx, uint32_t branch_site, const T* col, size_t n,
-                   uint32_t* sel_out, Pred pred, uint64_t alu_per_elem = 1) {
+size_t SelPredFull(VecCtx ctx, uint32_t branch_site, SimPtr<T> col, size_t n,
+                   SimPtr<uint32_t> sel_out, Pred pred,
+                   uint64_t alu_per_elem = 1) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, col, n);
   core::SeqCursor out_cur;
@@ -312,7 +314,7 @@ size_t SelPredFull(VecCtx ctx, uint32_t branch_site, const T* col, size_t n,
     const bool pass = pred(col[i]);
     ctx.core->Branch(branch_site, pass);
     if (pass) {
-      detail::StoreCompact(ctx, out_cur, &sel_out[m],
+      detail::StoreCompact(ctx, out_cur, sel_out + m,
                            static_cast<uint32_t>(i));
       ++m;
     }
@@ -323,8 +325,9 @@ size_t SelPredFull(VecCtx ctx, uint32_t branch_site, const T* col, size_t n,
 
 /// Predicated generic variants.
 template <typename T, typename Pred>
-size_t SelPredPredicated(VecCtx ctx, const T* col, const uint32_t* sel_in,
-                         size_t m_in, uint32_t* sel_out, Pred pred,
+size_t SelPredPredicated(VecCtx ctx, SimPtr<T> col,
+                         SimPtr<const uint32_t> sel_in, size_t m_in,
+                         SimPtr<uint32_t> sel_out, Pred pred,
                          uint64_t alu_per_elem = 2) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, sel_in, m_in);
@@ -332,8 +335,8 @@ size_t SelPredPredicated(VecCtx ctx, const T* col, const uint32_t* sel_in,
   size_t m = 0;
   for (size_t k = 0; k < m_in; ++k) {
     const uint32_t i = sel_in[k];
-    const bool pass = pred(detail::LoadElem(ctx, &col[i]));
-    detail::StoreCompact(ctx, out_cur, &sel_out[m], i);
+    const bool pass = pred(detail::LoadElem(ctx, col + i));
+    detail::StoreCompact(ctx, out_cur, sel_out + m, i);
     m += static_cast<size_t>(pass);
   }
   if (ctx.simd) {
@@ -345,8 +348,8 @@ size_t SelPredPredicated(VecCtx ctx, const T* col, const uint32_t* sel_in,
 }
 
 template <typename T, typename Pred>
-size_t SelPredPredicatedFull(VecCtx ctx, const T* col, size_t n,
-                             uint32_t* sel_out, Pred pred,
+size_t SelPredPredicatedFull(VecCtx ctx, SimPtr<T> col, size_t n,
+                             SimPtr<uint32_t> sel_out, Pred pred,
                              uint64_t alu_per_elem = 2) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, col, n);
@@ -354,7 +357,7 @@ size_t SelPredPredicatedFull(VecCtx ctx, const T* col, size_t n,
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
     const bool pass = pred(col[i]);
-    detail::StoreCompact(ctx, out_cur, &sel_out[m], static_cast<uint32_t>(i));
+    detail::StoreCompact(ctx, out_cur, sel_out + m, static_cast<uint32_t>(i));
     m += static_cast<size_t>(pass);
   }
   if (ctx.simd) {
@@ -373,16 +376,16 @@ size_t SelPredPredicatedFull(VecCtx ctx, const T* col, size_t n,
 /// selection vector. Sparse selection vectors turn these into gathers
 /// (stream-breaking at low selectivities; emergent in the memory model).
 template <typename TA, typename TB>
-void MapAddSel(VecCtx ctx, int64_t* out, const TA* a, const TB* b,
-               const uint32_t* sel, size_t m) {
+void MapAddSel(VecCtx ctx, SimPtr<int64_t> out, SimPtr<TA> a, SimPtr<TB> b,
+               SimPtr<const uint32_t> sel, size_t m) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, sel, m);
   core::SeqCursor out_cur;
   for (size_t k = 0; k < m; ++k) {
     const uint32_t i = sel[k];
-    const int64_t v = static_cast<int64_t>(detail::LoadElem(ctx, &a[i])) +
-                      static_cast<int64_t>(detail::LoadElem(ctx, &b[i]));
-    detail::StoreCompact(ctx, out_cur, &out[k], v);
+    const int64_t v = static_cast<int64_t>(detail::LoadElem(ctx, a + i)) +
+                      static_cast<int64_t>(detail::LoadElem(ctx, b + i));
+    detail::StoreCompact(ctx, out_cur, out + k, v);
   }
   if (ctx.simd) {
     detail::ChargeSimdLoop(ctx, m, /*simd_per_group=*/5);  // 2 gathers
@@ -393,8 +396,9 @@ void MapAddSel(VecCtx ctx, int64_t* out, const TA* a, const TB* b,
 
 /// out[k] = dense[k] + col[sel[k]] — subsequent projection steps.
 template <typename T>
-void MapAddDenseGather(VecCtx ctx, int64_t* out, const int64_t* dense,
-                       const T* col, const uint32_t* sel, size_t m) {
+void MapAddDenseGather(VecCtx ctx, SimPtr<int64_t> out,
+                       SimPtr<const int64_t> dense, SimPtr<T> col,
+                       SimPtr<const uint32_t> sel, size_t m) {
   detail::ChargeCallOverhead(ctx);
   detail::TouchVecLoad(ctx, sel, m);
   detail::TouchVecLoad(ctx, dense, m);
@@ -402,8 +406,8 @@ void MapAddDenseGather(VecCtx ctx, int64_t* out, const int64_t* dense,
   for (size_t k = 0; k < m; ++k) {
     const uint32_t i = sel[k];
     const int64_t v =
-        dense[k] + static_cast<int64_t>(detail::LoadElem(ctx, &col[i]));
-    detail::StoreCompact(ctx, out_cur, &out[k], v);
+        dense[k] + static_cast<int64_t>(detail::LoadElem(ctx, col + i));
+    detail::StoreCompact(ctx, out_cur, out + k, v);
   }
   if (ctx.simd) {
     detail::ChargeSimdLoop(ctx, m, /*simd_per_group=*/4);
@@ -430,16 +434,16 @@ void MapAddDenseGather(VecCtx ctx, int64_t* out, const int64_t* dense,
 /// free when the hint is unchanged (Core::SetMlpHint no-ops).
 template <typename KeyT>
 size_t HtProbeSel(VecCtx ctx, uint32_t branch_site,
-                  const engine::JoinHashTable& ht, const KeyT* keys,
-                  size_t k0, const uint32_t* sel_in, size_t m_in,
-                  uint32_t* sel_out, int64_t* payload_out) {
+                  const engine::JoinHashTable& ht, SimPtr<KeyT> keys,
+                  size_t k0, SimPtr<const uint32_t> sel_in, size_t m_in,
+                  SimPtr<uint32_t> sel_out, SimPtr<int64_t> payload_out) {
   detail::ChargeCallOverhead(ctx);
   ctx.core->SetMlpHint(ctx.simd ? core::kMlpSimdGather
                                 : core::kMlpVectorProbe);
   const auto& heads = ht.heads();
   const auto& entries = ht.entries();
   // Sequential inputs batch; gathered key reads stay per element.
-  if (sel_in != nullptr) {
+  if (sel_in.host != nullptr) {
     detail::TouchVecLoad(ctx, sel_in, m_in);
   } else {
     detail::TouchVecLoad(ctx, keys + k0, m_in);
@@ -447,21 +451,21 @@ size_t HtProbeSel(VecCtx ctx, uint32_t branch_site,
   core::SeqCursor sel_cur, pay_cur;
   size_t m = 0;
   for (size_t k = 0; k < m_in; ++k) {
-    const uint32_t i = sel_in != nullptr ? sel_in[k]
-                                         : static_cast<uint32_t>(k0 + k);
+    const uint32_t i = sel_in.host != nullptr
+                           ? sel_in[k]
+                           : static_cast<uint32_t>(k0 + k);
     const int64_t key =
-        sel_in != nullptr
-            ? static_cast<int64_t>(detail::LoadElem(ctx, &keys[i]))
+        sel_in.host != nullptr
+            ? static_cast<int64_t>(detail::LoadElem(ctx, keys + i))
             : static_cast<int64_t>(keys[i]);
     const uint64_t b = ht.BucketOf(key);
-    const int32_t* head = &heads[b];
     if (ctx.simd) {
-      ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(head), 4,  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
+      ctx.core->memory().AccessData(heads.At(b), 4,  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
                                     false);
     } else {
-      ctx.core->Load(head, 4);
+      ctx.core->Load(heads.At(b), 4);
     }
-    int32_t e = *head;
+    int32_t e = heads[b];
     bool matched = false;
     int64_t payload = 0;
     uint32_t step = 0;
@@ -471,11 +475,12 @@ size_t HtProbeSel(VecCtx ctx, uint32_t branch_site,
       ++step;
       if (!has) break;
       const auto& entry = entries[static_cast<size_t>(e)];
+      const uint64_t entry_addr = entries.At(static_cast<size_t>(e));
       if (ctx.simd) {
-        ctx.core->memory().AccessData(reinterpret_cast<uint64_t>(&entry), 16,  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
+        ctx.core->memory().AccessData(entry_addr, 16,  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
                                       false);
       } else {
-        ctx.core->Load(&entry, 16);
+        ctx.core->Load(entry_addr, 16);
       }
       // Build keys are unique (FK joins): stop at the first match. The
       // match branch is well-predicted except on collisions.
@@ -489,9 +494,9 @@ size_t HtProbeSel(VecCtx ctx, uint32_t branch_site,
       e = entry.next;
     }
     if (matched) {
-      detail::StoreCompact(ctx, sel_cur, &sel_out[m], i);
-      if (payload_out != nullptr) {
-        detail::StoreCompact(ctx, pay_cur, &payload_out[m], payload);
+      detail::StoreCompact(ctx, sel_cur, sel_out + m, i);
+      if (payload_out.host != nullptr) {
+        detail::StoreCompact(ctx, pay_cur, payload_out + m, payload);
       }
       ++m;
     }

@@ -15,6 +15,8 @@ using engine::PartitionRange;
 using engine::RowRange;
 using engine::Workers;
 using storage::ColumnView;
+using storage::Resident;
+using storage::SimVector;
 using tpch::Money;
 
 namespace {
@@ -45,19 +47,10 @@ void SharedBuild(Workers& w, bool simd, JoinHashTable* ht,
 
 /// Probe phase of the large join (lineitem |x| orders), vectorized: probe
 /// primitive producing a match selection vector, then the four-column
-/// selected projection. Per-worker scratch is allocated serially before
-/// the ForEach so simulated addresses stay schedule-independent.
+/// selected projection.
 Money LargeJoinProbe(const tpch::Database& db, Workers& w, bool simd,
                      const JoinHashTable& ht) {
   const auto& l = db.lineitem;
-  struct Scratch {
-    std::vector<uint32_t> match_sel;
-    std::vector<int64_t> payloads, v1, v2, v3;
-    Scratch()
-        : match_sel(kVecSize), payloads(kVecSize), v1(kVecSize),
-          v2(kVecSize), v3(kVecSize) {}
-  };
-  std::vector<Scratch> scratch(w.count());
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -65,11 +58,14 @@ Money LargeJoinProbe(const tpch::Database& db, Workers& w, bool simd,
     core.SetCodeRegion({"tw/join-probe-large", 4096});
     VecCtx ctx{&core, simd};
 
-    std::vector<uint32_t>& match_sel = scratch[t].match_sel;
-    std::vector<int64_t>& payloads = scratch[t].payloads;
-    std::vector<int64_t>& v1 = scratch[t].v1;
-    std::vector<int64_t>& v2 = scratch[t].v2;
-    std::vector<int64_t>& v3 = scratch[t].v3;
+    SimVector<uint32_t> match_sel(core, kVecSize);
+    SimVector<int64_t> payloads(core, kVecSize), v1(core, kVecSize),
+        v2(core, kVecSize), v3(core, kVecSize);
+    const auto ok = Resident(l.orderkey, core);
+    const auto ep = Resident(l.extendedprice, core);
+    const auto disc = Resident(l.discount, core);
+    const auto tax = Resident(l.tax, core);
+    const auto qty = Resident(l.quantity, core);
 
     Money acc = 0;
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
@@ -77,20 +73,19 @@ Money LargeJoinProbe(const tpch::Database& db, Workers& w, bool simd,
       size_t matches;
       {
         core::ScopedRegion probe_region(core, "probe");
-        matches = HtProbeSel(
-            ctx, engine::branch_site::kJoinChain, ht,
-            l.orderkey.data() + base, 0, nullptr, m, match_sel.data(),
-            payloads.data());
+        matches = HtProbeSel(ctx, engine::branch_site::kJoinChain, ht,
+                             ok + base, 0, {}, m, match_sel.ptr(),
+                             payloads.ptr());
       }
       if (matches == 0) continue;
       core::ScopedRegion mat_region(core, "materialize");
-      MapAddSel(ctx, v1.data(), l.extendedprice.data() + base,
-                l.discount.data() + base, match_sel.data(), matches);
-      MapAddDenseGather(ctx, v2.data(), v1.data(), l.tax.data() + base,
-                        match_sel.data(), matches);
-      MapAddDenseGather(ctx, v3.data(), v2.data(), l.quantity.data() + base,
-                        match_sel.data(), matches);
-      acc += SumColumn(ctx, v3.data(), matches);
+      MapAddSel(ctx, v1.ptr(), ep + base, disc + base, match_sel.ptr(),
+                matches);
+      MapAddDenseGather(ctx, v2.ptr(), v1.ptr(), tax + base, match_sel.ptr(),
+                        matches);
+      MapAddDenseGather(ctx, v3.ptr(), v2.ptr(), qty + base, match_sel.ptr(),
+                        matches);
+      acc += SumColumn(ctx, v3.ptr(), matches);
     }
     partial[t] = acc;
   });
@@ -104,16 +99,10 @@ Money LargeJoinProbe(const tpch::Database& db, Workers& w, bool simd,
 Money TectorwiseEngine::Join(Workers& w, JoinSize size) const {
   switch (size) {
     case JoinSize::kSmall: {
-      JoinHashTable ht(db_.nation.size());
+      JoinHashTable ht(*w.cores[0], db_.nation.size());
       SharedBuild(w, simd_, &ht, db_.nation.nationkey, db_.nation.regionkey,
                   "tw/join-build-small");
       const auto& s = db_.supplier;
-      std::vector<std::vector<uint32_t>> sel_scr(w.count());
-      std::vector<std::vector<int64_t>> v1_scr(w.count());
-      for (size_t t = 0; t < w.count(); ++t) {
-        sel_scr[t].resize(kVecSize);
-        v1_scr[t].resize(kVecSize);
-      }
       std::vector<Money> partial(w.count(), 0);
       w.ForEach([&](size_t t) {
         core::Core& core = *w.cores[t];
@@ -121,19 +110,21 @@ Money TectorwiseEngine::Join(Workers& w, JoinSize size) const {
         const RowRange r = PartitionRange(s.size(), t, w.count());
         core.SetCodeRegion({"tw/join-probe-small", 3072});
         VecCtx ctx{&core, simd_};
-        std::vector<uint32_t>& match_sel = sel_scr[t];
-        std::vector<int64_t>& v1 = v1_scr[t];
+        SimVector<uint32_t> match_sel(core, kVecSize);
+        SimVector<int64_t> v1(core, kVecSize);
+        const auto keys = Resident(s.nationkey, core);
+        const auto a = Resident(s.acctbal, core);
+        const auto b = Resident(s.suppkey, core);
         Money acc = 0;
         for (size_t base = r.begin; base < r.end; base += kVecSize) {
           const size_t m = std::min(kVecSize, r.end - base);
-          const size_t matches = HtProbeSel(
-              ctx, engine::branch_site::kJoinChain, ht,
-              s.nationkey.data() + base, 0, nullptr, m, match_sel.data(),
-              nullptr);
+          const size_t matches =
+              HtProbeSel(ctx, engine::branch_site::kJoinChain, ht,
+                         keys + base, 0, {}, m, match_sel.ptr(), {});
           if (matches == 0) continue;
-          MapAddSel(ctx, v1.data(), s.acctbal.data() + base,
-                    s.suppkey.data() + base, match_sel.data(), matches);
-          acc += SumColumn(ctx, v1.data(), matches);
+          MapAddSel(ctx, v1.ptr(), a + base, b + base, match_sel.ptr(),
+                    matches);
+          acc += SumColumn(ctx, v1.ptr(), matches);
         }
         partial[t] = acc;
       });
@@ -142,16 +133,10 @@ Money TectorwiseEngine::Join(Workers& w, JoinSize size) const {
       return total;
     }
     case JoinSize::kMedium: {
-      JoinHashTable ht(db_.supplier.size());
+      JoinHashTable ht(*w.cores[0], db_.supplier.size());
       SharedBuild(w, simd_, &ht, db_.supplier.suppkey,
                   db_.supplier.nationkey, "tw/join-build-medium");
       const auto& ps = db_.partsupp;
-      std::vector<std::vector<uint32_t>> sel_scr(w.count());
-      std::vector<std::vector<int64_t>> v1_scr(w.count());
-      for (size_t t = 0; t < w.count(); ++t) {
-        sel_scr[t].resize(kVecSize);
-        v1_scr[t].resize(kVecSize);
-      }
       std::vector<Money> partial(w.count(), 0);
       w.ForEach([&](size_t t) {
         core::Core& core = *w.cores[t];
@@ -159,19 +144,21 @@ Money TectorwiseEngine::Join(Workers& w, JoinSize size) const {
         const RowRange r = PartitionRange(ps.size(), t, w.count());
         core.SetCodeRegion({"tw/join-probe-medium", 3072});
         VecCtx ctx{&core, simd_};
-        std::vector<uint32_t>& match_sel = sel_scr[t];
-        std::vector<int64_t>& v1 = v1_scr[t];
+        SimVector<uint32_t> match_sel(core, kVecSize);
+        SimVector<int64_t> v1(core, kVecSize);
+        const auto keys = Resident(ps.suppkey, core);
+        const auto a = Resident(ps.availqty, core);
+        const auto b = Resident(ps.supplycost, core);
         Money acc = 0;
         for (size_t base = r.begin; base < r.end; base += kVecSize) {
           const size_t m = std::min(kVecSize, r.end - base);
-          const size_t matches = HtProbeSel(
-              ctx, engine::branch_site::kJoinChain, ht,
-              ps.suppkey.data() + base, 0, nullptr, m, match_sel.data(),
-              nullptr);
+          const size_t matches =
+              HtProbeSel(ctx, engine::branch_site::kJoinChain, ht,
+                         keys + base, 0, {}, m, match_sel.ptr(), {});
           if (matches == 0) continue;
-          MapAddSel(ctx, v1.data(), ps.availqty.data() + base,
-                    ps.supplycost.data() + base, match_sel.data(), matches);
-          acc += SumColumn(ctx, v1.data(), matches);
+          MapAddSel(ctx, v1.ptr(), a + base, b + base, match_sel.ptr(),
+                    matches);
+          acc += SumColumn(ctx, v1.ptr(), matches);
         }
         partial[t] = acc;
       });
@@ -180,7 +167,7 @@ Money TectorwiseEngine::Join(Workers& w, JoinSize size) const {
       return total;
     }
     case JoinSize::kLarge: {
-      JoinHashTable ht(db_.orders.size());
+      JoinHashTable ht(*w.cores[0], db_.orders.size());
       SharedBuild(w, simd_, &ht, db_.orders.orderkey, db_.orders.custkey,
                   "tw/join-build-large");
       return LargeJoinProbe(db_, w, simd_, ht);
@@ -193,7 +180,7 @@ Money TectorwiseEngine::Join(Workers& w, JoinSize size) const {
 Money TectorwiseEngine::LargeJoinProbeOnly(Workers& w) const {
   // Build natively (uncharged) so the profile isolates the probe phase,
   // as the paper's Section 8.2 does.
-  JoinHashTable ht(db_.orders.size());
+  JoinHashTable ht(*w.cores[0], db_.orders.size());
   core::Core scratch(w.cores[0]->config());
   for (size_t i = 0; i < db_.orders.size(); ++i) {
     ht.Insert(scratch, db_.orders.orderkey[i], db_.orders.custkey[i]);

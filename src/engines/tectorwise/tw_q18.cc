@@ -19,6 +19,8 @@ using engine::Q18Row;
 using engine::RowRange;
 using engine::Workers;
 using storage::ColumnView;
+using storage::Resident;
+using storage::SimVector;
 using tpch::Money;
 
 Q18Result TectorwiseEngine::Q18(Workers& w) const {
@@ -27,21 +29,9 @@ Q18Result TectorwiseEngine::Q18(Workers& w) const {
 
   // --- phase 1+2: qty-by-orderkey aggregation per worker, then HAVING.
   // lineitem is clustered on orderkey, so worker-local tables hold
-  // disjoint key sets. Tables and scratch are allocated serially up front
-  // with a worst-case entry reservation (every row its own group), so no
-  // realloc happens inside the parallel bodies.
-  struct AggScratch {
-    AggHashTable<1> agg;
-    std::vector<int64_t> keys, qtys;
-    AggScratch(size_t groups, size_t reserve)
-        : agg(groups, reserve), keys(kVecSize), qtys(kVecSize) {}
-  };
-  std::vector<std::unique_ptr<AggScratch>> scratch;
-  for (size_t t = 0; t < w.count(); ++t) {
-    const RowRange r = PartitionRange(l.size(), t, w.count());
-    scratch.push_back(
-        std::make_unique<AggScratch>(r.size() / 4 + 16, r.size() + 1));
-  }
+  // disjoint key sets. The entry pool reserves the worst case (every row
+  // its own group).
+  std::vector<std::unique_ptr<AggHashTable<1>>> aggs(w.count());
   // (orderkey, sumqty) per worker, concatenated in worker order below.
   std::vector<std::vector<std::pair<int64_t, int64_t>>> qual_parts(w.count());
   w.ForEach([&](size_t t) {
@@ -51,32 +41,35 @@ Q18Result TectorwiseEngine::Q18(Workers& w) const {
     VecCtx ctx{&core, simd_};
     core.SetMlpHint(simd_ ? core::kMlpSimdGather : core::kMlpVectorProbe);
 
-    AggHashTable<1>& agg = scratch[t]->agg;
+    aggs[t] = std::make_unique<AggHashTable<1>>(core, r.size() / 4 + 16,
+                                                r.size() + 1);
+    AggHashTable<1>& agg = *aggs[t];
     {
       core::ScopedRegion agg_region(core, "agg");
-      std::vector<int64_t>& keys = scratch[t]->keys;
-      std::vector<int64_t>& qtys = scratch[t]->qtys;
+      SimVector<int64_t> keys(core, kVecSize), qtys(core, kVecSize);
+      const auto ok = Resident(l.orderkey, core);
+      const auto qty = Resident(l.quantity, core);
       for (size_t base = r.begin; base < r.end; base += kVecSize) {
         const size_t m = std::min(kVecSize, r.end - base);
         // Vectorized key/qty load primitives, then the grouped update
         // loop. Inputs and outputs are all dense sequential runs — fully
         // batched.
         detail::ChargeCallOverhead(ctx);
-        detail::TouchVecLoad(ctx, l.orderkey.data() + base, m);
-        detail::TouchVecLoad(ctx, l.quantity.data() + base, m);
+        detail::TouchVecLoad(ctx, ok + base, m);
+        detail::TouchVecLoad(ctx, qty + base, m);
         for (size_t k = 0; k < m; ++k) {
-          keys[k] = l.orderkey[base + k];
-          qtys[k] = l.quantity[base + k];
+          keys[k] = ok[base + k];
+          qtys[k] = qty[base + k];
         }
-        detail::TouchVecStore(ctx, keys.data(), m);
-        detail::TouchVecStore(ctx, qtys.data(), m);
+        detail::TouchVecStore(ctx, keys.ptr(), m);
+        detail::TouchVecStore(ctx, qtys.ptr(), m);
         if (ctx.simd) {
           detail::ChargeSimdLoop(ctx, m, 4);
         } else {
           detail::ChargeScalarLoop(ctx, m, 1);
         }
-        detail::TouchVecLoad(ctx, keys.data(), m);
-        detail::TouchVecLoad(ctx, qtys.data(), m);
+        detail::TouchVecLoad(ctx, keys.ptr(), m);
+        detail::TouchVecLoad(ctx, qtys.ptr(), m);
         for (size_t k = 0; k < m; ++k) {
           auto* entry = agg.FindOrCreate(
               core, engine::branch_site::kQ18AggChain, keys[k]);
@@ -91,7 +84,7 @@ Q18Result TectorwiseEngine::Q18(Workers& w) const {
     core.SetCodeRegion({"tw/q18-having", 1024});
     const auto& entries = agg.entries();
     if (!entries.empty()) {
-      core.LoadSeq(entries.data(), sizeof(entries[0]), entries.size());
+      core.LoadSeq(entries.At(0), sizeof(entries[0]), entries.size());
     }
     for (const auto& e : entries) {
       const bool pass = e.aggs[0] > engine::kQ18QuantityThreshold;
@@ -111,7 +104,7 @@ Q18Result TectorwiseEngine::Q18(Workers& w) const {
   }
 
   // --- phase 3: probe orders against the qualifying set, vectorized.
-  JoinHashTable qual(qualifying.size() + 8);
+  JoinHashTable qual(*w.cores[0], qualifying.size() + 8);
   {
     core::Core& core = *w.cores[0];
     core::ScopedRegion build_region(core, "build");
@@ -121,12 +114,6 @@ Q18Result TectorwiseEngine::Q18(Workers& w) const {
     }
   }
 
-  struct ProbeScratch {
-    std::vector<uint32_t> match_sel;
-    std::vector<int64_t> sumqtys;
-    ProbeScratch() : match_sel(kVecSize), sumqtys(kVecSize) {}
-  };
-  std::vector<ProbeScratch> probe_scratch(w.count());
   std::vector<std::vector<Q18Row>> row_parts(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -135,22 +122,25 @@ Q18Result TectorwiseEngine::Q18(Workers& w) const {
     core.SetCodeRegion({"tw/q18-probe", 3072});
     VecCtx ctx{&core, simd_};
 
-    std::vector<uint32_t>& match_sel = probe_scratch[t].match_sel;
-    std::vector<int64_t>& sumqtys = probe_scratch[t].sumqtys;
+    SimVector<uint32_t> match_sel(core, kVecSize);
+    SimVector<int64_t> sumqtys(core, kVecSize);
+    const auto ok = Resident(ord.orderkey, core);
+    const auto ck = Resident(ord.custkey, core);
+    const auto od = Resident(ord.orderdate, core);
+    const auto tp = Resident(ord.totalprice, core);
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
       const size_t m = std::min(kVecSize, r.end - base);
-      const size_t matches = HtProbeSel(
-          ctx, engine::branch_site::kQ18Chain, qual,
-          ord.orderkey.data() + base, 0, nullptr, m, match_sel.data(),
-          sumqtys.data());
-      detail::TouchVecLoad(ctx, match_sel.data(), matches);
+      const size_t matches =
+          HtProbeSel(ctx, engine::branch_site::kQ18Chain, qual, ok + base, 0,
+                     {}, m, match_sel.ptr(), sumqtys.ptr());
+      detail::TouchVecLoad(ctx, match_sel.ptr(), matches);
       for (size_t k = 0; k < matches; ++k) {
         const uint32_t i = match_sel[k];
         Q18Row row;
-        row.orderkey = ord.orderkey[base + i];
-        row.custkey = detail::LoadElem(ctx, &ord.custkey[base + i]);
-        row.orderdate = detail::LoadElem(ctx, &ord.orderdate[base + i]);
-        row.totalprice = detail::LoadElem(ctx, &ord.totalprice[base + i]);
+        row.orderkey = ok[base + i];
+        row.custkey = detail::LoadElem(ctx, ck + (base + i));
+        row.orderdate = detail::LoadElem(ctx, od + (base + i));
+        row.totalprice = detail::LoadElem(ctx, tp + (base + i));
         row.sum_qty = sumqtys[k];
         row.cust_name = std::string(
             db_.customer.name.Get(static_cast<size_t>(row.custkey - 1)));

@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "engines/tectorwise/primitives.h"
 #include "engines/tectorwise/tw_engine.h"
+#include "storage/column_view.h"
 
 namespace uolap::tectorwise {
 
@@ -17,6 +18,8 @@ using engine::Q1Result;
 using engine::Q1Row;
 using engine::RowRange;
 using engine::Workers;
+using storage::Resident;
+using storage::SimVector;
 using tpch::Money;
 
 Q1Result TectorwiseEngine::Q1(Workers& w) const {
@@ -24,20 +27,7 @@ Q1Result TectorwiseEngine::Q1(Workers& w) const {
   const size_t n = l.size();
   const tpch::Date cut = engine::Q1ShipdateCut();
 
-  // Per-worker scratch and aggregation tables, allocated serially up
-  // front (simulated addresses must not depend on thread scheduling).
-  struct Scratch {
-    std::vector<uint32_t> sel;
-    std::vector<int64_t> keys, disc_price, charge;
-    AggHashTable<5> agg;
-    Scratch()
-        : sel(kVecSize), keys(kVecSize), disc_price(kVecSize),
-          charge(kVecSize), agg(8) {}
-  };
-  std::vector<std::unique_ptr<Scratch>> scratch;
-  for (size_t t = 0; t < w.count(); ++t) {
-    scratch.push_back(std::make_unique<Scratch>());
-  }
+  std::vector<std::unique_ptr<AggHashTable<5>>> aggs(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion agg_region(core, "agg");
@@ -45,32 +35,38 @@ Q1Result TectorwiseEngine::Q1(Workers& w) const {
     core.SetCodeRegion({"tw/q1", 6144});
     VecCtx ctx{&core, simd_};
 
-    std::vector<uint32_t>& sel = scratch[t]->sel;
-    std::vector<int64_t>& keys = scratch[t]->keys;
-    std::vector<int64_t>& disc_price = scratch[t]->disc_price;
-    std::vector<int64_t>& charge = scratch[t]->charge;
-    AggHashTable<5>& agg = scratch[t]->agg;
+    SimVector<uint32_t> sel(core, kVecSize);
+    SimVector<int64_t> keys(core, kVecSize), disc_price(core, kVecSize),
+        charge(core, kVecSize);
+    aggs[t] = std::make_unique<AggHashTable<5>>(core, 8);
+    AggHashTable<5>& agg = *aggs[t];
+    const auto ship = Resident(l.shipdate, core);
+    const auto flag = Resident(l.returnflag, core);
+    const auto status = Resident(l.linestatus, core);
+    const auto qty = Resident(l.quantity, core);
+    const auto ep = Resident(l.extendedprice, core);
+    const auto disc = Resident(l.discount, core);
+    const auto tax = Resident(l.tax, core);
 
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
       const size_t m = std::min(kVecSize, r.end - base);
       // Filter primitive: shipdate <= cut (~99% selectivity, easy branch).
-      const size_t ms = SelPredFull(
-          ctx, engine::branch_site::kSelectionP1, l.shipdate.data() + base,
-          m, sel.data(), [cut](tpch::Date d) { return d <= cut; });
+      const size_t ms =
+          SelPredFull(ctx, engine::branch_site::kSelectionP1, ship + base, m,
+                      sel.ptr(), [cut](tpch::Date d) { return d <= cut; });
 
       // Key and arithmetic primitives over the selection vector. The
       // selection vector and the dense outputs are sequential (batched);
       // the column reads under the selection are gathers (per element).
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, sel.data(), ms);
+      detail::TouchVecLoad(ctx, sel.ptr(), ms);
       for (size_t k = 0; k < ms; ++k) {
         const uint32_t i = sel[k];
-        const int64_t flag = detail::LoadElem(ctx, &l.returnflag[base + i]);
-        const int64_t status =
-            detail::LoadElem(ctx, &l.linestatus[base + i]);
-        keys[k] = (flag << 8) | status;
+        const int64_t f = detail::LoadElem(ctx, flag + (base + i));
+        const int64_t s = detail::LoadElem(ctx, status + (base + i));
+        keys[k] = (f << 8) | s;
       }
-      detail::TouchVecStore(ctx, keys.data(), ms);
+      detail::TouchVecStore(ctx, keys.ptr(), ms);
       if (ctx.simd) {
         detail::ChargeSimdLoop(ctx, ms, 5);
       } else {
@@ -78,18 +74,18 @@ Q1Result TectorwiseEngine::Q1(Workers& w) const {
       }
 
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, sel.data(), ms);
+      detail::TouchVecLoad(ctx, sel.ptr(), ms);
       for (size_t k = 0; k < ms; ++k) {
         const uint32_t i = sel[k];
-        const Money ep = detail::LoadElem(ctx, &l.extendedprice[base + i]);
-        const int64_t d = detail::LoadElem(ctx, &l.discount[base + i]);
-        const int64_t tax = detail::LoadElem(ctx, &l.tax[base + i]);
-        const Money dp = tpch::DiscountedPrice(ep, d);
+        const Money price = detail::LoadElem(ctx, ep + (base + i));
+        const int64_t d = detail::LoadElem(ctx, disc + (base + i));
+        const int64_t tx = detail::LoadElem(ctx, tax + (base + i));
+        const Money dp = tpch::DiscountedPrice(price, d);
         disc_price[k] = dp;
-        charge[k] = dp * (100 + tax) / 100;
+        charge[k] = dp * (100 + tx) / 100;
       }
-      detail::TouchVecStore(ctx, disc_price.data(), ms);
-      detail::TouchVecStore(ctx, charge.data(), ms);
+      detail::TouchVecStore(ctx, disc_price.ptr(), ms);
+      detail::TouchVecStore(ctx, charge.ptr(), ms);
       if (ctx.simd) {
         detail::ChargeSimdLoop(ctx, ms, 8);
       } else {
@@ -100,15 +96,14 @@ Q1Result TectorwiseEngine::Q1(Workers& w) const {
       }
 
       // Aggregation: hash the key vector, then update the group slots.
-      detail::TouchVecLoad(ctx, disc_price.data(), ms);
-      detail::TouchVecLoad(ctx, charge.data(), ms);
+      detail::TouchVecLoad(ctx, disc_price.ptr(), ms);
+      detail::TouchVecLoad(ctx, charge.ptr(), ms);
       for (size_t k = 0; k < ms; ++k) {
         const uint32_t i = sel[k];
         auto* entry = agg.FindOrCreate(
             core, engine::branch_site::kAggChain, keys[k]);
-        agg.Add(core, entry, 0, detail::LoadElem(ctx, &l.quantity[base + i]));
-        agg.Add(core, entry, 1,
-                detail::LoadElem(ctx, &l.extendedprice[base + i]));
+        agg.Add(core, entry, 0, detail::LoadElem(ctx, qty + (base + i)));
+        agg.Add(core, entry, 1, detail::LoadElem(ctx, ep + (base + i)));
         agg.Add(core, entry, 2, disc_price[k]);
         agg.Add(core, entry, 3, charge[k]);
         agg.Add(core, entry, 4, 1);
@@ -119,7 +114,7 @@ Q1Result TectorwiseEngine::Q1(Workers& w) const {
 
   std::map<int64_t, Q1Row> merged;
   for (size_t t = 0; t < w.count(); ++t) {
-    for (const auto& e : scratch[t]->agg.entries()) {
+    for (const auto& e : aggs[t]->entries()) {
       Q1Row& row = merged[e.key];
       row.returnflag = static_cast<int8_t>(e.key >> 8);
       row.linestatus = static_cast<int8_t>(e.key & 0xFF);
@@ -146,18 +141,7 @@ int64_t TectorwiseEngine::GroupBy(Workers& w, int64_t num_groups) const {
   const auto& l = db_.lineitem;
   const size_t n = l.size();
 
-  struct Scratch {
-    AggHashTable<1> agg;
-    std::vector<int64_t> keys, vals;
-    explicit Scratch(size_t groups)
-        : agg(groups), keys(kVecSize), vals(kVecSize) {}
-  };
-  std::vector<std::unique_ptr<Scratch>> scratch;
-  for (size_t t = 0; t < w.count(); ++t) {
-    const engine::RowRange r = PartitionRange(n, t, w.count());
-    scratch.push_back(std::make_unique<Scratch>(static_cast<size_t>(
-        std::min<int64_t>(num_groups, static_cast<int64_t>(r.size())) + 1)));
-  }
+  std::vector<std::unique_ptr<AggHashTable<1>>> aggs(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion groupby_region(core, "groupby");
@@ -166,22 +150,26 @@ int64_t TectorwiseEngine::GroupBy(Workers& w, int64_t num_groups) const {
     VecCtx ctx{&core, simd_};
     core.SetMlpHint(simd_ ? core::kMlpSimdGather : core::kMlpVectorProbe);
 
-    AggHashTable<1>& agg = scratch[t]->agg;
-    std::vector<int64_t>& keys = scratch[t]->keys;
-    std::vector<int64_t>& vals = scratch[t]->vals;
+    aggs[t] = std::make_unique<AggHashTable<1>>(
+        core, static_cast<size_t>(std::min<int64_t>(
+                  num_groups, static_cast<int64_t>(r.size())) + 1));
+    AggHashTable<1>& agg = *aggs[t];
+    SimVector<int64_t> keys(core, kVecSize), vals(core, kVecSize);
+    const auto ok = Resident(l.orderkey, core);
+    const auto ep = Resident(l.extendedprice, core);
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
       const size_t m = std::min(kVecSize, r.end - base);
       // Hash primitive: key vector from l_orderkey. Inputs and outputs
       // are all dense sequential runs — fully batched.
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, l.orderkey.data() + base, m);
-      detail::TouchVecLoad(ctx, l.extendedprice.data() + base, m);
+      detail::TouchVecLoad(ctx, ok + base, m);
+      detail::TouchVecLoad(ctx, ep + base, m);
       for (size_t k = 0; k < m; ++k) {
-        keys[k] = engine::groupby::GroupKey(l.orderkey[base + k], num_groups);
-        vals[k] = l.extendedprice[base + k];
+        keys[k] = engine::groupby::GroupKey(ok[base + k], num_groups);
+        vals[k] = ep[base + k];
       }
-      detail::TouchVecStore(ctx, keys.data(), m);
-      detail::TouchVecStore(ctx, vals.data(), m);
+      detail::TouchVecStore(ctx, keys.ptr(), m);
+      detail::TouchVecStore(ctx, vals.ptr(), m);
       if (ctx.simd) {
         detail::ChargeSimdLoop(ctx, m, 7);
       } else {
@@ -191,8 +179,8 @@ int64_t TectorwiseEngine::GroupBy(Workers& w, int64_t num_groups) const {
         core.RetireN(per, m);
       }
       // Grouped update loop.
-      detail::TouchVecLoad(ctx, keys.data(), m);
-      detail::TouchVecLoad(ctx, vals.data(), m);
+      detail::TouchVecLoad(ctx, keys.ptr(), m);
+      detail::TouchVecLoad(ctx, vals.ptr(), m);
       for (size_t k = 0; k < m; ++k) {
         auto* entry = agg.FindOrCreate(
             core, engine::branch_site::kGroupByChain, keys[k]);
@@ -205,7 +193,7 @@ int64_t TectorwiseEngine::GroupBy(Workers& w, int64_t num_groups) const {
 
   std::map<int64_t, int64_t> merged;
   for (size_t t = 0; t < w.count(); ++t) {
-    for (const auto& e : scratch[t]->agg.entries()) merged[e.key] += e.aggs[0];
+    for (const auto& e : aggs[t]->entries()) merged[e.key] += e.aggs[0];
   }
 
   int64_t checksum = 0;
@@ -219,11 +207,6 @@ Money TectorwiseEngine::Q6(Workers& w, const engine::Q6Params& p) const {
   const auto& l = db_.lineitem;
   const size_t n = l.size();
 
-  struct Scratch {
-    std::vector<uint32_t> sel1, sel2, sel3;
-    Scratch() : sel1(kVecSize), sel2(kVecSize), sel3(kVecSize) {}
-  };
-  std::vector<Scratch> scratch(w.count());
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -232,9 +215,12 @@ Money TectorwiseEngine::Q6(Workers& w, const engine::Q6Params& p) const {
     core.SetCodeRegion({p.predicated ? "tw/q6-predicated" : "tw/q6", 5120});
     VecCtx ctx{&core, simd_};
 
-    std::vector<uint32_t>& sel1 = scratch[t].sel1;
-    std::vector<uint32_t>& sel2 = scratch[t].sel2;
-    std::vector<uint32_t>& sel3 = scratch[t].sel3;
+    SimVector<uint32_t> sel1(core, kVecSize), sel2(core, kVecSize),
+        sel3(core, kVecSize);
+    const auto ship = Resident(l.shipdate, core);
+    const auto disc = Resident(l.discount, core);
+    const auto qty = Resident(l.quantity, core);
+    const auto ep = Resident(l.extendedprice, core);
 
     Money acc = 0;
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
@@ -250,31 +236,29 @@ Money TectorwiseEngine::Q6(Workers& w, const engine::Q6Params& p) const {
       if (!p.predicated) {
         // Three branched primitives; the predictor sees the individual
         // selectivities (~14% / ~27% / ~46%) — the paper's Q6 story.
-        m1 = SelPredFull(ctx, engine::branch_site::kQ6P1,
-                         l.shipdate.data() + base, m, sel1.data(), date_pred,
-                         /*alu_per_elem=*/2);
-        m2 = SelPred(ctx, engine::branch_site::kQ6P2,
-                     l.discount.data() + base, sel1.data(), m1, sel2.data(),
-                     disc_pred, /*alu_per_elem=*/2);
-        m3 = SelPred(ctx, engine::branch_site::kQ6P3,
-                     l.quantity.data() + base, sel2.data(), m2, sel3.data(),
-                     qty_pred);
+        m1 = SelPredFull(ctx, engine::branch_site::kQ6P1, ship + base, m,
+                         sel1.ptr(), date_pred, /*alu_per_elem=*/2);
+        m2 = SelPred(ctx, engine::branch_site::kQ6P2, disc + base,
+                     sel1.ptr(), m1, sel2.ptr(), disc_pred,
+                     /*alu_per_elem=*/2);
+        m3 = SelPred(ctx, engine::branch_site::kQ6P3, qty + base, sel2.ptr(),
+                     m2, sel3.ptr(), qty_pred);
       } else {
-        m1 = SelPredPredicatedFull(ctx, l.shipdate.data() + base, m,
-                                   sel1.data(), date_pred);
-        m2 = SelPredPredicated(ctx, l.discount.data() + base, sel1.data(),
-                               m1, sel2.data(), disc_pred);
-        m3 = SelPredPredicated(ctx, l.quantity.data() + base, sel2.data(),
-                               m2, sel3.data(), qty_pred);
+        m1 = SelPredPredicatedFull(ctx, ship + base, m, sel1.ptr(),
+                                   date_pred);
+        m2 = SelPredPredicated(ctx, disc + base, sel1.ptr(), m1, sel2.ptr(),
+                               disc_pred);
+        m3 = SelPredPredicated(ctx, qty + base, sel2.ptr(), m2, sel3.ptr(),
+                               qty_pred);
       }
       if (m3 == 0) continue;
       // sum(extendedprice * discount) over the final selection vector.
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, sel3.data(), m3);
+      detail::TouchVecLoad(ctx, sel3.ptr(), m3);
       for (size_t k = 0; k < m3; ++k) {
         const uint32_t i = sel3[k];
-        acc += detail::LoadElem(ctx, &l.extendedprice[base + i]) *
-               detail::LoadElem(ctx, &l.discount[base + i]);
+        acc += detail::LoadElem(ctx, ep + (base + i)) *
+               detail::LoadElem(ctx, disc + (base + i));
       }
       if (ctx.simd) {
         detail::ChargeSimdLoop(ctx, m3, 4, /*chain=*/1);

@@ -21,6 +21,8 @@ using engine::Q9Row;
 using engine::RowRange;
 using engine::Workers;
 using storage::ColumnView;
+using storage::Resident;
+using storage::SimVector;
 using tpch::Money;
 
 Q9Result TectorwiseEngine::Q9(Workers& w) const {
@@ -32,10 +34,10 @@ Q9Result TectorwiseEngine::Q9(Workers& w) const {
   const int64_t num_supp = static_cast<int64_t>(sup.size());
 
   // --- builds (same shared-build discipline as the join benchmark) ---
-  JoinHashTable green_parts(part.size() / 16 + 16);
-  JoinHashTable supp_nation(sup.size());
-  JoinHashTable ps_cost(ps.size());
-  JoinHashTable order_date(ord.size());
+  JoinHashTable green_parts(*w.cores[0], part.size() / 16 + 16);
+  JoinHashTable supp_nation(*w.cores[0], sup.size());
+  JoinHashTable ps_cost(*w.cores[0], ps.size());
+  JoinHashTable order_date(*w.cores[0], ord.size());
   for (size_t t = 0; t < w.count(); ++t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion build_region(core, "build");
@@ -44,10 +46,12 @@ Q9Result TectorwiseEngine::Q9(Workers& w) const {
     {
       const RowRange r = PartitionRange(part.size(), t, w.count());
       ColumnView<int64_t> pk(part.partkey, &core);
+      const uint64_t names = core.placement().Resident(
+          part.name.blob().data(), part.name.blob().size());
       for (size_t i = r.begin; i < r.end; ++i) {
         const char* data = part.name.DataPtr(i);
         const uint32_t len = part.name.Length(i);
-        core.Load(data, len);
+        core.Load(names + part.name.Offset(i), len);
         core::InstrMix scan;
         scan.alu = len;
         core.Retire(scan);
@@ -96,23 +100,9 @@ Q9Result TectorwiseEngine::Q9(Workers& w) const {
   }
 
   // --- vectorized probe pipeline ---
-  // Per-worker scratch and aggregation tables, allocated serially up front
-  // (simulated addresses must not depend on thread scheduling). The
-  // (nation, year) group count stays far below the 256 reserved entries,
-  // so the tables never reallocate inside the parallel bodies.
-  struct Scratch {
-    std::vector<uint32_t> sel_green, sel_dummy;
-    std::vector<int64_t> comp_keys, costs, odates, nations, amounts;
-    AggHashTable<1> agg;
-    Scratch()
-        : sel_green(kVecSize), sel_dummy(kVecSize), comp_keys(kVecSize),
-          costs(kVecSize), odates(kVecSize), nations(kVecSize),
-          amounts(kVecSize), agg(256) {}
-  };
-  std::vector<std::unique_ptr<Scratch>> scratch;
-  for (size_t t = 0; t < w.count(); ++t) {
-    scratch.push_back(std::make_unique<Scratch>());
-  }
+  // Per-worker aggregation tables; the (nation, year) group count stays
+  // far below the 256 reserved entries.
+  std::vector<std::unique_ptr<AggHashTable<1>>> aggs(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion probe_region(core, "probe");
@@ -120,36 +110,40 @@ Q9Result TectorwiseEngine::Q9(Workers& w) const {
     core.SetCodeRegion({"tw/q9-probe", 8192});
     VecCtx ctx{&core, simd_};
 
-    std::vector<uint32_t>& sel_green = scratch[t]->sel_green;
-    std::vector<uint32_t>& sel_dummy = scratch[t]->sel_dummy;
-    std::vector<int64_t>& comp_keys = scratch[t]->comp_keys;
-    std::vector<int64_t>& costs = scratch[t]->costs;
-    std::vector<int64_t>& odates = scratch[t]->odates;
-    std::vector<int64_t>& nations = scratch[t]->nations;
-    std::vector<int64_t>& amounts = scratch[t]->amounts;
-    AggHashTable<1>& agg = scratch[t]->agg;
+    SimVector<uint32_t> sel_green(core, kVecSize), sel_dummy(core, kVecSize);
+    SimVector<int64_t> comp_keys(core, kVecSize), costs(core, kVecSize),
+        odates(core, kVecSize), nations(core, kVecSize),
+        amounts(core, kVecSize);
+    aggs[t] = std::make_unique<AggHashTable<1>>(core, 256);
+    AggHashTable<1>& agg = *aggs[t];
+    const auto pk = Resident(l.partkey, core);
+    const auto sk = Resident(l.suppkey, core);
+    const auto ok = Resident(l.orderkey, core);
+    const auto ep = Resident(l.extendedprice, core);
+    const auto disc = Resident(l.discount, core);
+    const auto qty = Resident(l.quantity, core);
 
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
       const size_t m = std::min(kVecSize, r.end - base);
       // Stage 1: semi-join against the green-part set.
-      const size_t mg = HtProbeSel(ctx, engine::branch_site::kQ9Chain1,
-                                   green_parts, l.partkey.data() + base, 0,
-                                   nullptr, m, sel_green.data(), nullptr);
+      const size_t mg =
+          HtProbeSel(ctx, engine::branch_site::kQ9Chain1, green_parts,
+                     pk + base, 0, {}, m, sel_green.ptr(), {});
       if (mg == 0) continue;
 
       // Stage 2: composite (partkey, suppkey) keys. The selection vector
       // and dense output are sequential (batched); the column reads under
       // the selection are gathers (per element).
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, sel_green.data(), mg);
+      detail::TouchVecLoad(ctx, sel_green.ptr(), mg);
       for (size_t k = 0; k < mg; ++k) {
         const uint32_t i = sel_green[k];
         const int64_t key =
-            detail::LoadElem(ctx, &l.partkey[base + i]) * (num_supp + 1) +
-            detail::LoadElem(ctx, &l.suppkey[base + i]);
+            detail::LoadElem(ctx, pk + (base + i)) * (num_supp + 1) +
+            detail::LoadElem(ctx, sk + (base + i));
         comp_keys[k] = key;
       }
-      detail::TouchVecStore(ctx, comp_keys.data(), mg);
+      detail::TouchVecStore(ctx, comp_keys.ptr(), mg);
       if (ctx.simd) {
         detail::ChargeSimdLoop(ctx, mg, 5);
       } else {
@@ -162,40 +156,37 @@ Q9Result TectorwiseEngine::Q9(Workers& w) const {
       // Stage 3: gather supplycost / orderdate / nationkey via probes.
       const size_t mc =
           HtProbeSel(ctx, engine::branch_site::kQ9Chain2, ps_cost,
-                     comp_keys.data(), 0, nullptr, mg, sel_dummy.data(),
-                     costs.data());
+                     comp_keys.ptr(), 0, {}, mg, sel_dummy.ptr(),
+                     costs.ptr());
       UOLAP_CHECK_MSG(mc == mg, "partsupp FK probe must always match");
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, sel_green.data(), mg);
+      detail::TouchVecLoad(ctx, sel_green.ptr(), mg);
       for (size_t k = 0; k < mg; ++k) {
         const uint32_t i = sel_green[k];
         int64_t od = 0, nk = 0;
         order_date.ProbeFirst(core, engine::branch_site::kQ9Chain3,
-                              detail::LoadElem(ctx, &l.orderkey[base + i]),
-                              &od);
+                              detail::LoadElem(ctx, ok + (base + i)), &od);
         supp_nation.ProbeFirst(core, engine::branch_site::kQ9Chain4,
-                               detail::LoadElem(ctx, &l.suppkey[base + i]),
-                               &nk);
+                               detail::LoadElem(ctx, sk + (base + i)), &nk);
         odates[k] = od;
         nations[k] = nk;
       }
-      detail::TouchVecStore(ctx, odates.data(), mg);
-      detail::TouchVecStore(ctx, nations.data(), mg);
+      detail::TouchVecStore(ctx, odates.ptr(), mg);
+      detail::TouchVecStore(ctx, nations.ptr(), mg);
 
       // Stage 4: profit arithmetic.
       detail::ChargeCallOverhead(ctx);
-      detail::TouchVecLoad(ctx, sel_green.data(), mg);
-      detail::TouchVecLoad(ctx, costs.data(), mg);
+      detail::TouchVecLoad(ctx, sel_green.ptr(), mg);
+      detail::TouchVecLoad(ctx, costs.ptr(), mg);
       for (size_t k = 0; k < mg; ++k) {
         const uint32_t i = sel_green[k];
         const Money amount =
-            tpch::DiscountedPrice(
-                detail::LoadElem(ctx, &l.extendedprice[base + i]),
-                detail::LoadElem(ctx, &l.discount[base + i])) -
-            costs[k] * detail::LoadElem(ctx, &l.quantity[base + i]);
+            tpch::DiscountedPrice(detail::LoadElem(ctx, ep + (base + i)),
+                                  detail::LoadElem(ctx, disc + (base + i))) -
+            costs[k] * detail::LoadElem(ctx, qty + (base + i));
         amounts[k] = amount;
       }
-      detail::TouchVecStore(ctx, amounts.data(), mg);
+      detail::TouchVecStore(ctx, amounts.ptr(), mg);
       if (ctx.simd) {
         detail::ChargeSimdLoop(ctx, mg, 7);
       } else {
@@ -219,7 +210,7 @@ Q9Result TectorwiseEngine::Q9(Workers& w) const {
 
   std::map<std::pair<int64_t, int>, Money> merged;
   for (size_t t = 0; t < w.count(); ++t) {
-    for (const auto& e : scratch[t]->agg.entries()) {
+    for (const auto& e : aggs[t]->entries()) {
       merged[{e.key / 4096, static_cast<int>(e.key % 4096)}] += e.aggs[0];
     }
   }

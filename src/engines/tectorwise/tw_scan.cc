@@ -6,12 +6,15 @@
 #include "common/macros.h"
 #include "engines/tectorwise/primitives.h"
 #include "engines/tectorwise/tw_engine.h"
+#include "storage/column_view.h"
 
 namespace uolap::tectorwise {
 
 using engine::PartitionRange;
 using engine::RowRange;
 using engine::Workers;
+using storage::Resident;
+using storage::SimVector;
 using tpch::Money;
 
 Money TectorwiseEngine::Projection(Workers& w, int degree) const {
@@ -19,15 +22,6 @@ Money TectorwiseEngine::Projection(Workers& w, int degree) const {
   const auto& l = db_.lineitem;
   const size_t n = l.size();
 
-  // Reused intermediate vectors: the materialization that throttles
-  // Tectorwise's memory pressure (Section 3). Allocated serially per
-  // worker up front — simulated scratch addresses must not depend on
-  // thread scheduling.
-  struct Scratch {
-    std::vector<int64_t> v1, v2, v3;
-    Scratch() : v1(kVecSize), v2(kVecSize), v3(kVecSize) {}
-  };
-  std::vector<Scratch> scratch(w.count());
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -36,34 +30,36 @@ Money TectorwiseEngine::Projection(Workers& w, int degree) const {
     core.SetCodeRegion({"tw/projection", 4096});
     VecCtx ctx{&core, simd_};
 
-    std::vector<int64_t>& v1 = scratch[t].v1;
-    std::vector<int64_t>& v2 = scratch[t].v2;
-    std::vector<int64_t>& v3 = scratch[t].v3;
+    // Reused intermediate vectors: the materialization that throttles
+    // Tectorwise's memory pressure (Section 3).
+    SimVector<int64_t> v1(core, kVecSize), v2(core, kVecSize),
+        v3(core, kVecSize);
+    const auto ep = Resident(l.extendedprice, core);
+    const auto disc = Resident(l.discount, core);
+    const auto tax = Resident(l.tax, core);
+    const auto qty = Resident(l.quantity, core);
 
     Money acc = 0;
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
       const size_t m = std::min(kVecSize, r.end - base);
       switch (degree) {
         case 1:
-          acc += SumColumn(ctx, l.extendedprice.data() + base, m);
+          acc += SumColumn(ctx, ep + base, m);
           break;
         case 2:
-          MapAdd(ctx, v1.data(), l.extendedprice.data() + base,
-                 l.discount.data() + base, m);
-          acc += SumColumn(ctx, v1.data(), m);
+          MapAdd(ctx, v1.ptr(), ep + base, disc + base, m);
+          acc += SumColumn(ctx, v1.ptr(), m);
           break;
         case 3:
-          MapAdd(ctx, v1.data(), l.extendedprice.data() + base,
-                 l.discount.data() + base, m);
-          MapAdd(ctx, v2.data(), v1.data(), l.tax.data() + base, m);
-          acc += SumColumn(ctx, v2.data(), m);
+          MapAdd(ctx, v1.ptr(), ep + base, disc + base, m);
+          MapAdd(ctx, v2.ptr(), v1.ptr(), tax + base, m);
+          acc += SumColumn(ctx, v2.ptr(), m);
           break;
         case 4:
-          MapAdd(ctx, v1.data(), l.extendedprice.data() + base,
-                 l.discount.data() + base, m);
-          MapAdd(ctx, v2.data(), v1.data(), l.tax.data() + base, m);
-          MapAdd(ctx, v3.data(), v2.data(), l.quantity.data() + base, m);
-          acc += SumColumn(ctx, v3.data(), m);
+          MapAdd(ctx, v1.ptr(), ep + base, disc + base, m);
+          MapAdd(ctx, v2.ptr(), v1.ptr(), tax + base, m);
+          MapAdd(ctx, v3.ptr(), v2.ptr(), qty + base, m);
+          acc += SumColumn(ctx, v3.ptr(), m);
           break;
         default:
           UOLAP_CHECK(false);
@@ -81,14 +77,6 @@ Money TectorwiseEngine::Selection(Workers& w,
   const auto& l = db_.lineitem;
   const size_t n = l.size();
 
-  struct Scratch {
-    std::vector<uint32_t> sel1, sel2, sel3;
-    std::vector<int64_t> v1, v2, v3;
-    Scratch()
-        : sel1(kVecSize), sel2(kVecSize), sel3(kVecSize), v1(kVecSize),
-          v2(kVecSize), v3(kVecSize) {}
-  };
-  std::vector<Scratch> scratch(w.count());
   std::vector<Money> partial(w.count(), 0);
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
@@ -99,12 +87,17 @@ Money TectorwiseEngine::Selection(Workers& w,
                         5120});
     VecCtx ctx{&core, simd_};
 
-    std::vector<uint32_t>& sel1 = scratch[t].sel1;
-    std::vector<uint32_t>& sel2 = scratch[t].sel2;
-    std::vector<uint32_t>& sel3 = scratch[t].sel3;
-    std::vector<int64_t>& v1 = scratch[t].v1;
-    std::vector<int64_t>& v2 = scratch[t].v2;
-    std::vector<int64_t>& v3 = scratch[t].v3;
+    SimVector<uint32_t> sel1(core, kVecSize), sel2(core, kVecSize),
+        sel3(core, kVecSize);
+    SimVector<int64_t> v1(core, kVecSize), v2(core, kVecSize),
+        v3(core, kVecSize);
+    const auto ship = Resident(l.shipdate, core);
+    const auto commit = Resident(l.commitdate, core);
+    const auto receipt = Resident(l.receiptdate, core);
+    const auto ep = Resident(l.extendedprice, core);
+    const auto disc = Resident(l.discount, core);
+    const auto tax = Resident(l.tax, core);
+    const auto qty = Resident(l.quantity, core);
 
     Money acc = 0;
     for (size_t base = r.begin; base < r.end; base += kVecSize) {
@@ -113,32 +106,26 @@ Money TectorwiseEngine::Selection(Workers& w,
       if (!p.predicated) {
         // Each predicate is its own branched primitive: the predictor
         // faces the individual selectivity three times.
-        m1 = SelLess(ctx, engine::branch_site::kSelectionP1,
-                     l.shipdate.data() + base, p.ship_cut, sel1.data(), m);
+        m1 = SelLess(ctx, engine::branch_site::kSelectionP1, ship + base,
+                     p.ship_cut, sel1.ptr(), m);
         m2 = SelLessOnSel(ctx, engine::branch_site::kSelectionP2,
-                          l.commitdate.data() + base, p.commit_cut,
-                          sel1.data(), m1, sel2.data());
+                          commit + base, p.commit_cut, sel1.ptr(), m1,
+                          sel2.ptr());
         m3 = SelLessOnSel(ctx, engine::branch_site::kSelectionP3,
-                          l.receiptdate.data() + base, p.receipt_cut,
-                          sel2.data(), m2, sel3.data());
+                          receipt + base, p.receipt_cut, sel2.ptr(), m2,
+                          sel3.ptr());
       } else {
-        m1 = SelLessPredicated(ctx, l.shipdate.data() + base, p.ship_cut,
-                               sel1.data(), m);
-        m2 = SelLessPredicatedOnSel(ctx, l.commitdate.data() + base,
-                                    p.commit_cut, sel1.data(), m1,
-                                    sel2.data());
-        m3 = SelLessPredicatedOnSel(ctx, l.receiptdate.data() + base,
-                                    p.receipt_cut, sel2.data(), m2,
-                                    sel3.data());
+        m1 = SelLessPredicated(ctx, ship + base, p.ship_cut, sel1.ptr(), m);
+        m2 = SelLessPredicatedOnSel(ctx, commit + base, p.commit_cut,
+                                    sel1.ptr(), m1, sel2.ptr());
+        m3 = SelLessPredicatedOnSel(ctx, receipt + base, p.receipt_cut,
+                                    sel2.ptr(), m2, sel3.ptr());
       }
       if (m3 == 0) continue;
-      MapAddSel(ctx, v1.data(), l.extendedprice.data() + base,
-                l.discount.data() + base, sel3.data(), m3);
-      MapAddDenseGather(ctx, v2.data(), v1.data(), l.tax.data() + base,
-                        sel3.data(), m3);
-      MapAddDenseGather(ctx, v3.data(), v2.data(), l.quantity.data() + base,
-                        sel3.data(), m3);
-      acc += SumColumn(ctx, v3.data(), m3);
+      MapAddSel(ctx, v1.ptr(), ep + base, disc + base, sel3.ptr(), m3);
+      MapAddDenseGather(ctx, v2.ptr(), v1.ptr(), tax + base, sel3.ptr(), m3);
+      MapAddDenseGather(ctx, v3.ptr(), v2.ptr(), qty + base, sel3.ptr(), m3);
+      acc += SumColumn(ctx, v3.ptr(), m3);
     }
     partial[t] = acc;
   });

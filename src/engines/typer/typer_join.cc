@@ -58,7 +58,7 @@ Money TyperEngine::Join(Workers& w, JoinSize size) const {
   switch (size) {
     case JoinSize::kSmall: {
       // supplier JOIN nation ON nationkey; SUM(s_acctbal + s_suppkey).
-      JoinHashTable ht(db_.nation.size());
+      JoinHashTable ht(*w.cores[0], db_.nation.size());
       SharedBuild(w, &ht, db_.nation.nationkey, db_.nation.regionkey,
                   "typer/join-build-small");
       const auto& s = db_.supplier;
@@ -94,7 +94,7 @@ Money TyperEngine::Join(Workers& w, JoinSize size) const {
     }
     case JoinSize::kMedium: {
       // partsupp JOIN supplier ON suppkey; SUM(ps_availqty+ps_supplycost).
-      JoinHashTable ht(db_.supplier.size());
+      JoinHashTable ht(*w.cores[0], db_.supplier.size());
       SharedBuild(w, &ht, db_.supplier.suppkey, db_.supplier.nationkey,
                   "typer/join-build-medium");
       const auto& ps = db_.partsupp;
@@ -131,7 +131,7 @@ Money TyperEngine::Join(Workers& w, JoinSize size) const {
     case JoinSize::kLarge: {
       // lineitem JOIN orders ON orderkey; SUM of the four projection
       // columns of the matching lineitems.
-      JoinHashTable ht(db_.orders.size());
+      JoinHashTable ht(*w.cores[0], db_.orders.size());
       SharedBuild(w, &ht, db_.orders.orderkey, db_.orders.custkey,
                   "typer/join-build-large");
       const auto& l = db_.lineitem;
@@ -191,7 +191,7 @@ Money TyperEngine::JoinLargeInterleaved(Workers& w) const {
   //    (SetMlpHint(kMlpSimdGather) during the probe phase);
   //  - each probe pays a little extra bookkeeping (stage state, prefetch
   //    instructions) and loses its serial chase chain.
-  JoinHashTable ht(db_.orders.size());
+  JoinHashTable ht(*w.cores[0], db_.orders.size());
   SharedBuild(w, &ht, db_.orders.orderkey, db_.orders.custkey,
               "typer/join-build-large");
   const auto& l = db_.lineitem;

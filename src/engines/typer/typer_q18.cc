@@ -33,15 +33,14 @@ Q18Result TyperEngine::Q18(Workers& w) const {
 
   // --- phase 1+2: per-worker qty-by-orderkey aggregation, then filter.
   // lineitem is clustered on orderkey, so worker-local tables hold
-  // disjoint key sets and the merge is pure concatenation. Tables are
-  // allocated serially up front with a worst-case entry reservation
-  // (every row its own group), so no realloc happens inside the parallel
-  // bodies; the bucket count stays sized by the expected group count.
+  // disjoint key sets and the merge is pure concatenation. The entry pool
+  // reserves the worst case (every row its own group); the bucket count
+  // stays sized by the expected group count.
   std::vector<std::unique_ptr<AggHashTable<1>>> aggs;
   for (size_t t = 0; t < w.count(); ++t) {
     const RowRange r = PartitionRange(l.size(), t, w.count());
-    aggs.push_back(
-        std::make_unique<AggHashTable<1>>(r.size() / 4 + 16, r.size() + 1));
+    aggs.push_back(std::make_unique<AggHashTable<1>>(
+        *w.cores[t], r.size() / 4 + 16, r.size() + 1));
   }
   // (orderkey, sumqty) per worker, concatenated in worker order below.
   std::vector<std::vector<std::pair<int64_t, int64_t>>> qual_parts(w.count());
@@ -80,7 +79,7 @@ Q18Result TyperEngine::Q18(Workers& w) const {
     core.SetCodeRegion({"typer/q18-having", 512});
     const auto& entries = aggs[t]->entries();
     if (!entries.empty()) {
-      core.LoadSeq(entries.data(), sizeof(entries[0]), entries.size());
+      core.LoadSeq(entries.At(0), sizeof(entries[0]), entries.size());
     }
     for (const auto& e : entries) {
       const bool pass = e.aggs[0] > engine::kQ18QuantityThreshold;
@@ -100,7 +99,7 @@ Q18Result TyperEngine::Q18(Workers& w) const {
 
   // --- phase 3: join qualifying orderkeys with orders (and customer for
   // the name). The qualifying set is tiny; build it on worker 0.
-  JoinHashTable qual(qualifying.size() + 8);
+  JoinHashTable qual(*w.cores[0], qualifying.size() + 8);
   {
     core::Core& core = *w.cores[0];
     core::ScopedRegion build_region(core, "build");

@@ -33,12 +33,10 @@ Q1Result TyperEngine::Q1(Workers& w) const {
   const tpch::Date cut = engine::Q1ShipdateCut();
 
   // Worker-local aggregation tables (4 groups each), merged natively: the
-  // merge of a handful of groups is noise next to the scan. The tables are
-  // allocated serially up front — their simulated addresses must not
-  // depend on thread scheduling.
+  // merge of a handful of groups is noise next to the scan.
   std::vector<std::unique_ptr<AggHashTable<5>>> aggs;
   for (size_t t = 0; t < w.count(); ++t) {
-    aggs.push_back(std::make_unique<AggHashTable<5>>(8));
+    aggs.push_back(std::make_unique<AggHashTable<5>>(*w.cores[t], 8));
   }
 
   w.ForEach([&](size_t t) {
@@ -127,13 +125,15 @@ int64_t TyperEngine::GroupBy(Workers& w, int64_t num_groups) const {
 
   // Worker-local aggregation; group keys overlap across workers (hashed),
   // so the final merge is a native map combine (uncharged, negligible
-  // next to the scan). Tables allocated serially up front; a worker's key
-  // space is bounded by num_groups, so the reserve below never reallocs.
+  // next to the scan). A worker's key space is bounded by num_groups.
   std::vector<std::unique_ptr<AggHashTable<1>>> aggs;
   for (size_t t = 0; t < w.count(); ++t) {
     const RowRange r = PartitionRange(n, t, w.count());
-    aggs.push_back(std::make_unique<AggHashTable<1>>(static_cast<size_t>(
-        std::min<int64_t>(num_groups, static_cast<int64_t>(r.size())) + 1)));
+    aggs.push_back(std::make_unique<AggHashTable<1>>(
+        *w.cores[t],
+        static_cast<size_t>(std::min<int64_t>(
+                                num_groups, static_cast<int64_t>(r.size())) +
+                            1)));
   }
 
   w.ForEach([&](size_t t) {

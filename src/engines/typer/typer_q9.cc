@@ -32,12 +32,12 @@ namespace {
 
 /// Simulated substring search for "green" over a part name: loads the
 /// bytes and charges roughly one compare per character (the compiled
-/// memmem loop).
+/// memmem loop). `names_addr` is the simulated address of names.blob().
 bool NameContainsGreen(core::Core& core, const tpch::StringColumn& names,
-                       size_t i) {
+                       uint64_t names_addr, size_t i) {
   const char* data = names.DataPtr(i);
   const uint32_t len = names.Length(i);
-  core.Load(data, len);
+  core.Load(names_addr + names.Offset(i), len);
   InstrMix m;
   m.alu = len;
   core.Retire(m);
@@ -60,7 +60,7 @@ Q9Result TyperEngine::Q9(Workers& w) const {
   const int64_t num_supp = static_cast<int64_t>(sup.size());
 
   // --- build: part filter (p_name like '%green%') -> partkey set ---
-  JoinHashTable green_parts(part.size() / 16 + 16);
+  JoinHashTable green_parts(*w.cores[0], part.size() / 16 + 16);
   for (size_t t = 0; t < w.count(); ++t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion filter_region(core, "filter");
@@ -68,8 +68,10 @@ Q9Result TyperEngine::Q9(Workers& w) const {
     core.SetCodeRegion({"typer/q9-part-filter", 1024});
     core.SetMlpHint(core::kMlpDefault);
     ColumnView<int64_t> pk(part.partkey, &core);
+    const uint64_t names = core.placement().Resident(
+        part.name.blob().data(), part.name.blob().size());
     for (size_t i = r.begin; i < r.end; ++i) {
-      const bool green = NameContainsGreen(core, part.name, i);
+      const bool green = NameContainsGreen(core, part.name, names, i);
       core.Branch(engine::branch_site::kQ9PartFilter, green);
       if (green) green_parts.Insert(core, pk.Get(i), 1);
     }
@@ -80,11 +82,11 @@ Q9Result TyperEngine::Q9(Workers& w) const {
   }
 
   // --- build: supplier -> nationkey ---
-  JoinHashTable supp_nation(sup.size());
+  JoinHashTable supp_nation(*w.cores[0], sup.size());
   // --- build: partsupp (partkey, suppkey) -> supplycost ---
-  JoinHashTable ps_cost(ps.size());
+  JoinHashTable ps_cost(*w.cores[0], ps.size());
   // --- build: orders -> orderdate ---
-  JoinHashTable order_date(ord.size());
+  JoinHashTable order_date(*w.cores[0], ord.size());
   for (size_t t = 0; t < w.count(); ++t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion build_region(core, "build");
@@ -123,20 +125,16 @@ Q9Result TyperEngine::Q9(Workers& w) const {
   }
 
   // --- probe pipeline over lineitem, (nationkey, year) aggregation ---
-  // Per-worker aggregation tables, allocated serially up front (their
-  // simulated addresses must not depend on thread scheduling). The
-  // (nation, year) group count is far below the 256 reserved entries, so
-  // the tables never reallocate inside the parallel bodies.
-  std::vector<std::unique_ptr<AggHashTable<1>>> aggs;
-  for (size_t t = 0; t < w.count(); ++t) {
-    aggs.push_back(std::make_unique<AggHashTable<1>>(256));
-  }
+  // Per-worker aggregation tables; the (nation, year) group count is far
+  // below the 256 reserved entries.
+  std::vector<std::unique_ptr<AggHashTable<1>>> aggs(w.count());
   w.ForEach([&](size_t t) {
     core::Core& core = *w.cores[t];
     core::ScopedRegion probe_region(core, "probe");
     const RowRange r = PartitionRange(l.size(), t, w.count());
     core.SetCodeRegion({"typer/q9-probe", 2048});
     core.SetMlpHint(core::kMlpScalarProbe);
+    aggs[t] = std::make_unique<AggHashTable<1>>(core, 256);
 
     ColumnView<int64_t> pk(l.partkey, &core);
     ColumnView<int64_t> sk(l.suppkey, &core);

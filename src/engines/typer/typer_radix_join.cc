@@ -28,6 +28,7 @@ using engine::PartitionRange;
 using engine::RowRange;
 using engine::Workers;
 using storage::ColumnView;
+using storage::SimVector;
 using tpch::Money;
 
 namespace {
@@ -45,6 +46,16 @@ struct ProbeTuple {
 uint32_t PartitionOf(int64_t key, uint32_t radix_bits) {
   return static_cast<uint32_t>(JoinHashTable::HashKey(key) &
                                ((1u << radix_bits) - 1));
+}
+
+/// `parts` empty partitions on `core`, each with room for `reserve`.
+template <typename Tuple>
+std::vector<SimVector<Tuple>> MakePartitions(core::Core& core, uint32_t parts,
+                                             size_t reserve) {
+  std::vector<SimVector<Tuple>> out;
+  out.reserve(parts);
+  for (uint32_t p = 0; p < parts; ++p) out.emplace_back(core, 0, reserve);
+  return out;
 }
 
 }  // namespace
@@ -68,11 +79,11 @@ Money TyperEngine::JoinLargeRadix(Workers& w, uint32_t radix_bits) const {
     // sequential writes; the scatter overlaps through the store buffer) ---
     core.SetCodeRegion({"typer/radix-partition-build", 1536});
     core.SetMlpHint(core::kMlpPartitionWrite);
-    std::vector<std::vector<BuildTuple>> build_parts(parts);
+    std::vector<SimVector<BuildTuple>> build_parts =
+        MakePartitions<BuildTuple>(core, parts, ord.size() / parts + 8);
     {
       core::ScopedRegion part_region(core, "partition-build");
       ColumnView<int64_t> ok(ord.orderkey, &core);
-      for (auto& p : build_parts) p.reserve(ord.size() / parts + 8);
       // One write cursor per partition: each partition's output is its own
       // sequential store stream, batched line-by-line.
       std::vector<core::SeqCursor> wcur(parts);
@@ -85,7 +96,8 @@ Money TyperEngine::JoinLargeRadix(Workers& w, uint32_t radix_bits) const {
           const uint32_t part = PartitionOf(key, radix_bits);
           auto& out = build_parts[part];
           out.push_back({key});
-          core.StoreRange(wcur[part], &out.back(), sizeof(BuildTuple), 1);
+          core.StoreRange(wcur[part], out.At(out.size() - 1),
+                          sizeof(BuildTuple), 1);
         }
       }
       InstrMix per;  // hash + partition index + buffer bookkeeping
@@ -98,7 +110,8 @@ Money TyperEngine::JoinLargeRadix(Workers& w, uint32_t radix_bits) const {
     // --- pass 2: partition the probe slice, carrying the payload sum ---
     core.SetCodeRegion({"typer/radix-partition-probe", 1536});
     core.SetMlpHint(core::kMlpPartitionWrite);
-    std::vector<std::vector<ProbeTuple>> probe_parts(parts);
+    std::vector<SimVector<ProbeTuple>> probe_parts =
+        MakePartitions<ProbeTuple>(core, parts, pr.size() / parts + 8);
     {
       core::ScopedRegion part_region(core, "partition-probe");
       ColumnView<int64_t> ok(l.orderkey, &core);
@@ -106,7 +119,6 @@ Money TyperEngine::JoinLargeRadix(Workers& w, uint32_t radix_bits) const {
       ColumnView<int64_t> disc(l.discount, &core);
       ColumnView<int64_t> tax(l.tax, &core);
       ColumnView<int64_t> qty(l.quantity, &core);
-      for (auto& p : probe_parts) p.reserve(pr.size() / parts + 8);
       std::vector<core::SeqCursor> wcur(parts);
       constexpr size_t kBlock = 1024;
       for (size_t b = pr.begin; b < pr.end; b += kBlock) {
@@ -123,7 +135,8 @@ Money TyperEngine::JoinLargeRadix(Workers& w, uint32_t radix_bits) const {
           const uint32_t part = PartitionOf(key, radix_bits);
           auto& out = probe_parts[part];
           out.push_back({key, sum});
-          core.StoreRange(wcur[part], &out.back(), sizeof(ProbeTuple), 1);
+          core.StoreRange(wcur[part], out.At(out.size() - 1),
+                          sizeof(ProbeTuple), 1);
         }
       }
       InstrMix per;
@@ -143,20 +156,20 @@ Money TyperEngine::JoinLargeRadix(Workers& w, uint32_t radix_bits) const {
       const auto& bp = build_parts[p];
       const auto& pp = probe_parts[p];
       if (pp.empty()) continue;
-      JoinHashTable ht(bp.size() + 1, radix_bits);
+      JoinHashTable ht(core, bp.size() + 1, radix_bits);
       // The partition inputs are their own sequential read streams; a
       // cursor per stream batches them line-by-line while the hash-table
       // accesses interleave per element.
       core::SeqCursor bcur, pcur;
-      for (const BuildTuple& b : bp) {
-        core.LoadRange(bcur, &b, sizeof(BuildTuple), 1);
-        ht.Insert(core, b.key, 1);
+      for (size_t j = 0; j < bp.size(); ++j) {
+        core.LoadRange(bcur, bp.At(j), sizeof(BuildTuple), 1);
+        ht.Insert(core, bp[j].key, 1);
       }
-      for (const ProbeTuple& q : pp) {
-        core.LoadRange(pcur, &q, sizeof(ProbeTuple), 1);
-        if (ht.ProbeFirst(core, engine::branch_site::kJoinChain, q.key,
+      for (size_t j = 0; j < pp.size(); ++j) {
+        core.LoadRange(pcur, pp.At(j), sizeof(ProbeTuple), 1);
+        if (ht.ProbeFirst(core, engine::branch_site::kJoinChain, pp[j].key,
                           &payload)) {
-          acc += q.payload_sum;
+          acc += pp[j].payload_sum;
         }
       }
       InstrMix per;

@@ -34,30 +34,33 @@ void RowTableStorage::Append(const void* bytes) {
   ++num_tuples_;
 }
 
-const uint8_t* RowTableStorage::TupleForScan(size_t index,
-                                             core::Core* core) const {
-  UOLAP_DCHECK(index < num_tuples_);
-  const uint32_t per_page = SlotsPerPage();
-  const Page& page = pages_[index / per_page];
-  const uint32_t slot = static_cast<uint32_t>(index % per_page);
-  // Page header (slot count), then the slot entry, then the tuple bytes.
-  core->Load(page.bytes.get(), 2);
-  const uint32_t slot_pos = 2 + slot * 2;
-  core->Load(page.bytes.get() + slot_pos, 2);
+uint16_t RowTableStorage::TupleOffset(const Page& page, uint32_t slot) {
   uint16_t off;
-  std::memcpy(&off, page.bytes.get() + slot_pos, 2);
-  return page.bytes.get() + off;
+  std::memcpy(&off, page.bytes.get() + 2 + slot * 2, 2);
+  return off;
 }
 
 const uint8_t* RowTableStorage::TupleRaw(size_t index) const {
   UOLAP_DCHECK(index < num_tuples_);
   const uint32_t per_page = SlotsPerPage();
   const Page& page = pages_[index / per_page];
+  return page.bytes.get() +
+         TupleOffset(page, static_cast<uint32_t>(index % per_page));
+}
+
+RowRef RowTableView::TupleForScan(size_t index) const {
+  UOLAP_DCHECK(index < table_.num_tuples());
+  const uint32_t per_page = table_.SlotsPerPage();
+  const size_t page_index = index / per_page;
+  const RowTableStorage::Page& page = table_.pages_[page_index];
   const uint32_t slot = static_cast<uint32_t>(index % per_page);
-  const uint32_t slot_pos = 2 + slot * 2;
-  uint16_t off;
-  std::memcpy(&off, page.bytes.get() + slot_pos, 2);
-  return page.bytes.get() + off;
+  const uint64_t page_addr =
+      addr_ + page_index * RowTableStorage::kPageBytes;
+  // Page header (slot count), then the slot entry, then the tuple bytes.
+  core_->Load(page_addr, 2);
+  core_->Load(page_addr + 2 + slot * 2, 2);
+  const uint16_t off = RowTableStorage::TupleOffset(page, slot);
+  return {page.bytes.get() + off, page_addr + off};
 }
 
 }  // namespace uolap::storage

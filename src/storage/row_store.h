@@ -62,36 +62,8 @@ class RowTableStorage {
   size_t num_pages() const { return pages_.size(); }
   const RowSchema& schema() const { return schema_; }
 
-  /// Simulated tuple access: walks header -> slot -> returns the tuple
-  /// pointer (fields are then read individually by the scan operator).
-  const uint8_t* TupleForScan(size_t index, core::Core* core) const;
-
   /// Unsimulated access for verification.
   const uint8_t* TupleRaw(size_t index) const;
-
-  /// Field decode helpers (simulated).
-  int64_t ReadI64(const uint8_t* tuple, int field, core::Core* core) const {
-    const RowField& f = schema_.field(field);
-    UOLAP_DCHECK(f.size == 8);
-    core->Load(tuple + f.offset, 8);
-    int64_t v;
-    std::memcpy(&v, tuple + f.offset, 8);
-    return v;
-  }
-  int32_t ReadI32(const uint8_t* tuple, int field, core::Core* core) const {
-    const RowField& f = schema_.field(field);
-    UOLAP_DCHECK(f.size == 4);
-    core->Load(tuple + f.offset, 4);
-    int32_t v;
-    std::memcpy(&v, tuple + f.offset, 4);
-    return v;
-  }
-  int8_t ReadI8(const uint8_t* tuple, int field, core::Core* core) const {
-    const RowField& f = schema_.field(field);
-    UOLAP_DCHECK(f.size == 1);
-    core->Load(tuple + f.offset, 1);
-    return static_cast<int8_t>(tuple[f.offset]);
-  }
 
  private:
   struct Page {
@@ -101,11 +73,70 @@ class RowTableStorage {
     uint32_t free_back = kPageBytes;  // tuples grow downwards
   };
 
+  friend class RowTableView;
+
   uint32_t SlotsPerPage() const;
+  /// Offset of the tuple in `slot` within `page` (from the slot entry).
+  static uint16_t TupleOffset(const Page& page, uint32_t slot);
 
   RowSchema schema_;
   std::vector<Page> pages_;
   size_t num_tuples_ = 0;
+};
+
+/// A tuple located by a scan: its host bytes and its simulated address.
+struct RowRef {
+  const uint8_t* bytes;
+  uint64_t addr;
+};
+
+/// One core's simulated view of a RowTableStorage. The table is long-lived
+/// data: its pages sit back to back in the core's simulated address space
+/// (page p at `addr + p * kPageBytes`), placed on the first view a core
+/// builds and found again on later ones. Build one view per core per
+/// operator, outside the per-tuple loop.
+class RowTableView {
+ public:
+  RowTableView(const RowTableStorage& table, core::Core* core)
+      : table_(table),
+        core_(core),
+        addr_(core->placement().Resident(
+            &table, table.num_pages() * RowTableStorage::kPageBytes)) {}
+
+  /// Simulated tuple access: walks header -> slot -> returns the tuple
+  /// (fields are then read individually by the scan operator).
+  RowRef TupleForScan(size_t index) const;
+
+  /// Field decode helpers (simulated).
+  int64_t ReadI64(RowRef tuple, int field) const {
+    const RowField& f = Field(tuple, field, 8);
+    int64_t v;
+    std::memcpy(&v, tuple.bytes + f.offset, 8);
+    return v;
+  }
+  int32_t ReadI32(RowRef tuple, int field) const {
+    const RowField& f = Field(tuple, field, 4);
+    int32_t v;
+    std::memcpy(&v, tuple.bytes + f.offset, 4);
+    return v;
+  }
+  int8_t ReadI8(RowRef tuple, int field) const {
+    const RowField& f = Field(tuple, field, 1);
+    return static_cast<int8_t>(tuple.bytes[f.offset]);
+  }
+
+ private:
+  /// Charges the load of `field` (of `size` bytes) and returns it.
+  const RowField& Field(RowRef tuple, int field, uint32_t size) const {
+    const RowField& f = table_.schema().field(field);
+    UOLAP_DCHECK(f.size == size);
+    core_->Load(tuple.addr + f.offset, size);
+    return f;
+  }
+
+  const RowTableStorage& table_;
+  core::Core* core_;
+  uint64_t addr_;
 };
 
 }  // namespace uolap::storage

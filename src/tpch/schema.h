@@ -27,15 +27,13 @@ class StringColumn {
     return std::string_view(data_).substr(begin, offsets_[i] - begin);
   }
 
-  /// Address/length of the i-th value, for driving simulated accesses.
-  const char* DataPtr(size_t i) const {
-    const uint32_t begin = i == 0 ? 0 : offsets_[i - 1];
-    return data_.data() + begin;
-  }
-  uint32_t Length(size_t i) const {
-    const uint32_t begin = i == 0 ? 0 : offsets_[i - 1];
-    return offsets_[i] - begin;
-  }
+  /// Address/offset/length of the i-th value, for driving simulated
+  /// accesses: value i occupies [Offset(i), Offset(i) + Length(i)) of
+  /// blob().
+  const char* DataPtr(size_t i) const { return data_.data() + Offset(i); }
+  uint32_t Offset(size_t i) const { return i == 0 ? 0 : offsets_[i - 1]; }
+  uint32_t Length(size_t i) const { return offsets_[i] - Offset(i); }
+  std::string_view blob() const { return data_; }
 
  private:
   std::vector<uint32_t> offsets_;

@@ -3,30 +3,12 @@
 // bit-identical to calling the concrete virtual directly — the same
 // QueryResult AND the same full simulated counter set (instruction mix,
 // cache/TLB/DRAM events, branch statistics). Dispatch is bookkeeping
-// only; it may not perturb the simulation.
-//
-// The counter comparison needs care: the simulated caches key on raw
-// host addresses, so two executions are only comparable bit for bit
-// when they replay the same allocation sequence against the same
-// address-space layout. Running both sides in one process fails that —
-// each run's scratch (hash tables, batch buffers) lands at slightly
-// different heap addresses, which the cache/TLB/stream models can see.
-// Instead the test forks two children with ASLR disabled, one running
-// every (engine, query) combination through Run(spec) and the other
-// through the concrete virtuals, and compares their full counter dumps
-// line by line. Identical process history + identical addresses means
-// any difference is dispatch's doing.
+// only; it may not perturb the simulation. Both sides run in this
+// process on fresh machines: simulated addresses come from each core's
+// placement, not from the heap, so the two executions are comparable bit
+// for bit.
 
-#include <sys/personality.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,8 +19,6 @@
 #include "engine/registry.h"
 #include "engine/spec_builder.h"
 #include "harness/engines.h"
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 #include "tpch/dbgen.h"
 
 namespace uolap {
@@ -51,20 +31,9 @@ using engine::QueryResult;
 using engine::QuerySpec;
 using engine::Workers;
 
-// The two child modes; same length so the argv strings shift nothing.
-constexpr char kChildDispatch[] = "--dispatch-child=dsp";
-constexpr char kChildDirect[] = "--dispatch-child=dir";
-
 /// The concrete-virtual execution the dispatch switch must agree with.
 QueryResult RunDirect(const engine::OlapEngine& eng, const QuerySpec& spec,
                       Workers& w) {
-  // Run(spec) publishes a dispatch counter into the global metrics
-  // registry before executing; mirror that here so both children replay
-  // the same allocation sequence (the registry's first-touch node
-  // insertions move the heap, which the address-keyed cache models see).
-  obs::MetricsRegistry::Global().Count(
-      obs::metric_names::kEngineDispatchTotal, "query",
-      engine::QueryIdName(spec.id));
   QueryResult r;
   r.id = spec.id;
   switch (spec.id) {
@@ -115,9 +84,7 @@ struct Measured {
   core::ProfileResult profile;
 };
 
-/// One fully-scoped measured execution (machine constructed AND
-/// destroyed around the run, so consecutive executions see the same
-/// heap state at entry).
+/// One measured execution on a fresh machine.
 Measured Execute(const engine::OlapEngine& eng, const QuerySpec& spec,
                  bool via_dispatch) {
   Machine machine(MachineConfig::Broadwell(), 1);
@@ -128,113 +95,6 @@ Measured Execute(const engine::OlapEngine& eng, const QuerySpec& spec,
   machine.FinalizeAll();
   m.profile = machine.AnalyzeCore(0);
   return m;
-}
-
-/// Every counter field, bit-exactly (%a for doubles), on one line.
-void DumpCounters(const std::string& label, const core::ProfileResult& p) {
-  const core::CoreCounters& c = p.counters;
-  const core::MemCounters& m = c.mem;
-  std::printf(
-      "%s cycles=%a instr=%llu"
-      " alu=%llu mul=%llu div=%llu load=%llu store=%llu branch=%llu"
-      " simd=%llu complex=%llu other=%llu chain=%llu"
-      " brev=%llu brmisp=%llu exec=%a"
-      " acc=%llu l1d=%llu l2=%llu l3=%llu dram=%llu"
-      " l2s=%llu l2r=%llu l3s=%llu l3r=%llu"
-      " pf2=%llu pf1=%llu pfn=%llu sequnc=%llu drand=%llu"
-      " randcyc=%a chase=%a seqres=%a startup=%a"
-      " bseq=%llu brand=%llu bwaste=%llu bwb=%llu"
-      " dtlb=%llu stlb=%llu walks=%llu tlbcyc=%a"
-      " fetch=%llu l1i=%llu i2=%llu i3=%llu idram=%llu"
-      " sest=%llu skill=%llu\n",
-      label.c_str(), p.total_cycles, (unsigned long long)p.instructions,
-      (unsigned long long)c.mix.alu, (unsigned long long)c.mix.mul,
-      (unsigned long long)c.mix.div, (unsigned long long)c.mix.load,
-      (unsigned long long)c.mix.store, (unsigned long long)c.mix.branch,
-      (unsigned long long)c.mix.simd, (unsigned long long)c.mix.complex,
-      (unsigned long long)c.mix.other, (unsigned long long)c.mix.chain_cycles,
-      (unsigned long long)c.branch_events,
-      (unsigned long long)c.branch_mispredicts, c.exec_stall_cycles,
-      (unsigned long long)m.data_accesses, (unsigned long long)m.l1d_hits,
-      (unsigned long long)m.l2_hits, (unsigned long long)m.l3_hits,
-      (unsigned long long)m.dram_lines, (unsigned long long)m.l2_hits_seq,
-      (unsigned long long)m.l2_hits_rand, (unsigned long long)m.l3_hits_seq,
-      (unsigned long long)m.l3_hits_rand,
-      (unsigned long long)m.dram_seq_l2_streamer,
-      (unsigned long long)m.dram_seq_l1_streamer,
-      (unsigned long long)m.dram_seq_next_line,
-      (unsigned long long)m.dram_seq_uncovered,
-      (unsigned long long)m.dram_rand, m.rand_dcache_cycles,
-      m.exec_chase_cycles, m.seq_residual_cycles, m.stream_startup_cycles,
-      (unsigned long long)m.dram_demand_bytes_seq,
-      (unsigned long long)m.dram_demand_bytes_rand,
-      (unsigned long long)m.dram_prefetch_waste_bytes,
-      (unsigned long long)m.dram_writeback_bytes,
-      (unsigned long long)m.dtlb_hits, (unsigned long long)m.stlb_hits,
-      (unsigned long long)m.page_walks, m.tlb_cycles,
-      (unsigned long long)m.code_fetches, (unsigned long long)m.l1i_hits,
-      (unsigned long long)m.l1i_l2_hits, (unsigned long long)m.l1i_l3_hits,
-      (unsigned long long)m.l1i_dram, (unsigned long long)m.streams_established,
-      (unsigned long long)m.streams_killed);
-}
-
-/// Child body: run every combination one way, dump every counter.
-int ChildMain(bool via_dispatch) {
-  const bool aslr_off =
-      (personality(0xffffffffu) & ADDR_NO_RANDOMIZE) != 0;
-  std::printf("aslr_disabled=%d\n", aslr_off ? 1 : 0);
-  tpch::DbGen gen(42);
-  tpch::Database db = std::move(gen.Generate(0.01)).value();
-  engine::EngineRegistry registry(db);
-  harness::RegisterBuiltinEngines(registry);
-  for (const std::string& key : registry.names()) {
-    const engine::OlapEngine& eng = *registry.Get(key).value();
-    for (const QuerySpec& spec : AllSpecs(db)) {
-      if (!eng.Supports(spec.id)) continue;
-      const Measured m = Execute(eng, spec, via_dispatch);
-      DumpCounters(key + "/" + spec.Label(), m.profile);
-    }
-  }
-  return 0;
-}
-
-/// Fork + exec ourselves in child mode (ASLR off) and capture stdout.
-std::string CollectChild(const char* mode, int* exit_code) {
-  int fds[2];
-  if (pipe(fds) != 0) {
-    *exit_code = -1;
-    return "";
-  }
-  const pid_t pid = fork();
-  if (pid == 0) {
-    personality(ADDR_NO_RANDOMIZE);
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    execl("/proc/self/exe", "/proc/self/exe", mode,
-          static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  close(fds[1]);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = read(fds[0], buf, sizeof buf)) > 0) {
-    out.append(buf, static_cast<size_t>(n));
-  }
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return out;
-}
-
-std::vector<std::string> Lines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::istringstream in(s);
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
 }
 
 class DispatchTest : public ::testing::Test {
@@ -254,41 +114,24 @@ tpch::Database* DispatchTest::db_ = nullptr;
 engine::EngineRegistry* DispatchTest::registry_ = nullptr;
 
 TEST_F(DispatchTest, RunMatchesDirectVirtualsBitExactly) {
-  int dispatch_status = -1;
-  int direct_status = -1;
-  const std::string via_dispatch =
-      CollectChild(kChildDispatch, &dispatch_status);
-  const std::string via_direct = CollectChild(kChildDirect, &direct_status);
-  ASSERT_EQ(dispatch_status, 0);
-  ASSERT_EQ(direct_status, 0);
-
-  const std::vector<std::string> a = Lines(via_dispatch);
-  const std::vector<std::string> b = Lines(via_direct);
-  ASSERT_FALSE(a.empty());
-  if (a[0] != "aslr_disabled=1" || b.empty() || b[0] != "aslr_disabled=1") {
-    GTEST_SKIP() << "could not disable ASLR; counter dumps not comparable";
-  }
-  // A handful of combos must have been dumped (header + >= 5 engines).
-  ASSERT_GT(a.size(), 6u);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "combo #" << i;
-  }
-}
-
-TEST_F(DispatchTest, RunMatchesDirectResults) {
-  // Results (unlike raw counters) are independent of the address-space
-  // layout, so they are comparable within one process.
+  int combos = 0;
   for (const std::string& key : registry_->names()) {
     const engine::OlapEngine& eng = *registry_->Get(key).value();
     for (const QuerySpec& spec : AllSpecs(*db_)) {
       if (!eng.Supports(spec.id)) continue;
       SCOPED_TRACE(key + "/" + spec.Label());
+      ++combos;
       const Measured via_dispatch = Execute(eng, spec, /*via_dispatch=*/true);
       const Measured via_direct = Execute(eng, spec, /*via_dispatch=*/false);
       EXPECT_TRUE(via_dispatch.result == via_direct.result);
+      // Every counter field, doubles included, exactly.
+      EXPECT_TRUE(via_dispatch.profile.counters ==
+                  via_direct.profile.counters);
+      EXPECT_EQ(via_dispatch.profile.total_cycles,
+                via_direct.profile.total_cycles);
     }
   }
+  EXPECT_GT(combos, 5);
 }
 
 TEST_F(DispatchTest, SupportsGatesTheTpchOnlyQueries) {
@@ -410,13 +253,3 @@ TEST_F(DispatchTest, ParseQueryIdCoversTheCatalog) {
 
 }  // namespace
 }  // namespace uolap
-
-/// Custom main: child mode bypasses gtest entirely (the child is the
-/// measurement subject, not a test).
-int main(int argc, char** argv) {
-  if (argc > 1 && std::string_view(argv[1]).starts_with("--dispatch-child=")) {
-    return uolap::ChildMain(std::string_view(argv[1]).ends_with("dsp"));
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -21,7 +21,7 @@ void agg(AggHashTable<1>& table, core::Core& core, int64_t key,
 
 TEST(JoinHashTableTest, InsertAndProbeUnique) {
   core::Core core = MakeCore();
-  JoinHashTable ht(100);
+  JoinHashTable ht(core, 100);
   for (int64_t k = 1; k <= 100; ++k) ht.Insert(core, k, k * 10);
   for (int64_t k = 1; k <= 100; ++k) {
     int64_t payload = -1;
@@ -33,7 +33,7 @@ TEST(JoinHashTableTest, InsertAndProbeUnique) {
 
 TEST(JoinHashTableTest, MissingKeysDoNotMatch) {
   core::Core core = MakeCore();
-  JoinHashTable ht(10);
+  JoinHashTable ht(core, 10);
   for (int64_t k = 0; k < 10; ++k) ht.Insert(core, k, k);
   int called = 0;
   EXPECT_EQ(ht.Probe(core, 1, 999, [&](int64_t) { ++called; }), 0);
@@ -42,7 +42,7 @@ TEST(JoinHashTableTest, MissingKeysDoNotMatch) {
 
 TEST(JoinHashTableTest, DuplicateKeysAllMatch) {
   core::Core core = MakeCore();
-  JoinHashTable ht(10);
+  JoinHashTable ht(core, 10);
   ht.Insert(core, 7, 1);
   ht.Insert(core, 7, 2);
   ht.Insert(core, 7, 3);
@@ -53,7 +53,7 @@ TEST(JoinHashTableTest, DuplicateKeysAllMatch) {
 
 TEST(JoinHashTableTest, ZeroKeyWorks) {
   core::Core core = MakeCore();
-  JoinHashTable ht(4);
+  JoinHashTable ht(core, 4);
   ht.Insert(core, 0, 99);
   int64_t payload = -1;
   EXPECT_EQ(ht.Probe(core, 1, 0, [&](int64_t p) { payload = p; }), 1);
@@ -62,7 +62,7 @@ TEST(JoinHashTableTest, ZeroKeyWorks) {
 
 TEST(JoinHashTableTest, ChainStatsReasonableForUniqueKeys) {
   core::Core core = MakeCore();
-  JoinHashTable ht(10000);
+  JoinHashTable ht(core, 10000);
   for (int64_t k = 1; k <= 10000; ++k) ht.Insert(core, k, k);
   ChainStats s = ht.ComputeChainStats();
   EXPECT_EQ(s.entries, 10000u);
@@ -73,7 +73,7 @@ TEST(JoinHashTableTest, ChainStatsReasonableForUniqueKeys) {
 
 TEST(JoinHashTableTest, ProbeDrivesBranchesAndHashCost) {
   core::Core core = MakeCore();
-  JoinHashTable ht(16);
+  JoinHashTable ht(core, 16);
   for (int64_t k = 0; k < 16; ++k) ht.Insert(core, k, k);
   core::CoreCounters before = core.counters();
   for (int64_t k = 0; k < 16; ++k) {
@@ -88,7 +88,7 @@ TEST(JoinHashTableTest, ProbeFirstBlockMatchesPerKeyLoop) {
   // ProbeFirstBlock must be counter-identical to SetMlpHint + a plain
   // ProbeFirst loop — same matches, same simulated counters bit for bit.
   core::Core build = MakeCore();
-  JoinHashTable ht(64);
+  JoinHashTable ht(build, 64);
   for (int64_t k = 0; k < 64; ++k) ht.Insert(build, k, k * 7);
   std::vector<int64_t> keys;
   for (int64_t i = 0; i < 500; ++i) keys.push_back((i * 13) % 90);  // misses too
@@ -127,13 +127,13 @@ TEST(JoinHashTableTest, ProbeFirstBlockMatchesPerKeyLoop) {
 
 TEST(JoinHashTableTest, MemoryBytesGrowWithEntries) {
   core::Core core = MakeCore();
-  JoinHashTable small(100), large(100000);
+  JoinHashTable small(core, 100), large(core, 100000);
   EXPECT_LT(small.MemoryBytes(), large.MemoryBytes());
 }
 
 TEST(AggHashTableTest, GroupsAccumulate) {
   core::Core core = MakeCore();
-  AggHashTable<2> agg(16);
+  AggHashTable<2> agg(core, 16);
   for (int64_t i = 0; i < 100; ++i) {
     auto* e = agg.FindOrCreate(core, 2, i % 4);
     agg.Add(core, e, 0, 1);
@@ -151,7 +151,7 @@ TEST(AggHashTableTest, GroupsAccumulate) {
 
 TEST(AggHashTableTest, ManyGroups) {
   core::Core core = MakeCore();
-  AggHashTable<1> agg(1 << 14);
+  AggHashTable<1> agg(core, 1 << 14);
   const int64_t n = 20000;
   for (int64_t i = 0; i < n; ++i) {
     auto* e = agg.FindOrCreate(core, 2, i);
@@ -167,7 +167,7 @@ TEST(AggHashTableTest, ManyGroups) {
 TEST(AggHashTableTest, InsertionOrderDoesNotChangeAggregates) {
   core::Core core_a = MakeCore();
   core::Core core_b = MakeCore();
-  AggHashTable<1> a(64), b(64);
+  AggHashTable<1> a(core_a, 64), b(core_b, 64);
   for (int64_t i = 0; i < 1000; ++i) {
     agg(a, core_a, i % 10, i);
   }
@@ -183,7 +183,7 @@ TEST(AggHashTableTest, InsertionOrderDoesNotChangeAggregates) {
 
 TEST(AggHashTableTest, ChainStatsComputed) {
   core::Core core = MakeCore();
-  AggHashTable<1> table(1024);
+  AggHashTable<1> table(core, 1024);
   for (int64_t i = 0; i < 1024; ++i) {
     agg(table, core, i, 1);
   }

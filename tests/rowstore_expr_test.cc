@@ -32,8 +32,10 @@ class ExprTest : public ::testing::Test {
     table_->Append(buf.data());
   }
 
-  int64_t Eval(const Expr& e, size_t row = 0) {
-    return EvalExpr(core_, e, *table_, table_->TupleRaw(row));
+  int64_t Eval(Expr& e, size_t row = 0) {
+    PlaceExpr(core_, e);
+    const storage::RowTableView rows(*table_, &core_);
+    return EvalExpr(core_, e, rows, {table_->TupleRaw(row), 0});
   }
 
   core::Core core_;

@@ -1,17 +1,15 @@
 // Tests of crash-consistent serving (DESIGN.md §10). The headline test
-// forks three children off one parent image — an uninterrupted run, a
-// run killed by --crash-at mid-flight, and a resumed run — and asserts
-// the resumed child's profile JSON is byte-identical to the
-// uninterrupted one. Around it: CRC32C known-answer vectors, journal
+// runs an uninterrupted serve, a serve killed by --crash-at mid-flight (in
+// a child process, since the crash exits it), and a resumed serve, and
+// asserts the resumed profile JSON is byte-identical to the uninterrupted
+// one. Around it: CRC32C known-answer vectors, journal
 // framing and torn-tail tolerance, snapshot encode/decode round-trips,
 // bit-exact MetricsRegistry restore, and the recovery failure modes
 // (missing directory, corrupt newest snapshot, nothing valid at all).
 
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -505,108 +503,53 @@ class CheckpointServeTest : public ::testing::Test {
     std::string vtime_path;
   };
 
-  /// Forks one serving child per spec, all back-to-back off a single
-  /// parent image, each parked on a pipe until released. The solo class
-  /// simulations are address-sensitive (real buffers feed the cache
-  /// model), so children whose outputs are byte-compared must inherit an
-  /// identical heap layout — forking them before the parent touches the
-  /// heap again guarantees that; sequential fork-per-run does not.
-  class ChildGroup {
-   public:
-    explicit ChildGroup(std::vector<ChildSpec> specs)
-        : specs_(std::move(specs)),
-          pids_(specs_.size(), -1),
-          ran_(specs_.size(), false),
-          pipes_(specs_.size(), std::array<int, 2>{-1, -1}) {
-      for (auto& p : pipes_) {
-        if (pipe(p.data()) != 0) {
-          ADD_FAILURE() << "pipe() failed";
-          return;
-        }
-      }
-      // No heap allocation between here and the last fork.
-      for (size_t i = 0; i < specs_.size(); ++i) {
-        const pid_t pid = fork();
-        if (pid == 0) {
-          char go = 0;
-          while (read(pipes_[i][0], &go, 1) != 1) {
-          }
-          ChildMain(specs_[i]);
-        }
-        pids_[i] = pid;
-      }
+  /// Runs one serve to completion in this process and writes its profile
+  /// JSON (and final virtual clock, if asked). Returns 0, 3 when the run
+  /// fails with a Status, 4 when an output cannot be written.
+  static int RunServe(const ChildSpec& spec) {
+    ServerConfig config = BaseConfig();
+    config.checkpoint = spec.ckpt;
+    obs::MetricsRegistry metrics;
+    config.metrics = &metrics;
+    Server server(config, *registry_);
+    AddTenants(server);
+    StatusOr<ServeResult> run = server.TryRun();
+    if (!run.ok()) {
+      std::fprintf(stderr, "serve: %s\n", run.status().ToString().c_str());
+      return 3;
     }
-
-    ~ChildGroup() {
-      for (size_t i = 0; i < pids_.size(); ++i) {
-        if (pids_[i] > 0 && !ran_[i]) {
-          kill(pids_[i], SIGKILL);
-          waitpid(pids_[i], nullptr, 0);
-        }
-        if (pipes_[i][0] >= 0) close(pipes_[i][0]);
-        if (pipes_[i][1] >= 0) close(pipes_[i][1]);
-      }
+    obs::ProfileSession session;
+    session.bench = "server_checkpoint_test";
+    session.machine = "sim-broadwell-2.2GHz";
+    session.freq_ghz = config.machine.freq_ghz;
+    session.scale_factor = 0.01;
+    session.seed = 42;
+    session.server = run.value().record;
+    for (obs::RunRecord& r : run.value().class_runs) {
+      session.runs.push_back(std::move(r));
     }
-
-    /// Releases child `i`, waits for it, and returns its exit code.
-    int Run(size_t i) {
-      EXPECT_LT(i, pids_.size());
-      EXPECT_FALSE(ran_[i]);
-      ran_[i] = true;
-      EXPECT_EQ(write(pipes_[i][1], "g", 1), 1);
-      int status = 0;
-      EXPECT_EQ(waitpid(pids_[i], &status, 0), pids_[i]);
-      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    session.metrics = metrics.Snapshot();
+    if (!obs::WriteTextFile(spec.json_path, obs::ProfileToJson(session))
+             .ok()) {
+      return 4;
     }
-
-   private:
-    [[noreturn]] static void ChildMain(const ChildSpec& spec) {
-      ServerConfig config = BaseConfig();
-      config.checkpoint = spec.ckpt;
-      obs::MetricsRegistry metrics;
-      config.metrics = &metrics;
-      Server server(config, *registry_);
-      AddTenants(server);
-      StatusOr<ServeResult> run = server.TryRun();
-      if (!run.ok()) {
-        std::fprintf(stderr, "child: %s\n", run.status().ToString().c_str());
-        std::_Exit(3);
-      }
-      obs::ProfileSession session;
-      session.bench = "server_checkpoint_test";
-      session.machine = "sim-broadwell-2.2GHz";
-      session.freq_ghz = config.machine.freq_ghz;
-      session.scale_factor = 0.01;
-      session.seed = 42;
-      session.server = run.value().record;
-      for (obs::RunRecord& r : run.value().class_runs) {
-        session.runs.push_back(std::move(r));
-      }
-      session.metrics = metrics.Snapshot();
-      const Status written =
-          obs::WriteTextFile(spec.json_path, obs::ProfileToJson(session));
-      if (!written.ok()) std::_Exit(4);
-      if (!spec.vtime_path.empty()) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g\n",
-                      run.value().record.vtime_ms);
-        if (!obs::WriteTextFile(spec.vtime_path, buf).ok()) std::_Exit(4);
-      }
-      std::_Exit(0);
+    if (!spec.vtime_path.empty()) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g\n",
+                    run.value().record.vtime_ms);
+      if (!obs::WriteTextFile(spec.vtime_path, buf).ok()) return 4;
     }
+    return 0;
+  }
 
-    std::vector<ChildSpec> specs_;
-    std::vector<pid_t> pids_;
-    std::vector<bool> ran_;
-    std::vector<std::array<int, 2>> pipes_;
-  };
-
-  /// Single-child convenience for tests without byte comparisons.
-  static int RunChild(const CheckpointConfig& ckpt,
-                      const std::string& json_path,
-                      const std::string& vtime_path = "") {
-    ChildGroup group({{ckpt, json_path, vtime_path}});
-    return group.Run(0);
+  /// RunServe in a child process, for a run that --crash-at kills (the
+  /// crash exits the whole process with 137). Returns the exit code.
+  static int RunCrashing(const ChildSpec& spec) {
+    const pid_t pid = fork();
+    if (pid == 0) std::_Exit(RunServe(spec));
+    int status = 0;
+    EXPECT_EQ(waitpid(pid, &status, 0), pid);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
   static std::string MustRead(const std::string& path) {
@@ -638,16 +581,12 @@ TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
   c.dir = tmp + "/ck_b";
   c.every_epochs = 2;
   c.resume = true;
-  ChildGroup group({{a, tmp + "/a.json", tmp + "/a.vtime"},
-                    {b, tmp + "/b.json", ""},
-                    {c, tmp + "/c.json", ""}});
-
-  ASSERT_EQ(group.Run(0), 0);
+  ASSERT_EQ(RunServe({a, tmp + "/a.json", tmp + "/a.vtime"}), 0);
   // A reports its final vtime, proving B's kill landed mid-run.
   const double total_ms = std::stod(MustRead(tmp + "/a.vtime"));
   ASSERT_GT(total_ms, b.crash_at_ms + 1.0);
-  ASSERT_EQ(group.Run(1), 137);
-  ASSERT_EQ(group.Run(2), 0);
+  ASSERT_EQ(RunCrashing({b, tmp + "/b.json", ""}), 137);
+  ASSERT_EQ(RunServe({c, tmp + "/c.json", ""}), 0);
 
   const std::string uninterrupted = MustRead(tmp + "/a.json");
   const std::string resumed = MustRead(tmp + "/c.json");
@@ -673,12 +612,8 @@ TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
   resume.dir = crash.dir;
   resume.every_epochs = 4;
   resume.resume = true;
-  ChildGroup group({{ref, tmp + "/a.json", ""},
-                    {crash, tmp + "/b.json", ""},
-                    {resume, tmp + "/c.json", ""}});
-
-  ASSERT_EQ(group.Run(0), 0);
-  ASSERT_EQ(group.Run(1), 137);
+  ASSERT_EQ(RunServe({ref, tmp + "/a.json", ""}), 0);
+  ASSERT_EQ(RunCrashing({crash, tmp + "/b.json", ""}), 137);
 
   // Corrupt the tail of the journal paired with the newest snapshot —
   // the bytes a real kill could have half-written.
@@ -692,7 +627,7 @@ TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
   std::fputs("GARBAGE-TAIL", f);
   std::fclose(f);
 
-  ASSERT_EQ(group.Run(2), 0);
+  ASSERT_EQ(RunServe({resume, tmp + "/c.json", ""}), 0);
   EXPECT_EQ(MustRead(tmp + "/c.json"), MustRead(tmp + "/a.json"));
 }
 
@@ -703,8 +638,7 @@ TEST_F(CheckpointServeTest, ResumeSkipsCorruptNewestSnapshot) {
   base.every_epochs = 2;
   CheckpointConfig resume = base;
   resume.resume = true;
-  ChildGroup group({{base, tmp + "/a.json", ""}, {resume, tmp + "/c.json", ""}});
-  ASSERT_EQ(group.Run(0), 0);
+  ASSERT_EQ(RunServe({base, tmp + "/a.json", ""}), 0);
 
   const auto summary = InspectCheckpointDir(base.dir);
   ASSERT_TRUE(summary.ok());
@@ -719,7 +653,7 @@ TEST_F(CheckpointServeTest, ResumeSkipsCorruptNewestSnapshot) {
   std::fputs("\xde\xad\xbe\xef", f);
   std::fclose(f);
 
-  ASSERT_EQ(group.Run(1), 0);
+  ASSERT_EQ(RunServe({resume, tmp + "/c.json", ""}), 0);
   EXPECT_EQ(MustRead(tmp + "/c.json"), MustRead(tmp + "/a.json"));
 }
 
@@ -743,7 +677,7 @@ TEST_F(CheckpointServeTest, ResumeRejectsAMismatchedConfiguration) {
   base.dir = tmp + "/ck";
   base.every_epochs = 2;
   base.crash_at_ms = 1.6;
-  ASSERT_EQ(RunChild(base, tmp + "/a.json"), 137);
+  ASSERT_EQ(RunCrashing({base, tmp + "/a.json", ""}), 137);
 
   // Same directory, different serving configuration: recovery must
   // refuse rather than resume into divergence.
@@ -769,8 +703,7 @@ TEST_F(CheckpointServeTest, ResumeRefusesASnapshotThatDoesNotFit) {
   CheckpointConfig resume = crash;
   resume.crash_at_ms = 0;
   resume.resume = true;
-  ChildGroup group({{crash, tmp + "/a.json", ""}, {resume, tmp + "/c.json", ""}});
-  ASSERT_EQ(group.Run(0), 137);
+  ASSERT_EQ(RunCrashing({crash, tmp + "/a.json", ""}), 137);
 
   // Rewrite the newest snapshot with a slot naming a class the server
   // does not have. The file stays CRC-valid and matches the config
@@ -788,7 +721,8 @@ TEST_F(CheckpointServeTest, ResumeRefusesASnapshotThatDoesNotFit) {
   snap.value().state.slots[0].cls = 1000;
   ASSERT_TRUE(WriteSnapshotFile(crash.dir, snap.value()).ok());
 
-  EXPECT_EQ(group.Run(1), 3) << "resume must fail with a Status";
+  EXPECT_EQ(RunServe({resume, tmp + "/c.json", ""}), 3)
+      << "resume must fail with a Status";
   EXPECT_EQ(ReadFileToString(tmp + "/c.json").status().code(),
             StatusCode::kNotFound);
 }
@@ -798,7 +732,7 @@ TEST_F(CheckpointServeTest, InspectSummarizesTheDirectory) {
   CheckpointConfig base;
   base.dir = tmp + "/ck";
   base.every_epochs = 2;
-  ASSERT_EQ(RunChild(base, tmp + "/a.json"), 0);
+  ASSERT_EQ(RunServe({base, tmp + "/a.json", ""}), 0);
 
   const auto summary = InspectCheckpointDir(base.dir);
   ASSERT_TRUE(summary.ok());

@@ -140,8 +140,6 @@ TEST_F(RobustnessTest, FaultInjectedRunsAreBitIdentical) {
 
   // One Server, two runs: class profiles are simulated once, so any
   // difference would come from the fault/retry/shed machinery itself.
-  // (Cross-process bit-identity additionally needs the ASLR pinning the
-  // CI chaos smoke applies, since class counters are heap-layout-keyed.)
   Server server(config, *registry_);
   server.AddTenant(ScanTenant("a", "typer", 3, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 3, 11));

@@ -22,14 +22,28 @@ TEST(ColumnViewTest, GetReturnsValuesAndDrivesAccesses) {
   EXPECT_EQ(core.counters().mix.load, 2u);
 }
 
-TEST(SimVectorTest, SetGetRoundTrip) {
+TEST(ColumnViewTest, RepeatViewsShareTheResidentAddress) {
   core::Core core(core::MachineConfig::Broadwell());
-  SimVector<int64_t> v(8, &core);
-  v.Set(3, 42);
-  EXPECT_EQ(v.Get(3), 42);
-  core.Finalize();
-  EXPECT_EQ(core.counters().mix.store, 1u);
-  EXPECT_EQ(core.counters().mix.load, 1u);
+  std::vector<int64_t> data(100, 1);
+  ColumnView<int64_t> a(data, &core);
+  ColumnView<int64_t> b(data, &core);
+  EXPECT_EQ(a.At(0), b.At(0));
+  EXPECT_EQ(a.At(10), a.At(0) + 80);
+}
+
+TEST(SimVectorTest, ChargesByIndexAndGrowsIntoAFreshRange) {
+  core::Core core(core::MachineConfig::Broadwell());
+  SimVector<int64_t> v(core, 8);
+  v[3] = 42;
+  EXPECT_EQ(v[3], 42);
+  EXPECT_EQ(v.At(3), v.At(0) + 24);
+  const uint64_t first = v.At(0);
+  SimVector<int64_t> other(core, 8);
+  EXPECT_GE(other.At(0), first + 8 * sizeof(int64_t));
+  v.push_back(7);  // past the 8 reserved elements: a new range
+  EXPECT_EQ(v.size(), 9u);
+  EXPECT_EQ(v[8], 7);
+  EXPECT_GT(v.At(0), other.At(7));
 }
 
 class RowStoreTest : public ::testing::Test {
@@ -67,11 +81,12 @@ TEST_F(RowStoreTest, AppendAndReadBack) {
     AppendTuple(&t, i * 100, i, static_cast<int8_t>(i % 128));
   }
   EXPECT_EQ(t.num_tuples(), 100u);
+  const RowTableView rows(t, &core);
   for (size_t i = 0; i < 100; ++i) {
-    const uint8_t* tuple = t.TupleForScan(i, &core);
-    EXPECT_EQ(t.ReadI64(tuple, a_, &core), static_cast<int64_t>(i) * 100);
-    EXPECT_EQ(t.ReadI32(tuple, b_, &core), static_cast<int32_t>(i));
-    EXPECT_EQ(t.ReadI8(tuple, c_, &core), static_cast<int8_t>(i % 128));
+    const RowRef tuple = rows.TupleForScan(i);
+    EXPECT_EQ(rows.ReadI64(tuple, a_), static_cast<int64_t>(i) * 100);
+    EXPECT_EQ(rows.ReadI32(tuple, b_), static_cast<int32_t>(i));
+    EXPECT_EQ(rows.ReadI8(tuple, c_), static_cast<int8_t>(i % 128));
   }
 }
 
@@ -82,25 +97,30 @@ TEST_F(RowStoreTest, SpillsAcrossPages) {
   const int n = 5000;
   for (int i = 0; i < n; ++i) AppendTuple(&t, i, i, 0);
   EXPECT_GT(t.num_pages(), 8u);
-  // Spot-check tuples across page boundaries.
+  // Spot-check tuples across page boundaries: the simulated image lays
+  // the pages back to back.
+  const RowTableView rows(t, &core);
   for (size_t i : {0u, 545u, 546u, 547u, 4999u}) {
-    const uint8_t* tuple = t.TupleForScan(i, &core);
-    EXPECT_EQ(t.ReadI64(tuple, a_, &core), static_cast<int64_t>(i));
+    const RowRef tuple = rows.TupleForScan(i);
+    EXPECT_EQ(rows.ReadI64(tuple, a_), static_cast<int64_t>(i));
   }
+  // The first tuple of page 1 sits one page after the first of page 0.
+  EXPECT_EQ(rows.TupleForScan(546).addr - rows.TupleForScan(0).addr,
+            RowTableStorage::kPageBytes);
 }
 
 TEST_F(RowStoreTest, RawMatchesSimulated) {
   RowTableStorage t(MakeSchema());
   core::Core core(core::MachineConfig::Broadwell());
   AppendTuple(&t, 123, 45, 6);
-  EXPECT_EQ(t.TupleRaw(0), t.TupleForScan(0, &core));
+  EXPECT_EQ(t.TupleRaw(0), RowTableView(t, &core).TupleForScan(0).bytes);
 }
 
 TEST_F(RowStoreTest, ScanDrivesSimulatedAccesses) {
   RowTableStorage t(MakeSchema());
   core::Core core(core::MachineConfig::Broadwell());
   AppendTuple(&t, 1, 2, 3);
-  t.TupleForScan(0, &core);
+  RowTableView(t, &core).TupleForScan(0);
   core.Finalize();
   // Page header + slot entry.
   EXPECT_GE(core.counters().mix.load, 2u);

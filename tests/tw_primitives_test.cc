@@ -17,6 +17,12 @@ namespace {
 
 core::Core MakeCore() { return core::Core(core::MachineConfig::Broadwell()); }
 
+/// A test vector as a primitive argument, placed fresh on ctx's core.
+template <typename T>
+storage::SimPtr<T> Sim(std::vector<T>& v, VecCtx ctx) {
+  return {v.data(), ctx.core->placement().Fresh(v.size() * sizeof(T))};
+}
+
 class PrimitivesTest : public ::testing::TestWithParam<bool> {
  protected:
   bool simd() const { return GetParam(); }
@@ -26,7 +32,7 @@ TEST_P(PrimitivesTest, MapAddAddsElementwise) {
   core::Core core = MakeCore();
   VecCtx ctx{&core, simd()};
   std::vector<int64_t> a = {1, 2, 3, 4}, b = {10, 20, 30, 40}, out(4);
-  MapAdd(ctx, out.data(), a.data(), b.data(), 4);
+  MapAdd(ctx, Sim(out, ctx), Sim(a, ctx), Sim(b, ctx), 4);
   EXPECT_EQ(out, (std::vector<int64_t>{11, 22, 33, 44}));
 }
 
@@ -36,7 +42,7 @@ TEST_P(PrimitivesTest, MapAddMixedWidths) {
   std::vector<int64_t> a = {100, 200};
   std::vector<int32_t> b = {1, 2};
   std::vector<int64_t> out(2);
-  MapAdd(ctx, out.data(), a.data(), b.data(), 2);
+  MapAdd(ctx, Sim(out, ctx), Sim(a, ctx), Sim(b, ctx), 2);
   EXPECT_EQ(out, (std::vector<int64_t>{101, 202}));
 }
 
@@ -45,7 +51,7 @@ TEST_P(PrimitivesTest, SumColumn) {
   VecCtx ctx{&core, simd()};
   std::vector<int64_t> a(100);
   std::iota(a.begin(), a.end(), 1);
-  EXPECT_EQ(SumColumn(ctx, a.data(), a.size()), 5050);
+  EXPECT_EQ(SumColumn(ctx, Sim(a, ctx), a.size()), 5050);
 }
 
 TEST_P(PrimitivesTest, SelLessSelectsQualifyingIndices) {
@@ -53,7 +59,8 @@ TEST_P(PrimitivesTest, SelLessSelectsQualifyingIndices) {
   VecCtx ctx{&core, false};  // branched variant is scalar-only semantics
   std::vector<int32_t> col = {5, 1, 9, 2, 7};
   std::vector<uint32_t> sel(5);
-  const size_t m = SelLess(ctx, 1, col.data(), 6, sel.data(), col.size());
+  const size_t m =
+      SelLess(ctx, 1, Sim(col, ctx), 6, Sim(sel, ctx), col.size());
   ASSERT_EQ(m, 3u);
   EXPECT_EQ(sel[0], 0u);
   EXPECT_EQ(sel[1], 1u);
@@ -69,10 +76,10 @@ TEST_P(PrimitivesTest, SelLessPredicatedMatchesBranched) {
   std::vector<int32_t> col(kVecSize);
   for (auto& v : col) v = static_cast<int32_t>(rng.Uniform(0, 100));
   std::vector<uint32_t> sel_a(kVecSize), sel_b(kVecSize);
-  const size_t ma = SelLess(branched, 1, col.data(), 50, sel_a.data(),
-                            col.size());
-  const size_t mb = SelLessPredicated(predicated, col.data(), 50,
-                                      sel_b.data(), col.size());
+  const size_t ma = SelLess(branched, 1, Sim(col, branched), 50,
+                            Sim(sel_a, branched), col.size());
+  const size_t mb = SelLessPredicated(predicated, Sim(col, predicated), 50,
+                                      Sim(sel_b, predicated), col.size());
   ASSERT_EQ(ma, mb);
   for (size_t i = 0; i < ma; ++i) EXPECT_EQ(sel_a[i], sel_b[i]);
 }
@@ -83,10 +90,11 @@ TEST_P(PrimitivesTest, SelChainOnSelComposes) {
   std::vector<int32_t> c1 = {1, 5, 1, 5, 1, 5};
   std::vector<int32_t> c2 = {9, 1, 1, 9, 9, 1};
   std::vector<uint32_t> s1(6), s2(6);
-  const size_t m1 = SelLess(ctx, 1, c1.data(), 3, s1.data(), 6);  // 0,2,4
+  const size_t m1 =
+      SelLess(ctx, 1, Sim(c1, ctx), 3, Sim(s1, ctx), 6);  // 0,2,4
   ASSERT_EQ(m1, 3u);
   const size_t m2 =
-      SelLessOnSel(ctx, 2, c2.data(), 3, s1.data(), m1, s2.data());
+      SelLessOnSel(ctx, 2, Sim(c2, ctx), 3, Sim(s1, ctx), m1, Sim(s2, ctx));
   ASSERT_EQ(m2, 1u);  // only index 2 has both < 3
   EXPECT_EQ(s2[0], 2u);
 }
@@ -96,7 +104,8 @@ TEST_P(PrimitivesTest, MapAddSelGathers) {
   VecCtx ctx{&core, simd()};
   std::vector<int64_t> a = {1, 2, 3, 4}, b = {10, 20, 30, 40}, out(2);
   std::vector<uint32_t> sel = {1, 3};
-  MapAddSel(ctx, out.data(), a.data(), b.data(), sel.data(), 2);
+  MapAddSel(ctx, Sim(out, ctx), Sim(a, ctx), Sim(b, ctx), Sim(sel, ctx),
+            2);
   EXPECT_EQ(out, (std::vector<int64_t>{22, 44}));
 }
 
@@ -107,21 +116,22 @@ TEST_P(PrimitivesTest, MapAddDenseGather) {
   std::vector<int64_t> col = {1, 2, 3, 4};
   std::vector<uint32_t> sel = {0, 3};
   std::vector<int64_t> out(2);
-  MapAddDenseGather(ctx, out.data(), dense.data(), col.data(), sel.data(),
-                    2);
+  MapAddDenseGather(ctx, Sim(out, ctx), Sim(dense, ctx), Sim(col, ctx),
+                    Sim(sel, ctx), 2);
   EXPECT_EQ(out, (std::vector<int64_t>{101, 204}));
 }
 
 TEST_P(PrimitivesTest, HtProbeSelFindsMatches) {
   core::Core core = MakeCore();
   VecCtx ctx{&core, simd()};
-  engine::JoinHashTable ht(16);
+  engine::JoinHashTable ht(core, 16);
   for (int64_t k = 0; k < 16; ++k) ht.Insert(core, k * 2, k * 100);
   std::vector<int64_t> keys = {0, 1, 4, 31, 30};
   std::vector<uint32_t> sel(5);
   std::vector<int64_t> payloads(5);
-  const size_t m = HtProbeSel(ctx, 16, ht, keys.data(), 0, nullptr,
-                              keys.size(), sel.data(), payloads.data());
+  const size_t m =
+      HtProbeSel(ctx, 16, ht, Sim(keys, ctx), 0, {}, keys.size(),
+                 Sim(sel, ctx), Sim(payloads, ctx));
   ASSERT_EQ(m, 3u);  // keys 0, 4, 30 are present
   EXPECT_EQ(sel[0], 0u);
   EXPECT_EQ(payloads[0], 0);
@@ -134,15 +144,15 @@ TEST_P(PrimitivesTest, HtProbeSelFindsMatches) {
 TEST_P(PrimitivesTest, HtProbeSelThroughSelectionVector) {
   core::Core core = MakeCore();
   VecCtx ctx{&core, simd()};
-  engine::JoinHashTable ht(4);
+  engine::JoinHashTable ht(core, 4);
   ht.Insert(core, 7, 70);
   std::vector<int64_t> keys = {1, 7, 7, 2};
   std::vector<uint32_t> sel_in = {1, 3};
   std::vector<uint32_t> sel_out(2);
   std::vector<int64_t> payloads(2);
-  const size_t m = HtProbeSel(ctx, 32, ht, keys.data(), 0, sel_in.data(),
-                              sel_in.size(), sel_out.data(),
-                              payloads.data());
+  const size_t m =
+      HtProbeSel(ctx, 32, ht, Sim(keys, ctx), 0, Sim(sel_in, ctx),
+                 sel_in.size(), Sim(sel_out, ctx), Sim(payloads, ctx));
   ASSERT_EQ(m, 1u);
   EXPECT_EQ(sel_out[0], 1u);
   EXPECT_EQ(payloads[0], 70);
@@ -154,7 +164,7 @@ TEST(PrimitivesInstrumentationTest, SimdRetiresFewerInstructions) {
     core::Core core = MakeCore();
     VecCtx ctx{&core, simd};
     for (int rep = 0; rep < 16; ++rep) {
-      MapAdd(ctx, out.data(), a.data(), b.data(), kVecSize);
+      MapAdd(ctx, Sim(out, ctx), Sim(a, ctx), Sim(b, ctx), kVecSize);
     }
     core.Finalize();
     return core.counters().mix.TotalInstructions();
@@ -172,8 +182,9 @@ TEST(PrimitivesInstrumentationTest, SimdKeepsMemoryTraffic) {
     core::Core core = MakeCore();
     VecCtx ctx{&core, simd};
     int64_t sink = 0;
+    const storage::SimPtr<int64_t> col = Sim(big, ctx);
     for (size_t base = 0; base < big.size(); base += kVecSize) {
-      sink += SumColumn(ctx, big.data() + base, kVecSize);
+      sink += SumColumn(ctx, col + base, kVecSize);
     }
     core.Finalize();
     EXPECT_GT(sink, 0);
