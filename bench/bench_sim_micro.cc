@@ -189,10 +189,9 @@ std::pair<double, double> RefFastSeconds(Fn&& fn) {
 
 /// Random-key probe workload for the throughput section: 400k probes of a
 /// 64k-entry chained table, each one a fresh cache line and page — the
-/// shape the stream-index + translation-memo overhaul targets. Routed
-/// through ProbeFirstBlock, the batched probe entry point the engines
-/// use (on the reference paths the block degenerates to the plain
-/// per-key loop, so the before/after pair measures the real API).
+/// shape the stream-index + translation-memo overhaul targets. Driven
+/// as the engines' per-key ProbeFirst loop under the scalar-probe MLP
+/// hint.
 double RandomProbeSeconds(size_t probes) {
   Core core(MachineConfig::Broadwell());
   uolap::engine::JoinHashTable ht(core, 1 << 16);
@@ -202,12 +201,13 @@ double RandomProbeSeconds(size_t probes) {
   for (auto& k : keys) {
     k = static_cast<int64_t>(rng.Next() & ((1 << 16) - 1));
   }
+  core.SetMlpHint(uolap::core::kMlpScalarProbe);
   return TimeItCpu([&] {
     int64_t acc = 0;
-    ht.ProbeFirstBlock(
-        core, 1, uolap::core::kMlpScalarProbe, 0, probes,
-        [&](size_t i) { return keys[i]; },
-        [&](size_t, int64_t payload) { acc += payload; });
+    int64_t payload;
+    for (int64_t k : keys) {
+      if (ht.ProbeFirst(core, 1, k, &payload)) acc += payload;
+    }
     benchmark::DoNotOptimize(acc);
   });
 }

@@ -1,10 +1,10 @@
 // Deterministic hot-path smoke workload for the CI perf-smoke stage: a
 // fixed synthetic address trace (never dereferenced by the simulator, so
 // the run is bit-identical on every host — no ASLR pinning needed) that
-// drives every accelerated lane of the simulation kernels: bulk
-// resident runs, stream establish/advance/kill churn, the translation
-// memo, random probes through the stream-index candidate masks, line and
-// page straddles, and branchy retire traffic. The finalized counters are
+// drives every accelerated path of the simulation kernels: resident
+// re-scans, stream establish/advance/kill churn, the translation memo,
+// random probes through the stream-index candidate masks, line and page
+// straddles, and branchy retire traffic. The finalized counters are
 // exported as a real versioned profile.
 //
 //   uolap_perfsmoke --json=out.json [--reference]
@@ -47,7 +47,7 @@ constexpr uint64_t kProbeArena = uint64_t{1} << 30;   // random probes
 constexpr uint64_t kProbeSpan = uint64_t{1} << 28;    // 256 MB probe range
 
 /// Sequential scans: establishes forward streams and keeps them hot so
-/// re-scans ride the bulk resident-run lane end to end.
+/// re-scans walk L1-resident lines behind an established stream.
 void ScanPhase(core::Core& core) {
   core::ScopedRegion region(core, "scan");
   for (int pass = 0; pass < 3; ++pass) {

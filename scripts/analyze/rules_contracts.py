@@ -261,8 +261,7 @@ def check_storage(ctx, rule, sf):
 _SIM_ADDR_DIRS = ("src/engines", "src/engine", "src/storage")
 # Access method -> index of its address argument.
 _SIM_ADDR_CALLS = {"Load": 0, "Store": 0, "LoadSeq": 0, "StoreSeq": 0,
-                   "LoadRange": 1, "StoreRange": 1, "PrefetchHint": 0,
-                   "AccessData": 0, "PrefetchData": 0}
+                   "LoadRange": 1, "StoreRange": 1, "AccessData": 0}
 
 
 def _call_args(toks, open_idx, close_idx):

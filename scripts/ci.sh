@@ -299,7 +299,7 @@ crash_recovery_smoke build
 # Perf smoke: the fast-path overhaul's counter gates (DESIGN.md §7).
 # uolap_perfsmoke replays a fixed synthetic address trace (never
 # dereferenced, so bit-identical on any host without ASLR pinning) through
-# every accelerated lane. Three byte-level checks:
+# every accelerated path. Three byte-level checks:
 #   1. accelerated vs --reference output: the bit-identity contract;
 #   2. accelerated output vs the checked-in golden: counter drift fails CI
 #      and forces a conscious golden update;
@@ -360,13 +360,17 @@ build-validate/bench/bench_fig07_10_selection --quick --validate >/dev/null
 echo "=== undefined-behavior-sanitizer build (Debug: DCHECKs armed) ==="
 # Every other stage builds RelWithDebInfo, whose NDEBUG compiles the
 # UOLAP_DCHECK lockstep checks out (fast stream match == reference scan,
-# fast stream victim == reference scan, probed cache victim == a fresh
+# fast stream victim == reference scan, stream-index window width,
+# translation memo way holds the page, probed cache victim == a fresh
 # InsertAbsent choice). Debug keeps them; the sanitizer flags still
 # compile at -O1.
 cmake -B build-ubsan -S . -DUOLAP_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 (cd build-ubsan && ctest --output-on-failure -j "$JOBS" --timeout 600)
+# The perf-smoke trace with every lockstep check armed: its bytes must
+# still match the --reference run and the golden.
+perf_smoke build-ubsan
 
 asan_stage
 

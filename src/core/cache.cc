@@ -38,8 +38,8 @@ SetAssociativeCache::SetAssociativeCache(uint64_t num_sets, uint32_t ways)
   // The front-slot array stores global way indices as uint32_t.
   UOLAP_CHECK_MSG(n <= UINT32_MAX, "cache geometry exceeds front-slot range");
   // Over-allocate by one host line and start the records on its boundary,
-  // so every set occupies whole host lines and PrefetchSet's 64-byte steps
-  // cover it exactly. Still calloc: the lazily zeroed pages are kept.
+  // so a set of 4k ways occupies exactly k host lines. Still calloc: the
+  // lazily zeroed pages are kept.
   recs_block_ = CallocArray<char>(n * sizeof(WayRec) + kHostLine);
   const uintptr_t raw = reinterpret_cast<uintptr_t>(recs_block_.get());
   recs_ = reinterpret_cast<WayRec*>((raw + kHostLine - 1) & ~(kHostLine - 1));

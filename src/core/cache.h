@@ -40,9 +40,9 @@ struct CacheAccessResult {
 /// line access, several per miss), so each set's metadata is interleaved
 /// into one contiguous block of 16-byte {tag, ts} way records, and the
 /// record array starts on a 64-byte boundary — a set of 4k ways occupies
-/// exactly k host cache lines (five for Broadwell's 20-way L3), all of
-/// which PrefetchSet warms. The dirty bit lives in the tag's top bit
-/// (keys are line/page numbers < 2^58, so key + 1 never reaches it).
+/// exactly k host cache lines (five for Broadwell's 20-way L3). The
+/// dirty bit lives in the tag's top bit (keys are line/page numbers
+/// < 2^58, so key + 1 never reaches it).
 /// Backing is calloc, whose zero pages the OS maps lazily: constructing
 /// the L3 image costs nothing until its sets are actually touched. Two
 /// lookup accelerators sit in front of the scan, both invisible to the
@@ -112,39 +112,17 @@ class SetAssociativeCache {
     return FillWay(p.set, p.way, key, dirty);
   }
 
-  /// Exactly Access(key, is_store) when `key` is resident — same hit
-  /// count, dirty update and LRU stamp, bit for bit. When absent it is a
-  /// pure no-op: no miss is recorded, no state changes. The bulk
-  /// resident-run lane uses this to probe residency and fall back to the
-  /// full per-line walk (which then records the one miss) on failure.
-  bool AccessIfPresent(uint64_t key, bool is_store) {
-    const uint64_t set = SetIndex(key);
-    const int64_t i = FindInSet(set, key + 1);
-    if (i < 0) return false;
-    Promote(set, static_cast<uint64_t>(i), is_store);
-    return true;
-  }
-
-  /// Replays Access()'s hit path on a known-resident way (`slot` as
+  /// Replays Access(key)'s hit path on a known-resident way (`slot` as
   /// reported by a prior Probe/Insert of the same key, with no
   /// intervening operation that could move or evict it): hit count and
   /// LRU stamp, bit for bit. The translation memo uses this to skip the
-  /// set index + tag scan entirely on same-page runs.
-  void TouchHit(uint64_t slot) {
-    UOLAP_DCHECK(slot < num_sets_ * ways_ && (recs_[slot].tag & kTagMask) != 0);
+  /// set index + tag scan entirely on same-page runs; debug builds check
+  /// that the way still holds `key`.
+  void TouchHit(uint64_t slot, [[maybe_unused]] uint64_t key) {
+    UOLAP_DCHECK(slot < num_sets_ * ways_ &&
+                 (recs_[slot].tag & kTagMask) == key + 1);
     ++hits_;
     recs_[slot].ts = ++clock_;
-  }
-
-  /// `n` consecutive TouchHit(slot) calls in closed form. The intermediate
-  /// LRU clock values are unobservable — nothing else touched this cache
-  /// in between by precondition — so the final state is bit-identical to
-  /// the loop.
-  void TouchHitN(uint64_t slot, uint64_t n) {
-    UOLAP_DCHECK(slot < num_sets_ * ways_ && (recs_[slot].tag & kTagMask) != 0);
-    hits_ += n;
-    clock_ += n;
-    recs_[slot].ts = clock_;
   }
 
   /// Inserts `key` as MRU. Returns eviction information so the caller can
@@ -160,22 +138,6 @@ class SetAssociativeCache {
     UOLAP_DCHECK(Find(key) < 0);
     const uint64_t set = SetIndex(key);
     return FillWay(set, VictimIn(set), key, dirty);
-  }
-
-  /// Host-side hint: pulls `key`'s set metadata toward the host caches so
-  /// an upcoming Probe/FillMiss on the same set does not stall on host
-  /// DRAM. Touches no simulator state whatsoever — callers may issue it
-  /// speculatively and arbitrarily early.
-  void PrefetchSet(uint64_t key) const {
-    // Every host line the set's records touch, from the one holding the
-    // first byte to the one holding the last (sets of 4k ways start on a
-    // line; other geometries straddle one).
-    const uintptr_t first =
-        reinterpret_cast<uintptr_t>(recs_ + SetIndex(key) * ways_);
-    const uintptr_t last = first + ways_ * sizeof(WayRec) - 1;
-    for (uintptr_t a = first & ~(kHostLine - 1); a <= last; a += kHostLine) {
-      __builtin_prefetch(reinterpret_cast<const void*>(a));
-    }
   }
 
   /// True if `key` is currently resident (no LRU update; used by tests).

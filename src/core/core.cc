@@ -85,30 +85,6 @@ void Core::AccessRun(SeqCursor* cur, uint64_t addr, uint32_t elem_bytes,
     uint64_t k = (64 - off - elem_bytes) / elem_bytes + 1;
     if (k > left) k = left;
     SeqCursor& memo = cur != nullptr ? *cur : FilterSlot(line);
-    // Bulk resident-run lane: when the elements tile whole lines from a
-    // line boundary and the first line would take the walk arm below
-    // (memo mismatch), MemorySystem may service a provably L1-resident
-    // stream run in closed form. Each serviced line then took exactly the
-    // walk the mismatch arm issues; the memo is either the caller's cursor
-    // or, for a run inside one 4 KB page, that page's filter slot, so the
-    // per-line memo writes telescope to the final line — the element
-    // accounting and memo update below are bit-identical to iterating.
-    if (off == 0 && 64 % elem_bytes == 0 && memo.line != line) {
-      const uint64_t per_line = 64 / elem_bytes;
-      const uint64_t lines_wanted = (left + per_line - 1) / per_line;
-      const uint64_t n =
-          memory_.AccessDataRunResident(line, lines_wanted, is_store);
-      if (n > 0) {
-        const uint64_t elems = std::min(left, n * per_line);
-        mc->data_accesses += elems - n;
-        mc->l1d_hits += elems - n;
-        memo.line = line + n - 1;
-        memo.dirty = is_store;
-        a += elems * elem_bytes;
-        left -= elems;
-        continue;
-      }
-    }
     uint64_t hits = k;
     if (memo.line == line) {
       if (is_store && !memo.dirty) {

@@ -100,7 +100,7 @@ class Core {
   void Load(const void* p, uint32_t bytes) { Load(Addr(p), bytes); }
   void Store(const void* p, uint32_t bytes) { Store(Addr(p), bytes); }
 
-  /// --- batched sequential access (hot-path fast lane) ------------------
+  /// --- batched sequential access (hot path) ----------------------------
   /// `LoadSeq(p, esz, count)` is counter-equivalent to
   ///   `for (i in [0, count)) Load(p + i * esz, esz)`
   /// — same instruction mix, same filter-state transitions, same per-line
@@ -144,13 +144,6 @@ class Core {
                   uint64_t count) {
     StoreRange(cur, Addr(p), elem_bytes, count);
   }
-
-  /// Host-side prefetch hint for a simulated access that is about to
-  /// happen (e.g. the next probe key of a batched probe loop): warms the
-  /// host cache lines holding the L2/L3/STLB set metadata that access will
-  /// scan. Never touches simulated state or counters — it is safe to hint
-  /// speculatively or not at all. See MemorySystem::PrefetchData.
-  void PrefetchHint(uint64_t addr) const { memory_.PrefetchData(addr); }
 
   /// --- branch side -----------------------------------------------------
   /// Returns true if the simulated predictor mispredicted.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #include "common/macros.h"
 
@@ -25,24 +24,13 @@ uint64_t Log2Exact(uint64_t x) {
   return shift;
 }
 
-// Process-wide reference-path default: -1 = unresolved (consult the
-// UOLAP_REFERENCE_PATHS environment variable once), else 0/1.
-std::atomic<int> g_reference_default{-1};
-
-bool ResolveReferenceDefault() {
-  int v = g_reference_default.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("UOLAP_REFERENCE_PATHS");
-    v = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
-    g_reference_default.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
+// Process-wide reference-path default for new MemorySystems.
+std::atomic<bool> g_reference_default{false};
 
 }  // namespace
 
 void MemorySystem::SetReferencePathsDefault(bool on) {
-  g_reference_default.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_reference_default.store(on, std::memory_order_relaxed);
 }
 
 MemorySystem::MemorySystem(const MachineConfig& config)
@@ -53,7 +41,7 @@ MemorySystem::MemorySystem(const MachineConfig& config)
       l3_(config.l3.num_sets(), config.l3.associativity),
       dtlb_(config.dtlb_entries / config.dtlb_ways, config.dtlb_ways),
       stlb_(config.stlb_entries / config.stlb_ways, config.stlb_ways),
-      reference_paths_(ResolveReferenceDefault()),
+      reference_paths_(g_reference_default.load(std::memory_order_relaxed)),
       page_shift_(Log2Exact(config.page_bytes)) {
   UOLAP_CHECK(page_shift_ > kLineShift);
   ResetFastPathState();
@@ -90,11 +78,41 @@ void MemorySystem::ResetFastPathState() {
   lru_next_.fill(-1);
   lru_head_ = -1;
   lru_tail_ = -1;
-  stream_index_stale_ = false;
   memo_page_ = kNoPage;
   memo_dtlb_slot_ = 0;
-  last_level_ = 0;
   fast_stats_ = FastPathStats{};
+}
+
+void MemorySystem::TestOnlySetStream(int i, bool valid, uint32_t run,
+                                     int8_t dir, uint64_t ts) {
+  const size_t u = static_cast<size_t>(i);
+  stream_valid_[u] = valid ? 1 : 0;
+  stream_run_[u] = run;
+  stream_dir_[u] = dir;
+  stream_ts_[u] = ts;
+  // Rebuild the index, mask and LRU list from the table. LRU ties break
+  // by entry index, matching ScanVictim's first-wins rule.
+  stream_index_.Clear();
+  stream_valid_mask_ = 0;
+  std::array<int8_t, kStreamTableEntries> order{};
+  size_t n = 0;
+  for (int e = 0; e < kStreamTableEntries; ++e) {
+    const size_t v = static_cast<size_t>(e);
+    if (!stream_valid_[v]) continue;
+    stream_index_.Insert(e, stream_next_fwd_[v]);
+    stream_valid_mask_ |= 1u << static_cast<uint32_t>(e);
+    order[n++] = static_cast<int8_t>(e);
+  }
+  std::stable_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(n),
+                   [this](int8_t a, int8_t b) {
+                     return stream_ts_[static_cast<size_t>(a)] <
+                            stream_ts_[static_cast<size_t>(b)];
+                   });
+  lru_prev_.fill(-1);
+  lru_next_.fill(-1);
+  lru_head_ = -1;
+  lru_tail_ = -1;
+  for (size_t k = 0; k < n; ++k) LruAppend(order[k]);
 }
 
 void MemorySystem::Reset() {
@@ -132,7 +150,7 @@ void MemorySystem::KillStream(int index) {
     counters_.dram_prefetch_waste_bytes += waste * 64;
     ++counters_.streams_killed;
   }
-  if (stream_valid_[u] && !stream_index_stale_) {
+  if (stream_valid_[u]) {
     stream_index_.Remove(index, stream_next_fwd_[u]);
     stream_valid_mask_ &= ~(1u << static_cast<uint32_t>(index));
     LruDetach(index);
@@ -197,7 +215,7 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
   *is_reaccess = false;
   constexpr uint64_t kTol = static_cast<uint64_t>(kStreamSkipTolerance);
   int matched;
-  if (UOLAP_UNLIKELY(reference_paths_ || stream_index_stale_)) {
+  if (UOLAP_UNLIKELY(reference_paths_)) {
     matched = ScanStreams(line);
   } else {
     matched = IndexStreams(line);
@@ -225,9 +243,7 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
           stream_last_fill_dram_[u] && config_.prefetchers.AnyStreamer()) {
         counters_.dram_prefetch_waste_bytes += skipped * 64;
       }
-      if (!stream_index_stale_) {
-        stream_index_.Move(matched, stream_next_fwd_[u], line + 1);
-      }
+      stream_index_.Move(matched, stream_next_fwd_[u], line + 1);
       stream_dir_[u] = fwd_match ? 1 : -1;
       stream_next_fwd_[u] = line + 1;
       stream_next_bwd_[u] = line - 1;
@@ -250,7 +266,7 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
   // ts 0 / first-wins; valid stamps are distinct, so list order == stamp
   // order).
   int victim;
-  if (UOLAP_UNLIKELY(reference_paths_ || stream_index_stale_)) {
+  if (UOLAP_UNLIKELY(reference_paths_)) {
     victim = ScanVictim();
   } else {
     victim = stream_valid_mask_ != ~0u
@@ -266,11 +282,9 @@ bool MemorySystem::UpdateStreams(uint64_t line, bool* is_reaccess) {
   stream_dir_[v] = 0;
   stream_run_[v] = 1;
   stream_last_fill_dram_[v] = 0;
-  if (!stream_index_stale_) {
-    stream_index_.Insert(victim, line + 1);
-    stream_valid_mask_ |= 1u << static_cast<uint32_t>(victim);
-    LruAppend(victim);
-  }
+  stream_index_.Insert(victim, line + 1);
+  stream_valid_mask_ |= 1u << static_cast<uint32_t>(victim);
+  LruAppend(victim);
   matched_stream_ = victim;
   TouchStream(matched_stream_);
   return false;
@@ -328,7 +342,7 @@ void MemorySystem::AccessDataLine(uint64_t line, bool is_store) {
   const uint64_t page = line >> (page_shift_ - kLineShift);
   if (!reference_paths_ && page == memo_page_) {
     ++counters_.dtlb_hits;
-    dtlb_.TouchHit(memo_dtlb_slot_);
+    dtlb_.TouchHit(memo_dtlb_slot_, page);
     ++fast_stats_.memo_hits;
   } else {
     const ProbeResult pd = dtlb_.Probe(page, /*is_store=*/false);
@@ -359,7 +373,6 @@ void MemorySystem::AccessDataLine(uint64_t line, bool is_store) {
   // --- hierarchy walk ---
   const int level = WalkData(line, is_store);
   if (UOLAP_UNLIKELY(validate_fills_) && level > 1) ValidateFill(line, level);
-  last_level_ = level;
   if (matched_stream_ >= 0) {
     stream_last_fill_dram_[static_cast<size_t>(matched_stream_)] =
         (level == 4) ? 1 : 0;
@@ -435,79 +448,6 @@ void MemorySystem::AccessDataLine(uint64_t line, bool is_store) {
     // streamer catches up.
     counters_.stream_startup_cycles += stream_startup_cost_;
   }
-}
-
-uint64_t MemorySystem::AccessDataRunResidentSlow(uint64_t first_line,
-                                                 uint64_t max_lines,
-                                                 bool is_store) {
-  // Eligibility: the per-line path for each serviced line must provably
-  // take one exact shape — memo-hit translation, first-match advance of
-  // stream `m` with no skip, L1 hit with established-stream costing (no
-  // cycle terms). Every gate below guards one step of that proof (the
-  // inline front already ruled out reference mode, a stale index, a
-  // non-L1 previous access, and no matched stream).
-  const int m = matched_stream_;
-  const size_t u = static_cast<size_t>(m);
-  if (!stream_valid_[u] || stream_dir_[u] != 1 || !StreamEstablished(m)) {
-    return 0;
-  }
-  if (stream_next_fwd_[u] != first_line) return 0;
-  const uint64_t line_shift = page_shift_ - kLineShift;
-  if ((first_line >> line_shift) != memo_page_) return 0;
-  // Clamp to the memo page so every translation is a memo hit.
-  const uint64_t lines_per_page = 1ull << line_shift;
-  const uint64_t page_left =
-      lines_per_page - (first_line & (lines_per_page - 1));
-  const uint64_t n = std::min(max_lines, page_left);
-  if (n == 0) return 0;
-  // A lower-index valid entry whose prediction window overlaps any line
-  // of the run would steal the per-line first-match; refuse the run if
-  // one exists (conservative: direction is not even consulted). Only the
-  // index's candidates for the window can satisfy the test.
-  constexpr uint64_t kTol = static_cast<uint64_t>(kStreamSkipTolerance);
-  const uint64_t window_lo = first_line - kTol;       // wrapping is fine
-  const uint64_t window_span = (n - 1) + 2 * kTol + 2;  // .. last + tol + 2
-  const uint64_t near_lo = first_line >= kTol ? window_lo : 0;
-  const uint32_t lower = (1u << static_cast<uint32_t>(m)) - 1;
-  for (uint32_t c = stream_index_.Near(near_lo, window_lo + window_span) &
-                    lower;
-       c != 0; c &= c - 1) {
-    const size_t j = static_cast<size_t>(std::countr_zero(c));
-    if (stream_valid_[j] && stream_next_fwd_[j] - window_lo <= window_span) {
-      return 0;
-    }
-  }
-  // Service the L1-resident prefix. A hit is Access()'s exact hit path; a
-  // miss touches nothing and ends the run — the caller's per-line
-  // fallback then records that miss once, exactly as the reference would.
-  uint64_t c = 0;
-  while (c < n && l1d_.AccessIfPresent(first_line + c, is_store)) ++c;
-  if (c == 0) return 0;
-  // Closed-form bulk update, equal to c iterations of the per-line path:
-  // only final states are observable, and every per-line increment below
-  // telescopes (counters, LRU clocks, stream stamp/run/prediction).
-  counters_.data_accesses += c;
-  counters_.l1d_hits += c;
-  counters_.dtlb_hits += c;
-  dtlb_.TouchHitN(memo_dtlb_slot_, c);
-  fast_stats_.memo_hits += c;
-  stream_index_.Move(m, stream_next_fwd_[u], first_line + c);
-  stream_next_fwd_[u] = first_line + c;
-  stream_next_bwd_[u] = first_line + c - 2;
-  stream_run_[u] += static_cast<uint32_t>(c);
-  stream_clock_ += c;
-  stream_ts_[u] = stream_clock_;
-  if (lru_tail_ != m) {
-    LruDetach(m);
-    LruAppend(m);
-  }
-  stream_last_fill_dram_[u] = 0;
-  matched_stream_ = m;
-  newly_established_ = false;
-  last_level_ = 1;
-  ++fast_stats_.lane_runs;
-  fast_stats_.lane_lines += c;
-  return c;
 }
 
 void MemorySystem::ValidateFill(uint64_t line, int from_level) {

@@ -25,7 +25,7 @@ namespace uolap::core {
 /// later combines those with the instruction mix (a fixed point is needed
 /// because prefetch timeliness and bandwidth queuing depend on total time).
 ///
-/// Hot-path architecture (DESIGN.md §7): three accelerators sit in front
+/// Hot-path architecture (DESIGN.md §7): two accelerators sit in front
 /// of the per-line reference machinery, each bit-identical to it by
 /// construction and each switchable back off via SetReferencePaths —
 ///  1. a candidate index over the stream-detector table (StreamIndex:
@@ -35,10 +35,7 @@ namespace uolap::core {
 ///     replacing the linear victim scan;
 ///  2. a page-granular translation memo (the (page, dtlb way) of the
 ///     immediately-previous access) replaying the DTLB hit path without a
-///     tag scan;
-///  3. a bulk resident-run lane (AccessDataRunResident) servicing
-///     provably L1-resident, stream-established forward runs with
-///     closed-form counter arithmetic.
+///     tag scan.
 /// The hierarchy walk has one form in both modes: each level is probed
 /// once (SetAssociativeCache::Probe), and a missed level is filled into
 /// the victim its probe named (FillMiss) — exact because nothing touches
@@ -63,46 +60,8 @@ class MemorySystem {
   /// One line-granular data access.
   void AccessDataLine(uint64_t line, bool is_store);
 
-  /// Bulk fast lane for sequential line runs: services up to `max_lines`
-  /// consecutive lines starting at `first_line` — but only those provably
-  /// indistinguishable from the per-line path serviced one by one:
-  /// the run must continue the stream matched by the previous access
-  /// (established, forward, predicting exactly `first_line`, with no
-  /// lower-index detector entry able to steal the match), stay within the
-  /// translation memo's page, follow an L1 hit, and every serviced line
-  /// must itself hit L1. Returns the number of lines serviced (0 = caller
-  /// falls back to AccessDataLine); the first unserviced line has had no
-  /// effect on any state. Counter and raw-state effects of the serviced
-  /// prefix are bit-identical to the per-line loop.
-  ///
-  /// Inline front: callers attempt the lane once per fresh line, so the
-  /// ineligible-shape exits (reference mode, cold scans missing past L1)
-  /// must cost a couple of predictable compares, not a function call.
-  uint64_t AccessDataRunResident(uint64_t first_line, uint64_t max_lines,
-                                 bool is_store) {
-    if (reference_paths_ || stream_index_stale_ || last_level_ != 1 ||
-        matched_stream_ < 0) {
-      return 0;
-    }
-    return AccessDataRunResidentSlow(first_line, max_lines, is_store);
-  }
-
   /// One line-granular instruction fetch.
   void FetchCode(uint64_t line);
-
-  /// Host-side prefetch hint for an upcoming data access to `addr`: pulls
-  /// the L2/L3 set and STLB set metadata that access would scan toward the
-  /// host caches. Purely a host optimization — no simulated state or
-  /// counter is touched, so callers (e.g. batched probe loops that know
-  /// the next key) may hint speculatively. No-op on the reference paths,
-  /// which model the pre-overhaul servicing cost faithfully.
-  void PrefetchData(uint64_t addr) const {
-    if (reference_paths_) return;
-    const uint64_t line = addr >> kLineShift;
-    l3_.PrefetchSet(line);
-    l2_.PrefetchSet(line);
-    stlb_.PrefetchSet(line >> (page_shift_ - kLineShift));
-  }
 
   /// Sets the memory-level-parallelism hint used to cost random accesses
   /// from now on. Engines set this per phase (scalar probe loop vs
@@ -116,21 +75,19 @@ class MemorySystem {
   }
   double mlp_hint() const { return mlp_hint_; }
 
-  /// Routes stream detection, victim selection, translation and the bulk
-  /// lane through the pre-accelerator reference code (the linear scans and
+  /// Routes stream detection, victim selection and translation through
+  /// the pre-accelerator reference code (the linear scans and
   /// unconditional TLB lookups). Counters and raw cache/TLB/stream state
   /// are bit-identical either way — the differential property test and the
   /// CI perf-smoke stage assert exactly that. Defaults to fast; flip the
-  /// default process-wide with SetReferencePathsDefault or the
-  /// UOLAP_REFERENCE_PATHS environment variable (read once).
+  /// default process-wide with SetReferencePathsDefault.
   void SetReferencePaths(bool on) {
     reference_paths_ = on;
     memo_page_ = kNoPage;
   }
   bool reference_paths() const { return reference_paths_; }
 
-  /// Process-wide default for newly constructed MemorySystems; overrides
-  /// the UOLAP_REFERENCE_PATHS environment variable.
+  /// Process-wide default for newly constructed MemorySystems.
   static void SetReferencePathsDefault(bool on);
 
   /// Flushes live established streams (accounts their trailing prefetch
@@ -190,8 +147,9 @@ class MemorySystem {
   /// use them to assert the fast paths actually fire.
   struct FastPathStats {
     uint64_t memo_hits = 0;   ///< translations served by the page memo
-    uint64_t lane_runs = 0;   ///< bulk resident-run engagements
-    uint64_t lane_lines = 0;  ///< lines serviced by the bulk lane
+    /// Always 0. Kept only because the host-cost benchmark (hostbench/)
+    /// reads it; drop it together with that reader.
+    uint64_t lane_lines = 0;
   };
   const FastPathStats& fast_path_stats() const { return fast_stats_; }
 
@@ -201,19 +159,13 @@ class MemorySystem {
   void TestOnlyAddFillViolation() { ++fill_containment_violations_; }
 
   /// Test-only corruption hook (audit failure-path tests): overwrite one
-  /// stream-detector entry's raw state. Desyncs the fast-path index from
-  /// the table, so it also makes the reference scans sticky until the next
-  /// Reset (bit-identical; the audit checkers see the same raw state
-  /// either way).
+  /// stream-detector entry's raw state, then re-derive the fast-path
+  /// index, valid-entry mask and LRU list from the edited table. Fast and
+  /// reference servicing of the edited table stay identical as long as the
+  /// edit keeps the table's own invariants (invalid entries carry stamp 0,
+  /// valid stamps are distinct).
   void TestOnlySetStream(int i, bool valid, uint32_t run, int8_t dir,
-                         uint64_t ts) {
-    const size_t u = static_cast<size_t>(i);
-    stream_valid_[u] = valid ? 1 : 0;
-    stream_run_[u] = run;
-    stream_dir_[u] = dir;
-    stream_ts_[u] = ts;
-    stream_index_stale_ = true;
-  }
+                         uint64_t ts);
 
  private:
   static constexpr int kLineShift = 6;  // 64-byte lines
@@ -256,12 +208,6 @@ class MemorySystem {
   /// match window, in ascending entry order; returns the same entry
   /// ScanStreams would (asserted in debug builds).
   int IndexStreams(uint64_t line) const;
-  /// Eligibility proof + closed-form servicing behind the inline
-  /// AccessDataRunResident front (which has already ruled out reference
-  /// mode, a stale index, a non-L1 previous access, and no matched
-  /// stream).
-  uint64_t AccessDataRunResidentSlow(uint64_t first_line, uint64_t max_lines,
-                                     bool is_store);
   /// Reference victim: linear minimum-stamp scan (free slots carry stamp
   /// 0, so they win with first-in-table-order ties). Pure.
   int ScanVictim() const;
@@ -273,7 +219,7 @@ class MemorySystem {
   /// stamp order exactly.
   void TouchStream(int index) {
     stream_ts_[static_cast<size_t>(index)] = ++stream_clock_;
-    if (!stream_index_stale_ && lru_tail_ != index) {
+    if (lru_tail_ != index) {
       LruDetach(index);
       LruAppend(index);
     }
@@ -283,8 +229,8 @@ class MemorySystem {
   // Doubly-linked LRU list over valid detector entries (head = oldest
   // stamp, tail = youngest); -1 terminates. Maintained alongside the
   // valid-entry bitmask. All of it is fast-path acceleration state: it is
-  // rebuilt empty on Reset and abandoned (stream_index_stale_) if a
-  // test-only hook edits the table underneath it.
+  // rebuilt empty on Reset and re-derived if a test-only hook edits the
+  // table underneath it.
   void LruDetach(int index) {
     const size_t u = static_cast<size_t>(index);
     const int8_t p = lru_prev_[u];
@@ -363,10 +309,8 @@ class MemorySystem {
   int8_t lru_head_ = -1;
   int8_t lru_tail_ = -1;
   bool reference_paths_ = false;
-  bool stream_index_stale_ = false;
   uint64_t memo_page_ = kNoPage;  ///< page of the previous data access
   uint64_t memo_dtlb_slot_ = 0;   ///< its DTLB way (global index)
-  int last_level_ = 0;            ///< service level of the previous access
   FastPathStats fast_stats_;
 
   double mlp_hint_ = kMlpDefault;

@@ -33,22 +33,14 @@ class StreamIndex {
  public:
   void Clear() { owners_.fill(0); }
 
-  /// Entries whose predicted line may lie in [lo, hi] (lo <= hi): a
-  /// superset of those whose line does, with no entry that is not
-  /// inserted. Windows of up to 17 lines cost two loads and one
-  /// predictable branch.
+  /// Entries whose predicted line may lie in [lo, hi] (lo <= hi, a window
+  /// of at most 17 lines): a superset of those whose line does, with no
+  /// entry that is not inserted. Such a window spans at most two granules,
+  /// so this is two loads.
   uint32_t Near(uint64_t lo, uint64_t hi) const {
-    const uint64_t first = lo >> kGranuleShift;
-    const uint64_t last = hi >> kGranuleShift;
-    uint32_t mask = owners_[Bucket(first)] | owners_[Bucket(last)];
-    if (UOLAP_UNLIKELY(last - first > 1)) {
-      // Wide windows (the resident-run lane): every bucket in between,
-      // each at most once.
-      const uint64_t end = last - first >= kGranules ? first + kGranules
-                                                     : last;
-      for (uint64_t g = first + 1; g < end; ++g) mask |= owners_[Bucket(g)];
-    }
-    return mask;
+    UOLAP_DCHECK(lo <= hi && hi - lo < kMaxWindow);
+    return owners_[Bucket(lo >> kGranuleShift)] |
+           owners_[Bucket(hi >> kGranuleShift)];
   }
 
   /// Records that detector entry `entry` now predicts `line`.
@@ -74,6 +66,7 @@ class StreamIndex {
  private:
   static constexpr uint32_t kGranuleShift = 4;  // 16-line granules
   static constexpr uint32_t kGranules = 256;
+  static constexpr uint64_t kMaxWindow = (1u << kGranuleShift) + 1;
 
   static size_t Bucket(uint64_t granule) {
     return static_cast<size_t>(granule & (kGranules - 1));

@@ -190,53 +190,6 @@ class JoinHashTable {
     }
   }
 
-  /// Batched ProbeFirst over the index range [begin, end): re-asserts the
-  /// probe phase's MLP hint once per block (a no-op when the hint is
-  /// unchanged, see Core::SetMlpHint) and runs the per-key unique-key
-  /// probe loop. `key_of(i)` yields the probe key for row i (it must be
-  /// pure — the block calls it twice per row) and `on_match(i, payload)`
-  /// fires for every matching row. Counters are bit-identical to
-  /// open-coding `SetMlpHint` + a plain ProbeFirst loop — this wrapper
-  /// exists so engines route blocks through one audited call site instead
-  /// of hand-rolling the hint/probe pairing per loop.
-  ///
-  /// Knowing the whole block up front also lets the wrapper overlap the
-  /// *host* cost of successive probes as a two-deep software pipeline:
-  /// while probe i simulates, probe i+2's bucket head is pulled toward
-  /// the host caches (data + the L3/STLB set metadata its line will
-  /// scan, via Core::PrefetchHint), and probe i+1's head — prefetched one
-  /// iteration ago, so the peek is cheap — is read to hint its first
-  /// chain entry the same way. Counter-invisible by construction: the
-  /// peeks read engine data the host owns anyway, and the hints touch no
-  /// simulated state. `key_of` is called up to three times per row. On
-  /// the reference paths the pipeline is disabled entirely, so the block
-  /// degenerates to exactly the pre-overhaul per-key loop.
-  template <typename KeyFn, typename MatchFn>
-  void ProbeFirstBlock(core::Core& core, uint32_t branch_site, double mlp,
-                       size_t begin, size_t end, KeyFn&& key_of,
-                       MatchFn&& on_match) const {
-    core.SetMlpHint(mlp);
-    const bool hint = !core.memory().reference_paths();
-    int64_t payload;
-    for (size_t i = begin; i < end; ++i) {
-      if (hint && i + 2 < end) {
-        const uint64_t b = BucketOf(key_of(i + 2));
-        __builtin_prefetch(&heads_[b]);
-        core.PrefetchHint(heads_.At(b));
-      }
-      if (hint && i + 1 < end) {
-        const int32_t e = heads_[BucketOf(key_of(i + 1))];
-        if (e >= 0) {
-          __builtin_prefetch(&entries_[static_cast<size_t>(e)]);
-          core.PrefetchHint(entries_.At(static_cast<size_t>(e)));
-        }
-      }
-      if (ProbeFirst(core, branch_site, key_of(i), &payload)) {
-        on_match(i, payload);
-      }
-    }
-  }
-
   size_t num_entries() const { return entries_.size(); }
   uint64_t num_buckets() const { return mask_ + 1; }
   uint64_t mask() const { return mask_; }

@@ -426,7 +426,7 @@ void MapAddDenseGather(VecCtx ctx, SimPtr<int64_t> out,
 /// In SIMD mode the bucket/entry accesses become gathers: same memory
 /// traffic, fewer instructions, much higher MLP (the Section 8.2 story).
 ///
-/// Deliberately NOT layered on JoinHashTable::ProbeFirstBlock: the
+/// Deliberately NOT layered on JoinHashTable::ProbeFirst: the
 /// vectorized walk charges its own branch sites (the has-entry branch at
 /// `branch_site + min(step, 3)` and no per-step match branch), which
 /// differ from ProbeFirst's — rewriting on top of it would shift

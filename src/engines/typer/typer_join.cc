@@ -76,10 +76,12 @@ Money TyperEngine::Join(Workers& w, JoinSize size) const {
         for (size_t b = r.begin; b < r.end; b += kBlock) {
           const size_t e = std::min(r.end, b + kBlock);
           nk.Touch(b, e - b);  // the probe-key column is read every tuple
-          ht.ProbeFirstBlock(
-              core, engine::branch_site::kJoinChain, core::kMlpScalarProbe,
-              b, e, [&](size_t i) { return nk.GetRaw(i); },
-              [&](size_t i, int64_t) { acc += bal.Get(i) + sk.Get(i); });
+          for (size_t i = b; i < e; ++i) {
+            if (ht.ProbeFirst(core, engine::branch_site::kJoinChain,
+                              nk.GetRaw(i), nullptr)) {
+              acc += bal.Get(i) + sk.Get(i);
+            }
+          }
         }
         InstrMix per_tuple;
         per_tuple.alu = 3;
@@ -112,10 +114,12 @@ Money TyperEngine::Join(Workers& w, JoinSize size) const {
         for (size_t b = r.begin; b < r.end; b += kBlock) {
           const size_t e = std::min(r.end, b + kBlock);
           sk.Touch(b, e - b);
-          ht.ProbeFirstBlock(
-              core, engine::branch_site::kJoinChain, core::kMlpScalarProbe,
-              b, e, [&](size_t i) { return sk.GetRaw(i); },
-              [&](size_t i, int64_t) { acc += avail.Get(i) + cost.Get(i); });
+          for (size_t i = b; i < e; ++i) {
+            if (ht.ProbeFirst(core, engine::branch_site::kJoinChain,
+                              sk.GetRaw(i), nullptr)) {
+              acc += avail.Get(i) + cost.Get(i);
+            }
+          }
         }
         InstrMix per_tuple;
         per_tuple.alu = 3;
@@ -152,12 +156,12 @@ Money TyperEngine::Join(Workers& w, JoinSize size) const {
           for (size_t b = r.begin; b < r.end; b += kBlock) {
             const size_t e = std::min(r.end, b + kBlock);
             ok.Touch(b, e - b);
-            ht.ProbeFirstBlock(
-                core, engine::branch_site::kJoinChain, core::kMlpScalarProbe,
-                b, e, [&](size_t i) { return ok.GetRaw(i); },
-                [&](size_t i, int64_t) {
-                  acc += ep.Get(i) + disc.Get(i) + tax.Get(i) + qty.Get(i);
-                });
+            for (size_t i = b; i < e; ++i) {
+              if (ht.ProbeFirst(core, engine::branch_site::kJoinChain,
+                                ok.GetRaw(i), nullptr)) {
+                acc += ep.Get(i) + disc.Get(i) + tax.Get(i) + qty.Get(i);
+              }
+            }
           }
           InstrMix per_tuple;
           per_tuple.alu = 3;
@@ -213,12 +217,12 @@ Money TyperEngine::JoinLargeInterleaved(Workers& w) const {
       for (size_t base = r.begin; base < r.end; base += kGroup) {
         const size_t m = std::min(kGroup, r.end - base);
         ok.Touch(base, m);  // the group's keys are gathered up front
-        ht.ProbeFirstBlock(
-            core, engine::branch_site::kJoinChain, core::kMlpSimdGather,
-            base, base + m, [&](size_t i) { return ok.GetRaw(i); },
-            [&](size_t i, int64_t) {
-              acc += ep.Get(i) + disc.Get(i) + tax.Get(i) + qty.Get(i);
-            });
+        for (size_t i = base; i < base + m; ++i) {
+          if (ht.ProbeFirst(core, engine::branch_site::kJoinChain,
+                            ok.GetRaw(i), nullptr)) {
+            acc += ep.Get(i) + disc.Get(i) + tax.Get(i) + qty.Get(i);
+          }
+        }
         // Group-state management + software prefetch issue per probe; the
         // serial chase chain of the plain probe is overlapped away, so no
         // extra chain cycles are charged here.

@@ -13,7 +13,7 @@ void Charge(Core& core, SeqCursor& cur, std::vector<long>& v,
   core.memory().AccessData(reinterpret_cast<unsigned long>(p.get()), 8,
                            false);
   core.StoreRange(cur, p.get(), 8, 1);
-  core.PrefetchHint(&s[0]);
+  core.Store(&s[0], 8);
   core.Load(s.At(3), 8);
   core.LoadRange(cur, s.At(0), 8, s.size());
   core.Store(base + 8 * i, 8);

@@ -2,10 +2,10 @@
 // (DESIGN.md §7): randomized access traces — mixed loads/stores,
 // line-straddling elements, page crossings, interleaved sequential
 // streams, random pointer-chase probes — are run twice, once through the
-// accelerated kernels (stream index, translation memo, bulk resident-run
-// lane) and once through the reference scans/lookups
-// (SetReferencePaths(true)). Counters AND the raw cache/TLB/stream state,
-// including every LRU stamp, must be bit-identical.
+// accelerated kernels (stream index, translation memo) and once through
+// the reference scans/lookups (SetReferencePaths(true)). Counters AND the
+// raw cache/TLB/stream state, including every LRU stamp, must be
+// bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -214,7 +214,6 @@ void Apply(Core& core, const Op& op) {
 
 TEST(FastPathPropertyTest, RandomTracesMatchReferenceBitForBit) {
   const MachineConfig cfg = MachineConfig::Broadwell();
-  MemorySystem::FastPathStats total;
   for (uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
     Core fast(cfg), ref(cfg);
@@ -234,23 +233,42 @@ TEST(FastPathPropertyTest, RandomTracesMatchReferenceBitForBit) {
       }
     }
     ExpectIdentical(fast, ref);
-    // The accelerators must fire only on the fast core. Lane engagement
-    // depends on trace luck per seed, so it is asserted on the aggregate.
+    // The memo must fire only on the fast core.
     EXPECT_GT(fast.memory().fast_path_stats().memo_hits, 0u);
     EXPECT_EQ(ref.memory().fast_path_stats().memo_hits, 0u);
-    EXPECT_EQ(ref.memory().fast_path_stats().lane_runs, 0u);
-    total.memo_hits += fast.memory().fast_path_stats().memo_hits;
-    total.lane_runs += fast.memory().fast_path_stats().lane_runs;
-    total.lane_lines += fast.memory().fast_path_stats().lane_lines;
   }
-  EXPECT_GT(total.lane_runs, 0u);
-  EXPECT_GT(total.lane_lines, total.lane_runs);
 }
 
-TEST(FastPathPropertyTest, ResidentRescanEngagesTheBulkLane) {
-  // Deterministic lane engagement: scan an L1-resident region twice. The
-  // second pass re-walks warm lines behind an established stream, which is
-  // exactly the shape the bulk lane services.
+TEST(FastPathPropertyTest, EditedStreamTableStaysInLockstep) {
+  // The test-only stream hook re-derives the fast-path index, mask and
+  // LRU list from the edited table, so a fast and a reference core edited
+  // identically mid-trace keep servicing the trace identically. Entry 4
+  // is invalidated (stamp 0, a free slot) and entry 9 takes over its
+  // stamp, which keeps the valid stamps distinct but reorders the LRU.
+  const MachineConfig cfg = MachineConfig::Broadwell();
+  Core fast(cfg), ref(cfg);
+  fast.SetReferencePaths(false);
+  ref.SetReferencePaths(true);
+  const std::vector<Op> trace = MakeTrace(31, 6000);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (i == trace.size() / 2) {
+      const MemorySystem::StreamState s4 = ref.memory().stream_state(4);
+      const MemorySystem::StreamState s9 = ref.memory().stream_state(9);
+      ASSERT_TRUE(s4.valid && s9.valid);
+      for (Core* c : {&fast, &ref}) {
+        c->memory().TestOnlySetStream(4, false, 0, 0, 0);
+        c->memory().TestOnlySetStream(9, true, s9.run, s9.dir, s4.last_touch);
+      }
+    }
+    Apply(fast, trace[i]);
+    Apply(ref, trace[i]);
+  }
+  ExpectIdentical(fast, ref);
+}
+
+TEST(FastPathPropertyTest, ResidentRescanMatchesReference) {
+  // Scan an L1-resident region three times: the later passes re-walk warm
+  // lines behind an established stream.
   const MachineConfig cfg = MachineConfig::Broadwell();
   Core fast(cfg), ref(cfg);
   fast.SetReferencePaths(false);
@@ -262,8 +280,6 @@ TEST(FastPathPropertyTest, ResidentRescanEngagesTheBulkLane) {
     ref.LoadSeq(Ptr(kBase), 8, kBytes / 8);
   }
   ExpectIdentical(fast, ref);
-  EXPECT_GT(fast.memory().fast_path_stats().lane_runs, 0u);
-  EXPECT_GT(fast.memory().fast_path_stats().lane_lines, 64u);
 }
 
 TEST(FastPathPropertyTest, MidTraceTogglingIsExact) {
@@ -355,8 +371,7 @@ std::vector<Op> MakeAdversarialStreamTrace(uint64_t seed, size_t ops) {
       const uint64_t delta = rng.Next() % 9;
       op.addr = (cursor[s] + delta - 4) * 64;
     } else {
-      // Short batched forward run from the cursor (bulk-lane shapes when
-      // the stream is established and resident).
+      // Short batched forward run from the cursor.
       op.addr = cursor[s] * 64;
       op.count = static_cast<uint32_t>(2 + rng.Next() % 24);
       if (step[s] == 1) cursor[s] += (op.count * 8 + 63) / 64;
@@ -399,8 +414,8 @@ TEST(StreamIndexTest, NearCoversEveryEntryInTheWindow) {
   // Random Insert/Move/Remove against a plain list of each entry's line:
   // Near(lo, hi) must name every entry whose line lies in [lo, hi], and
   // no entry that is not inserted. Lines cluster in a few 4096-line
-  // strides so buckets are shared; windows range from one line to wider
-  // than all 256 buckets.
+  // strides so buckets are shared; windows span one to 17 lines, the
+  // widest Near serves.
   Rng rng(77);
   StreamIndex index;
   std::array<bool, 32> live{};
@@ -425,11 +440,7 @@ TEST(StreamIndexTest, NearCoversEveryEntryInTheWindow) {
       index.Move(e, line[u], to);
       line[u] = to;
     }
-    const uint64_t width_kind = rng.Next() % 4;
-    const uint64_t width = width_kind == 0   ? rng.Next() % 10
-                           : width_kind == 1 ? rng.Next() % 17
-                           : width_kind == 2 ? rng.Next() % 200
-                                             : rng.Next() % 10000;
+    const uint64_t width = rng.Next() % 17;
     const uint64_t anchor = line[static_cast<size_t>(rng.Next() % 32)];
     const uint64_t lo = anchor >= width / 2 ? anchor - width / 2 : 0;
     const uint64_t hi = lo + width;

@@ -84,47 +84,6 @@ TEST(JoinHashTableTest, ProbeDrivesBranchesAndHashCost) {
   EXPECT_GT(after.mix.mul, before.mix.mul);  // hash multiplies
 }
 
-TEST(JoinHashTableTest, ProbeFirstBlockMatchesPerKeyLoop) {
-  // ProbeFirstBlock must be counter-identical to SetMlpHint + a plain
-  // ProbeFirst loop — same matches, same simulated counters bit for bit.
-  core::Core build = MakeCore();
-  JoinHashTable ht(build, 64);
-  for (int64_t k = 0; k < 64; ++k) ht.Insert(build, k, k * 7);
-  std::vector<int64_t> keys;
-  for (int64_t i = 0; i < 500; ++i) keys.push_back((i * 13) % 90);  // misses too
-
-  core::Core a = MakeCore();
-  int64_t sum_a = 0;
-  a.SetMlpHint(core::kMlpScalarProbe);
-  int64_t payload;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (ht.ProbeFirst(a, 3, keys[i], &payload)) sum_a += payload;
-  }
-
-  core::Core b = MakeCore();
-  int64_t sum_b = 0;
-  ht.ProbeFirstBlock(
-      b, 3, core::kMlpScalarProbe, 0, keys.size(),
-      [&](size_t i) { return keys[i]; },
-      [&](size_t, int64_t p) { sum_b += p; });
-
-  EXPECT_EQ(sum_a, sum_b);
-  a.Finalize();
-  b.Finalize();
-  const core::CoreCounters ca = a.counters();
-  const core::CoreCounters cb = b.counters();
-  EXPECT_EQ(ca.mix.load, cb.mix.load);
-  EXPECT_EQ(ca.mix.alu, cb.mix.alu);
-  EXPECT_EQ(ca.branch_events, cb.branch_events);
-  EXPECT_EQ(ca.branch_mispredicts, cb.branch_mispredicts);
-  EXPECT_EQ(ca.exec_stall_cycles, cb.exec_stall_cycles);
-  EXPECT_EQ(ca.mem.data_accesses, cb.mem.data_accesses);
-  EXPECT_EQ(ca.mem.l1d_hits, cb.mem.l1d_hits);
-  EXPECT_EQ(ca.mem.dtlb_hits, cb.mem.dtlb_hits);
-  EXPECT_EQ(ca.mem.rand_dcache_cycles, cb.mem.rand_dcache_cycles);
-  EXPECT_EQ(ca.mem.tlb_cycles, cb.mem.tlb_cycles);
-}
-
 TEST(JoinHashTableTest, MemoryBytesGrowWithEntries) {
   core::Core core = MakeCore();
   JoinHashTable small(core, 100), large(core, 100000);
