@@ -1,7 +1,6 @@
 // Works with the profile JSONs that every figure bench emits via --json:
 // validate them, summarize one, diff two as a perf-regression gate, rank
-// the hottest tenants/classes/metrics, gate on SLO specs, or merge
-// several into a mechanical BENCH_sim.json.
+// the hottest tenants/classes/metrics, or gate on SLO specs.
 //
 //   uolap_report validate a.json [b.json ...]
 //   uolap_report summary  profile.json [--regions]
@@ -9,16 +8,16 @@
 //   uolap_report top      profile.json [--n=5]
 //   uolap_report slo      profile.json [--slo='t:p99<5ms'] [--spec=file]
 //   uolap_report diff     before.json after.json [--max-regress=0.05]
-//   uolap_report merge    --out=BENCH_sim.json [--throughput=micro.json]
-//                         [--serve=serve.json] a.json [b.json ...]
 //   uolap_report checkpoint <dir>
 //
 // `validate` accepts both profile JSONs (schema "uolap-profile") and
-// Chrome trace JSONs (object with a "traceEvents" array); everything else
-// wants profile JSONs. `diff` matches runs by (label, threads), prints the
-// per-run modelled-cycle delta, and exits non-zero when any matched run
-// regresses by more than --max-regress (default 5%) — the gate future perf
-// PRs run in CI. `slo` evaluates SLO clauses (from --slo, a --spec file
+// Chrome trace JSONs (object with a "traceEvents" array); a profile must
+// carry exactly the schema version this build writes
+// (kProfileSchemaVersion; older files are regenerated, not read).
+// Everything else wants profile JSONs. `diff` matches runs by (label,
+// threads), prints the per-run modelled-cycle delta, and exits non-zero
+// when any matched run regresses by more than --max-regress (default 5%)
+// — the gate future perf PRs run in CI. `slo` evaluates SLO clauses (from --slo, a --spec file
 // of one clause per line, or the specs embedded in the profile's server
 // block) against the profile's SLO epoch windows and exits non-zero on
 // any violation — the serve-SLO smoke gate. `checkpoint` validates a
@@ -39,7 +38,6 @@
 #include "common/flags.h"
 #include "common/table_printer.h"
 #include "obs/json.h"
-#include "obs/json_writer.h"
 #include "obs/profile_export.h"
 #include "obs/record.h"
 #include "obs/slo.h"
@@ -54,7 +52,7 @@ using uolap::obs::JsonValue;
 int Usage() {
   std::fprintf(stderr,
                "usage: uolap_report "
-               "<validate|summary|top|slo|diff|merge|checkpoint> ...\n"
+               "<validate|summary|top|slo|diff|checkpoint> ...\n"
                "  validate a.json [b.json ...]\n"
                "  summary  profile.json [--regions] "
                "[--section=server|regions|metrics]\n"
@@ -62,8 +60,6 @@ int Usage() {
                "  slo      profile.json [--slo='tenant:p99<5ms,...'] "
                "[--spec=slo.spec]\n"
                "  diff     before.json after.json [--max-regress=0.05]\n"
-               "  merge    --out=BENCH_sim.json [--throughput=micro.json] "
-               "[--serve=serve.json] a.json [b.json ...]\n"
                "  checkpoint <dir>\n");
   return 2;
 }
@@ -79,15 +75,10 @@ bool ValidateFile(const std::string& path, JsonValue* out = nullptr) {
   }
   const JsonValue& v = doc.value();
   if (v.is_object() && v.GetString("schema") == uolap::obs::kProfileSchemaName) {
-    // v3 added the optional "server" block and v4 the telemetry fields on
-    // top of v2; every supported version parses here (later fields simply
-    // read as absent from older files).
     const int version = static_cast<int>(v.GetNumber("version", -1));
     if (!uolap::obs::IsSupportedProfileVersion(version)) {
-      std::fprintf(stderr, "%s: profile schema version %d, expected %d..%d\n",
-                   path.c_str(), version,
-                   uolap::obs::kMinProfileSchemaVersion,
-                   uolap::obs::kProfileSchemaVersion);
+      std::fprintf(stderr, "%s: profile schema version %d, expected %d\n",
+                   path.c_str(), version, uolap::obs::kProfileSchemaVersion);
       return false;
     }
     const JsonValue* runs = v.Find("runs");
@@ -96,7 +87,7 @@ bool ValidateFile(const std::string& path, JsonValue* out = nullptr) {
                    path.c_str());
       return false;
     }
-    // v2: surface recorded model-invariant violations — a profile whose
+    // Surface recorded model-invariant violations — a profile whose
     // run carries violations is not a trustworthy measurement.
     size_t violations = 0;
     for (const JsonValue& run : runs->array) {
@@ -184,29 +175,24 @@ void PrintServer(const JsonValue& server) {
       server.GetNumber("avg_socket_gbps"),
       server.GetNumber("peak_socket_gbps"),
       server.GetBool("saturated") ? " | SATURATED" : "");
-  // v5 robustness rollup (absent in v2–v4 files, where no query is ever
-  // rejected, shed, timed out, or failed).
-  if (server.Find("admitted") != nullptr) {
+  std::printf(
+      "outcomes: admitted %g | rejected %g | shed %g | timed_out %g | "
+      "failed %g | retries %g | policy %s%s%s\n",
+      server.GetNumber("admitted"), server.GetNumber("rejected"),
+      server.GetNumber("shed"), server.GetNumber("timed_out"),
+      server.GetNumber("failed"), server.GetNumber("retries"),
+      server.GetString("shed_policy").c_str(),
+      server.GetString("fault_plan").empty() ? "" : " | fault plan ",
+      server.GetString("fault_plan").c_str());
+  const double faults = server.GetNumber("faults_injected");
+  const double slows = server.GetNumber("slowdowns_injected");
+  const double downs = server.GetNumber("brownout_downgrades");
+  if (faults > 0 || slows > 0 || downs > 0) {
     std::printf(
-        "outcomes: admitted %g | rejected %g | shed %g | timed_out %g | "
-        "failed %g | retries %g | policy %s%s%s\n",
-        server.GetNumber("admitted"), server.GetNumber("rejected"),
-        server.GetNumber("shed"), server.GetNumber("timed_out"),
-        server.GetNumber("failed"), server.GetNumber("retries"),
-        server.GetString("shed_policy").c_str(),
-        server.GetString("fault_plan").empty() ? "" : " | fault plan ",
-        server.GetString("fault_plan").c_str());
-    const double faults = server.GetNumber("faults_injected");
-    const double slows = server.GetNumber("slowdowns_injected");
-    const double downs = server.GetNumber("brownout_downgrades");
-    if (faults > 0 || slows > 0 || downs > 0) {
-      std::printf(
-          "injected: %g transient failures | %g slowdown epochs | "
-          "%g brown-out downgrades\n",
-          faults, slows, downs);
-    }
+        "injected: %g transient failures | %g slowdown epochs | "
+        "%g brown-out downgrades\n",
+        faults, slows, downs);
   }
-  // v4 telemetry rollup (absent in v2/v3 files).
   const JsonValue* epochs = server.Find("epochs");
   if (epochs != nullptr && epochs->is_array()) {
     std::printf(
@@ -267,7 +253,7 @@ void PrintServer(const JsonValue& server) {
   }
 }
 
-/// Prints the v4 "metrics" block: one row per series with the payload
+/// Prints the "metrics" block: one row per series with the payload
 /// matching the family kind (counter value, gauge value, or histogram
 /// count/sum).
 void PrintMetrics(const JsonValue& metrics) {
@@ -483,14 +469,13 @@ int Top(const JsonValue& profile, int n) {
 uolap::obs::ServerRecord ServerRecordFromJson(const JsonValue& server) {
   uolap::obs::ServerRecord rec;
   rec.enabled = true;
-  // Robustness rollups are v5; in v2–v4 files they read as zero.
   rec.admitted = static_cast<uint64_t>(server.GetNumber("admitted"));
   rec.rejected = static_cast<uint64_t>(server.GetNumber("rejected"));
   rec.shed = static_cast<uint64_t>(server.GetNumber("shed"));
   rec.timed_out = static_cast<uint64_t>(server.GetNumber("timed_out"));
   rec.failed = static_cast<uint64_t>(server.GetNumber("failed"));
   rec.retries = static_cast<uint64_t>(server.GetNumber("retries"));
-  rec.shed_policy = server.GetString("shed_policy", "none");
+  rec.shed_policy = server.GetString("shed_policy");
   rec.fault_plan = server.GetString("fault_plan");
   const JsonValue* tenants = server.Find("tenants");
   if (tenants != nullptr) {
@@ -593,8 +578,8 @@ int Slo(const JsonValue& profile, const std::string& slo_text,
   const uolap::obs::ServerRecord rec = ServerRecordFromJson(*server);
   if (rec.epochs.empty()) {
     std::fprintf(stderr,
-                 "slo: profile has no SLO epochs (serve with --epoch-ms, "
-                 "needs schema v4)\n");
+                 "slo: profile has no SLO epochs (serve with "
+                 "--epoch-ms)\n");
     return 2;
   }
   const std::vector<uolap::obs::SloResult> results =
@@ -661,124 +646,6 @@ int Diff(const JsonValue& before, const JsonValue& after,
               matched, worst * 100, max_regress * 100,
               regressed == 0 ? "PASS" : "FAIL");
   return regressed == 0 ? 0 : 1;
-}
-
-/// Re-emits a parsed JSON document through the writer (used to embed the
-/// bench_sim_micro throughput document verbatim in the merged output).
-void WriteJsonValue(uolap::obs::JsonWriter& w, const JsonValue& v) {
-  switch (v.type) {
-    case JsonValue::Type::kNull:
-      w.Null();
-      return;
-    case JsonValue::Type::kBool:
-      w.Bool(v.boolean);
-      return;
-    case JsonValue::Type::kNumber:
-      w.Double(v.number);
-      return;
-    case JsonValue::Type::kString:
-      w.String(v.str);
-      return;
-    case JsonValue::Type::kArray:
-      w.BeginArray();
-      for (const JsonValue& e : v.array) WriteJsonValue(w, e);
-      w.EndArray();
-      return;
-    case JsonValue::Type::kObject:
-      w.BeginObject();
-      for (const auto& [key, value] : v.object) {
-        w.Key(key);
-        WriteJsonValue(w, value);
-      }
-      w.EndObject();
-      return;
-  }
-}
-
-/// Merges per-bench profile JSONs into one mechanical summary document —
-/// the BENCH_sim.json replacement the scripts/bench.sh helper writes.
-/// `throughput` (v2, optional) embeds the uolap-bench-sim-micro document
-/// bench_sim_micro emits — simulator tuples/sec with its own
-/// before/after-the-fast-paths entries.
-/// `serve` (v3, optional) embeds a serve-path latency digest extracted
-/// from a uolap_serve profile's server block, so the bench record carries
-/// end-to-end p99 next to the per-operator cycle counts.
-int Merge(const std::vector<JsonValue>& profiles, const std::string& out,
-          const JsonValue* throughput, const JsonValue* serve) {
-  uolap::obs::JsonWriter w;
-  w.BeginObject();
-  w.KV("schema", "uolap-bench-sim");
-  w.KV("version", 3);
-  w.KV("comment",
-       "Generated by scripts/bench.sh via `uolap_report merge` from the "
-       "--json output of each figure bench; diff two generations with "
-       "`uolap_report diff` to gate perf PRs.");
-  if (throughput != nullptr) {
-    w.Key("throughput");
-    WriteJsonValue(w, *throughput);
-  }
-  if (serve != nullptr) {
-    const JsonValue* server = serve->Find("server");
-    if (server == nullptr || !server->is_object()) {
-      std::fprintf(stderr, "--serve profile has no server block\n");
-      return 1;
-    }
-    w.Key("serving");
-    w.BeginObject();
-    w.KV("vtime_ms", server->GetNumber("vtime_ms"));
-    w.KV("throughput_qps", server->GetNumber("throughput_qps"));
-    w.KV("p50_ms", server->GetNumber("p50_ms"));
-    w.KV("p95_ms", server->GetNumber("p95_ms"));
-    w.KV("p99_ms", server->GetNumber("p99_ms"));
-    w.Key("tenants");
-    w.BeginArray();
-    const JsonValue* tenants = server->Find("tenants");
-    if (tenants != nullptr) {
-      for (const JsonValue& t : tenants->array) {
-        w.BeginObject();
-        w.KV("tenant", t.GetString("name"));
-        w.KV("p99_ms", t.GetNumber("p99_ms"));
-        w.EndObject();
-      }
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.Key("benches");
-  w.BeginArray();
-  for (const JsonValue& profile : profiles) {
-    w.BeginObject();
-    w.KV("bench", profile.GetString("bench"));
-    w.KV("machine", profile.GetString("machine"));
-    w.KV("scale_factor", profile.GetNumber("scale_factor"));
-    w.KV("quick", profile.GetBool("quick"));
-    w.KV("wall_ms", profile.GetNumber("wall_ms"));
-    w.Key("runs");
-    w.BeginArray();
-    for (const JsonValue& run : profile.Find("runs")->array) {
-      w.BeginObject();
-      w.KV("label", run.GetString("label"));
-      w.KV("threads",
-           static_cast<int64_t>(run.GetNumber("threads", 1)));
-      w.KV("makespan_cycles", RunCycles(run));
-      w.KV("time_ms", run.GetNumber("time_ms"));
-      w.KV("socket_bandwidth_gbps",
-           run.GetNumber("socket_bandwidth_gbps"));
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  const auto status = uolap::obs::WriteTextFile(out, w.TakeString() + "\n");
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s: %s\n", out.c_str(),
-                 status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s (%zu benches)\n", out.c_str(), profiles.size());
-  return 0;
 }
 
 /// `checkpoint`: validates and summarizes a uolap_serve checkpoint
@@ -899,37 +766,6 @@ int main(int argc, char** argv) {
     if (!LoadProfile(paths[0], &before)) return 1;
     if (!LoadProfile(paths[1], &after)) return 1;
     return Diff(before, after, flags.GetDouble("max-regress", 0.05));
-  }
-  if (mode == "merge") {
-    const std::string out = flags.GetString("out", "");
-    if (paths.empty() || out.empty()) return Usage();
-    std::vector<JsonValue> profiles(paths.size());
-    for (size_t i = 0; i < paths.size(); ++i) {
-      if (!LoadProfile(paths[i], &profiles[i])) return 1;
-    }
-    JsonValue throughput;
-    const std::string tp_path = flags.GetString("throughput", "");
-    if (!tp_path.empty()) {
-      auto doc = uolap::obs::ReadJsonFile(tp_path);
-      if (!doc.ok()) {
-        std::fprintf(stderr, "%s: %s\n", tp_path.c_str(),
-                     doc.status().ToString().c_str());
-        return 1;
-      }
-      throughput = std::move(doc).value();
-      if (throughput.GetString("schema") != "uolap-bench-sim-micro") {
-        std::fprintf(stderr, "%s: expected a uolap-bench-sim-micro JSON\n",
-                     tp_path.c_str());
-        return 1;
-      }
-    }
-    JsonValue serve;
-    const std::string serve_path = flags.GetString("serve", "");
-    if (!serve_path.empty()) {
-      if (!LoadProfile(serve_path, &serve)) return 1;
-    }
-    return Merge(profiles, out, tp_path.empty() ? nullptr : &throughput,
-                 serve_path.empty() ? nullptr : &serve);
   }
   if (mode == "checkpoint") {
     if (paths.size() != 1) return Usage();

@@ -6,9 +6,10 @@
 #   2. the normal optimized build (the configuration every figure runs in)
 #      with its test suite, exporter and multi-tenant serving smokes,
 #      byte-level determinism gates (figure benches and uolap_serve runs,
-#      each executed twice, must serialize identical output), and the
+#      each executed twice, must serialize identical output), the
 #      crash-recovery smoke (kill mid-run, corrupt the journal tail,
-#      resume, byte-compare against the uninterrupted run);
+#      resume, byte-compare against the uninterrupted run), and the
+#      hostbench oracle selftest;
 #   3. an UOLAP_VALIDATE=ON build: the full test suite plus a figure-bench
 #      sweep with every model-invariant checker armed (a violation aborts);
 #   4. an UndefinedBehaviorSanitizer Debug build (UOLAP_DCHECKs armed)
@@ -207,7 +208,8 @@ cmake --build build -j "$JOBS"
 # Exporter smoke: run one figure bench with --json/--trace and make sure
 # both outputs parse as what they claim to be (uolap_report validates the
 # profile schema version, the run audit results, and the Chrome trace
-# shape).
+# shape). The same profile relabelled as an older schema version must be
+# rejected: readers accept exactly the version the exporter writes.
 exporter_smoke() {
   local build_dir="$1"
   local out
@@ -216,6 +218,15 @@ exporter_smoke() {
     --json="$out/profile.json" --trace="$out/trace.json" >/dev/null
   "$build_dir/examples/uolap_report" validate \
     "$out/profile.json" "$out/trace.json"
+  python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["version"] = 4
+json.dump(doc, open(sys.argv[2], "w"))' "$out/profile.json" "$out/v4.json"
+  if "$build_dir/examples/uolap_report" validate "$out/v4.json" \
+      2>/dev/null; then
+    echo "exporter smoke: a version-4 profile unexpectedly validated" >&2
+    return 1
+  fi
   "$build_dir/examples/uolap_report" diff \
     "$out/profile.json" "$out/profile.json" >/dev/null
   rm -rf "$out"
@@ -323,11 +334,16 @@ perf_smoke() {
 echo "=== perf smoke (release) ==="
 perf_smoke build
 # Simulator-throughput spot check: the random-probe microbenchmark pair
-# (fast vs reference kernels) from the bench suite must run clean; the
-# full throughput JSON is produced by scripts/bench.sh, not CI.
+# (fast vs reference kernels) from the bench suite must run clean.
 build/bench/bench_sim_micro \
   --benchmark_filter='BM_CoreRandomProbe' --benchmark_min_time=0.05 \
-  --sim-json= >/dev/null
+  >/dev/null
+
+# Host-cost oracle: scripts/bench.sh builds the perf record
+# (BENCH_sim.json) on hostbench, so its oracle must catch a corrupted
+# expected answer and its metric names must match BENCHMARK.json.
+echo "=== hostbench oracle selftest ==="
+python3 hostbench/run.py --selftest
 
 # Determinism gate: the same bench run twice must produce byte-identical
 # output. --stable-json zeroes wall_ms (the only host-time field of the

@@ -1,7 +1,6 @@
 #include "core/memory_system.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/macros.h"
@@ -24,14 +23,7 @@ uint64_t Log2Exact(uint64_t x) {
   return shift;
 }
 
-// Process-wide reference-path default for new MemorySystems.
-std::atomic<bool> g_reference_default{false};
-
 }  // namespace
-
-void MemorySystem::SetReferencePathsDefault(bool on) {
-  g_reference_default.store(on, std::memory_order_relaxed);
-}
 
 MemorySystem::MemorySystem(const MachineConfig& config)
     : config_(config),
@@ -41,7 +33,6 @@ MemorySystem::MemorySystem(const MachineConfig& config)
       l3_(config.l3.num_sets(), config.l3.associativity),
       dtlb_(config.dtlb_entries / config.dtlb_ways, config.dtlb_ways),
       stlb_(config.stlb_entries / config.stlb_ways, config.stlb_ways),
-      reference_paths_(g_reference_default.load(std::memory_order_relaxed)),
       page_shift_(Log2Exact(config.page_bytes)) {
   UOLAP_CHECK(page_shift_ > kLineShift);
   ResetFastPathState();

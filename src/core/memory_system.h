@@ -79,16 +79,12 @@ class MemorySystem {
   /// the pre-accelerator reference code (the linear scans and
   /// unconditional TLB lookups). Counters and raw cache/TLB/stream state
   /// are bit-identical either way — the differential property test and the
-  /// CI perf-smoke stage assert exactly that. Defaults to fast; flip the
-  /// default process-wide with SetReferencePathsDefault.
+  /// CI perf-smoke stage assert exactly that. Defaults to fast.
   void SetReferencePaths(bool on) {
     reference_paths_ = on;
     memo_page_ = kNoPage;
   }
   bool reference_paths() const { return reference_paths_; }
-
-  /// Process-wide default for newly constructed MemorySystems.
-  static void SetReferencePathsDefault(bool on);
 
   /// Flushes live established streams (accounts their trailing prefetch
   /// waste). Call once at the end of a profiled run.

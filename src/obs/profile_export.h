@@ -24,16 +24,13 @@ namespace uolap::obs {
 ///     additionally faults_injected/slowdowns_injected/brownout_downgrades
 ///     and the shed_policy / fault_plan strings that shaped the run.
 inline constexpr int kProfileSchemaVersion = 5;
-/// Oldest schema version the reporting tools still parse. Readers accept
-/// [kMinProfileSchemaVersion, kProfileSchemaVersion]; fields added later
-/// than a file's version simply read as absent.
-inline constexpr int kMinProfileSchemaVersion = 2;
 inline constexpr char kProfileSchemaName[] = "uolap-profile";
 
 /// True when a profile file of schema version `v` can be parsed by this
-/// build's readers.
+/// build's readers: exactly the version this build writes. Older files
+/// are regenerated, not read.
 inline constexpr bool IsSupportedProfileVersion(int v) {
-  return v >= kMinProfileSchemaVersion && v <= kProfileSchemaVersion;
+  return v == kProfileSchemaVersion;
 }
 
 /// Serializes a session to the versioned profile JSON schema:

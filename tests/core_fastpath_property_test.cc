@@ -458,18 +458,5 @@ TEST(StreamIndexTest, NearCoversEveryEntryInTheWindow) {
   }
 }
 
-TEST(FastPathPropertyTest, ReferenceDefaultIsInherited) {
-  MemorySystem::SetReferencePathsDefault(true);
-  {
-    Core c(MachineConfig::Broadwell());
-    EXPECT_TRUE(c.memory().reference_paths());
-  }
-  MemorySystem::SetReferencePathsDefault(false);
-  {
-    Core c(MachineConfig::Broadwell());
-    EXPECT_FALSE(c.memory().reference_paths());
-  }
-}
-
 }  // namespace
 }  // namespace uolap::core

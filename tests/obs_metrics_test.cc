@@ -1,9 +1,8 @@
 // Tests of the serving-telemetry metrics layer: name validation, the
 // registry's counter/gauge/histogram semantics, order-invariant snapshot
 // merging (the per-core aggregation contract), the Prometheus text
-// exposition bytes, snapshot diffing, SLO spec parsing, and profile
-// schema version back-compat (v2–v4 files must keep parsing under the v5
-// reader).
+// exposition bytes, snapshot diffing, SLO spec parsing, and the profile
+// schema version check (readers accept exactly the version they write).
 
 #include "obs/metrics.h"
 
@@ -202,57 +201,14 @@ TEST(SloSpecTest, RejectsMalformedClauses) {
 }
 
 TEST(ProfileVersionTest, SupportedRange) {
-  EXPECT_FALSE(IsSupportedProfileVersion(1));
-  EXPECT_TRUE(IsSupportedProfileVersion(2));
-  EXPECT_TRUE(IsSupportedProfileVersion(3));
-  EXPECT_TRUE(IsSupportedProfileVersion(kProfileSchemaVersion));
-  EXPECT_FALSE(IsSupportedProfileVersion(kProfileSchemaVersion + 1));
-  EXPECT_FALSE(IsSupportedProfileVersion(-1));
-}
-
-/// v2 files (pre-serving) and v3 files (server block, no telemetry) keep
-/// parsing under the v4 reader: newer fields simply read as absent.
-TEST(ProfileVersionTest, OlderProfilesStillParse) {
-  const char kV2[] = R"({
-    "schema": "uolap-profile", "version": 2, "bench": "legacy",
-    "runs": [{"label": "scan", "threads": 1, "makespan_cycles": 100}]
-  })";
-  const char kV3[] = R"({
-    "schema": "uolap-profile", "version": 3, "bench": "legacy",
-    "runs": [],
-    "server": {"cores": 4, "submitted": 8, "completed": 8,
-               "vtime_ms": 1.5, "tenants": [{"name": "a", "p99_ms": 2}]}
-  })";
-  for (const char* text : {kV2, kV3}) {
-    const auto doc = ParseJson(text);
-    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-    const JsonValue& v = doc.value();
-    EXPECT_EQ(v.GetString("schema"), kProfileSchemaName);
-    EXPECT_TRUE(IsSupportedProfileVersion(
-        static_cast<int>(v.GetNumber("version"))));
-    // v4-only fields are absent, not errors.
-    EXPECT_EQ(v.Find("metrics"), nullptr);
-    const JsonValue* runs = v.Find("runs");
-    ASSERT_NE(runs, nullptr);
-    EXPECT_TRUE(runs->is_array());
+  for (int v : {-1, 1, 2, 3, 4, kProfileSchemaVersion + 1}) {
+    EXPECT_FALSE(IsSupportedProfileVersion(v)) << v;
   }
-  const auto v3 = ParseJson(kV3);
-  const JsonValue* server = v3.value().Find("server");
-  ASSERT_NE(server, nullptr);
-  EXPECT_EQ(server->GetNumber("completed"), 8.0);
-  EXPECT_EQ(server->Find("epochs"), nullptr);
-  // v5 robustness rollups are absent in older files and read as their
-  // pre-robustness values: zero drops, the "none" policy, no fault plan.
-  EXPECT_EQ(server->Find("admitted"), nullptr);
-  EXPECT_EQ(server->GetNumber("rejected"), 0.0);
-  EXPECT_EQ(server->GetNumber("timed_out"), 0.0);
-  EXPECT_EQ(server->GetString("shed_policy", "none"), "none");
-  EXPECT_EQ(server->GetString("fault_plan"), "");
+  EXPECT_TRUE(IsSupportedProfileVersion(kProfileSchemaVersion));
 }
 
 /// A v5 server block round-trips its robustness rollups through the
-/// parser, and a v4 file (telemetry but no robustness fields) still
-/// parses under the v5 reader.
+/// parser.
 TEST(ProfileVersionTest, V5RobustnessFieldsParse) {
   const char kV5[] = R"({
     "schema": "uolap-profile", "version": 5, "bench": "serve",
@@ -283,18 +239,6 @@ TEST(ProfileVersionTest, V5RobustnessFieldsParse) {
             server->GetNumber("completed") + server->GetNumber("shed") +
                 server->GetNumber("timed_out") +
                 server->GetNumber("failed"));
-
-  const char kV4[] = R"({
-    "schema": "uolap-profile", "version": 4, "bench": "serve",
-    "runs": [],
-    "server": {"cores": 4, "submitted": 8, "completed": 8,
-               "epoch_ms": 5, "epochs": [], "trace_sample_n": 0}
-  })";
-  const auto v4 = ParseJson(kV4);
-  ASSERT_TRUE(v4.ok());
-  EXPECT_TRUE(IsSupportedProfileVersion(
-      static_cast<int>(v4.value().GetNumber("version"))));
-  EXPECT_EQ(v4.value().Find("server")->Find("admitted"), nullptr);
 }
 
 /// The robustness metric names obey the canonical grammar and publish
