@@ -23,6 +23,7 @@ namespace {
 using uolap::Rng;
 using uolap::core::BranchPredictor;
 using uolap::core::Core;
+using uolap::core::LlcCache;
 using uolap::core::MachineConfig;
 using uolap::core::SetAssociativeCache;
 
@@ -46,6 +47,25 @@ void BM_CacheMissInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheMissInsert);
+
+// The L3 layer on its own: Broadwell's 28672x20 set blocks, probed and
+// filled with random lines over 4x its capacity, so most probes miss
+// into a set the host has to fetch and the victim select runs on a full
+// set — the shape of a large hash-join probe.
+void BM_LlcProbeFill(benchmark::State& state) {
+  constexpr uint64_t kSets = 28672;
+  constexpr uint32_t kWays = 20;
+  LlcCache cache(kSets, kWays);
+  Rng rng(11);
+  const uint64_t lines = 4 * kSets * kWays;
+  for (auto _ : state) {
+    const uint64_t key = rng.Next() % lines;
+    const uolap::core::CacheProbe p = cache.Probe(key, false);
+    if (!p.hit) benchmark::DoNotOptimize(cache.FillMiss(p, key, false));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LlcProbeFill);
 
 void BM_CoreSequentialLoad(benchmark::State& state) {
   Core core(MachineConfig::Broadwell());

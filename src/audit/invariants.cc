@@ -62,59 +62,67 @@ std::string AuditReport::ToString() const {
   return os.str();
 }
 
-void CheckCache(const core::SetAssociativeCache& cache,
-                std::string_view subject, AuditReport* report) {
-  const uint64_t clock = cache.lru_clock();
+namespace {
+
+template <typename Tag>
+void CheckCacheImpl(const core::BasicSetAssociativeCache<Tag>& cache,
+                    std::string_view subject, AuditReport* report) {
   for (uint64_t set = 0; set < cache.num_sets(); ++set) {
-    // Stamps seen among this set's valid ways (lru-permutation) and keys
-    // seen (duplicate-tag). Sets are small (<= 20 ways), linear rescan of
+    // Keys seen among this set's valid ways (duplicate-tag) and the ranks
+    // they hold (lru-rank). Sets are at most 32 ways; a linear rescan of
     // the already-read states beats hashing.
-    core::SetAssociativeCache::WayState ways[64];
-    const uint32_t nw = std::min<uint32_t>(cache.ways(), 64);
-    for (uint32_t w = 0; w < nw; ++w) ways[w] = cache.way_state(set, w);
+    core::CacheWayState ways[32];
+    const uint32_t nw = cache.ways();
+    uint32_t valid = 0;
+    for (uint32_t w = 0; w < nw; ++w) {
+      ways[w] = cache.way_state(set, w);
+      valid += ways[w].valid ? 1 : 0;
+    }
+    uint64_t ranks_seen = 0;
     for (uint32_t w = 0; w < nw; ++w) {
       const auto& s = ways[w];
       ++report->checks;
-      if (s.valid) {
-        if (s.last_touch == 0 || s.last_touch > clock) {
+      if (!s.valid) {
+        if (s.rank != -1 || s.dirty) {
           std::ostringstream os;
-          os << "set " << set << " way " << w << ": valid way has LRU stamp "
-             << s.last_touch << " outside (0, clock=" << clock << "]";
-          report->Fail("cache.lru-stamp", std::string(subject), os.str());
+          os << "set " << set << " way " << w << ": invalid way has rank "
+             << s.rank << " dirty=" << s.dirty;
+          report->Fail("cache.lru-rank", std::string(subject), os.str());
         }
-        if (cache.SetOf(s.key) != set) {
+        continue;
+      }
+      const bool in_range =
+          s.rank >= 0 && static_cast<uint32_t>(s.rank) < valid;
+      if (!in_range || (ranks_seen >> s.rank & 1) != 0) {
+        std::ostringstream os;
+        os << "set " << set << " way " << w << ": valid way has rank "
+           << s.rank << (in_range ? " (duplicate)" : "") << ", expected a "
+           << "distinct rank in [0, " << valid << ")";
+        report->Fail("cache.lru-rank", std::string(subject), os.str());
+      }
+      if (in_range) ranks_seen |= uint64_t{1} << s.rank;
+      for (uint32_t v = 0; v < w; ++v) {
+        if (ways[v].valid && ways[v].key == s.key) {
           std::ostringstream os;
-          os << "set " << set << " way " << w << ": resident key " << s.key
-             << " maps to set " << cache.SetOf(s.key);
-          report->Fail("cache.home-set", std::string(subject), os.str());
-        }
-        for (uint32_t v = 0; v < w; ++v) {
-          if (!ways[v].valid) continue;
-          if (ways[v].key == s.key) {
-            std::ostringstream os;
-            os << "set " << set << ": key " << s.key << " resident in ways "
-               << v << " and " << w;
-            report->Fail("cache.duplicate-tag", std::string(subject),
-                         os.str());
-          }
-          if (ways[v].last_touch == s.last_touch) {
-            std::ostringstream os;
-            os << "set " << set << ": ways " << v << " and " << w
-               << " share LRU stamp " << s.last_touch;
-            report->Fail("cache.lru-permutation", std::string(subject),
-                         os.str());
-          }
-        }
-      } else {
-        if (s.last_touch != 0 || s.dirty) {
-          std::ostringstream os;
-          os << "set " << set << " way " << w << ": invalid way has stamp "
-             << s.last_touch << " dirty=" << s.dirty;
-          report->Fail("cache.lru-stamp", std::string(subject), os.str());
+          os << "set " << set << ": key " << s.key << " resident in ways "
+             << v << " and " << w;
+          report->Fail("cache.duplicate-tag", std::string(subject), os.str());
         }
       }
     }
   }
+}
+
+}  // namespace
+
+void CheckCache(const core::SetAssociativeCache& cache,
+                std::string_view subject, AuditReport* report) {
+  CheckCacheImpl(cache, subject, report);
+}
+
+void CheckCache(const core::LlcCache& cache, std::string_view subject,
+                AuditReport* report) {
+  CheckCacheImpl(cache, subject, report);
 }
 
 void CheckStreamTable(const core::MemorySystem& mem, std::string_view subject,

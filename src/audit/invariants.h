@@ -55,13 +55,16 @@ struct AuditReport {
 
 /// Set-associative cache / TLB structural invariants:
 ///   cache.duplicate-tag   no key resident in two ways of one set
-///   cache.home-set        every resident key maps to the set holding it
-///   cache.lru-stamp       valid ways carry a nonzero stamp <= lru_clock,
-///                         invalid ways carry stamp 0 and a clear dirty bit
-///   cache.lru-permutation stamps of valid ways are distinct within a set
-///                         (true-LRU recency is a permutation)
+///   cache.lru-rank        the k valid ways of a set hold exactly the
+///                         recency ranks 0..k-1 (true-LRU recency is a
+///                         permutation, the invariant victim selection
+///                         relies on); invalid ways are rank-empty and clean
+/// A stored tag is the key's set quotient, so it decodes only to keys of
+/// its own set; core_cache_test's tag round trip is the guarantee.
 void CheckCache(const core::SetAssociativeCache& cache,
                 std::string_view subject, AuditReport* report);
+void CheckCache(const core::LlcCache& cache, std::string_view subject,
+                AuditReport* report);
 
 /// Stream-detector table bounds:
 ///   stream.bounds         valid => run >= 1, dir in {-1,0,1},

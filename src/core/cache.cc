@@ -9,16 +9,25 @@ namespace {
 bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 }  // namespace
 
-SetAssociativeCache::SetAssociativeCache(uint64_t num_sets, uint32_t ways)
+template <typename Tag>
+BasicSetAssociativeCache<Tag>::BasicSetAssociativeCache(uint64_t num_sets,
+                                                        uint32_t ways)
     : num_sets_(num_sets),
       ways_(ways),
+      way_mask_(ways >= 32 ? ~0u : (1u << ways) - 1),
+      tag_chunks_(static_cast<uint32_t>((ways * sizeof(Tag) + kChunk - 1) /
+                                        kChunk)),
+      block_bytes_((kTagOff + tag_chunks_ * kChunk + kHostLine - 1) /
+                   kHostLine * kHostLine),
       pow2_sets_(IsPowerOfTwo(num_sets)),
       set_mask_(num_sets - 1) {
   UOLAP_CHECK_MSG(num_sets >= 1, "num_sets must be positive");
-  UOLAP_CHECK(ways >= 1);
-  if (!pow2_sets_) {
-    uint32_t shift = 0;
-    while (((num_sets_ >> shift) & 1) == 0) ++shift;
+  UOLAP_CHECK_MSG(ways >= 1 && ways <= kMaxWays,
+                  "associativity outside the set block's 1..32 ways");
+  if (pow2_sets_) {
+    set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets_));
+  } else {
+    const uint32_t shift = static_cast<uint32_t>(std::countr_zero(num_sets_));
     odd_shift_ = shift;
     odd_ = num_sets_ >> shift;
     low_mask_ = (1ull << shift) - 1;
@@ -34,58 +43,95 @@ SetAssociativeCache::SetAssociativeCache(uint64_t num_sets, uint32_t ways)
         e != 0 && ((static_cast<unsigned __int128>(1) << 64) / e) >=
                       (static_cast<unsigned __int128>(1) << 58);
   }
-  const uint64_t n = num_sets_ * ways_;
-  // The front-slot array stores global way indices as uint32_t.
-  UOLAP_CHECK_MSG(n <= UINT32_MAX, "cache geometry exceeds front-slot range");
-  // Over-allocate by one host line and start the records on its boundary,
-  // so a set of 4k ways occupies exactly k host lines. Still calloc: the
-  // lazily zeroed pages are kept.
-  recs_block_ = CallocArray<char>(n * sizeof(WayRec) + kHostLine);
-  const uintptr_t raw = reinterpret_cast<uintptr_t>(recs_block_.get());
-  recs_ = reinterpret_cast<WayRec*>((raw + kHostLine - 1) & ~(kHostLine - 1));
-  UOLAP_CHECK(reinterpret_cast<uintptr_t>(recs_) % kHostLine == 0);
-  mru_ = CallocArray<uint32_t>(num_sets_);
-  for (uint64_t s = 0; s < num_sets_; ++s) {
-    mru_[s] = static_cast<uint32_t>(s * ways_);
-  }
+  // Over-allocate by one host line and start the blocks on its boundary.
+  // Still calloc: the lazily zeroed pages are kept, and zero is empty.
+  void* p = std::calloc(num_sets_ * block_bytes_ + kHostLine, 1);
+  UOLAP_CHECK_MSG(p != nullptr, "cache set block allocation failed");
+  storage_.reset(static_cast<char*>(p));
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(p);
+  blocks_ = static_cast<char*>(p) +
+            (((raw + kHostLine - 1) & ~(kHostLine - 1)) - raw);
 }
 
-CacheAccessResult SetAssociativeCache::Insert(uint64_t key, bool dirty) {
-  const uint64_t set = SetIndex(key);
-  const int64_t i = FindInSet(set, key + 1);
-  if (i >= 0) {
-    const uint64_t u = static_cast<uint64_t>(i);
-    CacheAccessResult result;
-    result.hit = true;
-    if (dirty) recs_[u].tag |= kDirtyBit;
-    recs_[u].ts = ++clock_;
-    mru_[set] = static_cast<uint32_t>(u);
-    result.slot = u;
-    return result;
-  }
-  return FillWay(set, VictimIn(set), key, dirty);
+template <typename Tag>
+CacheAccessResult BasicSetAssociativeCache<Tag>::Insert(uint64_t key,
+                                                        bool dirty) {
+  const Loc l = Locate(key);
+  char* b = Block(l.set);
+  const int i = FindInBlock(b, l.tag);
+  if (i < 0) return FillWay(l.set, b, VictimIn(b), l.tag, dirty);
+  const uint32_t way = static_cast<uint32_t>(i);
+  if (dirty) SetDirty(b, way);
+  Touch(b, way);
+  b[kFrontOff] = static_cast<char>(way);
+  CacheAccessResult result;
+  result.hit = true;
+  return result;
 }
 
-bool SetAssociativeCache::Invalidate(uint64_t key, bool* was_dirty) {
-  const int64_t i = Find(key);
+template <typename Tag>
+bool BasicSetAssociativeCache<Tag>::Invalidate(uint64_t key,
+                                               bool* was_dirty) {
+  const Loc l = Locate(key);
+  char* b = Block(l.set);
+  const int i = FindInBlock(b, l.tag);
   if (i < 0) {
     if (was_dirty != nullptr) *was_dirty = false;
     return false;
   }
-  const uint64_t u = static_cast<uint64_t>(i);
-  if (was_dirty != nullptr) *was_dirty = (recs_[u].tag & kDirtyBit) != 0;
-  recs_[u].tag = 0;
-  recs_[u].ts = 0;
+  const uint32_t way = static_cast<uint32_t>(i);
+  const uint32_t dirty_mask = DirtyMask(b);
+  if (was_dirty != nullptr) *was_dirty = (dirty_mask >> way & 1) != 0;
+  SetDirtyMask(b, dirty_mask & ~(1u << way));
+  SetTag(b, way, 0);
+  // The older valid ways each move one rank up, keeping the valid ranks a
+  // dense run ending at kMru.
+  const int8_t r = RankAt(b, way);
+  for (uint32_t w = 0; w < ways_; ++w) {
+    const int8_t rw = RankAt(b, w);
+    if (rw > 0 && rw < r) b[kRankOff + w] = static_cast<char>(rw + 1);
+  }
+  b[kRankOff + way] = 0;
   return true;
 }
 
-void SetAssociativeCache::Clear() {
-  const uint64_t n = num_sets_ * ways_;
-  std::memset(recs_, 0, n * sizeof(WayRec));
-  for (uint64_t s = 0; s < num_sets_; ++s) {
-    mru_[s] = static_cast<uint32_t>(s * ways_);
-  }
-  clock_ = 0;
+template <typename Tag>
+void BasicSetAssociativeCache<Tag>::Clear() {
+  std::memset(blocks_, 0, num_sets_ * block_bytes_);
+  hits_ = 0;
+  misses_ = 0;
 }
+
+template <typename Tag>
+CacheWayState BasicSetAssociativeCache<Tag>::way_state(uint64_t set,
+                                                       uint32_t way) const {
+  UOLAP_CHECK(set < num_sets_ && way < ways_);
+  const char* b = Block(set);
+  const Tag tag = TagAt(b, way);
+  const int8_t r = RankAt(b, way);
+  CacheWayState s;
+  s.valid = tag != 0;
+  s.dirty = (DirtyMask(b) >> way & 1) != 0;
+  s.key = s.valid ? KeyOf(set, tag) : 0;
+  s.rank = r == 0 ? -1 : kMru - r;
+  return s;
+}
+
+template <typename Tag>
+void BasicSetAssociativeCache<Tag>::TestOnlySetWay(uint64_t set, uint32_t way,
+                                                   uint64_t raw_tag, int rank,
+                                                   bool dirty) {
+  UOLAP_CHECK(set < num_sets_ && way < ways_);
+  UOLAP_CHECK(raw_tag <= std::numeric_limits<Tag>::max());
+  UOLAP_CHECK(rank >= -1 && rank < kMru);
+  char* b = Block(set);
+  SetTag(b, way, static_cast<Tag>(raw_tag));
+  b[kRankOff + way] = static_cast<char>(rank < 0 ? 0 : kMru - rank);
+  SetDirtyMask(b, (DirtyMask(b) & ~(1u << way)) |
+                      static_cast<uint32_t>(dirty) << way);
+}
+
+template class BasicSetAssociativeCache<uint32_t>;
+template class BasicSetAssociativeCache<uint64_t>;
 
 }  // namespace uolap::core

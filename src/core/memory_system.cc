@@ -14,7 +14,7 @@ static_assert(kStreamTableEntries == 32,
 
 namespace {
 
-using ProbeResult = SetAssociativeCache::ProbeResult;
+using ProbeResult = CacheProbe;
 
 uint64_t Log2Exact(uint64_t x) {
   UOLAP_CHECK_MSG(x != 0 && (x & (x - 1)) == 0, "expected a power of two");
@@ -70,7 +70,8 @@ void MemorySystem::ResetFastPathState() {
   lru_head_ = -1;
   lru_tail_ = -1;
   memo_page_ = kNoPage;
-  memo_dtlb_slot_ = 0;
+  memo_dtlb_set_ = 0;
+  memo_dtlb_way_ = 0;
   fast_stats_ = FastPathStats{};
 }
 
@@ -329,18 +330,19 @@ void MemorySystem::AccessDataLine(uint64_t line, bool is_store) {
   // have moved or evicted that way in between (same-page translations
   // never insert, different pages replace the memo first). Replaying the
   // hit via TouchHit is therefore bit-identical to the reference lookup,
-  // LRU stamps included.
+  // LRU ranks included.
   const uint64_t page = line >> (page_shift_ - kLineShift);
   if (!reference_paths_ && page == memo_page_) {
     ++counters_.dtlb_hits;
-    dtlb_.TouchHit(memo_dtlb_slot_, page);
+    dtlb_.TouchHit(memo_dtlb_set_, memo_dtlb_way_, page);
     ++fast_stats_.memo_hits;
   } else {
     const ProbeResult pd = dtlb_.Probe(page, /*is_store=*/false);
     memo_page_ = page;
+    memo_dtlb_set_ = pd.set;
+    memo_dtlb_way_ = pd.way;
     if (pd.hit) {
       ++counters_.dtlb_hits;
-      memo_dtlb_slot_ = pd.way;
     } else {
       const ProbeResult ps = stlb_.Probe(page, /*is_store=*/false);
       if (ps.hit) {
@@ -351,7 +353,7 @@ void MemorySystem::AccessDataLine(uint64_t line, bool is_store) {
         counters_.tlb_cycles += page_walk_cost_;
         stlb_.FillMiss(ps, page, /*dirty=*/false);
       }
-      memo_dtlb_slot_ = dtlb_.FillMiss(pd, page, /*dirty=*/false).slot;
+      dtlb_.FillMiss(pd, page, /*dirty=*/false);
     }
   }
 
@@ -446,7 +448,7 @@ void MemorySystem::ValidateFill(uint64_t line, int from_level) {
   // left the line resident in L1D and, when it came from L3/DRAM, in L2;
   // when it came from DRAM, in L3 as well (fill-inclusive policy —
   // evictions may break containment later, fills never may). The freshly
-  // filled line carries the maximum LRU stamp in its set, so the cascading
+  // filled line holds the MRU rank in its set, so the cascading
   // writeback inserts of the same fill can only displace it from a
   // single-way set; skip those (degenerate test geometries).
   bool ok = l1d_.Contains(line);

@@ -37,10 +37,10 @@ namespace uolap::core {
 ///     immediately-previous access) replaying the DTLB hit path without a
 ///     tag scan.
 /// The hierarchy walk has one form in both modes: each level is probed
-/// once (SetAssociativeCache::Probe), and a missed level is filled into
-/// the victim its probe named (FillMiss) — exact because nothing touches
-/// a level between its probe and its fill. Debug builds check every such
-/// victim against a fresh InsertAbsent choice.
+/// once (BasicSetAssociativeCache::Probe), and a missed level is filled
+/// into the victim its probe named (FillMiss) — exact because nothing
+/// touches a level between its probe and its fill. Debug builds check
+/// every such victim against a fresh InsertAbsent choice.
 class MemorySystem {
  public:
   explicit MemorySystem(const MachineConfig& config);
@@ -113,7 +113,7 @@ class MemorySystem {
   const SetAssociativeCache& l1i() const { return l1i_; }
   const SetAssociativeCache& l1d() const { return l1d_; }
   const SetAssociativeCache& l2() const { return l2_; }
-  const SetAssociativeCache& l3() const { return l3_; }
+  const LlcCache& l3() const { return l3_; }
   const SetAssociativeCache& dtlb() const { return dtlb_; }
   const SetAssociativeCache& stlb() const { return stlb_; }
 
@@ -208,11 +208,10 @@ class MemorySystem {
   /// 0, so they win with first-in-table-order ties). Pure.
   int ScanVictim() const;
 
-  /// Timestamp true-LRU, like SetAssociativeCache: a touch is one stamp,
-  /// the victim is the minimum stamp (identical replacement order to the
-  /// rank-based scheme, O(1) per touch instead of O(entries)). Stamps of
-  /// valid entries are distinct, so the LRU list order below mirrors the
-  /// stamp order exactly.
+  /// Timestamp true-LRU: a touch is one stamp, the victim is the minimum
+  /// stamp (identical replacement order to a rank-based scheme, O(1) per
+  /// touch instead of O(entries)). Stamps of valid entries are distinct,
+  /// so the LRU list order below mirrors the stamp order exactly.
   void TouchStream(int index) {
     stream_ts_[static_cast<size_t>(index)] = ++stream_clock_;
     if (lru_tail_ != index) {
@@ -282,7 +281,7 @@ class MemorySystem {
   SetAssociativeCache l1i_;
   SetAssociativeCache l1d_;
   SetAssociativeCache l2_;
-  SetAssociativeCache l3_;
+  LlcCache l3_;
   SetAssociativeCache dtlb_;
   SetAssociativeCache stlb_;
 
@@ -306,7 +305,8 @@ class MemorySystem {
   int8_t lru_tail_ = -1;
   bool reference_paths_ = false;
   uint64_t memo_page_ = kNoPage;  ///< page of the previous data access
-  uint64_t memo_dtlb_slot_ = 0;   ///< its DTLB way (global index)
+  uint64_t memo_dtlb_set_ = 0;    ///< its DTLB set and way
+  uint32_t memo_dtlb_way_ = 0;
   FastPathStats fast_stats_;
 
   double mlp_hint_ = kMlpDefault;

@@ -82,56 +82,52 @@ TEST_F(AuditInvariantsTest, CleanBreakdownPasses) {
 
 TEST(AuditCacheTest, DuplicateTagDetected) {
   core::SetAssociativeCache cache(/*num_sets=*/4, /*ways=*/2);
-  // Same raw tag in both ways of set 0, distinct stamps. Key 0 has raw
-  // tag 1 and homes to set 0.
-  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*ts=*/1, /*dirty=*/false);
-  cache.TestOnlySetWay(0, 1, /*raw_tag=*/1, /*ts=*/2, /*dirty=*/false);
+  // Same raw tag in both ways of set 0, distinct ranks. Key 0 has raw
+  // tag 1 (quotient 0, + 1).
+  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*rank=*/0, /*dirty=*/false);
+  cache.TestOnlySetWay(0, 1, /*raw_tag=*/1, /*rank=*/1, /*dirty=*/false);
   AuditReport report;
   CheckCache(cache, "corrupt", &report);
   EXPECT_TRUE(HasRule(report, "cache.duplicate-tag")) << report.ToString();
 }
 
-TEST(AuditCacheTest, HomeSetViolationDetected) {
+TEST(AuditCacheTest, LruRankEmptinessViolationsDetected) {
   core::SetAssociativeCache cache(/*num_sets=*/4, /*ways=*/2);
-  // Key 1 (raw tag 2) homes to set 1; plant it in set 0.
-  cache.TestOnlySetWay(0, 0, /*raw_tag=*/2, /*ts=*/1, /*dirty=*/false);
+  // Valid way without a rank (resident yet never touched).
+  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*rank=*/-1, /*dirty=*/false);
+  // Invalid way carrying a stale dirty bit and rank.
+  cache.TestOnlySetWay(1, 0, /*raw_tag=*/0, /*rank=*/0, /*dirty=*/true);
   AuditReport report;
   CheckCache(cache, "corrupt", &report);
-  EXPECT_TRUE(HasRule(report, "cache.home-set")) << report.ToString();
+  EXPECT_EQ(report.violations.size(), 2u) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "cache.lru-rank")) << report.ToString();
 }
 
-TEST(AuditCacheTest, LruStampViolationsDetected) {
-  core::SetAssociativeCache cache(/*num_sets=*/4, /*ways=*/2);
-  // Valid way with stamp 0 ("never touched" yet resident).
-  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*ts=*/0, /*dirty=*/false);
-  // Invalid way carrying a stale dirty bit and stamp.
-  cache.TestOnlySetWay(1, 0, /*raw_tag=*/0, /*ts=*/5, /*dirty=*/true);
+TEST(AuditCacheTest, LruRankOutOfRangeDetected) {
+  core::LlcCache cache(/*num_sets=*/3, /*ways=*/4);
+  // One valid way in set 2 must hold rank 0; rank 1 leaves a hole that
+  // victim selection would misread.
+  cache.TestOnlySetWay(2, 3, /*raw_tag=*/7, /*rank=*/1, /*dirty=*/false);
   AuditReport report;
   CheckCache(cache, "corrupt", &report);
-  EXPECT_TRUE(HasRule(report, "cache.lru-stamp")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "cache.lru-rank")) << report.ToString();
 }
 
-TEST(AuditCacheTest, LruStampBeyondClockDetected) {
+TEST(AuditCacheTest, LruRankDuplicateDetected) {
   core::SetAssociativeCache cache(/*num_sets=*/4, /*ways=*/2);
-  // The cache's clock is 0 (never touched), so any nonzero stamp is from
-  // the future.
-  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*ts=*/99, /*dirty=*/false);
-  AuditReport report;
-  CheckCache(cache, "corrupt", &report);
-  EXPECT_TRUE(HasRule(report, "cache.lru-stamp")) << report.ToString();
-}
-
-TEST(AuditCacheTest, LruPermutationViolationDetected) {
-  core::SetAssociativeCache cache(/*num_sets=*/4, /*ways=*/2);
-  // Advance the clock legitimately so stamp 1 is in range...
   cache.Insert(/*key=*/0, /*dirty=*/false);
   cache.Insert(/*key=*/4, /*dirty=*/false);
-  // ...then force both ways of set 0 onto the same stamp.
-  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*ts=*/1, /*dirty=*/false);
-  cache.TestOnlySetWay(0, 1, /*raw_tag=*/5, /*ts=*/1, /*dirty=*/false);
+  {
+    AuditReport report;
+    CheckCache(cache, "healthy", &report);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
+  // Force both ways of set 0 onto the MRU rank.
+  cache.TestOnlySetWay(0, 0, /*raw_tag=*/1, /*rank=*/0, /*dirty=*/false);
+  cache.TestOnlySetWay(0, 1, /*raw_tag=*/2, /*rank=*/0, /*dirty=*/false);
   AuditReport report;
   CheckCache(cache, "corrupt", &report);
-  EXPECT_TRUE(HasRule(report, "cache.lru-permutation")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "cache.lru-rank")) << report.ToString();
 }
 
 TEST_F(AuditInvariantsTest, HealthyCachesPassDirectly) {

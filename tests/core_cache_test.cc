@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/config.h"
+#include "core/placement.h"
 
 namespace uolap::core {
 namespace {
@@ -88,7 +90,10 @@ TEST(SetAssociativeCacheTest, InvalidateRemovesLine) {
 TEST(SetAssociativeCacheTest, ClearDropsEverything) {
   SetAssociativeCache c(4, 4);
   for (uint64_t k = 0; k < 16; ++k) c.Insert(k, false);
+  EXPECT_TRUE(c.Access(3, false));
   c.Clear();
+  EXPECT_EQ(c.hits(), 0u);  // the totals go with the contents
+  EXPECT_EQ(c.misses(), 0u);
   for (uint64_t k = 0; k < 16; ++k) EXPECT_FALSE(c.Contains(k));
 }
 
@@ -143,26 +148,28 @@ TEST(SetAssociativeCacheTest, ProbeOnMissNamesTheFillVictim) {
   c.Insert(0, false);
   c.Insert(4, false);
   EXPECT_TRUE(c.Access(0, false));  // 4 becomes LRU
-  const SetAssociativeCache::ProbeResult miss = c.Probe(8, false);
+  const CacheProbe miss = c.Probe(8, false);
   EXPECT_FALSE(miss.hit);
   EXPECT_EQ(miss.set, 0u);
   EXPECT_EQ(c.misses(), 1u);  // counted like Access; Insert counts none
   const CacheAccessResult r = c.FillMiss(miss, 8, /*dirty=*/true);
   EXPECT_TRUE(r.evicted);
   EXPECT_EQ(r.evicted_key, 4u);
-  EXPECT_EQ(r.slot, miss.way);
-  const SetAssociativeCache::ProbeResult hit = c.Probe(8, false);
+  EXPECT_EQ(c.way_state(0, miss.way).key, 8u);
+  const CacheProbe hit = c.Probe(8, false);
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.way, miss.way);
-  EXPECT_TRUE(c.way_state(0, static_cast<uint32_t>(hit.way)).dirty);
+  EXPECT_TRUE(c.way_state(0, hit.way).dirty);
+  EXPECT_EQ(c.way_state(0, hit.way).rank, 0);  // MRU
 }
 
 // --- LRU oracle -------------------------------------------------------------
 // A deliberately naive model of the same cache: explicit per-way records
 // plus a per-set recency list of the valid ways (front = least recent).
 // The fill victim is the first invalid way, else the list front. Random
-// operation sequences drive it and SetAssociativeCache in lockstep; every
-// result, eviction and way is compared.
+// operation sequences drive it and the cache in lockstep; every result,
+// eviction and way — including each valid way's recency rank against its
+// list position, so the full LRU order — is compared.
 
 class LruOracle {
  public:
@@ -175,7 +182,6 @@ class LruOracle {
     bool valid = false;
     bool dirty = false;
     uint64_t key = 0;
-    uint64_t stamp = 0;
   };
   struct Eviction {
     bool evicted = false;
@@ -225,7 +231,7 @@ class LruOracle {
       ev = {true, way.dirty, way.key};
       s.lru.remove(v);
     }
-    way = {true, dirty, key, ++clock_};
+    way = {true, dirty, key};
     s.lru.push_back(v);
     return ev;
   }
@@ -250,7 +256,13 @@ class LruOracle {
   }
 
   const Way& way(uint64_t set, uint32_t w) const { return sets_[set].ways[w]; }
-  uint64_t clock() const { return clock_; }
+
+  /// Recency rank of valid way `w`: 0 for the list back (most recent).
+  int Rank(uint64_t set, uint32_t w) const {
+    int pos = 0;
+    for (auto it = sets_[set].lru.rbegin(); *it != w; ++it) ++pos;
+    return pos;
+  }
 
  private:
   struct Set {
@@ -261,7 +273,6 @@ class LruOracle {
   void Touch(uint64_t key, uint32_t w, bool dirty) {
     Set& s = sets_[SetOf(key)];
     s.ways[w].dirty = s.ways[w].dirty || dirty;
-    s.ways[w].stamp = ++clock_;
     s.lru.remove(w);
     s.lru.push_back(w);
   }
@@ -269,21 +280,21 @@ class LruOracle {
   uint64_t num_sets_;
   uint32_t ways_;
   std::vector<Set> sets_;
-  uint64_t clock_ = 0;
 };
 
-void ExpectSetMatches(const SetAssociativeCache& c, const LruOracle& o,
-                      uint64_t set, const char* after) {
+template <typename Cache>
+void ExpectSetMatches(const Cache& c, const LruOracle& o, uint64_t set,
+                      const char* after) {
   for (uint32_t w = 0; w < c.ways(); ++w) {
-    const SetAssociativeCache::WayState got = c.way_state(set, w);
+    const CacheWayState got = c.way_state(set, w);
     const LruOracle::Way& want = o.way(set, w);
     ASSERT_EQ(got.valid, want.valid) << after << " set " << set << " way " << w;
     ASSERT_EQ(got.dirty, want.dirty) << after << " set " << set << " way " << w;
+    const int want_rank = want.valid ? o.Rank(set, w) : -1;
+    ASSERT_EQ(got.rank, want_rank) << after << " set " << set << " way " << w;
     if (want.valid) {
       ASSERT_EQ(got.key, want.key) << after << " set " << set << " way " << w;
     }
-    ASSERT_EQ(got.last_touch, want.stamp)
-        << after << " set " << set << " way " << w;
   }
 }
 
@@ -296,9 +307,10 @@ void ExpectEviction(const CacheAccessResult& got,
   }
 }
 
+template <typename Cache>
 void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
   SCOPED_TRACE(testing::Message() << num_sets << "x" << ways);
-  SetAssociativeCache c(num_sets, ways);
+  Cache c(num_sets, ways);
   LruOracle o(num_sets, ways);
   Rng rng(seed);
   // A handful of hot sets (so ways fill, conflict and evict) plus the odd
@@ -339,15 +351,15 @@ void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
     } else {
       // Probe, then fill the miss: the probe's victim must be the way the
       // oracle (and InsertAbsent) would fill.
-      const SetAssociativeCache::ProbeResult p = c.Probe(key, flag);
+      const CacheProbe p = c.Probe(key, flag);
       const int want_way = o.Find(key);
       ASSERT_EQ(p.hit, want_way >= 0) << "Probe " << key;
       ASSERT_EQ(p.set, set);
       if (p.hit) {
-        ASSERT_EQ(p.way, set * ways + static_cast<uint32_t>(want_way));
+        ASSERT_EQ(p.way, static_cast<uint32_t>(want_way));
         o.Access(key, flag);
       } else {
-        ASSERT_EQ(p.way, set * ways + o.Victim(key)) << "Probe " << key;
+        ASSERT_EQ(p.way, o.Victim(key)) << "Probe " << key;
         uint32_t invalid = 0;
         for (uint32_t w = 0; w < ways; ++w) {
           invalid += o.way(set, w).valid ? 0 : 1;
@@ -355,13 +367,12 @@ void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
         tie_fills += invalid >= 2 && invalid < ways ? 1 : 0;
         const bool dirty = rng.Bernoulli(0.5);
         const CacheAccessResult r = c.FillMiss(p, key, dirty);
-        ASSERT_EQ(r.slot, p.way);
         ExpectEviction(r, o.Insert(key, dirty), "FillMiss");
+        ASSERT_EQ(c.way_state(set, p.way).key, key);
         evictions += r.evicted ? 1 : 0;
       }
     }
     ExpectSetMatches(c, o, set, "op");
-    ASSERT_EQ(c.lru_clock(), o.clock());
   }
   for (uint64_t set = 0; set < num_sets; ++set) {
     ExpectSetMatches(c, o, set, "final");
@@ -375,36 +386,120 @@ void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
   }
 }
 
+struct Geometry {
+  uint64_t sets;
+  uint32_t ways;
+};
+// L1/L2-like, both presets' sliced L3 (Skylake's odd 23831 sets pad an
+// 11-way tag row), Skylake's L2, the STLB, a small power-of-two, the
+// 32-way limit and a degenerate odd direct-mapped one.
+constexpr Geometry kOracleGeometries[] = {
+    {64, 8},  {512, 8}, {28672, 20}, {23831, 11}, {1024, 16},
+    {128, 12}, {16, 4}, {7, 32},     {3, 1}};
+
 TEST(SetAssociativeCacheTest, MatchesNaiveLruOracle) {
-  struct Geometry {
-    uint64_t sets;
-    uint32_t ways;
-  };
-  // L1/L2-like, the sliced 35 MB L3, the STLB, a small power-of-two and a
-  // degenerate odd direct-mapped one.
-  for (const Geometry g : {Geometry{64, 8}, Geometry{512, 8},
-                           Geometry{28672, 20}, Geometry{128, 12},
-                           Geometry{16, 4}, Geometry{3, 1}}) {
-    RunLruOracle(g.sets, g.ways, 1000 + g.sets * 31 + g.ways, 20000);
+  for (const Geometry g : kOracleGeometries) {
+    RunLruOracle<SetAssociativeCache>(g.sets, g.ways,
+                                      1000 + g.sets * 31 + g.ways, 20000);
+  }
+}
+
+TEST(LlcCacheTest, MatchesNaiveLruOracle) {
+  for (const Geometry g : kOracleGeometries) {
+    RunLruOracle<LlcCache>(g.sets, g.ways, 2000 + g.sets * 31 + g.ways,
+                           20000);
   }
 }
 
 TEST(SetAssociativeCacheTest, FirstInvalidWayWinsTies) {
-  // Invalidate two ways in the middle of a full set: both carry stamp 0,
+  // Invalidate two ways in the middle of a full set: both are rank-empty,
   // and the fills must take them in way order before evicting anything.
   SetAssociativeCache c(1, 6);
   for (uint64_t k = 0; k < 6; ++k) c.Insert(k, false);
   bool dirty = false;
   ASSERT_TRUE(c.Invalidate(4, &dirty));
   ASSERT_TRUE(c.Invalidate(1, &dirty));
-  const SetAssociativeCache::ProbeResult p = c.Probe(10, false);
+  const CacheProbe p = c.Probe(10, false);
   ASSERT_FALSE(p.hit);
   EXPECT_EQ(p.way, 1u);
   EXPECT_FALSE(c.FillMiss(p, 10, false).evicted);
-  const CacheAccessResult r = c.InsertAbsent(11, false);
-  EXPECT_FALSE(r.evicted);
-  EXPECT_EQ(r.slot, 4u);
+  EXPECT_FALSE(c.InsertAbsent(11, false).evicted);
+  EXPECT_EQ(c.way_state(0, 4).key, 11u);
   EXPECT_EQ(c.InsertAbsent(12, false).evicted_key, 0u);  // then true LRU
+}
+
+// --- tag round trip ----------------------------------------------------------
+// A way stores only key / num_sets + 1; way_state decodes it back with the
+// set. Keys from the placed address ranges of the first and a high core
+// index, on both presets, must come back exactly — in the 32-bit L3 too.
+
+template <typename Cache>
+void ExpectRoundTrip(uint64_t num_sets, uint32_t ways, uint64_t lo,
+                     uint64_t hi, const char* level) {
+  SCOPED_TRACE(testing::Message() << level << " keys [" << lo << ", " << hi
+                                  << ")");
+  Cache c(num_sets, ways);
+  Rng rng(lo ^ num_sets);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t key = i == 0   ? lo
+                         : i == 1 ? hi - 1
+                                  : lo + rng.Next() % (hi - lo);
+    if (!c.Contains(key)) c.InsertAbsent(key, false);
+    const CacheProbe p = c.Probe(key, false);
+    ASSERT_TRUE(p.hit) << key;
+    ASSERT_EQ(c.way_state(p.set, p.way).key, key);
+  }
+}
+
+TEST(CacheTagTest, PlacedKeysRoundTrip) {
+  for (const MachineConfig& m :
+       {MachineConfig::Broadwell(), MachineConfig::Skylake()}) {
+    SCOPED_TRACE(m.name);
+    for (const uint32_t core : {0u, 27u}) {
+      const Placement place(core);
+      const uint64_t line_lo = place.begin() >> 6, line_hi = place.end() >> 6;
+      const uint64_t page_lo = place.begin() >> 12, page_hi = place.end() >> 12;
+      ExpectRoundTrip<SetAssociativeCache>(m.l1d.num_sets(),
+                                           m.l1d.associativity, line_lo,
+                                           line_hi, "l1d");
+      ExpectRoundTrip<SetAssociativeCache>(m.l2.num_sets(), m.l2.associativity,
+                                           line_lo, line_hi, "l2");
+      ExpectRoundTrip<LlcCache>(m.l3.num_sets(), m.l3.associativity, line_lo,
+                                line_hi, "l3");
+      ExpectRoundTrip<SetAssociativeCache>(m.dtlb_entries / m.dtlb_ways,
+                                           m.dtlb_ways, page_lo, page_hi,
+                                           "dtlb");
+      ExpectRoundTrip<SetAssociativeCache>(m.stlb_entries / m.stlb_ways,
+                                           m.stlb_ways, page_lo, page_hi,
+                                           "stlb");
+    }
+  }
+}
+
+TEST(CacheTagTest, LlcLargestTagRoundTrips) {
+  // Quotient 2^32 - 2 is the largest a 32-bit tag (quotient + 1) holds.
+  const uint64_t sets = 28672;
+  ExpectRoundTrip<LlcCache>(sets, 20, (uint64_t{0xFFFFFFFE}) * sets,
+                            (uint64_t{0xFFFFFFFF}) * sets, "l3 top");
+}
+
+TEST(CacheTagDeathTest, LlcQuotientBeyondTagAborts) {
+  // Quotient 2^32 - 1 would wrap the tag to 0 (the empty way); the lookup
+  // must abort rather than alias.
+  const uint64_t sets = 28672;
+  const uint64_t key = uint64_t{0xFFFFFFFF} * sets + 5;
+  EXPECT_DEATH(
+      {
+        LlcCache c(sets, 20);
+        c.Access(key, false);
+      },
+      "tag range");
+  EXPECT_DEATH(
+      {
+        LlcCache c(sets, 20);
+        c.InsertAbsent(key << 1, false);
+      },
+      "tag range");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/invariants.h"
 #include "common/rng.h"
 
 namespace uolap::core {
@@ -131,6 +132,12 @@ TEST(CoreTest, ResetRestoresPristineState) {
   EXPECT_EQ(c.mix.load, 0u);
   EXPECT_EQ(c.branch_events, 0u);
   EXPECT_EQ(c.mem.data_accesses, 0u);
+  // The caches' own hit/miss totals restart with the counters: fresh
+  // accesses after the Reset must audit clean against them.
+  for (auto& v : data) core.Load(&v, sizeof(v));
+  core.Finalize();
+  const audit::AuditReport report = audit::AuditCore(core, "after reset");
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(CoreTest, SequentialColumnScanMostlyStreamCovered) {

@@ -4,8 +4,8 @@
 // streams, random pointer-chase probes — are run twice, once through the
 // accelerated kernels (stream index, translation memo) and once through
 // the reference scans/lookups (SetReferencePaths(true)). Counters AND the
-// raw cache/TLB/stream state, including every LRU stamp, must be
-// bit-identical.
+// raw cache/TLB/stream state, including every LRU rank and stream stamp,
+// must be bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -37,28 +37,27 @@ struct MismatchLog {
   }
 };
 
-void CompareCache(const char* name, const SetAssociativeCache& a,
-                  const SetAssociativeCache& b, MismatchLog* log) {
+template <typename Cache>
+void CompareCache(const char* name, const Cache& a, const Cache& b,
+                  MismatchLog* log) {
   ASSERT_EQ(a.num_sets(), b.num_sets());
   ASSERT_EQ(a.ways(), b.ways());
-  if (a.hits() != b.hits() || a.misses() != b.misses() ||
-      a.lru_clock() != b.lru_clock()) {
+  if (a.hits() != b.hits() || a.misses() != b.misses()) {
     log->Note(testing::Message()
               << name << " stats: hits " << a.hits() << " vs " << b.hits()
-              << ", misses " << a.misses() << " vs " << b.misses()
-              << ", clock " << a.lru_clock() << " vs " << b.lru_clock());
+              << ", misses " << a.misses() << " vs " << b.misses());
   }
   for (uint64_t set = 0; set < a.num_sets(); ++set) {
     for (uint32_t way = 0; way < a.ways(); ++way) {
       const auto wa = a.way_state(set, way);
       const auto wb = b.way_state(set, way);
       if (wa.valid != wb.valid || wa.dirty != wb.dirty || wa.key != wb.key ||
-          wa.last_touch != wb.last_touch) {
+          wa.rank != wb.rank) {
         log->Note(testing::Message()
                   << name << " set " << set << " way " << way << ": ("
                   << wa.valid << "," << wa.dirty << "," << wa.key << ","
-                  << wa.last_touch << ") vs (" << wb.valid << "," << wb.dirty
-                  << "," << wb.key << "," << wb.last_touch << ")");
+                  << wa.rank << ") vs (" << wb.valid << "," << wb.dirty << ","
+                  << wb.key << "," << wb.rank << ")");
       }
     }
   }
