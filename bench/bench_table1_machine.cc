@@ -22,6 +22,8 @@ using uolap::core::MachineConfig;
 
 /// Dependent pointer chase over a working set of `bytes`, reporting the
 /// average simulated access cost in cycles (MLC's idle-latency method).
+/// The chased lines sit at the core's placement addresses, so the table
+/// is a function of the machine config alone.
 double ChaseLatencyCycles(const MachineConfig& cfg, size_t bytes) {
   Core core(cfg);
   core.SetMlpHint(1.0);  // a dependent chase has no MLP
@@ -34,9 +36,9 @@ double ChaseLatencyCycles(const MachineConfig& cfg, size_t bytes) {
     std::swap(next[i], next[static_cast<size_t>(
                            rng.Uniform(0, static_cast<int64_t>(i) - 1))]);
   }
-  std::vector<uint64_t> arena(lines * 8, 0);
+  const uint64_t arena = core.placement().Fresh(lines * 64);
   // Warm up: touch everything once.
-  for (size_t i = 0; i < lines; ++i) core.Load(&arena[i * 8], 8);
+  for (size_t i = 0; i < lines; ++i) core.Load(arena + i * 64, 8);
   core.Finalize();
   const double warm_cycles =
       core.counters().mem.rand_dcache_cycles +
@@ -45,7 +47,7 @@ double ChaseLatencyCycles(const MachineConfig& cfg, size_t bytes) {
   const int hops = 200000;
   size_t p = 0;
   for (int i = 0; i < hops; ++i) {
-    core.Load(&arena[next[p] * 8], 8);
+    core.Load(arena + next[p] * 64, 8);
     p = next[p];
   }
   core.Finalize();
@@ -118,8 +120,9 @@ int main(int argc, char** argv) {
     // Streaming "bandwidth measurement": a pure sequential scan with
     // negligible compute must run at the per-core sequential ceiling.
     Core core(cfg);
-    std::vector<int64_t> data((256 << 20) / 8, 1);
-    for (size_t i = 0; i < data.size(); i += 8) core.Load(&data[i], 8);
+    const uint64_t bytes = 256 << 20;
+    const uint64_t data = core.placement().Fresh(bytes);
+    for (uint64_t off = 0; off < bytes; off += 64) core.Load(data + off, 8);
     core.Finalize();
     uolap::core::TopDownModel model(cfg);
     const auto r = model.Analyze(core.counters());

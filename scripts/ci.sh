@@ -64,13 +64,15 @@ asan_stage() {
 }
 
 # Chaos smoke: the robustness layer end to end (DESIGN.md §9). A serve
-# run with every degradation path armed — per-query deadlines, admission
+# run with every degradation path armed — a default deadline, admission
 # reject + queue shed, bounded retry with backoff, brown-out downgrade,
 # and a deterministic fault plan — executed twice, must serialize
 # byte-identical profile JSON including the shed/timeout/retry/fault
 # counters (the graceful-degradation determinism contract).
-# The parameters are tuned so every path actually fires at --quick scale:
-# the outcome rollup and the injection rollup must both be non-trivial.
+# At --quick scale the run must reject, time out, retry, inject
+# transient failures and slowdown epochs, and brown out: each of those
+# counters must be non-zero. Shed and failed read 0 at this scale;
+# server_robustness_test covers them.
 # Finally the SLO gate must fail a deliberately-unmeetable latency bound
 # on the degraded run with a non-zero exit.
 chaos_smoke() {
@@ -101,6 +103,14 @@ chaos_smoke() {
     echo "chaos smoke: no queries admitted" >&2
     return 1
   fi
+  local zero
+  for zero in "| rejected 0 |" "| timed_out 0 |" "| retries 0 |" \
+      "injected: 0 transient" "| 0 slowdown epochs" "| 0 brown-out"; do
+    if grep -F -- "$zero" "$out/summary.txt" >/dev/null; then
+      echo "chaos smoke: a degradation path never fired ($zero)" >&2
+      return 1
+    fi
+  done
   # Deliberately-unmeetable SLO on the degraded run: the gate must trip.
   if "$build_dir/examples/uolap_report" slo "$out/a.json" \
       --slo='*:p99<0.001' >/dev/null; then

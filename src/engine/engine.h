@@ -79,10 +79,6 @@ class OlapEngine {
 
   virtual std::string name() const = 0;
 
-  /// True for the high-performance engines that implement the Section 7
-  /// predication variants.
-  virtual bool SupportsPredication() const { return false; }
-
   /// Whether this engine implements `id`. The base implementation admits
   /// everything but the TPC-H queries only the high-performance engines
   /// carry (Q9/Q18); those engines override.

@@ -1,7 +1,6 @@
 #include "engine/query_spec.h"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 
 namespace uolap::engine {
@@ -123,12 +122,6 @@ Status QuerySpec::Validate() const {
   }
   if (id == QueryId::kGroupBy && num_groups < 1) {
     return Status::InvalidArgument("num_groups must be >= 1");
-  }
-  if (!(deadline_ms >= 0.0) || !std::isfinite(deadline_ms)) {
-    return Status::InvalidArgument("deadline_ms must be finite and >= 0");
-  }
-  if (!(cost_hint_ms >= 0.0) || !std::isfinite(cost_hint_ms)) {
-    return Status::InvalidArgument("cost_hint_ms must be finite and >= 0");
   }
   return Status::OK();
 }

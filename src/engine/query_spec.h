@@ -51,10 +51,9 @@ std::string_view QueryOutcomeName(QueryOutcome outcome);
 
 /// A fully parameterized query: the tagged id plus the parameter fields it
 /// reads (the others are ignored but kept value-initialized so specs
-/// compare and label deterministically). Build via the factory helpers or
-/// the fluent QuerySpecBuilder (engine/spec_builder.h) — the builder also
-/// validates against an engine registry; direct field construction is
-/// deprecated for new call sites (DESIGN.md §6).
+/// compare and label deterministically). Build one with the factory
+/// helpers below. A spec describes only the workload: deadlines are
+/// serving policy (server::AdmissionConfig), not part of the query.
 struct QuerySpec {
   QueryId id = QueryId::kQ6;
 
@@ -63,16 +62,6 @@ struct QuerySpec {
   JoinSize join_size = JoinSize::kLarge;   ///< kJoin
   int64_t num_groups = 1024;               ///< kGroupBy
   Q6Params q6{};                           ///< kQ6
-
-  /// Optional virtual-time deadline, measured from arrival (0 = none).
-  /// The serving runtime's admission controller and timeout machinery
-  /// read it; engines ignore it, and it does not affect Label() — class
-  /// identity is the workload, not the SLO attached to it.
-  double deadline_ms = 0;
-  /// Optional caller estimate of solo service time, used to seed the
-  /// admission controller's load model before the first completion of
-  /// this class (0 = unknown).
-  double cost_hint_ms = 0;
 
   static QuerySpec Projection(int degree);
   static QuerySpec Selection(const SelectionParams& params);
@@ -83,8 +72,7 @@ struct QuerySpec {
   static QuerySpec Q9();
   static QuerySpec Q18();
 
-  /// Structural validation: parameter ranges, finite non-negative
-  /// deadline/cost.
+  /// Structural validation: a known id and in-range parameters.
   Status Validate() const;
 
   /// Deterministic label of the query class, e.g. "selection/s0.10" or

@@ -30,7 +30,6 @@ class TectorwiseEngine : public engine::OlapEngine {
   std::string name() const override {
     return simd_ ? "Tectorwise-SIMD" : "Tectorwise";
   }
-  bool SupportsPredication() const override { return true; }
   /// Implements every QuerySpec workload, including Q9/Q18.
   bool Supports(engine::QueryId) const override { return true; }
   bool simd() const { return simd_; }

@@ -26,7 +26,6 @@ class TyperEngine : public engine::OlapEngine {
   explicit TyperEngine(const tpch::Database& db) : OlapEngine(db) {}
 
   std::string name() const override { return "Typer"; }
-  bool SupportsPredication() const override { return true; }
   /// Implements every QuerySpec workload, including Q9/Q18.
   bool Supports(engine::QueryId) const override { return true; }
 

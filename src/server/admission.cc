@@ -1,7 +1,5 @@
 #include "server/admission.h"
 
-#include <cmath>
-
 namespace uolap::server {
 
 std::string_view ShedPolicyName(ShedPolicy policy) {
@@ -26,11 +24,10 @@ StatusOr<ShedPolicy> ParseShedPolicy(std::string_view name) {
   return Status::InvalidArgument("unknown shed policy: " + std::string(name));
 }
 
-double RetryBackoffMs(const RetryPolicy& policy, int attempt,
-                      double unit_jitter) {
-  double wait = policy.backoff_base_ms;
-  for (int i = 1; i < attempt; ++i) wait *= policy.backoff_multiplier;
-  return wait * (1.0 + policy.backoff_jitter * unit_jitter);
+double RetryBackoffMs(int attempt, double unit_jitter) {
+  double wait = 1.0;
+  for (int i = 1; i < attempt; ++i) wait *= 2.0;
+  return wait * (1.0 + 0.5 * unit_jitter);
 }
 
 void AdmissionController::SeedClass(size_t cls, double est_ms) {
@@ -62,8 +59,7 @@ double AdmissionController::PredictResponseMs(size_t cls,
 bool AdmissionController::WouldMissDeadline(size_t cls, double queued_work_ms,
                                             double deadline_ms) const {
   if (!(deadline_ms > 0)) return false;
-  return PredictResponseMs(cls, queued_work_ms) * config_.safety_factor >
-         deadline_ms;
+  return PredictResponseMs(cls, queued_work_ms) > deadline_ms;
 }
 
 }  // namespace uolap::server

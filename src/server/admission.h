@@ -28,27 +28,15 @@ StatusOr<ShedPolicy> ParseShedPolicy(std::string_view name);
 /// Deadline-aware admission configuration.
 struct AdmissionConfig {
   ShedPolicy policy = ShedPolicy::kNone;
-  /// Deadline applied to specs that carry none (0 = no default: such
-  /// queries are never rejected/shed/timed out).
+  /// Virtual-time deadline of every query, measured from arrival
+  /// (0 = none: queries are never rejected/shed/timed out).
   double default_deadline_ms = 0;
-  /// Predicted response times are multiplied by this before the deadline
-  /// comparison; > 1 sheds earlier (conservative), < 1 later.
-  double safety_factor = 1.0;
-  /// Per-tenant budget of rejected+shed queries (0 = unlimited). Once a
-  /// tenant exhausts its quota the server stops dropping its queries —
-  /// degradation is spread across tenants instead of starving one.
-  uint64_t tenant_shed_quota = 0;
-  /// Tenants with priority >= this tier are never rejected or shed (they
-  /// can still time out: deadlines are physics, priority is policy).
-  int protect_priority = 1;
 };
 
-/// Bounded retry with exponential backoff for transient engine failures.
+/// Bounded retry of transient engine failures; the backoff between
+/// attempts follows the fixed RetryBackoffMs schedule.
 struct RetryPolicy {
-  int max_retries = 0;            ///< extra attempts after the first
-  double backoff_base_ms = 1.0;   ///< wait before the first retry
-  double backoff_multiplier = 2;  ///< growth per retry
-  double backoff_jitter = 0.5;    ///< extra uniform fraction in [0, jitter]
+  int max_retries = 0;  ///< extra attempts after the first
 };
 
 /// Brown-out mode: when the instantaneous queue depth reaches
@@ -61,25 +49,23 @@ struct BrownoutConfig {
   std::map<std::string, std::string> downgrade;
 };
 
-/// Backoff before retry `attempt` (1-based): base * multiplier^(attempt-1)
-/// * (1 + jitter * unit_jitter), with `unit_jitter` a caller-supplied
+/// Backoff before retry `attempt` (1-based): 1 ms * 2^(attempt-1)
+/// * (1 + 0.5 * unit_jitter), with `unit_jitter` a caller-supplied
 /// uniform draw in [0, 1) from the seeded RNG. Pure so the schedule is
 /// golden-testable.
-double RetryBackoffMs(const RetryPolicy& policy, int attempt,
-                      double unit_jitter);
+double RetryBackoffMs(int attempt, double unit_jitter);
 
 /// The counter-derived load model behind admission decisions: a per-class
 /// running mean of observed service time (seeded by the class's solo
-/// profile or the spec's cost hint — the same per-class latency series the
-/// metrics registry publishes), combined with the queued work ahead of a
-/// candidate. Pure bookkeeping over simulated quantities: deterministic.
+/// profile — the same per-class latency series the metrics registry
+/// publishes), combined with the queued work ahead of a candidate. Pure
+/// bookkeeping over simulated quantities: deterministic.
 class AdmissionController {
  public:
-  AdmissionController(const AdmissionConfig& config, int cores)
-      : config_(config), cores_(cores < 1 ? 1 : cores) {}
+  explicit AdmissionController(int cores) : cores_(cores < 1 ? 1 : cores) {}
 
   /// Registers class `cls` with its a-priori service-time estimate in ms
-  /// (solo profile time, or the spec's cost hint when given).
+  /// (its solo profile time).
   void SeedClass(size_t cls, double est_ms);
 
   /// Folds one observed completion of `cls` into the running mean.
@@ -94,11 +80,9 @@ class AdmissionController {
   double PredictResponseMs(size_t cls, double queued_work_ms) const;
 
   /// Whether the load model predicts the candidate misses `deadline_ms`
-  /// (0 = no deadline, never misses). Applies the safety factor.
+  /// (0 = no deadline, never misses).
   bool WouldMissDeadline(size_t cls, double queued_work_ms,
                          double deadline_ms) const;
-
-  const AdmissionConfig& config() const { return config_; }
 
   struct ClassModel {
     double est_ms = 0;   ///< current mean estimate
@@ -115,7 +99,6 @@ class AdmissionController {
   }
 
  private:
-  AdmissionConfig config_;
   int cores_;
   std::vector<ClassModel> classes_;
 };

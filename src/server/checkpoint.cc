@@ -459,23 +459,18 @@ uint64_t ServingConfigFingerprint(const ServerConfig& config,
         config.epoch_ms, config.trace_sample_n,
         static_cast<uint32_t>(config.slos.size()));
   for (const obs::SloSpec& slo : config.slos) w.Put(slo.ToString());
-  const AdmissionConfig& adm = config.admission;
-  const RetryPolicy& retry = config.retry;
-  w.Put(std::string(ShedPolicyName(adm.policy)), adm.default_deadline_ms,
-        adm.safety_factor, adm.tenant_shed_quota, adm.protect_priority,
-        retry.max_retries, retry.backoff_base_ms, retry.backoff_multiplier,
-        retry.backoff_jitter, config.brownout.queue_depth,
+  w.Put(std::string(ShedPolicyName(config.admission.policy)),
+        config.admission.default_deadline_ms, config.retry.max_retries,
+        config.brownout.queue_depth,
         static_cast<uint32_t>(config.brownout.downgrade.size()));
   for (const auto& [from, to] : config.brownout.downgrade) w.Put(from, to);
   w.Put(config.faults.ToString(), config.checkpoint.every_epochs,
         static_cast<uint32_t>(tenants.size()));
   for (const TenantConfig& t : tenants) {
     w.Put(t.name, t.engine, static_cast<uint32_t>(t.catalog.size()));
-    for (const engine::QuerySpec& spec : t.catalog) {
-      w.Put(spec.Label(), spec.deadline_ms, spec.cost_hint_ms);
-    }
+    for (const engine::QuerySpec& spec : t.catalog) w.Put(spec.Label());
     w.Put(t.zipf_s, t.arrival_qps, t.concurrency, t.think_ms, t.max_queries,
-          t.seed, t.priority);
+          t.seed);
   }
   const std::string& data = w.bytes();
   return (static_cast<uint64_t>(Crc32c(data)) << 32) |

@@ -230,7 +230,7 @@ class Server::ServeLoop {
         epoch_cycles_(config_.epoch_ms > 0 ? Cycles(config_.epoch_ms) : 0),
         metrics_(config_.metrics != nullptr ? *config_.metrics
                                             : obs::MetricsRegistry::Global()),
-        ctl_(adm_, config_.cores),
+        ctl_(config_.cores),
         cap_(tenants_.size()),
         zipf_cdf_(tenants_.size()) {
     st_.tenants.resize(tenants_.size());
@@ -261,9 +261,7 @@ class Server::ServeLoop {
     st_.classes.resize(classes_.size());
     st_.slots.assign(static_cast<size_t>(config_.cores), QueryInstance{});
     for (size_t i = 0; i < classes_.size(); ++i) {
-      ctl_.SeedClass(i, classes_[i].spec.cost_hint_ms > 0
-                            ? classes_[i].spec.cost_hint_ms
-                            : classes_[i].solo().time_ms);
+      ctl_.SeedClass(i, classes_[i].solo().time_ms);
     }
     if (ck_.enabled()) {
       config_fingerprint_ = ServingConfigFingerprint(config_, tenants_);
@@ -337,28 +335,16 @@ class Server::ServeLoop {
  private:
   using Outcome = engine::QueryOutcome;
 
-  // Whether the reject/shed policies may drop tenant `t`'s work: protected
-  // priority tiers never are, and a tenant that used up its shed quota is
-  // spared from then on.
-  bool MayDrop(size_t t) const {
-    const TenantLoopState& ts = st_.tenants[t];
-    return tenants_[t].priority < adm_.protect_priority &&
-           (adm_.tenant_shed_quota == 0 ||
-            ts.rejected + ts.shed < adm_.tenant_shed_quota);
-  }
-
   // Returns false when the query was rejected at admission (the caller's
   // closed-loop client got its next wake from Terminal()).
   bool Submit(size_t t, int client) {
     const TenantConfig& tc = tenants_[t];
-    // Draw a *catalog index* (not class index) from the Zipf CDF: the
-    // catalog spec carries the per-submission deadline, the class only the
-    // workload identity.
+    // Draw a catalog index from the Zipf CDF; the tenant's catalog maps it
+    // to its class.
     const std::vector<double>& cdf = zipf_cdf_[t];
     const double u = st_.tenants[t].rng.NextDouble();
     size_t entry = 0;
     while (entry + 1 < cdf.size() && u >= cdf[entry]) ++entry;
-    const engine::QuerySpec& qspec = tc.catalog[entry];
     QueryInstance inst;
     inst.tenant = static_cast<int>(t);
     inst.cls = tenant_classes_[t][entry];
@@ -366,8 +352,7 @@ class Server::ServeLoop {
     // Global admission order: one number per submission, all tenants.
     for (const TenantLoopState& ts : st_.tenants) inst.seq += ts.submitted;
     inst.arrival = st_.vtime;
-    const double deadline_ms =
-        qspec.deadline_ms > 0 ? qspec.deadline_ms : adm_.default_deadline_ms;
+    const double deadline_ms = adm_.default_deadline_ms;
     if (deadline_ms > 0) inst.deadline = st_.vtime + Cycles(deadline_ms);
     ++st_.tenants[t].submitted;
     metrics_.Count(obs::metric_names::kServerQueriesSubmitted, "tenant",
@@ -377,7 +362,7 @@ class Server::ServeLoop {
     // predicts a deadline miss.
     const bool reject_on = adm_.policy == ShedPolicy::kReject ||
                            adm_.policy == ShedPolicy::kBoth;
-    if (reject_on && deadline_ms > 0 && MayDrop(t) &&
+    if (reject_on && deadline_ms > 0 &&
         ctl_.WouldMissDeadline(inst.cls, st_.queued_est_ms, deadline_ms)) {
       Terminal(inst, Outcome::kRejected, /*core=*/-1);
       return false;
@@ -478,7 +463,7 @@ class Server::ServeLoop {
     }
     const bool shed_on = adm_.policy == ShedPolicy::kShed ||
                          adm_.policy == ShedPolicy::kBoth;
-    if (shed_on && inst.deadline < kInf && MayDrop(t) &&
+    if (shed_on && inst.deadline < kInf &&
         ctl_.WouldMissDeadline(inst.cls, /*queued_work_ms=*/0,
                                Ms(inst.deadline - st_.vtime))) {
       Terminal(inst, Outcome::kShed, /*core=*/-1);
@@ -684,8 +669,8 @@ class Server::ServeLoop {
     metrics_.Count(obs::metric_names::kServerRetriesTotal, "tenant", tc.name);
     Rng jitter_rng(Mix64(config_.faults.seed ^ kBackoffSalt) +
                    inst.seq * 1024 + static_cast<uint64_t>(inst.attempt));
-    const double backoff_ms = RetryBackoffMs(config_.retry, inst.attempt,
-                                             jitter_rng.NextDouble());
+    const double backoff_ms =
+        RetryBackoffMs(inst.attempt, jitter_rng.NextDouble());
     metrics_.Observe(obs::metric_names::kServerBackoffMs, "tenant", tc.name,
                      backoff_ms);
     QueryInstance again = inst;

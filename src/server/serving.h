@@ -44,9 +44,6 @@ struct TenantConfig {
   double think_ms = 0.0;     ///< closed-loop mean think time
   uint64_t max_queries = 0;  ///< submissions cap (0 = server default)
   uint64_t seed = 0;         ///< tenant RNG stream (0 = derived from index)
-  /// Priority tier; tenants at or above
-  /// AdmissionConfig::protect_priority are exempt from reject/shed.
-  int priority = 0;
 };
 
 /// Serving-runtime configuration: the simulated machine, the core pool

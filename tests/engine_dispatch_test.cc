@@ -17,7 +17,6 @@
 #include "engine/engine.h"
 #include "engine/query_spec.h"
 #include "engine/registry.h"
-#include "engine/spec_builder.h"
 #include "harness/engines.h"
 #include "tpch/dbgen.h"
 
@@ -173,10 +172,6 @@ TEST_F(DispatchTest, RunReturnsInvalidArgumentForMalformedSpecs) {
   const StatusOr<QueryResult> r = typer.Run(bad, workers);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  QuerySpec negative_deadline = QuerySpec::Q1();
-  negative_deadline.deadline_ms = -1;
-  EXPECT_EQ(typer.Run(negative_deadline, workers).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST_F(DispatchTest, RegistryGetReportsUnknownKeys) {
@@ -197,52 +192,6 @@ TEST_F(DispatchTest, SuccessfulRunCarriesOkOutcome) {
   EXPECT_EQ(r.value().outcome, engine::QueryOutcome::kOk);
   EXPECT_TRUE(r.value().ok());
   EXPECT_TRUE(r.value().error.empty());
-}
-
-// --- fluent QuerySpecBuilder ----------------------------------------------
-
-TEST_F(DispatchTest, BuilderBuildsValidatedSpecs) {
-  const StatusOr<QuerySpec> spec = engine::QuerySpecBuilder()
-                                       .Query("groupby")
-                                       .Groups(1024)
-                                       .Deadline(8.0)
-                                       .CostHint(2.0)
-                                       .Build();
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(spec.value().id, QueryId::kGroupBy);
-  EXPECT_EQ(spec.value().num_groups, 1024u);
-  EXPECT_EQ(spec.value().deadline_ms, 8.0);
-  EXPECT_EQ(spec.value().cost_hint_ms, 2.0);
-  EXPECT_EQ(spec.value().Label(), "groupby/g1024");
-}
-
-TEST_F(DispatchTest, BuilderRejectsInvalidSpecs) {
-  EXPECT_EQ(engine::QuerySpecBuilder().Query("totally-novel").Build()
-                .status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine::QuerySpecBuilder()
-                .Query("projection")
-                .ProjectionDegree(9)
-                .Build()
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      engine::QuerySpecBuilder().Query("q1").Deadline(-2).Build()
-          .status().code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST_F(DispatchTest, BuilderValidatesAgainstTheRegistry) {
-  // Structural validity + the chosen engine's capability surface.
-  engine::QuerySpecBuilder builder;
-  builder.Query("q9").Engine("typer");
-  EXPECT_TRUE(builder.Validate(*registry_).ok());
-  builder.Engine("rowstore");  // rowstore does not implement Q9
-  EXPECT_EQ(builder.Validate(*registry_).code(),
-            StatusCode::kUnimplemented);
-  builder.Engine("voltron");
-  EXPECT_EQ(builder.Validate(*registry_).code(), StatusCode::kNotFound);
 }
 
 TEST_F(DispatchTest, ParseQueryIdCoversTheCatalog) {

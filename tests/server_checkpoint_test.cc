@@ -4,7 +4,8 @@
 // asserts the resumed profile JSON is byte-identical to the uninterrupted
 // one. Around it: CRC32C known-answer vectors, journal
 // framing and torn-tail tolerance, snapshot encode/decode round-trips,
-// bit-exact MetricsRegistry restore, and the recovery failure modes
+// bit-exact MetricsRegistry restore, the configuration fingerprint's
+// coverage of every loop-relevant field, and the recovery failure modes
 // (missing directory, corrupt newest snapshot, nothing valid at all).
 
 #include <sys/wait.h>
@@ -453,6 +454,134 @@ TEST(MetricsRestoreTest, SnapshotAfterRestoreIsIdentical) {
   fresh.Count("server.queries_total", 1);
   const obs::MetricsSnapshot after = fresh.Snapshot();
   EXPECT_EQ(after.Find("server.queries_total")->series[0].counter, 4u);
+}
+
+// --- configuration fingerprint ---------------------------------------------
+
+// A resume is refused when the fingerprint differs, so every field the
+// serving loop reads must feed it: perturb one field at a time and require
+// a new fingerprint.
+TEST(ConfigFingerprintTest, EveryLoopRelevantFieldIsHashed) {
+  ServerConfig base;
+  base.machine = core::MachineConfig::Broadwell();
+  base.cores = 2;
+  base.epoch_ms = 1.0;
+  base.trace_sample_n = 4;
+  base.slos = {{"*", obs::SloMetric::kP99, 5.0}};
+  base.admission.policy = ShedPolicy::kBoth;
+  base.admission.default_deadline_ms = 5.0;
+  base.retry.max_retries = 1;
+  base.brownout.queue_depth = 4;
+  base.brownout.downgrade = {{"rowstore", "typer"}};
+  base.faults.seed = 13;
+  base.faults.fail_prob = 0.2;
+  base.faults.slow_prob = 0.2;
+  base.faults.slow_factor = 2;
+  base.faults.epoch_ms = 0.5;
+  TenantConfig tenant;
+  tenant.name = "scans";
+  tenant.engine = "typer";
+  tenant.catalog = {engine::QuerySpec::Projection(4)};
+  tenant.zipf_s = 0.5;
+  tenant.concurrency = 3;
+  tenant.think_ms = 0.05;
+  tenant.seed = 7;
+  const std::vector<TenantConfig> base_tenants = {tenant};
+
+  using Tenants = std::vector<TenantConfig>;
+  struct Perturbation {
+    const char* field;
+    void (*apply)(ServerConfig&, Tenants&);
+  };
+  const Perturbation perturbations[] = {
+      {"machine.freq_ghz",
+       [](ServerConfig& c, Tenants&) { c.machine.freq_ghz += 0.5; }},
+      {"machine.cores_per_socket",
+       [](ServerConfig& c, Tenants&) { ++c.machine.cores_per_socket; }},
+      {"machine.bandwidth.per_socket_seq_gbps",
+       [](ServerConfig& c, Tenants&) {
+         c.machine.bandwidth.per_socket_seq_gbps += 1;
+       }},
+      {"machine.bandwidth.per_socket_rand_gbps",
+       [](ServerConfig& c, Tenants&) {
+         c.machine.bandwidth.per_socket_rand_gbps += 1;
+       }},
+      {"cores", [](ServerConfig& c, Tenants&) { ++c.cores; }},
+      {"default_max_queries",
+       [](ServerConfig& c, Tenants&) { ++c.default_max_queries; }},
+      {"sample_interval_instructions",
+       [](ServerConfig& c, Tenants&) { c.sample_interval_instructions = 1000; }},
+      {"epoch_ms", [](ServerConfig& c, Tenants&) { c.epoch_ms = 2.0; }},
+      {"trace_sample_n", [](ServerConfig& c, Tenants&) { ++c.trace_sample_n; }},
+      {"slos[0].threshold",
+       [](ServerConfig& c, Tenants&) { c.slos[0].threshold = 6.0; }},
+      {"slos.size",
+       [](ServerConfig& c, Tenants&) {
+         c.slos.push_back({"scans", obs::SloMetric::kP50, 1.0});
+       }},
+      {"admission.policy",
+       [](ServerConfig& c, Tenants&) {
+         c.admission.policy = ShedPolicy::kReject;
+       }},
+      {"admission.default_deadline_ms",
+       [](ServerConfig& c, Tenants&) { c.admission.default_deadline_ms = 6; }},
+      {"retry.max_retries",
+       [](ServerConfig& c, Tenants&) { ++c.retry.max_retries; }},
+      {"brownout.queue_depth",
+       [](ServerConfig& c, Tenants&) { ++c.brownout.queue_depth; }},
+      {"brownout.downgrade[rowstore]",
+       [](ServerConfig& c, Tenants&) {
+         c.brownout.downgrade["rowstore"] = "tectorwise";
+       }},
+      {"brownout.downgrade.size",
+       [](ServerConfig& c, Tenants&) {
+         c.brownout.downgrade["tectorwise"] = "typer";
+       }},
+      {"faults.seed", [](ServerConfig& c, Tenants&) { ++c.faults.seed; }},
+      {"faults.fail_prob",
+       [](ServerConfig& c, Tenants&) { c.faults.fail_prob = 0.3; }},
+      {"faults.slow_prob",
+       [](ServerConfig& c, Tenants&) { c.faults.slow_prob = 0.3; }},
+      {"faults.slow_factor",
+       [](ServerConfig& c, Tenants&) { c.faults.slow_factor = 3; }},
+      {"faults.epoch_ms",
+       [](ServerConfig& c, Tenants&) { c.faults.epoch_ms = 0.25; }},
+      {"checkpoint.every_epochs",
+       [](ServerConfig& c, Tenants&) { ++c.checkpoint.every_epochs; }},
+      {"tenants.size",
+       [](ServerConfig&, Tenants& t) { t.push_back(t[0]); }},
+      {"tenant.name", [](ServerConfig&, Tenants& t) { t[0].name = "other"; }},
+      {"tenant.engine",
+       [](ServerConfig&, Tenants& t) { t[0].engine = "tectorwise"; }},
+      {"tenant.catalog[0]",
+       [](ServerConfig&, Tenants& t) {
+         t[0].catalog[0] = engine::QuerySpec::Projection(2);
+       }},
+      {"tenant.catalog.size",
+       [](ServerConfig&, Tenants& t) {
+         t[0].catalog.push_back(engine::QuerySpec::Q1());
+       }},
+      {"tenant.zipf_s", [](ServerConfig&, Tenants& t) { t[0].zipf_s = 1.0; }},
+      {"tenant.arrival_qps",
+       [](ServerConfig&, Tenants& t) { t[0].arrival_qps = 100; }},
+      {"tenant.concurrency",
+       [](ServerConfig&, Tenants& t) { ++t[0].concurrency; }},
+      {"tenant.think_ms",
+       [](ServerConfig&, Tenants& t) { t[0].think_ms = 0.1; }},
+      {"tenant.max_queries",
+       [](ServerConfig&, Tenants& t) { t[0].max_queries = 5; }},
+      {"tenant.seed", [](ServerConfig&, Tenants& t) { ++t[0].seed; }},
+  };
+
+  const uint64_t fingerprint = ServingConfigFingerprint(base, base_tenants);
+  EXPECT_EQ(ServingConfigFingerprint(base, base_tenants), fingerprint);
+  for (const Perturbation& p : perturbations) {
+    ServerConfig config = base;
+    Tenants tenants = base_tenants;
+    p.apply(config, tenants);
+    EXPECT_NE(ServingConfigFingerprint(config, tenants), fingerprint)
+        << p.field << " does not feed the fingerprint";
+  }
 }
 
 // --- end-to-end kill and resume --------------------------------------------

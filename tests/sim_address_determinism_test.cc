@@ -15,7 +15,6 @@
 #include "engine/engine.h"
 #include "engine/query_spec.h"
 #include "engine/registry.h"
-#include "engine/spec_builder.h"
 #include "harness/engines.h"
 #include "harness/profile.h"
 #include "tpch/dbgen.h"
