@@ -10,13 +10,14 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table_printer.h"
 #include "engine/query.h"
 #include "harness/context.h"
 #include "harness/profile.h"
-#include "obs/region_profiler.h"
+#include "obs/record.h"
 
 namespace {
 
@@ -50,11 +51,11 @@ int main(int argc, char** argv) {
         std::fflush(stdout);
         const std::string label =
             e->name() + " " + uolap::engine::JoinSizeName(s);
-        cells.push_back(
-            {label,
-             ctx.Profile(label, [&](Workers& w) { e->Join(w, s); }),
-             {}});
-        cells.back().regions = ctx.last_run().cores[0].regions;
+        uolap::obs::RunRecord run = uolap::harness::ProfileSingleObs(
+            ctx.machine(), ctx.obs_options(), label,
+            [&](Workers& w) { e->Join(w, s); });
+        cells.push_back({label, run.cores[0].whole, run.cores[0].regions});
+        ctx.RecordRun(std::move(run));
       }
     }
     return cells;

@@ -4,8 +4,9 @@
 // drives every accelerated path of the simulation kernels: resident
 // re-scans, stream establish/advance/kill churn, the translation memo,
 // random probes through the stream-index candidate masks, line and page
-// straddles, and branchy retire traffic. The finalized counters are
-// exported as a real versioned profile.
+// straddles, and branchy retire traffic. The run is recorded through
+// obs::ProfileRun, like every profiled run, and exported as a real
+// versioned profile; a validated build (UOLAP_VALIDATE=ON) audits it.
 //
 //   uolap_perfsmoke --json=out.json [--reference]
 //
@@ -23,7 +24,6 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
 
 #include "common/flags.h"
 #include "common/rng.h"
@@ -33,7 +33,6 @@
 #include "obs/attribution.h"
 #include "obs/profile_export.h"
 #include "obs/record.h"
-#include "obs/region_profiler.h"
 
 namespace {
 
@@ -112,35 +111,6 @@ void ProbePhase(core::Core& core) {
 
 obs::ProfileSession RunSmoke(bool reference) {
   const core::MachineConfig cfg = core::MachineConfig::Broadwell();
-  core::Machine machine(cfg, 1);
-  core::Core& core = machine.core(0);
-  core.SetReferencePaths(reference);
-  obs::RegionProfiler prof(
-      core, obs::RegionProfiler::Options{/*sample_interval=*/100000});
-
-  ScanPhase(core);
-  StridePhase(core);
-  ProbePhase(core);
-  machine.FinalizeAll();
-
-  obs::CoreRecord rec;
-  rec.whole = machine.AnalyzeCore(0);
-  rec.regions = prof.Finish();
-  obs::AnalyzeTree(cfg, &rec.regions, 1.0);
-  rec.timeline = prof.timeline();
-  rec.events = prof.events();
-  rec.begin = prof.begin_counters();
-
-  obs::RunRecord run;
-  run.label = "perfsmoke";
-  run.threads = 1;
-  run.config = cfg;
-  run.bw_scale = 1.0;
-  run.makespan_cycles = rec.whole.total_cycles;
-  run.time_ms = rec.whole.time_ms;
-  run.socket_bandwidth_gbps = rec.whole.bandwidth_gbps;
-  run.cores.push_back(std::move(rec));
-
   obs::ProfileSession session;
   session.bench = "uolap_perfsmoke";
   session.machine = cfg.name;
@@ -149,7 +119,17 @@ obs::ProfileSession RunSmoke(bool reference) {
   session.seed = 2024;
   session.quick = true;
   session.wall_ms = 0.0;  // host time is zeroed: the output must be stable
-  session.runs.push_back(std::move(run));
+  auto trace = [reference](core::Machine& machine) {
+    core::Core& core = machine.core(0);
+    core.SetReferencePaths(reference);
+    ScanPhase(core);
+    StridePhase(core);
+    ProbePhase(core);
+  };
+  session.runs.push_back(obs::ProfileRun(cfg, /*threads=*/1,
+                                         /*sample_interval=*/100000,
+                                         "perfsmoke", trace)
+                             .second);
   return session;
 }
 

@@ -17,9 +17,9 @@
 #   5. an AddressSanitizer smoke (build + unit tests + crash-recovery
 #      smoke);
 #   6. a ThreadSanitizer build that runs the test suite through the
-#      parallel runtime (ThreadPool, RunSweep, threaded ProfileMulti), so
-#      data races in engine ForEach bodies fail CI instead of silently
-#      breaking the bit-determinism contract.
+#      parallel runtime (ThreadPool, RunSweep, threaded multi-core
+#      Profile), so data races in engine ForEach bodies fail CI instead
+#      of silently breaking the bit-determinism contract.
 #
 # Usage: scripts/ci.sh [stage] [jobs]
 #   stage: all (default) | analyze | asan | chaos_smoke |
@@ -359,8 +359,10 @@ python3 hostbench/run.py --selftest
 # Determinism gate: the same bench run twice must produce byte-identical
 # output. --stable-json zeroes wall_ms (the only host-time field of the
 # profile); everything else is simulated state, a pure function of
-# (config, seed, SF). The threaded multicore bench's stdout must match
-# too, minus the dbgen wall-time line.
+# (config, seed, SF). The threaded multicore bench (the one gated bench
+# that records concurrently: RunSweep points plus threaded multi-core
+# runs) must match on stdout, minus the dbgen wall-time line, and on its
+# profile JSON and Chrome trace.
 echo "=== determinism gate ==="
 DET_OUT="$(mktemp -d)"
 build/bench/bench_fig11_14_join --quick --stable-json \
@@ -368,11 +370,15 @@ build/bench/bench_fig11_14_join --quick --stable-json \
 build/bench/bench_fig11_14_join --quick --stable-json \
   --json="$DET_OUT/second-run.json" >/dev/null
 cmp "$DET_OUT/a.json" "$DET_OUT/second-run.json"
-build/bench/bench_fig27_30_multicore --quick | grep -v "^# generated " \
-  >"$DET_OUT/a.txt"
-build/bench/bench_fig27_30_multicore --quick --seed=42 |
-  grep -v "^# generated " >"$DET_OUT/b.txt"
+build/bench/bench_fig27_30_multicore --quick --stable-json \
+  --json="$DET_OUT/mc-a.json" --trace="$DET_OUT/mc-a.trace" |
+  grep -v "^# generated \|^# wrote " >"$DET_OUT/a.txt"
+build/bench/bench_fig27_30_multicore --quick --seed=42 --stable-json \
+  --json="$DET_OUT/mc-b.json" --trace="$DET_OUT/mc-b.trace" |
+  grep -v "^# generated \|^# wrote " >"$DET_OUT/b.txt"
 cmp "$DET_OUT/a.txt" "$DET_OUT/b.txt"
+cmp "$DET_OUT/mc-a.json" "$DET_OUT/mc-b.json"
+cmp "$DET_OUT/mc-a.trace" "$DET_OUT/mc-b.trace"
 rm -rf "$DET_OUT"
 
 echo "=== validated build (UOLAP_VALIDATE=ON) ==="
@@ -383,6 +389,18 @@ cmake --build build-validate -j "$JOBS"
 # violation prints a structured diagnostic and aborts the bench.
 build-validate/bench/bench_fig11_14_join --quick --validate >/dev/null
 build-validate/bench/bench_fig07_10_selection --quick --validate >/dev/null
+# The perf-smoke trace is recorded through the same audited recipe: both
+# kernel paths must pass every checker and still agree byte for byte.
+# (The golden is not compared here: it pins an unaudited run.)
+VAL_OUT="$(mktemp -d)"
+build-validate/examples/uolap_perfsmoke --json="$VAL_OUT/fast.json" \
+  >/dev/null
+build-validate/examples/uolap_perfsmoke --reference \
+  --json="$VAL_OUT/ref.json" >/dev/null
+cmp "$VAL_OUT/fast.json" "$VAL_OUT/ref.json"
+build-validate/examples/uolap_report validate "$VAL_OUT/fast.json" \
+  "$VAL_OUT/ref.json"
+rm -rf "$VAL_OUT"
 
 echo "=== undefined-behavior-sanitizer build (Debug: DCHECKs armed) ==="
 # Every other stage builds RelWithDebInfo, whose NDEBUG compiles the

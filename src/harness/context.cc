@@ -78,7 +78,6 @@ void BenchContext::RecordRun(obs::RunRecord run) {
   obs::MetricsRegistry::Global().Count(
       obs::metric_names::kHarnessRunsRecorded);
   std::lock_guard<std::mutex> lock(session_mu_);
-  last_run_ = run;
   session_.runs.push_back(std::move(run));
   flushed_ = false;
 }

@@ -84,11 +84,10 @@ class BenchContext {
   void PrintHeader(const std::string& bench_name);
 
   // --- recorded profiling ---------------------------------------------
-  // These wrap harness::ProfileSingleObs/ProfileMultiObs: every run is
-  // recorded into the session (for --json/--trace) and the conventional
-  // analysis result is returned, so call sites read like the plain
-  // ProfileSingle/ProfileMulti they replace. Thread-safe: sweep drivers
-  // may profile concurrently (runs are sorted by label at export).
+  // These wrap harness::Profile: every run is recorded into the session
+  // (for --json/--trace) and the conventional analysis result is returned.
+  // Thread-safe: sweep drivers may profile concurrently (runs are sorted by
+  // label at export).
 
   /// Single-core profile on the context's machine.
   template <typename Fn>
@@ -111,15 +110,11 @@ class BenchContext {
   template <typename Fn>
   core::MultiCoreResult ProfileMulti(const std::string& label, int threads,
                                      Fn&& fn) {
-    auto [multi, run] = ProfileMultiObs(machine_, threads, obs_options(),
-                                        label, std::forward<Fn>(fn));
+    auto [multi, run] = harness::Profile(machine_, threads, obs_options(),
+                                         label, std::forward<Fn>(fn));
     RecordRun(std::move(run));
     return multi;
   }
-
-  /// The most recently recorded run (regions, timeline, whole-run
-  /// analysis). Valid until the next Profile/ProfileMulti call.
-  const obs::RunRecord& last_run() const { return last_run_; }
 
   ObsOptions obs_options() const {
     return ObsOptions{sample_interval_};
@@ -157,7 +152,6 @@ class BenchContext {
   std::chrono::steady_clock::time_point start_time_;
   mutable std::mutex session_mu_;
   obs::ProfileSession session_;
-  obs::RunRecord last_run_;
   bool flushed_ = false;
   std::unique_ptr<tpch::Database> db_;
   std::unique_ptr<engine::EngineRegistry> engines_;

@@ -17,8 +17,9 @@ namespace uolap::harness {
 /// compute via RunSweep, then print the returned vector sequentially.
 ///
 /// Each `fn(i)` must be independent of the others (profiles its own
-/// Machine). A sweep point that itself calls ProfileMulti nests fine —
-/// the inner ParallelFor runs inline on the occupied pool thread.
+/// Machine). A sweep point that itself profiles a threaded multi-core run
+/// (harness::Profile) nests fine — the inner ParallelFor runs inline on
+/// the occupied pool thread.
 template <typename Fn>
 auto RunSweep(size_t n, Fn&& fn)
     -> std::vector<std::invoke_result_t<Fn&, size_t>> {

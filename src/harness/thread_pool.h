@@ -20,8 +20,8 @@ namespace uolap::harness {
 /// (a worker stuck on a slow item stops claiming; the others drain the
 /// rest). Used two ways, which nest safely:
 ///
-///  - `ProfileMulti` attaches the pool to `Workers`, so each simulated
-///    worker core's body runs on its own OS thread;
+///  - `Profile` (profile.h) attaches the pool to `Workers`, so each
+///    simulated worker core's body runs on its own OS thread;
 ///  - bench drivers wrap independent sweep points in `RunSweep` (sweep.h).
 ///
 /// A thread already executing a pool item runs nested ParallelFor calls

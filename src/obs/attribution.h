@@ -2,6 +2,7 @@
 #define UOLAP_OBS_ATTRIBUTION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "core/config.h"
 #include "core/counters.h"
 #include "core/machine.h"
+#include "core/multicore.h"
 #include "core/topdown.h"
 #include "obs/record.h"
 #include "obs/region_profiler.h"
@@ -49,48 +51,74 @@ std::vector<core::CycleBreakdown> AttributeCycles(
 void AnalyzeTree(const core::MachineConfig& config, RegionTree* tree,
                  double bw_scale = 1.0);
 
-/// The solo-profile recipe: runs `body(core::Core&)` on a fresh
-/// single-core machine with a RegionProfiler attached and returns the
-/// whole-run analysis plus the per-region tree / timeline / events as a
-/// RunRecord (cores[0].whole carries the ProfileResult; region breakdowns
-/// are already attributed). Audited when validation is enabled. Both
-/// harness::ProfileSingleObs and the serving runtime's per-class solo
-/// runs use it, so the two record the same thing.
+/// The one profiled-run recipe. Every measured run is recorded here: a
+/// figure bench's single-core cell, a Section 10 contention sweep, the
+/// serving runtime's per-class solo runs and the perf smoke.
+///
+/// Builds a fresh `threads`-core machine, attaches one RegionProfiler per
+/// core, runs `body(core::Machine&)`, then finalizes and analyzes every
+/// core under the socket-bandwidth contention model. On one core that
+/// model keeps the bandwidth scale at 1.0 (one core's demand stays below
+/// the socket ceiling), so the result is the plain Top-Down analysis.
+/// Returns the contention analysis plus the RunRecord (one CoreRecord per
+/// core, regions attributed at the run's bandwidth scale). When validation
+/// is on, the machine is armed before the body runs and the record carries
+/// the audit (AuditMachine plus CheckBreakdown per core); violations are
+/// reported under `label`.
+///
+/// The profilers are strictly per-core observers, so a body that runs its
+/// cores on several OS threads records the same bytes as a serial one.
 template <typename Body>
-RunRecord ProfileSolo(const core::MachineConfig& cfg,
-                      uint64_t sample_interval_instructions,
-                      const std::string& label, Body&& body) {
-  core::Machine machine(cfg, 1);
-  if (audit::ValidationEnabled()) audit::ArmMachine(machine);
-  RegionProfiler profiler(
-      machine.core(0), RegionProfiler::Options{sample_interval_instructions});
-  std::forward<Body>(body)(machine.core(0));
+std::pair<core::MultiCoreResult, RunRecord> ProfileRun(
+    const core::MachineConfig& cfg, int threads,
+    uint64_t sample_interval_instructions, const std::string& label,
+    Body&& body) {
+  core::Machine machine(cfg, static_cast<uint32_t>(threads));
+  const bool audited = audit::ValidationEnabled();
+  if (audited) audit::ArmMachine(machine);
+  std::vector<std::unique_ptr<RegionProfiler>> profilers;
+  profilers.reserve(static_cast<size_t>(threads));
+  for (int i = 0; i < threads; ++i) {
+    profilers.push_back(std::make_unique<RegionProfiler>(
+        machine.core(i),
+        RegionProfiler::Options{sample_interval_instructions}));
+  }
+  std::forward<Body>(body)(machine);
   machine.FinalizeAll();
+  core::MultiCoreResult multi = machine.AnalyzeAll();
 
   RunRecord run;
-  run.label = label;  // threads = 1 and bw_scale = 1.0 are the defaults
+  run.label = label;
+  run.threads = threads;
   run.config = cfg;
-  CoreRecord rec;
-  rec.whole = machine.AnalyzeCore(0);
-  rec.regions = profiler.Finish();
-  AnalyzeTree(cfg, &rec.regions);
-  rec.timeline = profiler.timeline();
-  rec.events = profiler.events();
-  rec.begin = profiler.begin_counters();
-  run.makespan_cycles = rec.whole.total_cycles;
-  run.time_ms = rec.whole.time_ms;
-  run.socket_bandwidth_gbps = rec.whole.bandwidth_gbps;
-  run.cores.push_back(std::move(rec));
-  if (audit::ValidationEnabled()) {
+  run.bw_scale = multi.bandwidth_scale;
+  run.makespan_cycles = multi.makespan_cycles;
+  run.time_ms = multi.time_ms;
+  run.socket_bandwidth_gbps = multi.socket_bandwidth_gbps;
+  run.cores.reserve(profilers.size());
+  for (size_t i = 0; i < profilers.size(); ++i) {
+    CoreRecord rec;
+    rec.whole = multi.per_core[i];
+    rec.regions = profilers[i]->Finish();
+    AnalyzeTree(cfg, &rec.regions, run.bw_scale);
+    rec.timeline = profilers[i]->timeline();
+    rec.events = profilers[i]->events();
+    rec.begin = profilers[i]->begin_counters();
+    run.cores.push_back(std::move(rec));
+  }
+  if (audited) {
     audit::AuditReport rep = audit::AuditMachine(machine, label);
-    audit::CheckBreakdown(run.cores[0].whole, cfg.freq_ghz,
-                          label + "/core0/topdown", &rep);
+    for (size_t i = 0; i < multi.per_core.size(); ++i) {
+      audit::CheckBreakdown(multi.per_core[i], cfg.freq_ghz,
+                            label + "/core" + std::to_string(i) + "/topdown",
+                            &rep);
+    }
     run.audited = true;
     run.audit_checks = rep.checks;
     run.violations = rep.violations;
     audit::ReportViolations(rep, label);
   }
-  return run;
+  return {std::move(multi), std::move(run)};
 }
 
 }  // namespace uolap::obs

@@ -78,8 +78,8 @@ inline constexpr char kServerJournalRecordsTotal[] =
     "server.journal_records_total";
 
 // --- bench harness (harness::BenchContext) --------------------------------
-/// Profiled runs recorded into the session (Profile/ProfileMulti/
-/// RecordRun).
+/// Profiled runs recorded into the session (BenchContext::RecordRun,
+/// which Profile and ProfileMulti call).
 inline constexpr char kHarnessRunsRecorded[] = "harness.runs_recorded_total";
 /// Result tables emitted by the bench (BenchContext::Emit).
 inline constexpr char kHarnessTablesEmitted[] =

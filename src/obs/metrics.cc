@@ -65,127 +65,11 @@ void HistogramCell::Observe(double value) {
   }
 }
 
-void HistogramCell::Merge(const HistogramCell& other) {
-  if (buckets.size() < other.buckets.size()) {
-    buckets.resize(other.buckets.size(), 0);
-  }
-  for (size_t i = 0; i < other.buckets.size(); ++i) {
-    buckets[i] += other.buckets[i];
-  }
-  count += other.count;
-  sum_micro += other.sum_micro;
-}
-
 const MetricFamily* MetricsSnapshot::Find(std::string_view name) const {
   for (const MetricFamily& f : families) {
     if (f.name == name) return &f;
   }
   return nullptr;
-}
-
-namespace {
-
-/// Ordered label key of a series.
-std::pair<std::string_view, std::string_view> LabelKey(
-    const MetricSeries& s) {
-  return {s.label_key, s.label_value};
-}
-
-MetricSeries* FindSeries(MetricFamily& family, const MetricSeries& like) {
-  for (MetricSeries& s : family.series) {
-    if (LabelKey(s) == LabelKey(like)) return &s;
-  }
-  return nullptr;
-}
-
-void InsertSeriesSorted(MetricFamily& family, MetricSeries series) {
-  auto it = std::lower_bound(
-      family.series.begin(), family.series.end(), series,
-      [](const MetricSeries& a, const MetricSeries& b) {
-        return LabelKey(a) < LabelKey(b);
-      });
-  family.series.insert(it, std::move(series));
-}
-
-MetricFamily* FindOrInsertFamily(std::vector<MetricFamily>& families,
-                                 const MetricFamily& like) {
-  auto it = std::lower_bound(families.begin(), families.end(), like,
-                             [](const MetricFamily& a, const MetricFamily& b) {
-                               return a.name < b.name;
-                             });
-  if (it == families.end() || it->name != like.name) {
-    MetricFamily fresh;
-    fresh.name = like.name;
-    fresh.kind = like.kind;
-    it = families.insert(it, std::move(fresh));
-  }
-  return &*it;
-}
-
-}  // namespace
-
-void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
-  for (const MetricFamily& of : other.families) {
-    MetricFamily* f = FindOrInsertFamily(families, of);
-    UOLAP_CHECK_MSG(f->kind == of.kind,
-                    "metric family merged with a different kind");
-    for (const MetricSeries& os : of.series) {
-      MetricSeries* s = FindSeries(*f, os);
-      if (s == nullptr) {
-        InsertSeriesSorted(*f, os);
-        continue;
-      }
-      switch (f->kind) {
-        case MetricKind::kCounter:
-          s->counter += os.counter;
-          break;
-        case MetricKind::kGauge:
-          s->gauge = std::max(s->gauge, os.gauge);
-          break;
-        case MetricKind::kHistogram:
-          s->histogram.Merge(os.histogram);
-          break;
-      }
-    }
-  }
-}
-
-MetricsSnapshot MetricsSnapshot::Diff(const MetricsSnapshot& base) const {
-  MetricsSnapshot out = *this;
-  for (MetricFamily& f : out.families) {
-    const MetricFamily* bf = base.Find(f.name);
-    if (bf == nullptr) continue;
-    for (MetricSeries& s : f.series) {
-      const MetricSeries* bs = nullptr;
-      for (const MetricSeries& candidate : bf->series) {
-        if (LabelKey(candidate) == LabelKey(s)) {
-          bs = &candidate;
-          break;
-        }
-      }
-      if (bs == nullptr) continue;
-      switch (f.kind) {
-        case MetricKind::kCounter:
-          s.counter -= std::min(s.counter, bs->counter);
-          break;
-        case MetricKind::kGauge:
-          break;  // gauges are levels, not flows: keep the current value
-        case MetricKind::kHistogram: {
-          for (size_t i = 0;
-               i < s.histogram.buckets.size() && i < bs->histogram.buckets.size();
-               ++i) {
-            s.histogram.buckets[i] -=
-                std::min(s.histogram.buckets[i], bs->histogram.buckets[i]);
-          }
-          s.histogram.count -= std::min(s.histogram.count, bs->histogram.count);
-          s.histogram.sum_micro -=
-              std::min(s.histogram.sum_micro, bs->histogram.sum_micro);
-          break;
-        }
-      }
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -12,17 +12,14 @@
 namespace uolap::obs {
 
 /// Serving-telemetry metrics: deterministic counters, gauges, and log2
-/// histograms with snapshot/merge/diff semantics (DESIGN.md §8).
+/// histograms with point-in-time snapshots (DESIGN.md §8).
 ///
 /// Determinism rules:
-///  - Counters and histogram buckets are integers; merging is integer
-///    addition, so merging any number of per-core snapshots in any order
-///    is bit-identical (associative and commutative — the property test
-///    pins this).
+///  - Counters and histogram buckets are integers.
 ///  - Histogram sums are kept in fixed-point micro-units (value × 1e6,
-///    rounded to nearest) for the same reason: double accumulation would
-///    make the sum depend on merge order.
-///  - Gauges merge by max, which is order-invariant on doubles.
+///    rounded to nearest): integer addition does not depend on the order
+///    values arrive in, checkpoint restore copies the sum bit for bit, and
+///    the profile JSON prints it as an exact integer.
 ///  - Snapshots list families sorted by name and series sorted by label,
 ///    so equal registries serialize to equal bytes.
 ///
@@ -44,11 +41,10 @@ struct HistogramCell {
   std::vector<uint64_t> buckets;
   uint64_t count = 0;
   /// Sum of observed values in fixed-point micro-units (value × 1e6,
-  /// llround). Integer so that merges are order-invariant.
+  /// llround).
   uint64_t sum_micro = 0;
 
   void Observe(double value);
-  void Merge(const HistogramCell& other);
   /// Sum in natural units.
   double Sum() const { return static_cast<double>(sum_micro) / 1e6; }
 
@@ -81,7 +77,7 @@ struct MetricFamily {
   friend bool operator==(const MetricFamily&, const MetricFamily&) = default;
 };
 
-/// A point-in-time copy of a registry (or the result of merging several).
+/// A point-in-time copy of a registry.
 /// The profile JSON v4 "metrics" block and the Prometheus exposition both
 /// serialize this type.
 struct MetricsSnapshot {
@@ -89,16 +85,6 @@ struct MetricsSnapshot {
 
   bool empty() const { return families.empty(); }
   const MetricFamily* Find(std::string_view name) const;
-
-  /// Folds `other` in: counters and histograms add, gauges take the max.
-  /// Families/series absent on one side are copied. Merging is
-  /// order-invariant bit for bit (see the determinism rules above).
-  void Merge(const MetricsSnapshot& other);
-
-  /// Counter/histogram delta `this - base` (saturating at zero), gauges
-  /// taken from `this`; families absent from `base` are copied whole.
-  /// Use to isolate one phase's metric traffic from a shared registry.
-  MetricsSnapshot Diff(const MetricsSnapshot& base) const;
 
   friend bool operator==(const MetricsSnapshot&, const MetricsSnapshot&) =
       default;

@@ -24,7 +24,7 @@ struct CoreRecord {
   core::CoreCounters begin;  ///< profiler attach baseline (usually zero)
 };
 
-/// One profiled run (one ProfileSingle/ProfileMulti invocation).
+/// One profiled run (one obs::ProfileRun invocation).
 struct RunRecord {
   std::string label;
   int threads = 1;

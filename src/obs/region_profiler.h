@@ -66,8 +66,9 @@ struct RegionEvent {
 
 /// Records a region tree (and optionally a counter timeline) for one
 /// simulated core by observing its push/pop markers and batched
-/// accounting points. Attach one profiler per core; all state is per-core,
-/// which preserves the bit-determinism of threaded ProfileMulti runs.
+/// accounting points. obs::ProfileRun (obs/attribution.h) attaches one
+/// profiler per core; all state is per-core, which preserves the
+/// bit-determinism of threaded multi-core runs.
 ///
 /// Usage:
 ///   RegionProfiler prof(core, {.sample_interval_instructions = 1 << 20});

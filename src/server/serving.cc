@@ -177,12 +177,14 @@ Server::QueryClass Server::SimulateClass(const std::string& engine_key,
   // The solo execution: the engine really runs the query on a fresh
   // single-core machine through the dispatch API, profiled per region —
   // the profiling harness's own recipe.
-  cls.solo_run = obs::ProfileSolo(
-      config_.machine, config_.sample_interval_instructions,
-      "serve/" + cls.label, [&](core::Core& core) {
-        engine::Workers w(core);
-        cls.result = eng.Run(spec, w).value();
-      });
+  auto run_query = [&](core::Machine& machine) {
+    engine::Workers w(machine.core(0));
+    cls.result = eng.Run(spec, w).value();
+  };
+  cls.solo_run = obs::ProfileRun(config_.machine, /*threads=*/1,
+                                 config_.sample_interval_instructions,
+                                 "serve/" + cls.label, run_query)
+                     .second;
 
   const core::CoreCounters& counters = cls.solo().counters;
   // Byte classes mirror core::MultiCoreModel: prefetch waste and

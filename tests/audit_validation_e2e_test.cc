@@ -51,26 +51,29 @@ void Workload(core::Core& core) {
   core.Retire(m);
 }
 
-TEST(AuditValidationE2eTest, ProfileSingleCleanUnderValidation) {
+TEST(AuditValidationE2eTest, SingleCoreProfileCleanUnderValidation) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
   // Zero violations expected; abort-on-violation armed makes a regression
   // here fail loudly rather than quietly producing a wrong figure.
   const core::ProfileResult r =
-      ProfileSingle(MachineConfig::Broadwell(),
-                    [](Workers& w) { Workload(*w.cores[0]); });
+      Profile(MachineConfig::Broadwell(), 1, ObsOptions{}, "single",
+              [](Workers& w) { Workload(*w.cores[0]); })
+          .first.per_core[0];
   EXPECT_GT(r.total_cycles, 0.0);
 }
 
-TEST(AuditValidationE2eTest, ProfileMultiCleanUnderValidation) {
+TEST(AuditValidationE2eTest, MultiCoreProfileCleanUnderValidation) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
-  const core::MultiCoreResult r = ProfileMulti(
-      MachineConfig::Broadwell(), 2,
-      [](Workers& w) {
-        w.ForEach([&](size_t t) { Workload(*w.cores[t]); });
-      },
-      /*executor=*/nullptr);
+  const core::MultiCoreResult r =
+      Profile(
+          MachineConfig::Broadwell(), 2, ObsOptions{}, "multi",
+          [](Workers& w) {
+            w.ForEach([&](size_t t) { Workload(*w.cores[t]); });
+          },
+          /*executor=*/nullptr)
+          .first;
   EXPECT_EQ(r.per_core.size(), 2u);
 }
 

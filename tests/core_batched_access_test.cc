@@ -208,7 +208,7 @@ TEST(ParallelDeterminismTest, ProfileMultiThreadedBitIdenticalToSerial) {
   // memory layouts and the full counter state must match bit-for-bit.
   // (Engine workloads allocate hash tables per run, whose heap addresses
   // — and hence cache-set conflicts — legitimately vary between two
-  // ProfileMulti calls; the address-independent comparison below covers
+  // Profile calls; the address-independent comparison below covers
   // them.)
   const MachineConfig cfg = MachineConfig::Broadwell();
   constexpr int kThreads = 4;
@@ -241,9 +241,11 @@ TEST(ParallelDeterminismTest, ProfileMultiThreadedBitIdenticalToSerial) {
   };
 
   const MultiCoreResult serial =
-      harness::ProfileMulti(cfg, kThreads, workload, /*executor=*/nullptr);
+      harness::Profile(cfg, kThreads, {}, "serial", workload,
+                       /*executor=*/nullptr)
+          .first;
   const MultiCoreResult threaded =
-      harness::ProfileMulti(cfg, kThreads, workload);
+      harness::Profile(cfg, kThreads, {}, "threaded", workload).first;
 
   ASSERT_EQ(serial.per_core.size(), threaded.per_core.size());
   EXPECT_EQ(serial.makespan_cycles, threaded.makespan_cycles);
@@ -277,10 +279,13 @@ TEST(ParallelDeterminismTest, EngineWorkloadSchedulingInvariant) {
       *sum = typer.Join(w, engine::JoinSize::kMedium);
     };
   };
-  const MultiCoreResult serial = harness::ProfileMulti(
-      cfg, 4, workload(&serial_sum), /*executor=*/nullptr);
+  const MultiCoreResult serial =
+      harness::Profile(cfg, 4, {}, "serial", workload(&serial_sum),
+                       /*executor=*/nullptr)
+          .first;
   const MultiCoreResult threaded =
-      harness::ProfileMulti(cfg, 4, workload(&threaded_sum));
+      harness::Profile(cfg, 4, {}, "threaded", workload(&threaded_sum))
+          .first;
 
   EXPECT_EQ(serial_sum, threaded_sum);
   ASSERT_EQ(serial.per_core.size(), threaded.per_core.size());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/machine.h"
+#include "core/topdown.h"
 
 namespace uolap::harness {
 namespace {
@@ -61,29 +62,75 @@ TEST(ProfileRowsTest, NormTimeRowDividesByBase) {
   EXPECT_EQ(row[2], "0.50");  // retiring 25 / 50
 }
 
-TEST(ProfileSingleTest, RunsAndAnalyzes) {
+TEST(ProfileTest, SingleCoreRunsAndAnalyzes) {
   const ProfileResult r =
-      ProfileSingle(MachineConfig::Broadwell(), [](Workers& w) {
-        ASSERT_EQ(w.count(), 1u);
-        core::InstrMix m;
-        m.alu = 4000;
-        w.cores[0]->Retire(m);
-      });
+      Profile(MachineConfig::Broadwell(), 1, ObsOptions{}, "single",
+              [](Workers& w) {
+                ASSERT_EQ(w.count(), 1u);
+                core::InstrMix m;
+                m.alu = 4000;
+                w.cores[0]->Retire(m);
+              })
+          .first.per_core[0];
   EXPECT_DOUBLE_EQ(r.cycles.retiring, 1000.0);
 }
 
-TEST(ProfileMultiTest, RunsAcrossCores) {
+TEST(ProfileTest, RunsAcrossCores) {
   const core::MultiCoreResult r =
-      ProfileMulti(MachineConfig::Broadwell(), 3, [](Workers& w) {
-        ASSERT_EQ(w.count(), 3u);
-        for (auto* c : w.cores) {
-          core::InstrMix m;
-          m.alu = 400;
-          c->Retire(m);
-        }
-      });
+      Profile(MachineConfig::Broadwell(), 3, ObsOptions{}, "multi",
+              [](Workers& w) {
+                ASSERT_EQ(w.count(), 3u);
+                for (auto* c : w.cores) {
+                  core::InstrMix m;
+                  m.alu = 400;
+                  c->Retire(m);
+                }
+              })
+          .first;
   EXPECT_EQ(r.threads, 3);
   EXPECT_NEAR(r.aggregate.retiring, 300.0, 1e-9);
+}
+
+/// One profiling recipe serves one core and many because one core's DRAM
+/// demand stays below the socket ceiling: the contention model then keeps
+/// the bandwidth scale at exactly 1.0, and its makespan, time and
+/// bandwidth equal the plain Top-Down analysis of that core. The body
+/// streams 32 MB and strides through 32 MB more, so it really runs from
+/// DRAM (the bandwidth check), on both presets.
+TEST(ProfileTest, SingleCoreStaysBelowSocketCeiling) {
+  for (const MachineConfig& cfg :
+       {MachineConfig::Broadwell(), MachineConfig::Skylake()}) {
+    SCOPED_TRACE(cfg.name);
+    auto [multi, run] =
+        Profile(cfg, 1, ObsOptions{}, "dram", [](Workers& w) {
+          core::Core& core = *w.cores[0];
+          constexpr uint64_t kStreamBytes = uint64_t{32} << 20;
+          const uint64_t base = core.placement().Fresh(2 * kStreamBytes);
+          core.LoadSeq(reinterpret_cast<const void*>(base), 8,
+                       kStreamBytes / 8);
+          for (uint64_t off = 0; off < kStreamBytes; off += 4096 + 64) {
+            core.Load(reinterpret_cast<const void*>(base + kStreamBytes +
+                                                    off),
+                      8);
+          }
+          core::InstrMix m;
+          m.alu = kStreamBytes / 8;
+          core.Retire(m);
+        });
+    // The plain single-core Top-Down analysis of the same counters.
+    const ProfileResult whole =
+        core::TopDownModel(cfg).Analyze(run.cores[0].whole.counters);
+    EXPECT_EQ(multi.bandwidth_scale, 1.0);
+    EXPECT_EQ(run.bw_scale, 1.0);
+    EXPECT_EQ(run.cores[0].whole.total_cycles, whole.total_cycles);
+    EXPECT_EQ(multi.makespan_cycles, whole.total_cycles);
+    EXPECT_EQ(multi.time_ms, whole.time_ms);
+    EXPECT_EQ(multi.socket_bandwidth_gbps, whole.bandwidth_gbps);
+    EXPECT_EQ(run.makespan_cycles, whole.total_cycles);
+    EXPECT_EQ(run.time_ms, whole.time_ms);
+    EXPECT_EQ(run.socket_bandwidth_gbps, whole.bandwidth_gbps);
+    EXPECT_GT(whole.bandwidth_gbps, 1.0);
+  }
 }
 
 }  // namespace

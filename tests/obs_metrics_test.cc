@@ -1,18 +1,14 @@
 // Tests of the serving-telemetry metrics layer: name validation, the
-// registry's counter/gauge/histogram semantics, order-invariant snapshot
-// merging (the per-core aggregation contract), the Prometheus text
-// exposition bytes, snapshot diffing, SLO spec parsing, and the profile
-// schema version check (readers accept exactly the version they write).
+// registry's counter/gauge/histogram semantics, the Prometheus text
+// exposition bytes, SLO spec parsing, and the profile schema version
+// check (readers accept exactly the version they write).
 
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "common/rng.h"
 #include "obs/json.h"
 #include "obs/metric_names.h"
 #include "obs/profile_export.h"
@@ -90,66 +86,6 @@ TEST(MetricsRegistryTest, Log2BucketEdges) {
   EXPECT_EQ(Log2Bucket(2.0), 2u);
   EXPECT_EQ(Log2Bucket(1024.0), 11u);
   EXPECT_EQ(Log2Bucket(1e300), 63u);  // capped
-}
-
-/// The per-core aggregation contract: merging N snapshots must be
-/// order-invariant down to the byte. Histogram sums are fixed-point
-/// micro-units precisely so this holds for every permutation.
-TEST(MetricsSnapshotTest, MergeIsOrderInvariant) {
-  constexpr int kCores = 8;
-  constexpr int kObservationsPerCore = 64;
-  std::vector<MetricsSnapshot> per_core;
-  for (int c = 0; c < kCores; ++c) {
-    MetricsRegistry reg;
-    Rng rng(/*seed=*/1000 + c);
-    for (int i = 0; i < kObservationsPerCore; ++i) {
-      reg.Observe("core.latency_ms", rng.NextDouble() * 50.0);
-      reg.Count("core.ops_total", "core", std::to_string(c));
-    }
-    reg.SetGauge("core.peak", rng.NextDouble() * 100.0);
-    per_core.push_back(reg.Snapshot());
-  }
-
-  auto merge_in_order = [&](const std::vector<int>& order) {
-    MetricsSnapshot acc;
-    for (const int idx : order) acc.Merge(per_core[idx]);
-    return ToPrometheusText(acc);
-  };
-
-  std::vector<int> order;
-  for (int c = 0; c < kCores; ++c) order.push_back(c);
-  const std::string forward = merge_in_order(order);
-
-  Rng shuffle_rng(7);
-  for (int trial = 0; trial < 16; ++trial) {
-    for (size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1],
-                order[static_cast<size_t>(shuffle_rng.Uniform(
-                    0, static_cast<int64_t>(i) - 1))]);
-    }
-    EXPECT_EQ(merge_in_order(order), forward)
-        << "merge order changed the exposition bytes (trial " << trial
-        << ")";
-  }
-}
-
-TEST(MetricsSnapshotTest, DiffSubtractsCountersAndKeepsGauges) {
-  MetricsRegistry reg;
-  reg.Count("ops.total", 10);
-  reg.Observe("lat.ms", 1.0);
-  const MetricsSnapshot base = reg.Snapshot();
-  reg.Count("ops.total", 5);
-  reg.Observe("lat.ms", 3.0);
-  reg.SetGauge("vtime.ms", 42.0);
-  const MetricsSnapshot now = reg.Snapshot();
-
-  const MetricsSnapshot delta = now.Diff(base);
-  EXPECT_EQ(delta.Find("ops.total")->series[0].counter, 5u);
-  EXPECT_EQ(delta.Find("lat.ms")->series[0].histogram.count, 1u);
-  EXPECT_EQ(delta.Find("vtime.ms")->series[0].gauge, 42.0);
-  // Diff against a later snapshot saturates at zero, never wraps.
-  const MetricsSnapshot inverted = base.Diff(now);
-  EXPECT_EQ(inverted.Find("ops.total")->series[0].counter, 0u);
 }
 
 /// Byte-golden for the Prometheus exposition: the serve-path smoke stage

@@ -2,7 +2,7 @@
 // non-fatal unbalanced push/pop handling, the tentpole delta-sum invariant
 // (leaf-region breakdowns sum to the whole-run breakdown within 1e-9),
 // counter non-perturbation, timeline sampling, and bit-determinism of
-// threaded ProfileMulti region trees against serial runs.
+// threaded multi-core region trees against serial runs.
 
 #include "obs/region_profiler.h"
 
@@ -274,10 +274,10 @@ TEST(RegionProfilerTest, ThreadedProfileMultiTreesBitIdenticalToSerial) {
     });
   };
 
-  auto [serial_multi, serial] = harness::ProfileMultiObs(
+  auto [serial_multi, serial] = harness::Profile(
       MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
       "det", workload, /*executor=*/nullptr);
-  auto [pool_multi, pooled] = harness::ProfileMultiObs(
+  auto [pool_multi, pooled] = harness::Profile(
       MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
       "det", workload, &harness::ThreadPool::Global());
 
@@ -320,10 +320,10 @@ TEST_F(RegionEngineTest, EngineRegionTreesSchedulingInvariant) {
   const int threads = 4;
   auto workload = [&](Workers& w) { typer_->Q1(w); };
 
-  auto [serial_multi, serial] = harness::ProfileMultiObs(
+  auto [serial_multi, serial] = harness::Profile(
       MachineConfig::Broadwell(), threads, harness::ObsOptions{},
       "q1", workload, /*executor=*/nullptr);
-  auto [pool_multi, pooled] = harness::ProfileMultiObs(
+  auto [pool_multi, pooled] = harness::Profile(
       MachineConfig::Broadwell(), threads, harness::ObsOptions{},
       "q1", workload, &harness::ThreadPool::Global());
 

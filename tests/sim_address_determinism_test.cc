@@ -100,9 +100,11 @@ TEST_F(SimAddressDeterminismTest, ThreadedProfileMultiRepeatsBitExactly) {
     }
   };
   const core::MultiCoreResult a =
-      harness::ProfileMulti(MachineConfig::Broadwell(), 4, workload);
+      harness::Profile(MachineConfig::Broadwell(), 4, {}, "a", workload)
+          .first;
   const core::MultiCoreResult b =
-      harness::ProfileMulti(MachineConfig::Broadwell(), 4, workload);
+      harness::Profile(MachineConfig::Broadwell(), 4, {}, "b", workload)
+          .first;
   ASSERT_EQ(a.per_core.size(), 4u);
   ASSERT_EQ(b.per_core.size(), 4u);
   for (size_t i = 0; i < a.per_core.size(); ++i) {
