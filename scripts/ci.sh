@@ -18,8 +18,9 @@
 #      smoke);
 #   6. a ThreadSanitizer build that runs the test suite through the
 #      parallel runtime (ThreadPool, RunSweep, threaded multi-core
-#      Profile), so data races in engine ForEach bodies fail CI instead
-#      of silently breaking the bit-determinism contract.
+#      Profile, the server's concurrent class simulation), so data races
+#      in engine ForEach bodies or shared engines fail CI instead of
+#      silently breaking the bit-determinism contract.
 #
 # Usage: scripts/ci.sh [stage] [jobs]
 #   stage: all (default) | analyze | asan | chaos_smoke |
@@ -68,7 +69,10 @@ asan_stage() {
 # reject + queue shed, bounded retry with backoff, brown-out downgrade,
 # and a deterministic fault plan — executed twice, must serialize
 # byte-identical profile JSON including the shed/timeout/retry/fault
-# counters (the graceful-degradation determinism contract).
+# counters (the graceful-degradation determinism contract). Run B is
+# serial (UOLAP_THREADS=1) and run A simulates its query classes on the
+# thread pool, so the compare also checks that the schedule reaches no
+# byte.
 # At --quick scale the run must reject, time out, retry, inject
 # transient failures and slowdown epochs, and brown out: each of those
 # counters must be non-zero. Shed and failed read 0 at this scale;
@@ -84,7 +88,7 @@ chaos_smoke() {
     --retries=2 --brownout=4
     --fault-plan='seed=13,fail=0.2,slow=0.2,x=2,epoch=0.5')
   "${serve[@]}" --json="$out/a.json" >"$out/a.txt"
-  "${serve[@]}" --json="$out/b.json" >"$out/b.txt"
+  UOLAP_THREADS=1 "${serve[@]}" --json="$out/b.json" >"$out/b.txt"
   cmp "$out/a.json" "$out/b.json"
   # The stdout rollups must agree too; only the echoed output path and
   # the dbgen wall-time line legitimately differ between the two runs
@@ -141,6 +145,8 @@ chaos_stage() {
 # must validate the directory along the way. The three runs are separate
 # processes with different argv; the solo class profiles they recompute
 # are a function of the workload alone, so resume works across processes.
+# Run A simulates its classes on the thread pool, the killed run and its
+# resume serially (UOLAP_THREADS=1): the final cmp is also serial vs pool.
 crash_recovery_smoke() {
   local build_dir="$1"
   local out
@@ -149,7 +155,7 @@ crash_recovery_smoke() {
     --stable-json --epoch-ms=5 --checkpoint-every=2)
   "${serve[@]}" --checkpoint-dir="$out/ck_a" --json="$out/a.json" >/dev/null
   local rc=0
-  "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=25 \
+  UOLAP_THREADS=1 "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=25 \
     --json="$out/b.json" >/dev/null || rc=$?
   if [[ "$rc" != 137 ]]; then
     echo "crash smoke: expected exit 137 from --crash-at, got $rc" >&2
@@ -167,8 +173,9 @@ crash_recovery_smoke() {
   wal="${snap/snap-/journal-}"
   wal="${wal%.ckpt}.wal"
   printf 'GARBAGE-TAIL' >>"$out/ck_b/$wal"
-  "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=0 --resume=1 \
-    --json="$out/resumed-from-torn-journal.json" >/dev/null 2>"$out/c.err"
+  UOLAP_THREADS=1 "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=0 \
+    --resume=1 --json="$out/resumed-from-torn-journal.json" >/dev/null \
+    2>"$out/c.err"
   grep "discarding torn journal tail" "$out/c.err" >/dev/null
   cmp "$out/a.json" "$out/resumed-from-torn-journal.json"
   rm -rf "$out"

@@ -17,8 +17,9 @@
 namespace uolap::engine {
 
 /// Runs `n` independent work items, possibly concurrently. Implemented by
-/// the harness thread pool; the engine layer only sees this interface so
-/// it stays free of threading dependencies. `Run` must invoke
+/// ThreadPool (engine/thread_pool.h); engines and the serving runtime take
+/// this interface, so a caller may pass nullptr for serial execution or a
+/// pool of its own. `Run` must invoke
 /// `body(0) .. body(n-1)` exactly once each and return only after all have
 /// completed; any assignment of items to OS threads is allowed.
 class ParallelExecutor {

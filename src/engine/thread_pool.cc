@@ -1,10 +1,10 @@
-#include "harness/thread_pool.h"
+#include "engine/thread_pool.h"
 
 #include <cstdlib>
 
 #include "common/macros.h"
 
-namespace uolap::harness {
+namespace uolap::engine {
 
 namespace {
 /// True while this thread is inside a pool item; nested ParallelFor calls
@@ -119,4 +119,4 @@ void ThreadPool::DrainJob(uint64_t epoch, size_t n,
   if (complete) done_cv_.notify_all();
 }
 
-}  // namespace uolap::harness
+}  // namespace uolap::engine

@@ -1,5 +1,5 @@
-#ifndef UOLAP_HARNESS_THREAD_POOL_H_
-#define UOLAP_HARNESS_THREAD_POOL_H_
+#ifndef UOLAP_ENGINE_THREAD_POOL_H_
+#define UOLAP_ENGINE_THREAD_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
@@ -12,17 +12,21 @@
 
 #include "engine/engine.h"
 
-namespace uolap::harness {
+namespace uolap::engine {
 
 /// Shared-ticket thread pool running one parallel-for job at a time:
 /// `threads - 1` resident workers plus the calling thread self-schedule
 /// item indices off a single atomic ticket, so load balances dynamically
 /// (a worker stuck on a slow item stops claiming; the others drain the
-/// rest). Used two ways, which nest safely:
+/// rest). Used three ways, which nest safely:
 ///
-///  - `Profile` (profile.h) attaches the pool to `Workers`, so each
-///    simulated worker core's body runs on its own OS thread;
-///  - bench drivers wrap independent sweep points in `RunSweep` (sweep.h).
+///  - `harness::Profile` (harness/profile.h) attaches the pool to
+///    `Workers`, so each simulated worker core's body runs on its own OS
+///    thread;
+///  - bench drivers wrap independent sweep points in `harness::RunSweep`
+///    (harness/sweep.h);
+///  - `server::Server` simulates its query classes, each on its own fresh
+///    machine, as one parallel-for per wave (server/serving.h).
 ///
 /// A thread already executing a pool item runs nested ParallelFor calls
 /// inline and serially — a sweep point that internally profiles a
@@ -31,7 +35,7 @@ namespace uolap::harness {
 /// Determinism: the pool only decides *where* each index runs, never what
 /// it does; under the `Workers::ForEach` body contract (all mutable state
 /// per-index) every schedule produces bit-identical simulation results.
-class ThreadPool : public engine::ParallelExecutor {
+class ThreadPool : public ParallelExecutor {
  public:
   /// `threads` counts the calling thread, so `ThreadPool(4)` starts three
   /// workers. 0 is treated as 1 (no workers; everything runs inline).
@@ -45,7 +49,7 @@ class ThreadPool : public engine::ParallelExecutor {
   /// and the calling thread; returns after all items completed.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  // engine::ParallelExecutor:
+  // ParallelExecutor:
   void Run(size_t n, const std::function<void(size_t)>& body) override {
     ParallelFor(n, body);
   }
@@ -89,6 +93,6 @@ class ThreadPool : public engine::ParallelExecutor {
   std::atomic<uint64_t> ticket_{0};
 };
 
-}  // namespace uolap::harness
+}  // namespace uolap::engine
 
-#endif  // UOLAP_HARNESS_THREAD_POOL_H_
+#endif  // UOLAP_ENGINE_THREAD_POOL_H_

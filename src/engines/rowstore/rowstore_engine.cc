@@ -109,15 +109,13 @@ constexpr size_t kStateArenaBytes = 48ull << 20;
 /// paper's contrast with OLTP systems.
 constexpr uint64_t kRowstoreCodeFootprint = 24 * 1024;
 
-/// Touches `kStateLoadsPerTuple` pseudo-random locations of the arena
-/// view `arena`.
-inline void TouchState(core::Core& core,
-                       const storage::ColumnView<uint64_t>& arena,
-                       uint64_t* cursor) {
+/// Touches `kStateLoadsPerTuple` pseudo-random 8-byte words of the arena
+/// placed at simulated address `arena`.
+inline void TouchState(core::Core& core, uint64_t arena, uint64_t* cursor) {
   for (int i = 0; i < kStateLoadsPerTuple; ++i) {
     *cursor = *cursor * 6364136223846793005ULL + 1442695040888963407ULL;
-    const size_t idx = (*cursor >> 17) % arena.size();
-    core.Load(arena.At(idx), 8);
+    const size_t idx = (*cursor >> 17) % (kStateArenaBytes / 8);
+    core.Load(arena + idx * 8, 8);
   }
 }
 
@@ -195,7 +193,6 @@ RowstoreEngine::RowstoreEngine(const tpch::Database& db) : OlapEngine(db) {
       partsupp_->Append(buf.data());
     }
   }
-  state_arena_.assign(kStateArenaBytes / 8, 0x5A5A5A5A5A5A5A5AULL);
 }
 
 Money RowstoreEngine::Projection(Workers& w, int degree) const {
@@ -229,7 +226,8 @@ Money RowstoreEngine::Projection(Workers& w, int degree) const {
     const std::unique_ptr<Expr> expr = make_expr();
     PlaceExpr(core, *expr);
     const RowTableView rows(*lineitem_, &core);
-    const ColumnView<uint64_t> arena(state_arena_, &core);
+    const uint64_t arena =
+        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
     uint64_t cursor = 0x1234 + t;
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
@@ -270,7 +268,8 @@ Money RowstoreEngine::Selection(Workers& w,
                      Expr::ColI64(lf_.quantity)));
     PlaceExpr(core, *expr);
     const RowTableView rows(*lineitem_, &core);
-    const ColumnView<uint64_t> arena(state_arena_, &core);
+    const uint64_t arena =
+        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
     uint64_t cursor = 0x9876 + t;
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
@@ -404,7 +403,8 @@ int64_t RowstoreEngine::GroupBy(Workers& w, int64_t num_groups) const {
                   num_groups, static_cast<int64_t>(r.size())) + 1));
     engine::AggHashTable<1>& agg = *aggs[t];
     const RowTableView rows(*lineitem_, &core);
-    const ColumnView<uint64_t> arena(state_arena_, &core);
+    const uint64_t arena =
+        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
     uint64_t cursor = 0x6B + t;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());  // Agg::Next
@@ -445,7 +445,8 @@ engine::Q1Result RowstoreEngine::Q1(Workers& w) const {
     aggs[t] = std::make_unique<engine::AggHashTable<5>>(core, 8);
     engine::AggHashTable<5>& agg = *aggs[t];
     const RowTableView rows(*lineitem_, &core);
-    const ColumnView<uint64_t> arena(state_arena_, &core);
+    const uint64_t arena =
+        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
     uint64_t cursor = 0x31 + t;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());
@@ -513,7 +514,8 @@ Money RowstoreEngine::Q6(Workers& w, const engine::Q6Params& p) const {
     core.SetCodeRegion({"dbmsr/q6", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpDefault);
     const RowTableView rows(*lineitem_, &core);
-    const ColumnView<uint64_t> arena(state_arena_, &core);
+    const uint64_t arena =
+        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
     uint64_t cursor = 0x66 + t;
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {

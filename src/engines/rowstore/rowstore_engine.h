@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "engine/engine.h"
 #include "storage/row_store.h"
@@ -66,10 +65,12 @@ class RowstoreEngine : public engine::OlapEngine {
     int partkey, suppkey, availqty, supplycost;
   } pf_;
 
-  /// Execution-state arena: plan state, expression contexts, buffer-pool
-  /// control blocks... The scan touches `kStateLoadsPerTuple` scattered
-  /// locations in here per tuple (see .cc for the calibration note).
-  std::vector<uint64_t> state_arena_;
+  /// Key of the execution-state arena's placement: plan state, expression
+  /// contexts, buffer-pool control blocks... The scan touches
+  /// `kStateLoadsPerTuple` scattered words of it per tuple (see .cc for the
+  /// calibration note). No value is ever read, so the arena is only an
+  /// address range of each core's placement, with no host bytes behind it.
+  char state_arena_key_ = 0;
 };
 
 }  // namespace uolap::rowstore

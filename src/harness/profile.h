@@ -8,7 +8,7 @@
 #include "common/table_printer.h"
 #include "core/machine.h"
 #include "engine/engine.h"
-#include "harness/thread_pool.h"
+#include "engine/thread_pool.h"
 #include "obs/attribution.h"
 #include "obs/record.h"
 
@@ -36,7 +36,7 @@ template <typename Fn>
 std::pair<core::MultiCoreResult, obs::RunRecord> Profile(
     const core::MachineConfig& cfg, int threads, const ObsOptions& opts,
     const std::string& label, Fn&& fn,
-    engine::ParallelExecutor* executor = &ThreadPool::Global()) {
+    engine::ParallelExecutor* executor = &engine::ThreadPool::Global()) {
   return obs::ProfileRun(
       cfg, threads, opts.sample_interval_instructions, label,
       [&fn, executor](core::Machine& machine) {

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "harness/thread_pool.h"
+#include "engine/thread_pool.h"
 
 namespace uolap::harness {
 
@@ -25,8 +25,8 @@ auto RunSweep(size_t n, Fn&& fn)
     -> std::vector<std::invoke_result_t<Fn&, size_t>> {
   using R = std::invoke_result_t<Fn&, size_t>;
   std::vector<R> out(n);
-  ThreadPool::Global().ParallelFor(n,
-                                   [&out, &fn](size_t i) { out[i] = fn(i); });
+  engine::ThreadPool::Global().ParallelFor(
+      n, [&out, &fn](size_t i) { out[i] = fn(i); });
   return out;
 }
 

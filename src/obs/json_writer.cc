@@ -1,12 +1,43 @@
 #include "obs/json_writer.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/macros.h"
 
 namespace uolap::obs {
+
+namespace {
+
+/// Room for any FormatDouble text ("-2.2250738585072014e-308" is 24).
+constexpr size_t kDoubleChars = 32;
+
+/// Writes FormatDouble(v) into `buf` (kDoubleChars long); returns its end.
+/// std::to_chars with a precision is specified as printf's "%.*f" /
+/// "%.*g" in the C locale, so the text equals the snprintf recipe's.
+char* WriteDouble(double v, char* buf) {
+  char* const end = buf + kDoubleChars;
+  if (!std::isfinite(v)) {  // JSON has no Inf/NaN
+    constexpr std::string_view kNull = "null";
+    return std::copy(kNull.begin(), kNull.end(), buf);
+  }
+  // Integral values in the exactly-representable range print as integers.
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    return std::to_chars(buf, end, v, std::chars_format::fixed, 0).ptr;
+  }
+  char* last = buf;
+  for (int prec = 15; prec <= 17; ++prec) {
+    last = std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+    double back = 0;
+    std::from_chars(buf, last, back);
+    if (back == v) break;
+  }
+  return last;
+}
+
+}  // namespace
 
 void JsonWriter::Prefix() {
   if (after_key_) {
@@ -75,22 +106,20 @@ void JsonWriter::String(std::string_view value) {
 
 void JsonWriter::Double(double value) {
   Prefix();
-  out_ += FormatDouble(value);
+  char buf[kDoubleChars];
+  out_.append(buf, WriteDouble(value, buf));
 }
 
 void JsonWriter::Int(int64_t value) {
   Prefix();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  out_ += buf;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 void JsonWriter::UInt(uint64_t value) {
   Prefix();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out_ += buf;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 void JsonWriter::Bool(bool value) {
@@ -148,19 +177,8 @@ std::string JsonWriter::Escape(std::string_view s) {
 }
 
 std::string JsonWriter::FormatDouble(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no Inf/NaN
-  // Integral values in the exactly-representable range print as integers.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  char buf[kDoubleChars];
+  return std::string(buf, WriteDouble(v, buf));
 }
 
 }  // namespace uolap::obs

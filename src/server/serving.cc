@@ -84,8 +84,9 @@ std::vector<obs::WindowStat> WindowStats(
 
 }  // namespace
 
-Server::Server(const ServerConfig& config, engine::EngineRegistry& registry)
-    : config_(config), registry_(registry) {
+Server::Server(const ServerConfig& config, engine::EngineRegistry& registry,
+               engine::ParallelExecutor* executor)
+    : config_(config), registry_(registry), executor_(executor) {
   UOLAP_CHECK_MSG(config_.cores >= 1, "server needs at least one core");
   UOLAP_CHECK_MSG(
       static_cast<uint32_t>(config_.cores) <=
@@ -113,105 +114,140 @@ void Server::AddTenant(TenantConfig tenant) {
 
 void Server::EnsureClasses() {
   if (classes_ready_) return;
-  // Classes are simulated in tenant/catalog order, deduplicated by label,
-  // so the set of machine executions is a deterministic function of the
-  // tenant list (and each class is executed exactly once per Server).
+  // Classes are numbered in tenant/catalog order, deduplicated by label,
+  // so the set of machine executions and every class index are a
+  // deterministic function of the tenant list (and each class is executed
+  // exactly once per Server). Numbering is serial; only the simulations
+  // run on the executor.
   std::map<std::string, size_t> by_label;
   for (const QueryClass& cls : classes_) {
     by_label[cls.label] = static_cast<size_t>(&cls - classes_.data());
   }
+  auto intern = [this, &by_label](const std::string& engine_key,
+                                  const engine::QuerySpec& spec) {
+    const std::string label = engine_key + "/" + spec.Label();
+    auto [it, inserted] = by_label.try_emplace(label, classes_.size());
+    if (inserted) {
+      QueryClass cls;
+      cls.label = label;
+      cls.engine = engine_key;
+      cls.spec = spec;
+      classes_.push_back(std::move(cls));
+    }
+    return it->second;
+  };
+  const size_t first_new = classes_.size();
   tenant_classes_.clear();
   tenant_classes_.reserve(tenants_.size());
   for (const TenantConfig& tenant : tenants_) {
     std::vector<size_t> indices;
     indices.reserve(tenant.catalog.size());
     for (const engine::QuerySpec& spec : tenant.catalog) {
-      const std::string label = tenant.engine + "/" + spec.Label();
-      auto it = by_label.find(label);
-      if (it == by_label.end()) {
-        classes_.push_back(SimulateClass(tenant.engine, spec));
-        it = by_label.emplace(label, classes_.size() - 1).first;
-      }
-      indices.push_back(it->second);
+      indices.push_back(intern(tenant.engine, spec));
     }
     tenant_classes_.push_back(std::move(indices));
   }
+  SimulateClasses(first_new);
   // Brown-out wiring: when brown-out is configured, resolve (and
   // solo-profile) the cheaper class for every class whose engine has a
   // downgrade mapping that supports the query. The two solo answers must
   // agree — the differential check that a brown-out degrades cost, never
   // correctness. Gated on the config so default runs simulate exactly the
   // classes they always did (bit-determinism).
+  //
+  // Resolved in waves: each wave visits the classes the previous one
+  // appended, in index order, and simulates the downgrade classes it
+  // appends together, so a chain (a -> b -> c) numbers its classes as a
+  // one-pass walk over the growing list would.
   if (config_.brownout.queue_depth > 0) {
-    for (size_t i = 0; i < classes_.size(); ++i) {
-      auto mapped = config_.brownout.downgrade.find(classes_[i].engine);
-      if (mapped == config_.brownout.downgrade.end()) continue;
-      const std::string down_key = mapped->second;
-      if (down_key == classes_[i].engine) continue;
-      UOLAP_CHECK_MSG(registry_.Has(down_key),
-                      "brown-out downgrade engine is not registered");
-      engine::OlapEngine& down = *registry_.Get(down_key).value();
-      if (!down.Supports(classes_[i].spec.id)) continue;
-      const std::string label = down_key + "/" + classes_[i].spec.Label();
-      auto at = by_label.find(label);
-      if (at == by_label.end()) {
-        classes_.push_back(SimulateClass(down_key, classes_[i].spec));
-        at = by_label.emplace(label, classes_.size() - 1).first;
+    for (size_t begin = 0; begin < classes_.size();) {
+      const size_t end = classes_.size();
+      std::vector<std::pair<size_t, size_t>> links;  // (class, downgrade)
+      for (size_t i = begin; i < end; ++i) {
+        auto mapped = config_.brownout.downgrade.find(classes_[i].engine);
+        if (mapped == config_.brownout.downgrade.end()) continue;
+        const std::string down_key = mapped->second;
+        if (down_key == classes_[i].engine) continue;
+        UOLAP_CHECK_MSG(registry_.Has(down_key),
+                        "brown-out downgrade engine is not registered");
+        const engine::OlapEngine& down = *registry_.Get(down_key).value();
+        if (!down.Supports(classes_[i].spec.id)) continue;
+        // Copied: intern() may grow classes_.
+        const engine::QuerySpec spec = classes_[i].spec;
+        links.emplace_back(i, intern(down_key, spec));
       }
-      UOLAP_CHECK_MSG(classes_[i].result == classes_[at->second].result,
-                      "brown-out downgrade changed the query answer");
-      classes_[i].downgrade = static_cast<int>(at->second);
+      SimulateClasses(end);
+      for (const auto& [i, down] : links) {
+        UOLAP_CHECK_MSG(classes_[i].result == classes_[down].result,
+                        "brown-out downgrade changed the query answer");
+        classes_[i].downgrade = static_cast<int>(down);
+      }
+      begin = end;
     }
   }
   classes_ready_ = true;
 }
 
-Server::QueryClass Server::SimulateClass(const std::string& engine_key,
-                                         const engine::QuerySpec& spec) {
-  QueryClass cls;
-  cls.engine = engine_key;
-  cls.spec = spec;
-  cls.label = engine_key + "/" + spec.Label();
-  engine::OlapEngine& eng = *registry_.Get(engine_key).value();
+void Server::SimulateClasses(size_t first) {
+  if (first >= classes_.size()) return;
+  // The registry constructs engines lazily; resolve every key here, on
+  // this thread, so the simulations below only share const engines.
+  std::vector<const engine::OlapEngine*> engines;
+  engines.reserve(classes_.size() - first);
+  for (size_t i = first; i < classes_.size(); ++i) {
+    engines.push_back(registry_.Get(classes_[i].engine).value());
+  }
+  auto simulate = [this, first, &engines](size_t k) {
+    SimulateClass(*engines[k], &classes_[first + k]);
+  };
+  if (executor_ != nullptr) {
+    executor_->Run(engines.size(), simulate);  // uolap-analyze: allow(CON-STATUS-DISCARD) ParallelExecutor::Run returns void
+  } else {
+    for (size_t k = 0; k < engines.size(); ++k) simulate(k);
+  }
+}
 
+void Server::SimulateClass(const engine::OlapEngine& eng,
+                           QueryClass* cls) const {
   // The solo execution: the engine really runs the query on a fresh
   // single-core machine through the dispatch API, profiled per region —
   // the profiling harness's own recipe.
-  auto run_query = [&](core::Machine& machine) {
+  auto run_query = [&eng, cls](core::Machine& machine) {
     engine::Workers w(machine.core(0));
-    cls.result = eng.Run(spec, w).value();
+    cls->result = eng.Run(cls->spec, w).value();
   };
-  cls.solo_run = obs::ProfileRun(config_.machine, /*threads=*/1,
-                                 config_.sample_interval_instructions,
-                                 "serve/" + cls.label, run_query)
-                     .second;
+  cls->solo_run = obs::ProfileRun(config_.machine, /*threads=*/1,
+                                  config_.sample_interval_instructions,
+                                  "serve/" + cls->label, run_query)
+                      .second;
 
-  const core::CoreCounters& counters = cls.solo().counters;
+  const core::CoreCounters& counters = cls->solo().counters;
+  cls->full_bw_cycles =
+      core::TopDownModel(config_.machine).Analyze(counters, 1.0).total_cycles;
   // Byte classes mirror core::MultiCoreModel: prefetch waste and
   // writebacks ride the sequential stream.
-  cls.bytes_seq = static_cast<double>(counters.mem.dram_demand_bytes_seq +
-                                      counters.mem.dram_prefetch_waste_bytes +
-                                      counters.mem.dram_writeback_bytes);
-  cls.bytes_rand = static_cast<double>(counters.mem.dram_demand_bytes_rand);
+  cls->bytes_seq = static_cast<double>(counters.mem.dram_demand_bytes_seq +
+                                       counters.mem.dram_prefetch_waste_bytes +
+                                       counters.mem.dram_writeback_bytes);
+  cls->bytes_rand = static_cast<double>(counters.mem.dram_demand_bytes_rand);
   // Cancellation points (DESIGN.md §9): a timed-out query keeps running —
   // and contending — until the next top-level operator-region boundary of
   // its class, modeled as the cumulative Top-Down cycle fractions of the
   // solo run's depth-1 regions. A class without regions cancels only at
   // completion (and so effectively runs to the end, merely late).
-  const obs::RegionTree& tree = cls.solo_run.cores[0].regions;
-  const double solo_cycles = cls.solo().total_cycles;
+  const obs::RegionTree& tree = cls->solo_run.cores[0].regions;
+  const double solo_cycles = cls->solo().total_cycles;
   if (solo_cycles > 0 && !tree.nodes.empty()) {
     double cum = 0;
     for (const int child : tree.root().children) {
       cum += tree.nodes[static_cast<size_t>(child)].incl_cycles.Total();
       const double frac = cum / solo_cycles;
       if (frac > kDoneEps && frac < 1.0 - kDoneEps) {
-        cls.cancel_fractions.push_back(frac);
+        cls->cancel_fractions.push_back(frac);
       }
     }
   }
-  cls.cancel_fractions.push_back(1.0);
-  return cls;
+  cls->cancel_fractions.push_back(1.0);
 }
 
 /// One serving run (DESIGN.md §6): the loop's serializable state plus its
@@ -541,8 +577,11 @@ class Server::ServeLoop {
         const QueryClass& cls = classes_[running_[i]->cls];
         // A fault-plan slowdown dilates the class's service time, which
         // also thins its DRAM byte rate proportionally.
-        g_[i] = model_.Analyze(cls.solo().counters, scale).total_cycles *
-                running_[i]->slow;
+        const double cycles =
+            scale == 1.0
+                ? cls.full_bw_cycles
+                : model_.Analyze(cls.solo().counters, scale).total_cycles;
+        g_[i] = cycles * running_[i]->slow;
         demand_bpc += (cls.bytes_seq + cls.bytes_rand) / g_[i];
       }
       if (demand_bpc <= socket_bpc * 1.001) {

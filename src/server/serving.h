@@ -8,8 +8,10 @@
 #include "core/config.h"
 #include "core/counters.h"
 #include "core/topdown.h"
+#include "engine/engine.h"
 #include "engine/query_spec.h"
 #include "engine/registry.h"
+#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/record.h"
 #include "obs/slo.h"
@@ -123,9 +125,15 @@ struct ServeResult {
 /// Everything is virtual time; no host clock, no ambient RNG. Two Run()
 /// calls on the same Server produce bit-identical results (class profiles
 /// are simulated once and cached; the fluid loop is pure arithmetic).
+///
+/// The classes are simulated on `executor`, concurrently: each runs on a
+/// machine of its own and writes only its own slot, while class indices
+/// are assigned serially, so the output does not depend on the schedule.
+/// A null executor simulates them one after another.
 class Server {
  public:
-  Server(const ServerConfig& config, engine::EngineRegistry& registry);
+  Server(const ServerConfig& config, engine::EngineRegistry& registry,
+         engine::ParallelExecutor* executor = &engine::ThreadPool::Global());
 
   /// Registers a tenant. Call before Run(). CHECK-fails on an empty
   /// catalog, an unknown engine key, a spec the engine does not support,
@@ -162,6 +170,10 @@ class Server {
     std::vector<double> cancel_fractions;
     /// Index into classes_ of the brown-out downgrade class (-1 = none).
     int downgrade = -1;
+    /// solo().counters re-analyzed at bandwidth scale 1.0: the service
+    /// time of an uncontended instance, which every contention solve
+    /// starts from.
+    double full_bw_cycles = 0;
 
     /// Analyze(counters, 1.0) of the solo execution; `.counters` is its
     /// full counter set.
@@ -173,12 +185,15 @@ class Server {
 
   /// Simulates every distinct class referenced by the tenants (idempotent).
   void EnsureClasses();
+  /// Simulates classes_[first..], appended unsimulated by EnsureClasses,
+  /// on the executor.
+  void SimulateClasses(size_t first);
   /// Executes one class solo on a fresh machine and records its profile.
-  QueryClass SimulateClass(const std::string& engine_key,
-                           const engine::QuerySpec& spec);
+  void SimulateClass(const engine::OlapEngine& eng, QueryClass* cls) const;
 
   ServerConfig config_;
   engine::EngineRegistry& registry_;
+  engine::ParallelExecutor* executor_;
   std::vector<TenantConfig> tenants_;
   /// tenant -> catalog index -> index into classes_.
   std::vector<std::vector<size_t>> tenant_classes_;

@@ -33,6 +33,11 @@ constexpr const char* kColours[] = {
     "thistle",    "tomato",     "turquoise",  "violet",    "wheat",
     "white",      "yellow"};
 constexpr int kNumColours = static_cast<int>(std::size(kColours));
+/// Longest p_name: five words of the longest colour ("aquamarine") plus
+/// four separators.
+constexpr size_t kPartNameBytes = 5 * 10 + 4;
+/// dbgen draws 1..7 lineitems per order.
+constexpr int kMaxLinesPerOrder = 7;
 
 // The 25 TPC-H nations with their region keys.
 struct NationSpec {
@@ -98,9 +103,17 @@ StatusOr<Database> DbGen::Generate(double scale_factor) const {
     db.nation.name.Add(kNations[n].name);
   }
 
+  // Every column is reserved at its final size up front (lineitem at the
+  // most lines an order can have): a column that grows by doubling copies
+  // itself and keeps both buffers resident while it does.
+  constexpr size_t kNameBytes = 18;  // "Supplier#%09zu", "Customer#%09zu"
+
   // --- supplier ---
   char buf[32];
   db.supplier.suppkey.reserve(card.supplier);
+  db.supplier.nationkey.reserve(card.supplier);
+  db.supplier.acctbal.reserve(card.supplier);
+  db.supplier.name.Reserve(card.supplier, card.supplier * kNameBytes);
   for (size_t i = 1; i <= card.supplier; ++i) {
     db.supplier.suppkey.push_back(static_cast<int64_t>(i));
     db.supplier.nationkey.push_back(rng.Uniform(0, 24));
@@ -111,6 +124,8 @@ StatusOr<Database> DbGen::Generate(double scale_factor) const {
 
   // --- customer ---
   db.customer.custkey.reserve(card.customer);
+  db.customer.nationkey.reserve(card.customer);
+  db.customer.name.Reserve(card.customer, card.customer * kNameBytes);
   for (size_t i = 1; i <= card.customer; ++i) {
     db.customer.custkey.push_back(static_cast<int64_t>(i));
     db.customer.nationkey.push_back(rng.Uniform(0, 24));
@@ -120,6 +135,8 @@ StatusOr<Database> DbGen::Generate(double scale_factor) const {
 
   // --- part ---
   db.part.partkey.reserve(card.part);
+  db.part.retailprice.reserve(card.part);
+  db.part.name.Reserve(card.part, card.part * kPartNameBytes);
   std::string name;
   for (size_t i = 1; i <= card.part; ++i) {
     db.part.partkey.push_back(static_cast<int64_t>(i));
@@ -134,6 +151,9 @@ StatusOr<Database> DbGen::Generate(double scale_factor) const {
 
   // --- partsupp ---
   db.partsupp.partkey.reserve(card.partsupp);
+  db.partsupp.suppkey.reserve(card.partsupp);
+  db.partsupp.availqty.reserve(card.partsupp);
+  db.partsupp.supplycost.reserve(card.partsupp);
   for (size_t p = 1; p <= card.part; ++p) {
     for (int j = 0; j < 4; ++j) {
       db.partsupp.partkey.push_back(static_cast<int64_t>(p));
@@ -149,10 +169,26 @@ StatusOr<Database> DbGen::Generate(double scale_factor) const {
   const Date current = MakeDate(1995, 6, 17);  // dbgen's CURRENTDATE
   const Date max_order = MaxOrderDate() - 151;
   db.orders.orderkey.reserve(card.orders);
-  db.lineitem.orderkey.reserve(card.orders * 4);
+  db.orders.custkey.reserve(card.orders);
+  db.orders.orderdate.reserve(card.orders);
+  db.orders.totalprice.reserve(card.orders);
+  const size_t max_lines = card.orders * kMaxLinesPerOrder;
+  LineitemTable& li = db.lineitem;
+  li.orderkey.reserve(max_lines);
+  li.partkey.reserve(max_lines);
+  li.suppkey.reserve(max_lines);
+  li.quantity.reserve(max_lines);
+  li.extendedprice.reserve(max_lines);
+  li.discount.reserve(max_lines);
+  li.tax.reserve(max_lines);
+  li.returnflag.reserve(max_lines);
+  li.linestatus.reserve(max_lines);
+  li.shipdate.reserve(max_lines);
+  li.commitdate.reserve(max_lines);
+  li.receiptdate.reserve(max_lines);
   for (size_t o = 1; o <= card.orders; ++o) {
     const Date orderdate = static_cast<Date>(rng.Uniform(0, max_order));
-    const int nlines = static_cast<int>(rng.Uniform(1, 7));
+    const int nlines = static_cast<int>(rng.Uniform(1, kMaxLinesPerOrder));
     Money totalprice = 0;
     for (int l = 0; l < nlines; ++l) {
       const int64_t partkey =

@@ -19,6 +19,11 @@ class StringColumn {
     data_.append(s);
     offsets_.push_back(static_cast<uint32_t>(data_.size()));
   }
+  /// Reserves room for `values` more values of `bytes` total length.
+  void Reserve(size_t values, size_t bytes) {
+    offsets_.reserve(offsets_.size() + values);
+    data_.reserve(data_.size() + bytes);
+  }
   size_t size() const { return offsets_.size(); }
 
   std::string_view Get(size_t i) const {

@@ -14,7 +14,7 @@
 #include "core/machine.h"
 #include "engines/typer/typer_engine.h"
 #include "harness/profile.h"
-#include "harness/thread_pool.h"
+#include "engine/thread_pool.h"
 #include "tpch/dbgen.h"
 
 namespace uolap::core {
@@ -182,7 +182,7 @@ TEST(BatchedAccessTest, StoreRangeMatchesElementLoop) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  harness::ThreadPool pool(4);
+  engine::ThreadPool pool(4);
   constexpr size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);

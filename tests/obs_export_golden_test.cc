@@ -3,7 +3,9 @@
 // the run is bit-deterministic across hosts) serialized to the profile
 // JSON schema and to Chrome trace-event JSON. Any schema or formatting
 // drift fails here and forces a conscious version bump. Also covers the
-// JSON parser: round-trip of exporter output and malformed-input errors.
+// JSON parser: round-trip of exporter output and malformed-input errors,
+// and JsonWriter's number formatting against the printf recipe it
+// replaced.
 //
 // To update the goldens after an intentional schema/model change: run this
 // binary; on mismatch it writes the actual bytes to
@@ -13,14 +15,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/core.h"
 #include "core/machine.h"
 #include "obs/attribution.h"
 #include "obs/json.h"
+#include "obs/json_writer.h"
 #include "obs/record.h"
 #include "obs/region_profiler.h"
 
@@ -413,6 +423,72 @@ TEST(ObsExportGoldenTest, ParserRejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("{\"a\": nul}").ok());
   EXPECT_TRUE(ParseJson("{\"a\": [1.5, true, null, \"s\"]}  ").ok());
+}
+
+/// The printf/strtod formatting JsonWriter used before std::to_chars, kept
+/// as the oracle: the writer's bytes must not change.
+std::string SnprintfDouble(double v) {
+  if (!std::isfinite(v)) return "null";
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(ObsExportGoldenTest, NumberFormattingMatchesPrintfRecipe) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1e-5, -1e-5, 0.1, 1.0 / 3.0, 2.5, -7.0, 123456.789,
+      9007199254740991.0, 9007199254740992.0, 9007199254740993.0,
+      -9007199254740991.0, -9007199254740992.0, 9.007199254740991e15 + 0.5,
+      1e300, -1e300, 1e15, 1e16, 1e17, 1e21, 1e22, Limits::max(),
+      Limits::lowest(), Limits::min(), -Limits::min(), Limits::denorm_min(),
+      -Limits::denorm_min(), Limits::min() / 3, Limits::epsilon(),
+      Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN(),
+      -Limits::quiet_NaN()};
+  Rng rng(20261017);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t bits = rng.Next();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    // Plus a magnitude of the kind profiles print (ms, GB/s, ratios).
+    values.push_back(rng.NextDouble() *
+                     std::pow(10.0, static_cast<double>(rng.Uniform(-6, 12))));
+  }
+  for (const double v : values) {
+    ASSERT_EQ(JsonWriter::FormatDouble(v), SnprintfDouble(v)) << v;
+    JsonWriter w(0);
+    w.Double(v);
+    ASSERT_EQ(w.TakeString(), SnprintfDouble(v)) << v;
+  }
+  const int64_t ints[] = {0, 1, -1, 42, Limits::digits,
+                          std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min()};
+  for (const int64_t v : ints) {
+    JsonWriter w(0);
+    w.Int(v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    EXPECT_EQ(w.TakeString(), buf);
+  }
+  const uint64_t uints[] = {0, 1, 1ull << 63,
+                            std::numeric_limits<uint64_t>::max()};
+  for (const uint64_t v : uints) {
+    JsonWriter w(0);
+    w.UInt(v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu",
+                  static_cast<unsigned long long>(v));
+    EXPECT_EQ(w.TakeString(), buf);
+  }
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include "core/machine.h"
 #include "engines/typer/typer_engine.h"
 #include "harness/profile.h"
-#include "harness/thread_pool.h"
+#include "engine/thread_pool.h"
 #include "obs/attribution.h"
 #include "tpch/dbgen.h"
 
@@ -279,7 +279,7 @@ TEST(RegionProfilerTest, ThreadedProfileMultiTreesBitIdenticalToSerial) {
       "det", workload, /*executor=*/nullptr);
   auto [pool_multi, pooled] = harness::Profile(
       MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
-      "det", workload, &harness::ThreadPool::Global());
+      "det", workload, &engine::ThreadPool::Global());
 
   ASSERT_EQ(serial.cores.size(), pooled.cores.size());
   EXPECT_EQ(serial_multi.makespan_cycles, pool_multi.makespan_cycles);
@@ -325,7 +325,7 @@ TEST_F(RegionEngineTest, EngineRegionTreesSchedulingInvariant) {
       "q1", workload, /*executor=*/nullptr);
   auto [pool_multi, pooled] = harness::Profile(
       MachineConfig::Broadwell(), threads, harness::ObsOptions{},
-      "q1", workload, &harness::ThreadPool::Global());
+      "q1", workload, &engine::ThreadPool::Global());
 
   ASSERT_EQ(serial.cores.size(), pooled.cores.size());
   for (size_t c = 0; c < serial.cores.size(); ++c) {

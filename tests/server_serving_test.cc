@@ -2,9 +2,13 @@
 // the same Server are bit-identical), accounting consistency, FIFO
 // queueing when tenants outnumber cores, and the tentpole behaviour —
 // co-running tenants that saturate the shared socket bandwidth inflate
-// each other's service time and Dcache stall share relative to solo.
+// each other's service time and Dcache stall share relative to solo —
+// and that simulating the classes on a thread pool changes no byte.
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -12,7 +16,11 @@
 
 #include "engine/query_spec.h"
 #include "engine/registry.h"
+#include "engine/thread_pool.h"
 #include "harness/engines.h"
+#include "obs/metrics.h"
+#include "obs/profile_export.h"
+#include "server/checkpoint.h"
 #include "server/serving.h"
 #include "tpch/dbgen.h"
 
@@ -22,6 +30,7 @@ namespace {
 class ServingTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    if (db_ != nullptr) return;  // shared with the derived fixtures
     tpch::DbGen gen(42);
     db_ = new tpch::Database(std::move(gen.Generate(0.01)).value());
     registry_ = new engine::EngineRegistry(*db_);
@@ -390,6 +399,121 @@ TEST_F(ServingTest, OpenLoopTenantObeysPoissonCap) {
   ASSERT_EQ(result.record.tenants.size(), 1u);
   EXPECT_EQ(result.record.tenants[0].submitted, 6u);
   EXPECT_EQ(result.record.tenants[0].completed, 6u);
+}
+
+/// Class simulation on a pool versus one class after another.
+class ServerServingTest : public ServingTest {
+ protected:
+  struct Outcome {
+    std::string profile_json;
+    uint32_t class_digest = 0;
+    ServeResult result;
+  };
+
+  /// The hostbench/uolap_serve tenant mix (typer and tectorwise scans,
+  /// typer analytics, an open-loop rowstore tenant) with every robustness
+  /// path armed and a chained brown-out map, rowstore -> colstore ->
+  /// typer, so resolving the downgrades takes a second wave. Checkpointing
+  /// is on so the class digest can be read back from snapshot 0.
+  static Outcome Serve(engine::ParallelExecutor* executor) {
+    char tmpl[] = "/tmp/uolap_pool_serial_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    ServerConfig config = BaseConfig();
+    config.cores = 2;
+    config.default_max_queries = 48;
+    config.sample_interval_instructions = 100'000;
+    config.epoch_ms = 1.0;
+    config.trace_sample_n = 4;
+    obs::MetricsRegistry metrics;
+    config.metrics = &metrics;
+    config.admission.policy = ShedPolicy::kBoth;
+    config.admission.default_deadline_ms = 8.0;
+    config.retry.max_retries = 2;
+    config.faults = ParseFaultPlan("seed=7,fail=0.1,slow=0.2,x=2").value();
+    config.brownout.queue_depth = 2;
+    config.brownout.downgrade = {{"rowstore", "colstore"},
+                                 {"colstore", "typer"},
+                                 {"tectorwise", "typer"}};
+    config.checkpoint.dir = dir;
+    config.checkpoint.every_epochs = 1000;  // snapshot 0 is enough
+
+    Server server(config, *registry_, executor);
+    const std::vector<engine::QuerySpec> scans = {
+        engine::QuerySpec::Projection(4),
+        engine::QuerySpec::Q6(engine::MakeQ6Params())};
+    server.AddTenant({"scans-typer", "typer", scans, 0.8, 0, 3, 0.0, 0, 1});
+    server.AddTenant({"scans-tw", "tectorwise", scans, 0.8, 0, 3, 0.0, 0, 2});
+    server.AddTenant({"joins-typer",
+                      "typer",
+                      {engine::QuerySpec::Join(engine::JoinSize::kLarge),
+                       engine::QuerySpec::GroupBy(64 * 1024),
+                       engine::QuerySpec::Q1()},
+                      0.8, 0, 2, 0.2, 0, 3});
+    server.AddTenant({"adhoc-rowstore", "rowstore",
+                      {engine::QuerySpec::Projection(2)}, 0, 400.0, 0, 0, 0,
+                      4});
+
+    Outcome out;
+    out.result = server.Run();
+    obs::ProfileSession session;
+    session.bench = "server_serving_test";
+    session.machine = config.machine.name;
+    session.freq_ghz = config.machine.freq_ghz;
+    session.scale_factor = db_->scale_factor;
+    session.seed = 42;
+    session.server = out.result.record;
+    session.server.enabled = true;
+    session.runs = out.result.class_runs;
+    session.metrics = metrics.Snapshot();
+    out.profile_json = obs::ProfileToJson(session);
+    auto snap = ReadSnapshotFile(std::string(dir) + "/" + SnapshotFileName(0));
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    if (snap.ok()) out.class_digest = snap.value().class_digest;
+    std::filesystem::remove_all(dir);
+    return out;
+  }
+};
+
+TEST_F(ServerServingTest, PoolAndSerialClassSimulationAreByteIdentical) {
+  const Outcome serial = Serve(nullptr);
+  engine::ThreadPool pool(4);
+  const Outcome pooled = Serve(&pool);
+
+  EXPECT_NE(serial.class_digest, 0u);
+  EXPECT_EQ(serial.class_digest, pooled.class_digest);
+  // The chain resolved: rowstore -> colstore in wave one, colstore ->
+  // typer (a class appended by wave one) in wave two.
+  const std::vector<obs::RunRecord>& runs = serial.result.class_runs;
+  auto has_class = [&runs](const std::string& label) {
+    return std::any_of(runs.begin(), runs.end(),
+                       [&label](const obs::RunRecord& r) {
+                         return r.label == label;
+                       });
+  };
+  EXPECT_TRUE(has_class("serve/colstore/projection/d2"));
+  EXPECT_TRUE(has_class("serve/typer/projection/d2"));
+  EXPECT_GT(serial.result.record.brownout_downgrades, 0u);
+
+  const obs::ServerRecord& a = serial.result.record;
+  const obs::ServerRecord& b = pooled.result.record;
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (size_t i = 0; i < a.classes.size(); ++i) {
+    EXPECT_EQ(a.classes[i].label, b.classes[i].label);
+    EXPECT_EQ(a.classes[i].executions, b.classes[i].executions);
+    EXPECT_EQ(a.classes[i].solo_ms, b.classes[i].solo_ms);
+    EXPECT_EQ(a.classes[i].corun_ms, b.classes[i].corun_ms);
+    EXPECT_EQ(a.classes[i].avg_bw_scale, b.classes[i].avg_bw_scale);
+  }
+  ASSERT_EQ(serial.result.class_runs.size(), pooled.result.class_runs.size());
+  for (size_t i = 0; i < serial.result.class_runs.size(); ++i) {
+    const obs::RunRecord& x = serial.result.class_runs[i];
+    const obs::RunRecord& y = pooled.result.class_runs[i];
+    EXPECT_EQ(x.label, y.label);
+    EXPECT_EQ(x.cores[0].whole.total_cycles, y.cores[0].whole.total_cycles);
+  }
+  EXPECT_TRUE(serial.profile_json == pooled.profile_json)
+      << "profile JSON differs between serial and pooled class simulation";
 }
 
 }  // namespace
