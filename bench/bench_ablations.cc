@@ -19,8 +19,9 @@
 //
 // Default sf: 0.5 (1.0 recommended for the join ablations).
 
-#include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table_printer.h"
@@ -47,30 +48,66 @@ int main(int argc, char** argv) {
   // the OlapEngine interface, so resolve the concrete type once.
   auto& typer = static_cast<uolap::typer::TyperEngine&>(ctx.engine("typer"));
 
+  const int64_t num_orders = static_cast<int64_t>(ctx.db().orders.size());
+  const std::vector<std::pair<std::string, int64_t>> cards = {
+      {"4 groups (Q1-like)", 4},
+      {"1K groups", 1024},
+      {"64K groups", 64 * 1024},
+      {"1 per order (Q18-like)", num_orders},
+  };
+  uolap::core::MachineConfig huge_pages = ctx.machine();
+  huge_pages.page_bytes = 2ull * 1024 * 1024;
+  auto large_join = [&typer](Workers& w) {
+    typer.Join(w, uolap::engine::JoinSize::kLarge);
+  };
+  auto* tectorwise = &ctx.engine("tectorwise");
+  // The roofline workloads of (d).
+  const std::vector<std::pair<std::string, std::function<void(Workers&)>>>
+      roofline = {
+          {"Typer projection p4",
+           [&typer](Workers& w) { typer.Projection(w, 4); }},
+          {"Tectorwise projection p4",
+           [tectorwise](Workers& w) { tectorwise->Projection(w, 4); }},
+          {"Typer large join", large_join},
+          {"Typer Q1", [&typer](Workers& w) { typer.Q1(w); }},
+      };
+
+  // Every ablation's cells in one fan-out: (a) at 0-3, then (b), (c), (d).
+  std::vector<BenchContext::Cell> cells;
+  for (const auto& [label, groups] : cards) {
+    cells.push_back({.label = "group-by " + label,
+                     .body = [&typer, g = groups](Workers& w) {
+                       typer.GroupBy(w, g);
+                     }});
+  }
+  const size_t interleave_first = cells.size();
+  cells.push_back({.label = "join scalar probes", .body = large_join});
+  cells.push_back({.label = "join interleaved probes",
+                   .body = [&typer](Workers& w) {
+                     typer.JoinLargeInterleaved(w);
+                   }});
+  cells.push_back({.label = "join radix-partitioned",
+                   .body = [&typer](Workers& w) { typer.JoinLargeRadix(w); }});
+  const size_t pages_first = cells.size();
+  cells.push_back({.label = "join 4KB pages", .body = large_join});
+  cells.push_back(
+      {.label = "join 2MB pages", .body = large_join, .machine = huge_pages});
+  const size_t roofline_first = cells.size();
+  for (const auto& [name, fn] : roofline) {
+    cells.push_back({.label = "roofline " + name, .body = fn});
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+
   // --- (a) group-by cardinality sweep ---
   {
-    const int64_t num_orders = static_cast<int64_t>(ctx.db().orders.size());
-    const std::vector<std::pair<std::string, int64_t>> cards = {
-        {"4 groups (Q1-like)", 4},
-        {"1K groups", 1024},
-        {"64K groups", 64 * 1024},
-        {"1 per order (Q18-like)", num_orders},
-    };
     TablePrinter cpu(
         "Ablation (a): group-by cardinality sweep, Typer (paper: group-by "
         "behaves like the join once the table leaves the cache)");
     cpu.SetHeader({"cardinality", "Stall", "Retiring", "Execution",
                    "Dcache", "Branch misp."});
-    for (const auto& [label, groups] : cards) {
-      std::printf("# group-by %s...\n", label.c_str());
-      std::fflush(stdout);
-      const int64_t g = groups;
-      const ProfileResult r =
-          ctx.Profile("group-by " + label, [&](Workers& w) {
-            typer.GroupBy(w, g);
-          });
-      const auto& b = r.cycles;
-      cpu.AddRow({label, TablePrinter::Pct(b.StallRatio()),
+    for (size_t i = 0; i < cards.size(); ++i) {
+      const auto& b = res[i].whole().cycles;
+      cpu.AddRow({cards[i].first, TablePrinter::Pct(b.StallRatio()),
                   TablePrinter::Pct(b.Frac(b.retiring)),
                   TablePrinter::Pct(b.StallFrac(b.execution)),
                   TablePrinter::Pct(b.StallFrac(b.dcache)),
@@ -81,16 +118,9 @@ int main(int argc, char** argv) {
 
   // --- (b) interleaved probes ---
   {
-    std::printf("# large join: baseline vs interleaved probes...\n");
-    std::fflush(stdout);
-    const ProfileResult base =
-        ctx.Profile("join scalar probes", [&](Workers& w) {
-          typer.Join(w, uolap::engine::JoinSize::kLarge);
-        });
-    const ProfileResult inter =
-        ctx.Profile("join interleaved probes", [&](Workers& w) {
-          typer.JoinLargeInterleaved(w);
-        });
+    const ProfileResult& base = res[interleave_first].whole();
+    const ProfileResult& inter = res[interleave_first + 1].whole();
+    const ProfileResult& radix = res[interleave_first + 2].whole();
     TablePrinter t(
         "Ablation (b): interleaved (coroutine-style) probes and the "
         "radix-partitioned join — the opportunities the paper cites "
@@ -103,10 +133,6 @@ int main(int argc, char** argv) {
                 TablePrinter::Pct(r.cycles.Frac(r.cycles.dcache)),
                 TablePrinter::Fmt(r.bandwidth_gbps, 2)});
     };
-    const ProfileResult radix =
-        ctx.Profile("join radix-partitioned", [&](Workers& w) {
-          typer.JoinLargeRadix(w);
-        });
     add("scalar probes", base);
     add("interleaved probes (group of 8)", inter);
     add("radix-partitioned (2^8 partitions, [20])", radix);
@@ -123,18 +149,6 @@ int main(int argc, char** argv) {
 
   // --- (c) page-size ablation ---
   {
-    std::printf("# large join: 4KB pages (default) vs 2MB huge pages...\n");
-    std::fflush(stdout);
-    uolap::core::MachineConfig huge_pages = ctx.machine();
-    huge_pages.page_bytes = 2ull * 1024 * 1024;
-    const ProfileResult p4k =
-        ctx.Profile("join 4KB pages", [&](Workers& w) {
-          typer.Join(w, uolap::engine::JoinSize::kLarge);
-        });
-    const ProfileResult thp =
-        ctx.Profile("join 2MB pages", huge_pages, [&](Workers& w) {
-          typer.Join(w, uolap::engine::JoinSize::kLarge);
-        });
     TablePrinter t(
         "Ablation (c): page size and the random-access join — an "
         "opportunity the paper leaves on the table: huge pages remove the "
@@ -145,36 +159,26 @@ int main(int argc, char** argv) {
                 std::to_string(r.counters.mem.page_walks),
                 TablePrinter::Fmt(r.counters.mem.tlb_cycles, 0)});
     };
-    add("4 KB (default: no madvise)", p4k);
-    add("2 MB (huge pages)", thp);
+    add("4 KB (default: no madvise)", res[pages_first].whole());
+    add("2 MB (huge pages)", res[pages_first + 1].whole());
     ctx.Emit(t);
   }
 
   // --- (d) roofline placement ---
   {
-    std::printf("# roofline placement of representative queries...\n");
-    std::fflush(stdout);
     TablePrinter t(
         "Ablation (d): roofline placement — the paper's 'disproportional "
         "compute and memory demands' made quantitative");
     t.SetHeader({"workload", "intensity (instr/B)", "achieved IPC",
                  "roof IPC", "verdict"});
-    auto add = [&](const std::string& name, auto&& fn) {
-      const ProfileResult r = ctx.Profile("roofline " + name, fn);
-      const auto p = uolap::core::ComputeRoofline(r, ctx.machine());
-      t.AddRow({name, TablePrinter::Fmt(p.intensity, 2),
+    for (size_t i = 0; i < roofline.size(); ++i) {
+      const auto p = uolap::core::ComputeRoofline(
+          res[roofline_first + i].whole(), ctx.machine());
+      t.AddRow({roofline[i].first, TablePrinter::Fmt(p.intensity, 2),
                 TablePrinter::Fmt(p.achieved_ipc, 2),
                 TablePrinter::Fmt(p.roof_ipc, 2),
                 p.memory_bound ? "memory roof" : "compute roof"});
-    };
-    add("Typer projection p4",
-        [&](Workers& w) { typer.Projection(w, 4); });
-    add("Tectorwise projection p4",
-        [&](Workers& w) { ctx.engine("tectorwise").Projection(w, 4); });
-    add("Typer large join", [&](Workers& w) {
-      typer.Join(w, uolap::engine::JoinSize::kLarge);
-    });
-    add("Typer Q1", [&](Workers& w) { typer.Q1(w); });
+    }
     ctx.Emit(t);
   }
   return 0;

@@ -9,14 +9,12 @@
 // Default sf: 0.5 (scan working sets are far beyond the 35 MB L3; the
 // per-tuple behaviour is scale-invariant).
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/table_printer.h"
 #include "harness/context.h"
 #include "harness/profile.h"
-#include "harness/sweep.h"
 
 namespace {
 
@@ -26,59 +24,32 @@ using uolap::engine::OlapEngine;
 using uolap::engine::Workers;
 using uolap::harness::BenchContext;
 
-ProfileResult RunProjection(BenchContext& ctx, OlapEngine& engine,
-                            int degree) {
-  return ctx.Profile(engine.name() + " p" + std::to_string(degree),
-                     [&](Workers& w) { engine.Projection(w, degree); });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchContext ctx(argc, argv, /*default_sf=*/0.5);
   ctx.PrintHeader("Figures 1-6: projection micro-benchmark (Section 3)");
 
-  std::vector<OlapEngine*> commercial = {&ctx.engine("rowstore"),
-                                         &ctx.engine("colstore")};
-  std::vector<OlapEngine*> hiperf = {&ctx.engine("typer"),
-                                     &ctx.engine("tectorwise")};
-
-  // Keep every profile for reuse across the figures.
-  struct Cell {
-    std::string label;
-    ProfileResult r;
-  };
-  // Sweep points are independent simulations, so they run concurrently
-  // (harness::RunSweep); results come back in submission order. The
-  // engines are constructed lazily, so touch them before fanning out.
-  auto profile_all = [&](std::vector<OlapEngine*> engines) {
-    struct Job {
-      OlapEngine* engine;
-      int degree;
-    };
-    std::vector<Job> jobs;
-    for (OlapEngine* e : engines) {
-      for (int d = 1; d <= 4; ++d) jobs.push_back({e, d});
+  // Cells 0-7: DBMS R and DBMS C, 8-15: Typer and Tectorwise; each engine
+  // at projectivity 1-4.
+  std::vector<BenchContext::Cell> cells;
+  for (const char* key : {"rowstore", "colstore", "typer", "tectorwise"}) {
+    OlapEngine* e = &ctx.engine(key);
+    for (int d = 1; d <= 4; ++d) {
+      cells.push_back({.label = e->name() + " p" + std::to_string(d),
+                       .body = [e, d](Workers& w) { e->Projection(w, d); }});
     }
-    std::printf("# running %zu projection configurations...\n", jobs.size());
-    std::fflush(stdout);
-    return uolap::harness::RunSweep(jobs.size(), [&](size_t i) {
-      const Job& j = jobs[i];
-      return Cell{j.engine->name() + " p" + std::to_string(j.degree),
-                  RunProjection(ctx, *j.engine, j.degree)};
-    });
-  };
-
-  const std::vector<Cell> comm = profile_all(commercial);
-  const std::vector<Cell> fast = profile_all(hiperf);
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
         "Figure 1: CPU cycles breakdown for projection as projectivity "
         "increases (DBMS R and DBMS C)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/projectivity"));
-    for (const auto& c : comm) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < 8; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -87,8 +58,9 @@ int main(int argc, char** argv) {
         "Figure 2: Stall cycles breakdown for projection (DBMS R and "
         "DBMS C)");
     t.SetHeader(uolap::harness::StallHeader("system/projectivity"));
-    for (const auto& c : comm) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < 8; ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -97,8 +69,9 @@ int main(int argc, char** argv) {
         "Figure 3: CPU cycles breakdown for projection (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/projectivity"));
-    for (const auto& c : fast) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 8; i < 16; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -107,8 +80,9 @@ int main(int argc, char** argv) {
         "Figure 4: Stall cycles breakdown for projection (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/projectivity"));
-    for (const auto& c : fast) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+    for (size_t i = 8; i < 16; ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -117,8 +91,9 @@ int main(int argc, char** argv) {
         "Figure 5: Single-core sequential bandwidth for projection "
         "(MAX = 12 GB/s per core on Broadwell)");
     t.SetHeader({"system/projectivity", "Bandwidth (GB/s)", "MAX (GB/s)"});
-    for (const auto& c : fast) {
-      t.AddRow({c.label, TablePrinter::Fmt(c.r.bandwidth_gbps, 2),
+    for (size_t i = 8; i < 16; ++i) {
+      t.AddRow({cells[i].label,
+                TablePrinter::Fmt(res[i].whole().bandwidth_gbps, 2),
                 TablePrinter::Fmt(
                     ctx.machine().bandwidth.per_core_seq_gbps, 1)});
     }
@@ -126,7 +101,7 @@ int main(int argc, char** argv) {
   }
   {
     // Figure 6 uses projectivity 4, normalized to Typer.
-    const double base = fast[3].r.total_cycles;  // Typer p4
+    const double base = res[11].whole().total_cycles;  // Typer p4
     TablePrinter t(
         "Figure 6: Normalized response time breakdown for projection "
         "degree 4 (Typer = 1)");
@@ -136,10 +111,10 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(r.cycles.retiring / base, 1),
                 TablePrinter::Fmt(r.cycles.StallCycles() / base, 1)});
     };
-    add("DBMS R", comm[3].r);
-    add("DBMS C", comm[7].r);
-    add("Typer", fast[3].r);
-    add("Tectorwise", fast[7].r);
+    add("DBMS R", res[3].whole());
+    add("DBMS C", res[7].whole());
+    add("Typer", res[11].whole());
+    add("Tectorwise", res[15].whole());
     ctx.Emit(t);
   }
   return 0;

@@ -8,7 +8,6 @@
 //
 // Default sf: 0.5.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -16,12 +15,10 @@
 #include "engine/query.h"
 #include "harness/context.h"
 #include "harness/profile.h"
-#include "harness/sweep.h"
 
 namespace {
 
 using uolap::TablePrinter;
-using uolap::core::ProfileResult;
 using uolap::engine::OlapEngine;
 using uolap::engine::Workers;
 using uolap::harness::BenchContext;
@@ -34,47 +31,30 @@ int main(int argc, char** argv) {
 
   const std::vector<double> selectivities = {0.1, 0.5, 0.9};
 
-  struct Cell {
-    std::string label;
-    ProfileResult r;
-  };
-  // Sweep points are independent simulations, so they run concurrently
-  // (harness::RunSweep); results come back in submission order. The
-  // engines are constructed lazily, so touch them before fanning out.
-  auto profile_all = [&](std::vector<OlapEngine*> engines) {
-    struct Job {
-      OlapEngine* engine;
-      double sel;
-    };
-    std::vector<Job> jobs;
-    for (OlapEngine* e : engines) {
-      for (double s : selectivities) jobs.push_back({e, s});
+  // Cells 0-5: DBMS R and DBMS C, 6-11: Typer and Tectorwise; each engine
+  // at every selectivity.
+  std::vector<BenchContext::Cell> cells;
+  for (const char* key : {"rowstore", "colstore", "typer", "tectorwise"}) {
+    OlapEngine* e = &ctx.engine(key);
+    for (double s : selectivities) {
+      cells.push_back(
+          {.label = e->name() + " " + TablePrinter::Pct(s, 0),
+           .body = [e, params = uolap::engine::MakeSelectionParams(
+                           ctx.db(), s)](Workers& w) {
+             e->Selection(w, params);
+           }});
     }
-    std::printf("# running %zu selection configurations...\n", jobs.size());
-    std::fflush(stdout);
-    return uolap::harness::RunSweep(jobs.size(), [&](size_t i) {
-      const Job& j = jobs[i];
-      const auto params = uolap::engine::MakeSelectionParams(ctx.db(), j.sel);
-      const std::string label =
-          j.engine->name() + " " + TablePrinter::Pct(j.sel, 0);
-      return Cell{label, ctx.Profile(label, [&](Workers& w) {
-                    j.engine->Selection(w, params);
-                  })};
-    });
-  };
-
-  const std::vector<Cell> comm =
-      profile_all({&ctx.engine("rowstore"), &ctx.engine("colstore")});
-  const std::vector<Cell> fast =
-      profile_all({&ctx.engine("typer"), &ctx.engine("tectorwise")});
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
         "Figure 7: CPU cycles breakdown for selection as selectivity "
         "increases (DBMS R and DBMS C)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/selectivity"));
-    for (const auto& c : comm) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < 6; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -83,8 +63,9 @@ int main(int argc, char** argv) {
         "Figure 8: Stall cycles breakdown for selection (DBMS R and "
         "DBMS C)");
     t.SetHeader(uolap::harness::StallHeader("system/selectivity"));
-    for (const auto& c : comm) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < 6; ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -93,8 +74,9 @@ int main(int argc, char** argv) {
         "Figure 9: CPU cycles breakdown for selection (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/selectivity"));
-    for (const auto& c : fast) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 6; i < 12; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -103,8 +85,9 @@ int main(int argc, char** argv) {
         "Figure 10: Stall cycles breakdown for selection (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/selectivity"));
-    for (const auto& c : fast) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+    for (size_t i = 6; i < 12; ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -113,8 +96,9 @@ int main(int argc, char** argv) {
         "Section 4 (text): single-core bandwidth for branched selection "
         "(paper: Typer 3/5/5, Tectorwise 2.5/3/3 GB/s)");
     t.SetHeader({"system/selectivity", "Bandwidth (GB/s)"});
-    for (const auto& c : fast) {
-      t.AddRow({c.label, TablePrinter::Fmt(c.r.bandwidth_gbps, 2)});
+    for (size_t i = 6; i < 12; ++i) {
+      t.AddRow({cells[i].label,
+                TablePrinter::Fmt(res[i].whole().bandwidth_gbps, 2)});
     }
     ctx.Emit(t);
   }
@@ -124,13 +108,12 @@ int main(int argc, char** argv) {
     TablePrinter t(
         "Section 4 (text): commercial slowdown vs Typer for selection");
     t.SetHeader({"system/selectivity", "Slowdown vs Typer"});
-    for (size_t e = 0; e < 2; ++e) {
-      for (size_t s = 0; s < selectivities.size(); ++s) {
-        const auto& c = comm[e * selectivities.size() + s];
-        const double base = fast[s].r.total_cycles;  // Typer at same sel
-        t.AddRow({c.label,
-                  TablePrinter::Fmt(c.r.total_cycles / base, 1) + "x"});
-      }
+    for (size_t i = 0; i < 6; ++i) {
+      // Typer at the same selectivity.
+      const double base = res[6 + i % 3].whole().total_cycles;
+      t.AddRow({cells[i].label,
+                TablePrinter::Fmt(res[i].whole().total_cycles / base, 1) +
+                    "x"});
     }
     ctx.Emit(t);
   }

@@ -8,16 +8,13 @@
 // Default sf: 1.0 (the large join's build table must exceed the 35 MB L3
 // to reproduce the random-access story; at sf=1 it is ~50 MB).
 
-#include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/table_printer.h"
 #include "engine/query.h"
 #include "harness/context.h"
 #include "harness/profile.h"
-#include "obs/record.h"
 
 namespace {
 
@@ -37,41 +34,26 @@ int main(int argc, char** argv) {
   const std::vector<JoinSize> sizes = {JoinSize::kSmall, JoinSize::kMedium,
                                        JoinSize::kLarge};
 
-  struct Cell {
-    std::string label;
-    ProfileResult r;
-    uolap::obs::RegionTree regions;
-  };
-  auto profile_all = [&](std::vector<OlapEngine*> engines) {
-    std::vector<Cell> cells;
-    for (OlapEngine* e : engines) {
-      for (JoinSize s : sizes) {
-        std::printf("# running %s %s join...\n", e->name().c_str(),
-                    uolap::engine::JoinSizeName(s).c_str());
-        std::fflush(stdout);
-        const std::string label =
-            e->name() + " " + uolap::engine::JoinSizeName(s);
-        uolap::obs::RunRecord run = uolap::harness::ProfileSingleObs(
-            ctx.machine(), ctx.obs_options(), label,
-            [&](Workers& w) { e->Join(w, s); });
-        cells.push_back({label, run.cores[0].whole, run.cores[0].regions});
-        ctx.RecordRun(std::move(run));
-      }
+  // Cells 0-5: DBMS R and DBMS C, 6-11: Typer and Tectorwise; each engine
+  // at every join size.
+  std::vector<BenchContext::Cell> cells;
+  for (const char* key : {"rowstore", "colstore", "typer", "tectorwise"}) {
+    OlapEngine* e = &ctx.engine(key);
+    for (JoinSize s : sizes) {
+      cells.push_back(
+          {.label = e->name() + " " + uolap::engine::JoinSizeName(s),
+           .body = [e, s](Workers& w) { e->Join(w, s); }});
     }
-    return cells;
-  };
-
-  const std::vector<Cell> comm =
-      profile_all({&ctx.engine("rowstore"), &ctx.engine("colstore")});
-  const std::vector<Cell> fast =
-      profile_all({&ctx.engine("typer"), &ctx.engine("tectorwise")});
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
         "Figure 11: CPU cycles breakdown for join (DBMS R and DBMS C)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/join size"));
-    for (const auto& c : comm) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < 6; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -79,8 +61,9 @@ int main(int argc, char** argv) {
     TablePrinter t(
         "Figure 12: CPU cycles breakdown for join (Typer and Tectorwise)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/join size"));
-    for (const auto& c : fast) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 6; i < 12; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -89,8 +72,9 @@ int main(int argc, char** argv) {
         "Figure 13: Stall cycles breakdown for join (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/join size"));
-    for (const auto& c : fast) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+    for (size_t i = 6; i < 12; ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -99,16 +83,16 @@ int main(int argc, char** argv) {
         "Figure 14 (left): single-core random-access bandwidth for the "
         "large join (MAX = 7 GB/s per core on Broadwell)");
     t.SetHeader({"system", "Bandwidth (GB/s)", "MAX (GB/s)"});
-    t.AddRow({"Typer", TablePrinter::Fmt(fast[2].r.bandwidth_gbps, 2),
+    t.AddRow({"Typer", TablePrinter::Fmt(res[8].whole().bandwidth_gbps, 2),
               TablePrinter::Fmt(ctx.machine().bandwidth.per_core_rand_gbps,
                                 1)});
-    t.AddRow({"Tectorwise", TablePrinter::Fmt(fast[5].r.bandwidth_gbps, 2),
+    t.AddRow({"Tectorwise", TablePrinter::Fmt(res[11].whole().bandwidth_gbps, 2),
               TablePrinter::Fmt(ctx.machine().bandwidth.per_core_rand_gbps,
                                 1)});
     ctx.Emit(t);
   }
   {
-    const double base = fast[2].r.total_cycles;  // Typer large
+    const double base = res[8].whole().total_cycles;  // Typer large
     TablePrinter t(
         "Figure 14 (right): normalized response time breakdown for the "
         "large join (Typer = 1; paper: DBMS R 4.5x, DBMS C 6.3x)");
@@ -118,10 +102,10 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(r.cycles.retiring / base, 1),
                 TablePrinter::Fmt(r.cycles.StallCycles() / base, 1)});
     };
-    add("DBMS R", comm[2].r);
-    add("DBMS C", comm[5].r);
-    add("Typer", fast[2].r);
-    add("Tectorwise", fast[5].r);
+    add("DBMS R", res[2].whole());
+    add("DBMS C", res[5].whole());
+    add("Typer", res[8].whole());
+    add("Tectorwise", res[11].whole());
     ctx.Emit(t);
   }
   {
@@ -130,10 +114,10 @@ int main(int argc, char** argv) {
     // exclusive cycles summing back to the whole-run total.
     ctx.Emit(uolap::harness::RegionTable(
         "Large join, per-operator Top-Down attribution (Typer)",
-        fast[2].regions));
+        res[8].regions));
     ctx.Emit(uolap::harness::RegionTable(
         "Large join, per-operator Top-Down attribution (Tectorwise)",
-        fast[5].regions));
+        res[11].regions));
   }
   return 0;
 }

@@ -7,7 +7,6 @@
 // Default sf: 1.0 (Q18's inner group-by then has 1.5M groups, exactly the
 // paper's "high-cardinality group by (1.5 million groups)").
 
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 namespace {
 
 using uolap::TablePrinter;
-using uolap::core::ProfileResult;
 using uolap::engine::OlapEngine;
 using uolap::engine::Workers;
 using uolap::harness::BenchContext;
@@ -40,29 +38,24 @@ int main(int argc, char** argv) {
       {"Q18", [](OlapEngine& e, Workers& w) { e.Q18(w); }},
   };
 
-  struct Cell {
-    std::string label;
-    ProfileResult r;
-  };
-  std::vector<Cell> cells;
-  for (OlapEngine* e :
-       std::vector<OlapEngine*>{&ctx.engine("typer"), &ctx.engine("tectorwise")}) {
+  std::vector<BenchContext::Cell> cells;
+  for (const char* key : {"typer", "tectorwise"}) {
+    OlapEngine* e = &ctx.engine(key);
     for (const auto& [name, fn] : queries) {
-      std::printf("# running %s %s...\n", e->name().c_str(), name.c_str());
-      std::fflush(stdout);
-      const std::string label = e->name() + " " + name;
-      cells.push_back(
-          {label, ctx.Profile(label, [&](Workers& w) { fn(*e, w); })});
+      cells.push_back({.label = e->name() + " " + name,
+                       .body = [e, &fn](Workers& w) { fn(*e, w); }});
     }
   }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
         "Figure 15: CPU cycles breakdown for TPC-H queries (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/query"));
-    for (const auto& c : cells) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < cells.size(); ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -71,8 +64,9 @@ int main(int argc, char** argv) {
         "Figure 16: Stall cycles breakdown for TPC-H queries (Typer and "
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/query"));
-    for (const auto& c : cells) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+    for (size_t i = 0; i < cells.size(); ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
     }
     ctx.Emit(t);
   }
@@ -81,8 +75,9 @@ int main(int argc, char** argv) {
         "Section 6 (text): single-core bandwidth for TPC-H queries "
         "(paper: <1 GB/s everywhere except Typer Q6 at 4.7 GB/s)");
     t.SetHeader({"system/query", "Bandwidth (GB/s)"});
-    for (const auto& c : cells) {
-      t.AddRow({c.label, TablePrinter::Fmt(c.r.bandwidth_gbps, 2)});
+    for (size_t i = 0; i < cells.size(); ++i) {
+      t.AddRow({cells[i].label,
+                TablePrinter::Fmt(res[i].whole().bandwidth_gbps, 2)});
     }
     ctx.Emit(t);
   }

@@ -8,7 +8,6 @@
 //
 // Default sf: 0.5.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -33,41 +32,49 @@ int main(int argc, char** argv) {
 
   const std::vector<double> selectivities = {0.1, 0.5, 0.9};
 
-  struct Cell {
-    std::string label;
-    ProfileResult r;
-  };
-  auto run_engine = [&](OlapEngine& e) {
-    std::vector<Cell> cells;
-    for (double s : selectivities) {
-      for (bool predicated : {false, true}) {
-        std::printf("# running %s sel=%.0f%% %s...\n", e.name().c_str(),
-                    s * 100, predicated ? "branch-free" : "branched");
-        std::fflush(stdout);
-        const auto params =
-            uolap::engine::MakeSelectionParams(ctx.db(), s, predicated);
-        const std::string label =
-            TablePrinter::Pct(s, 0) + (predicated ? " Br.-free" : " Br.");
-        cells.push_back(
-            {label, ctx.Profile(e.name() + " " + label, [&](Workers& w) {
-               e.Selection(w, params);
-             })});
-      }
+  // Cells 0-5: Typer, 6-11: Tectorwise, each at every (selectivity,
+  // variant); 12-15: Typer then Tectorwise Q6, branched and predicated.
+  std::vector<std::string> variants;
+  for (double s : selectivities) {
+    for (bool predicated : {false, true}) {
+      variants.push_back(TablePrinter::Pct(s, 0) +
+                         (predicated ? " Br.-free" : " Br."));
     }
-    return cells;
-  };
-
-  const std::vector<Cell> typer_cells = run_engine(ctx.engine("typer"));
-  const std::vector<Cell> tw_cells = run_engine(ctx.engine("tectorwise"));
+  }
+  const std::vector<OlapEngine*> engines = {&ctx.engine("typer"),
+                                            &ctx.engine("tectorwise")};
+  std::vector<BenchContext::Cell> cells;
+  for (OlapEngine* e : engines) {
+    for (size_t v = 0; v < variants.size(); ++v) {
+      cells.push_back(
+          {.label = e->name() + " " + variants[v],
+           .body = [e, params = uolap::engine::MakeSelectionParams(
+                           ctx.db(), selectivities[v / 2],
+                           /*predicated=*/v % 2 == 1)](Workers& w) {
+             e->Selection(w, params);
+           }});
+    }
+  }
+  for (OlapEngine* e : engines) {
+    for (bool predicated : {false, true}) {
+      cells.push_back(
+          {.label = e->name() +
+                    (predicated ? " Q6 predicated" : " Q6 branched"),
+           .body = [e, params = uolap::engine::MakeQ6Params(predicated)](
+                       Workers& w) { e->Q6(w, params); }});
+    }
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   auto emit_pair = [&](const char* fig_resp, const char* fig_stall,
-                       const char* name, const std::vector<Cell>& cells) {
+                       const char* name, size_t first) {
     {
       TablePrinter t(std::string(fig_resp) + ": response time breakdown, " +
                      name + " branched vs branch-free selection");
       t.SetHeader(uolap::harness::TimeHeader("selectivity/variant"));
-      for (const auto& c : cells) {
-        t.AddRow(uolap::harness::TimeRow(c.label, c.r));
+      for (size_t v = 0; v < variants.size(); ++v) {
+        t.AddRow(uolap::harness::TimeRow(variants[v],
+                                         res[first + v].whole()));
       }
       ctx.Emit(t);
     }
@@ -75,14 +82,15 @@ int main(int argc, char** argv) {
       TablePrinter t(std::string(fig_stall) + ": stall time breakdown, " +
                      name + " branched vs branch-free selection");
       t.SetHeader(uolap::harness::StallHeader("selectivity/variant"));
-      for (const auto& c : cells) {
-        t.AddRow(uolap::harness::StallRow(c.label, c.r.cycles));
+      for (size_t v = 0; v < variants.size(); ++v) {
+        t.AddRow(uolap::harness::StallRow(variants[v],
+                                          res[first + v].whole().cycles));
       }
       ctx.Emit(t);
     }
   };
-  emit_pair("Figure 17", "Figure 18", "Typer", typer_cells);
-  emit_pair("Figure 19", "Figure 20", "Tectorwise", tw_cells);
+  emit_pair("Figure 17", "Figure 18", "Typer", 0);
+  emit_pair("Figure 19", "Figure 20", "Tectorwise", 6);
 
   {
     TablePrinter t(
@@ -90,14 +98,13 @@ int main(int argc, char** argv) {
         "(MAX = 12 GB/s; paper: Typer stable/high, Tectorwise lower with "
         "a peak at 50%)");
     t.SetHeader({"system/selectivity", "Bandwidth (GB/s)"});
-    for (size_t i = 0; i < selectivities.size(); ++i) {
-      t.AddRow({"Typer " + TablePrinter::Pct(selectivities[i], 0),
-                TablePrinter::Fmt(typer_cells[i * 2 + 1].r.bandwidth_gbps,
-                                  2)});
-    }
-    for (size_t i = 0; i < selectivities.size(); ++i) {
-      t.AddRow({"Tectorwise " + TablePrinter::Pct(selectivities[i], 0),
-                TablePrinter::Fmt(tw_cells[i * 2 + 1].r.bandwidth_gbps, 2)});
+    for (size_t e = 0; e < engines.size(); ++e) {
+      for (size_t i = 0; i < selectivities.size(); ++i) {
+        const ProfileResult& branch_free = res[6 * e + 2 * i + 1].whole();
+        t.AddRow({engines[e]->name() + " " +
+                      TablePrinter::Pct(selectivities[i], 0),
+                  TablePrinter::Fmt(branch_free.bandwidth_gbps, 2)});
+      }
     }
     ctx.Emit(t);
   }
@@ -109,20 +116,13 @@ int main(int argc, char** argv) {
         "Tectorwise -52%; bandwidth 4.7->6.9 and 1->4.7 GB/s)");
     t.SetHeader({"system", "Branched ms", "Predicated ms", "Change",
                  "Branched GB/s", "Predicated GB/s"});
-    for (OlapEngine* e :
-         std::vector<OlapEngine*>{&ctx.engine("typer"), &ctx.engine("tectorwise")}) {
-      const auto branched =
-          ctx.Profile(e->name() + " Q6 branched", [&](Workers& w) {
-            e->Q6(w, uolap::engine::MakeQ6Params(false));
-          });
-      const auto predicated =
-          ctx.Profile(e->name() + " Q6 predicated", [&](Workers& w) {
-            e->Q6(w, uolap::engine::MakeQ6Params(true));
-          });
+    for (size_t i = 0; i < engines.size(); ++i) {
+      const ProfileResult& branched = res[12 + 2 * i].whole();
+      const ProfileResult& predicated = res[13 + 2 * i].whole();
       const double change =
           (predicated.total_cycles - branched.total_cycles) /
           branched.total_cycles;
-      t.AddRow({e->name(), TablePrinter::Fmt(branched.time_ms, 1),
+      t.AddRow({engines[i]->name(), TablePrinter::Fmt(branched.time_ms, 1),
                 TablePrinter::Fmt(predicated.time_ms, 1),
                 TablePrinter::Pct(change, 0),
                 TablePrinter::Fmt(branched.bandwidth_gbps, 2),

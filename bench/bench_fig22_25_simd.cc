@@ -9,8 +9,9 @@
 // Default sf: 0.5; the machine defaults to Skylake here (the paper's SIMD
 // experiments cannot run on Broadwell, which lacks AVX-512).
 
-#include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table_printer.h"
@@ -25,6 +26,7 @@ using uolap::TablePrinter;
 using uolap::core::ProfileResult;
 using uolap::engine::Workers;
 using uolap::harness::BenchContext;
+using uolap::tectorwise::TectorwiseEngine;
 
 }  // namespace
 
@@ -43,40 +45,38 @@ int main(int argc, char** argv) {
                    /*default_sf=*/0.5);
   ctx.PrintHeader("Figures 22-25: SIMD (Section 8, Skylake server)");
 
-  auto& scalar = static_cast<uolap::tectorwise::TectorwiseEngine&>(
-      ctx.engine("tectorwise"));
-  auto& simd = static_cast<uolap::tectorwise::TectorwiseEngine&>(
-      ctx.engine("tectorwise+simd"));
+  // The Tectorwise-specific LargeJoinProbeOnly entry point needs the
+  // concrete engine type.
+  auto* scalar = static_cast<TectorwiseEngine*>(&ctx.engine("tectorwise"));
+  auto* simd =
+      static_cast<TectorwiseEngine*>(&ctx.engine("tectorwise+simd"));
 
-  struct Pair {
-    std::string label;
-    ProfileResult without;
-    ProfileResult with;
-  };
-  std::vector<Pair> pairs;
-
-  auto run_pair = [&](const std::string& label, auto&& fn) {
-    std::printf("# running %s (scalar + SIMD)...\n", label.c_str());
-    std::fflush(stdout);
-    Pair p;
-    p.label = label;
-    p.without =
-        ctx.Profile(label + " scalar", [&](Workers& w) { fn(scalar, w); });
-    p.with = ctx.Profile(label + " simd", [&](Workers& w) { fn(simd, w); });
-    pairs.push_back(std::move(p));
-  };
-
-  run_pair("Proj.", [](uolap::tectorwise::TectorwiseEngine& e, Workers& w) {
-    e.Projection(w, 4);
-  });
+  // Each workload runs scalar (cell 2k) and with SIMD (cell 2k + 1);
+  // workloads 0-3 make Figures 22-24, the join probe Figure 25.
+  using TwFn = std::function<void(TectorwiseEngine&, Workers&)>;
+  std::vector<std::pair<std::string, TwFn>> workloads = {
+      {"Proj.", [](TectorwiseEngine& e, Workers& w) { e.Projection(w, 4); }}};
   for (double s : {0.1, 0.5, 0.9}) {
-    const auto params =
-        uolap::engine::MakeSelectionParams(ctx.db(), s, /*predicated=*/true);
-    run_pair("Sel. " + TablePrinter::Pct(s, 0),
-             [&params](uolap::tectorwise::TectorwiseEngine& e, Workers& w) {
-               e.Selection(w, params);
-             });
+    workloads.push_back(
+        {"Sel. " + TablePrinter::Pct(s, 0),
+         [params = uolap::engine::MakeSelectionParams(
+              ctx.db(), s, /*predicated=*/true)](TectorwiseEngine& e,
+                                                 Workers& w) {
+           e.Selection(w, params);
+         }});
   }
+  workloads.push_back({"join-probe", [](TectorwiseEngine& e, Workers& w) {
+                         e.LargeJoinProbeOnly(w);
+                       }});
+  std::vector<BenchContext::Cell> cells;
+  for (const auto& [label, fn] : workloads) {
+    for (TectorwiseEngine* e : {scalar, simd}) {
+      cells.push_back({.label = label + (e == simd ? " simd" : " scalar"),
+                       .body = [e, &fn](Workers& w) { fn(*e, w); }});
+    }
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  constexpr size_t kFig22To24Workloads = 4;
 
   {
     TablePrinter t(
@@ -84,12 +84,13 @@ int main(int argc, char** argv) {
         "SIMD (without = 1; paper: -22% proj, -42/-23/-21% selection)");
     t.SetHeader({"workload", "W/o SIMD", "W/ SIMD", "W/ SIMD Retiring",
                  "W/ SIMD Stall"});
-    for (const auto& p : pairs) {
-      const double base = p.without.total_cycles;
-      t.AddRow({p.label, "1.00",
-                TablePrinter::Fmt(p.with.total_cycles / base, 2),
-                TablePrinter::Fmt(p.with.cycles.retiring / base, 2),
-                TablePrinter::Fmt(p.with.cycles.StallCycles() / base, 2)});
+    for (size_t k = 0; k < kFig22To24Workloads; ++k) {
+      const ProfileResult& with = res[2 * k + 1].whole();
+      const double base = res[2 * k].whole().total_cycles;
+      t.AddRow({workloads[k].first, "1.00",
+                TablePrinter::Fmt(with.total_cycles / base, 2),
+                TablePrinter::Fmt(with.cycles.retiring / base, 2),
+                TablePrinter::Fmt(with.cycles.StallCycles() / base, 2)});
     }
     ctx.Emit(t);
   }
@@ -99,19 +100,19 @@ int main(int argc, char** argv) {
         "time without SIMD = 1; paper: Dcache up, Execution down)");
     t.SetHeader({"workload", "variant", "Execution", "Dcache", "Decoding",
                  "Icache", "Branch misp."});
-    for (const auto& p : pairs) {
-      const double base = p.without.cycles.StallCycles();
+    for (size_t k = 0; k < kFig22To24Workloads; ++k) {
+      const double base = res[2 * k].whole().cycles.StallCycles();
       auto row = [&](const char* variant, const ProfileResult& r) {
         const auto& b = r.cycles;
-        t.AddRow({p.label, variant,
+        t.AddRow({workloads[k].first, variant,
                   TablePrinter::Fmt(b.execution / base, 2),
                   TablePrinter::Fmt(b.dcache / base, 2),
                   TablePrinter::Fmt(b.decoding / base, 2),
                   TablePrinter::Fmt(b.icache / base, 2),
                   TablePrinter::Fmt(b.branch_misp / base, 2)});
       };
-      row("W/o SIMD", p.without);
-      row("W/ SIMD", p.with);
+      row("W/o SIMD", res[2 * k].whole());
+      row("W/ SIMD", res[2 * k + 1].whole());
     }
     ctx.Emit(t);
   }
@@ -120,20 +121,16 @@ int main(int argc, char** argv) {
         "Figure 24: single-core bandwidth with and without SIMD "
         "(MAX = 10 GB/s per core on Skylake)");
     t.SetHeader({"workload", "W/o SIMD (GB/s)", "W/ SIMD (GB/s)"});
-    for (const auto& p : pairs) {
-      t.AddRow({p.label, TablePrinter::Fmt(p.without.bandwidth_gbps, 2),
-                TablePrinter::Fmt(p.with.bandwidth_gbps, 2)});
+    for (size_t k = 0; k < kFig22To24Workloads; ++k) {
+      t.AddRow({workloads[k].first,
+                TablePrinter::Fmt(res[2 * k].whole().bandwidth_gbps, 2),
+                TablePrinter::Fmt(res[2 * k + 1].whole().bandwidth_gbps, 2)});
     }
     ctx.Emit(t);
   }
   {
-    std::printf("# running large-join probe (scalar + SIMD)...\n");
-    std::fflush(stdout);
-    const auto without =
-        ctx.Profile("join-probe scalar",
-                    [&](Workers& w) { scalar.LargeJoinProbeOnly(w); });
-    const auto with = ctx.Profile(
-        "join-probe simd", [&](Workers& w) { simd.LargeJoinProbeOnly(w); });
+    const ProfileResult& without = res[8].whole();
+    const ProfileResult& with = res[9].whole();
     const double base = without.total_cycles;
     TablePrinter t(
         "Figure 25: large-join probe phase with and without SIMD "

@@ -7,8 +7,8 @@
 //
 // Default sf: 0.25 (six configurations x multiple queries).
 
-#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table_printer.h"
@@ -22,6 +22,7 @@ using uolap::TablePrinter;
 using uolap::core::MachineConfig;
 using uolap::core::PrefetcherConfig;
 using uolap::core::ProfileResult;
+using uolap::engine::OlapEngine;
 using uolap::engine::Workers;
 using uolap::harness::BenchContext;
 
@@ -40,22 +41,35 @@ int main(int argc, char** argv) {
       {"All enabled", PrefetcherConfig::AllEnabled()},
   };
 
-  auto run_with = [&](const std::string& label, const PrefetcherConfig& pf,
-                      auto&& fn) {
+  // Cells 0-5: the Typer projection under each configuration; 6-9: the
+  // Typer then Tectorwise large join with all prefetchers off, then on.
+  auto with_prefetchers = [&](const PrefetcherConfig& pf) {
     MachineConfig cfg = ctx.machine();
     cfg.prefetchers = pf;
-    return ctx.Profile(label, cfg, fn);
+    return cfg;
   };
-
-  std::vector<std::pair<std::string, ProfileResult>> proj_cells;
+  std::vector<BenchContext::Cell> cells;
+  OlapEngine* typer = &ctx.engine("typer");
   for (const auto& [name, pf] : configs) {
-    std::printf("# running Typer projection p4 with prefetchers: %s...\n",
-                name.c_str());
-    std::fflush(stdout);
-    proj_cells.emplace_back(name, run_with(name, pf, [&](Workers& w) {
-      ctx.engine("typer").Projection(w, 4);
-    }));
+    cells.push_back({.label = name,
+                     .body = [typer](Workers& w) { typer->Projection(w, 4); },
+                     .machine = with_prefetchers(pf)});
   }
+  const std::vector<OlapEngine*> join_engines = {typer,
+                                                 &ctx.engine("tectorwise")};
+  for (OlapEngine* e : join_engines) {
+    for (bool on : {false, true}) {
+      cells.push_back(
+          {.label = e->name() +
+                    (on ? " join, prefetch on" : " join, prefetch off"),
+           .body = [e](Workers& w) {
+             e->Join(w, uolap::engine::JoinSize::kLarge);
+           },
+           .machine = with_prefetchers(on ? PrefetcherConfig::AllEnabled()
+                                          : PrefetcherConfig::AllDisabled())});
+    }
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -64,14 +78,14 @@ int main(int argc, char** argv) {
         "cuts response ~73% vs all-disabled; L2 streamer alone is as good "
         "as all four)");
     t.SetHeader(uolap::harness::TimeHeader("prefetcher config"));
-    for (const auto& [name, r] : proj_cells) {
-      t.AddRow(uolap::harness::TimeRow(name, r));
+    for (size_t i = 0; i < configs.size(); ++i) {
+      t.AddRow(uolap::harness::TimeRow(configs[i].first, res[i].whole()));
     }
     ctx.Emit(t);
   }
   {
-    const auto& off = proj_cells.front().second;
-    const auto& on = proj_cells.back().second;
+    const ProfileResult& off = res[0].whole();
+    const ProfileResult& on = res[configs.size() - 1].whole();
     TablePrinter t(
         "Section 9 (text): prefetcher effectiveness for the projection");
     t.SetHeader({"metric", "value", "paper"});
@@ -86,29 +100,19 @@ int main(int argc, char** argv) {
   }
   {
     // Joins: prefetchers help only ~20% (random accesses).
-    std::printf("# running large joins with/without prefetchers...\n");
-    std::fflush(stdout);
     TablePrinter t(
         "Section 9 (text): prefetchers and the large join (paper: ~20% "
         "response-time reduction for both engines)");
     t.SetHeader({"system", "All disabled ms", "All enabled ms",
                  "Reduction"});
-    auto add = [&](const std::string& name, auto&& fn) {
-      const ProfileResult off = run_with(
-          name + " join, prefetch off", PrefetcherConfig::AllDisabled(), fn);
-      const ProfileResult on = run_with(
-          name + " join, prefetch on", PrefetcherConfig::AllEnabled(), fn);
-      t.AddRow({name, TablePrinter::Fmt(off.time_ms, 1),
+    for (size_t i = 0; i < join_engines.size(); ++i) {
+      const ProfileResult& off = res[configs.size() + 2 * i].whole();
+      const ProfileResult& on = res[configs.size() + 2 * i + 1].whole();
+      t.AddRow({join_engines[i]->name(), TablePrinter::Fmt(off.time_ms, 1),
                 TablePrinter::Fmt(on.time_ms, 1),
                 TablePrinter::Pct(1.0 - on.total_cycles / off.total_cycles,
                                   0)});
-    };
-    add("Typer", [&](Workers& w) {
-      ctx.engine("typer").Join(w, uolap::engine::JoinSize::kLarge);
-    });
-    add("Tectorwise", [&](Workers& w) {
-      ctx.engine("tectorwise").Join(w, uolap::engine::JoinSize::kLarge);
-    });
+    }
     ctx.Emit(t);
   }
   return 0;

@@ -11,7 +11,6 @@
 // saturation points depend only on per-core demand vs socket ceilings,
 // which are scale-invariant once working sets exceed the caches.
 
-#include <cstdio>
 #include <algorithm>
 #include <functional>
 #include <string>
@@ -22,7 +21,6 @@
 #include "engine/query.h"
 #include "harness/context.h"
 #include "harness/profile.h"
-#include "harness/sweep.h"
 
 namespace {
 
@@ -51,46 +49,56 @@ int main(int argc, char** argv) {
       {"Q18", [](OlapEngine& e, Workers& w) { e.Q18(w); }},
   };
 
-  struct Cell {
-    std::string label;
-    MultiCoreResult r;
-  };
-  // Each (engine, query) profile is an independent simulation; fan them
-  // out with harness::RunSweep (results come back in submission order).
-  // ProfileMulti's own worker fan-out nests inside the sweep items and
-  // falls back to inline execution there, keeping results deterministic.
-  struct TpchJob {
-    OlapEngine* engine;
-    const std::string* name;
-    const QueryFn* fn;
-  };
-  std::vector<TpchJob> tpch_jobs;
-  for (OlapEngine* e :
-       std::vector<OlapEngine*>{&ctx.engine("typer"), &ctx.engine("tectorwise")}) {
+  // One fan-out for the whole bench. Cells 0-7: TPC-H at max_threads;
+  // then Figure 29's and Figure 30's sweeps, Typer and Tectorwise at each
+  // thread count; last, the SIMD what-if pair.
+  std::vector<BenchContext::Cell> cells;
+  OlapEngine* typer = &ctx.engine("typer");
+  OlapEngine* tectorwise = &ctx.engine("tectorwise");
+  for (OlapEngine* e : {typer, tectorwise}) {
     for (const auto& [name, fn] : queries) {
-      tpch_jobs.push_back({e, &name, &fn});
+      cells.push_back({.label = e->name() + " " + name,
+                       .body = [e, &fn](Workers& w) { fn(*e, w); },
+                       .threads = max_threads});
     }
   }
-  std::printf("# running %zu TPC-H profiles at %d threads...\n",
-              tpch_jobs.size(), max_threads);
-  std::fflush(stdout);
-  const std::vector<Cell> tpch_cells =
-      uolap::harness::RunSweep(tpch_jobs.size(), [&](size_t i) {
-        const TpchJob& j = tpch_jobs[i];
-        const std::string label = j.engine->name() + " " + *j.name;
-        return Cell{label,
-                    ctx.ProfileMulti(label, max_threads, [&](Workers& w) {
-                      (*j.fn)(*j.engine, w);
-                    })};
-      });
+  const std::vector<int> thread_counts = {1, 4, 8, 12, 14};
+  auto add_sweep = [&](const std::string& workload, QueryFn fn) {
+    for (int n : thread_counts) {
+      for (OlapEngine* e : {typer, tectorwise}) {
+        cells.push_back({.label = e->name() + " " + workload,
+                         .body = [e, fn](Workers& w) { fn(*e, w); },
+                         .threads = n});
+      }
+    }
+  };
+  const size_t fig29_first = cells.size();
+  add_sweep("proj4", [](OlapEngine& e, Workers& w) { e.Projection(w, 4); });
+  const size_t fig30_first = cells.size();
+  add_sweep("large join", [](OlapEngine& e, Workers& w) {
+    e.Join(w, uolap::engine::JoinSize::kLarge);
+  });
+  const size_t whatif_first = cells.size();
+  OlapEngine* tectorwise_simd = &ctx.engine("tectorwise+simd");
+  for (OlapEngine* e : {tectorwise, tectorwise_simd}) {
+    cells.push_back(
+        {.label = e == tectorwise ? "Tectorwise large join 14t"
+                                  : "Tectorwise SIMD large join 14t",
+         .body = [e](Workers& w) {
+           e->Join(w, uolap::engine::JoinSize::kLarge);
+         },
+         .threads = max_threads});
+  }
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
         "Figure 27: CPU cycles breakdown for multi-core (14-thread) "
         "TPC-H (Typer and Tectorwise)");
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/query"));
-    for (const auto& c : tpch_cells) {
-      t.AddRow(uolap::harness::CpuCyclesRow(c.label, c.r.aggregate));
+    for (size_t i = 0; i < fig29_first; ++i) {
+      t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
+                                            res[i].multi.aggregate));
     }
     ctx.Emit(t);
   }
@@ -99,42 +107,25 @@ int main(int argc, char** argv) {
         "Figure 28: Stall cycles breakdown for multi-core (14-thread) "
         "TPC-H (Typer and Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/query"));
-    for (const auto& c : tpch_cells) {
-      t.AddRow(uolap::harness::StallRow(c.label, c.r.aggregate));
+    for (size_t i = 0; i < fig29_first; ++i) {
+      t.AddRow(
+          uolap::harness::StallRow(cells[i].label, res[i].multi.aggregate));
     }
     ctx.Emit(t);
   }
 
   // --- Figures 29/30: bandwidth vs thread count ---
-  const std::vector<int> thread_counts = {1, 4, 8, 12, 14};
-  auto sweep = [&](const std::string& title, const std::string& max_note,
-                   const std::string& workload, auto&& fn) {
-    std::printf("# sweeping %zu thread counts...\n", thread_counts.size());
-    std::fflush(stdout);
-    // Both engines at every thread count, all points concurrent.
-    struct Point {
-      MultiCoreResult typer, tectorwise;
-    };
-    const std::vector<Point> points =
-        uolap::harness::RunSweep(thread_counts.size(), [&](size_t i) {
-          const int n = thread_counts[i];
-          Point pt;
-          pt.typer = ctx.ProfileMulti("Typer " + workload, n,
-                                      [&](Workers& w) { fn(ctx.engine("typer"), w); });
-          pt.tectorwise =
-              ctx.ProfileMulti("Tectorwise " + workload, n, [&](Workers& w) {
-                fn(ctx.engine("tectorwise"), w);
-              });
-          return pt;
-        });
+  auto emit_sweep = [&](const std::string& title, const std::string& max_note,
+                        size_t first) {
     TablePrinter t(title);
     t.SetHeader({"threads", "Typer (GB/s)", "Tectorwise (GB/s)", max_note});
     for (size_t i = 0; i < thread_counts.size(); ++i) {
       const int n = thread_counts[i];
       t.AddRow({std::to_string(n),
-                TablePrinter::Fmt(points[i].typer.socket_bandwidth_gbps, 1),
                 TablePrinter::Fmt(
-                    points[i].tectorwise.socket_bandwidth_gbps, 1),
+                    res[first + 2 * i].multi.socket_bandwidth_gbps, 1),
+                TablePrinter::Fmt(
+                    res[first + 2 * i + 1].multi.socket_bandwidth_gbps, 1),
                 n == thread_counts.front()
                     ? TablePrinter::Fmt(
                           ctx.machine().bandwidth.per_socket_seq_gbps, 0)
@@ -143,39 +134,22 @@ int main(int argc, char** argv) {
     ctx.Emit(t);
   };
 
-  sweep(
+  emit_sweep(
       "Figure 29: per-socket bandwidth vs threads, projection degree 4 "
       "(MAX = 66 GB/s sequential; paper: Typer saturates at 8 cores, "
       "Tectorwise at 12)",
-      "MAX seq", "proj4",
-      [](OlapEngine& e, Workers& w) { e.Projection(w, 4); });
-  sweep(
+      "MAX seq", fig29_first);
+  emit_sweep(
       "Figure 30: per-socket bandwidth vs threads, large join "
       "(MAX = 60 GB/s random; paper: both engines far below, ~21 GB/s at "
       "14 threads)",
-      "MAX seq", "large join",
-      [](OlapEngine& e, Workers& w) {
-        e.Join(w, uolap::engine::JoinSize::kLarge);
-      });
+      "MAX seq", fig30_first);
 
   {
     // Section 10 in-text what-ifs: SIMD probe bandwidth at 14 threads and
     // the analytical hyper-threading uplift.
-    std::printf("# running SIMD join what-if at %d threads...\n",
-                max_threads);
-    std::fflush(stdout);
-    ctx.engine("tectorwise+simd");  // force lazy construction before the sweep
-    const std::vector<MultiCoreResult> whatif =
-        uolap::harness::RunSweep(2, [&](size_t i) {
-          const std::string label =
-              i == 0 ? "Tectorwise large join 14t" : "Tectorwise SIMD large join 14t";
-          return ctx.ProfileMulti(label, max_threads, [&](Workers& w) {
-            (i == 0 ? ctx.engine("tectorwise") : ctx.engine("tectorwise+simd"))
-                .Join(w, uolap::engine::JoinSize::kLarge);
-          });
-        });
-    const MultiCoreResult& scalar_join = whatif[0];
-    const MultiCoreResult& simd_join = whatif[1];
+    const MultiCoreResult& scalar_join = res[whatif_first].multi;
+    const MultiCoreResult& simd_join = res[whatif_first + 1].multi;
     TablePrinter t(
         "Section 10 (text): what-ifs (paper: SIMD raises Tectorwise's "
         "join bandwidth 21 -> 31.5 GB/s; hyper-threading adds ~1.3x)");

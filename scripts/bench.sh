@@ -6,7 +6,11 @@
 #              verdict for scan, probe and serve at its default seed,
 #              each run for BENCHMARK.json's run_seconds;
 #   benches    each figure bench's --quick wall_ms over REPEATS runs, as
-#              median, min and max.
+#              median, min and max; and again at the bench's default
+#              scale (quick: false) over FULL_REPEATS runs, with the peak
+#              RSS (ru_maxrss) of the bench process. --quick hides the
+#              full-scale cost of each cell; the default scale is what
+#              EXPERIMENTS.md regenerates the paper at.
 # Exits non-zero and writes no record when a workload fails its oracle
 # (correct: false) or a profile fails `uolap_report validate`.
 #
@@ -26,6 +30,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-build/BENCH_sim.json}"
 REPEATS=5
+FULL_REPEATS=3
 
 BENCHES=(
   bench_fig01_06_projection
@@ -66,19 +71,37 @@ for ((r = 1; r <= REPEATS; r++)); do
       >/dev/null
   done
 done
-build/examples/uolap_report validate "$PROFILE_DIR"/*.json >/dev/null
+# The same benches at their default scale, with no timeline sampling (as
+# EXPERIMENTS.md runs them); each run's peak RSS lands next to its profile.
+mkdir -p "$PROFILE_DIR/full"
+for ((r = 1; r <= FULL_REPEATS; r++)); do
+  for bench in "${BENCHES[@]}"; do
+    echo "# $bench default scale (repeat $r of $FULL_REPEATS)"
+    python3 -c '
+import os, subprocess, sys
+p = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(p.pid, 0)
+p.returncode = os.waitstatus_to_exitcode(status)
+with open(sys.argv[1], "w") as f:
+    f.write("%d\n" % usage.ru_maxrss)  # KiB on Linux
+sys.exit(p.returncode)' "$PROFILE_DIR/full/$bench.$r.rss_kb" \
+      "build/bench/$bench" --sample-every=0 \
+      --json="$PROFILE_DIR/full/$bench.$r.json"
+  done
+done
+build/examples/uolap_report validate "$PROFILE_DIR"/*.json \
+  "$PROFILE_DIR"/full/*.json >/dev/null
 
-python3 - "$OUT" "$RESULTS_DIR" "$PROFILE_DIR" "$REPEATS" "${BENCHES[@]}" \
-  <<'EOF'
+python3 - "$OUT" "$RESULTS_DIR" "$PROFILE_DIR" "$REPEATS" "$FULL_REPEATS" \
+  "${BENCHES[@]}" <<'EOF'
 import glob
 import json
 import os
 import statistics
 import sys
 
-out, results_dir, profile_dir, repeats = sys.argv[1:5]
-repeats = int(repeats)
-benches = sys.argv[5:]
+out, results_dir, profile_dir, repeats, full_repeats = sys.argv[1:6]
+benches = sys.argv[6:]
 
 workloads = {}
 host = None
@@ -104,29 +127,47 @@ if sorted(workloads) != ["probe", "scan", "serve"]:
     sys.exit("bench.sh: expected scan, probe and serve records, got %s"
              % sorted(workloads))
 
-rows = []
-for bench in benches:
+def spread(values):
+    return {"median": statistics.median(values), "min": min(values),
+            "max": max(values)}
+
+
+def bench_row(bench, directory, repeats, with_rss):
     profiles = []
+    rss_mb = []
     for r in range(1, repeats + 1):
-        with open(os.path.join(profile_dir, "%s.%d.json" % (bench, r))) as f:
+        base = os.path.join(directory, "%s.%d" % (bench, r))
+        with open(base + ".json") as f:
             profiles.append(json.load(f))
-    wall = [p["wall_ms"] for p in profiles]
-    rows.append({
+        if with_rss:
+            with open(base + ".rss_kb") as f:
+                rss_mb.append(int(f.read()) / 1024.0)
+    row = {
         "bench": bench,
         "machine": profiles[0]["machine"],
         "scale_factor": profiles[0]["scale_factor"],
         "quick": profiles[0]["quick"],
         "repeats": repeats,
-        "wall_ms": {"median": statistics.median(wall), "min": min(wall),
-                    "max": max(wall)},
-    })
+        "wall_ms": spread([p["wall_ms"] for p in profiles]),
+    }
+    if with_rss:
+        row["peak_rss_mb"] = spread(rss_mb)
+    return row
+
+
+rows = []
+for bench in benches:
+    rows.append(bench_row(bench, profile_dir, int(repeats), False))
+    rows.append(bench_row(bench, os.path.join(profile_dir, "full"),
+                          int(full_repeats), True))
 
 record = {
     "schema": "uolap-bench-sim",
     "version": 4,
     "comment": "Generated by scripts/bench.sh: hostbench end-to-end "
-               "metrics (oracle-checked) plus each figure bench's --quick "
-               "wall time over repeated runs, on the host below.",
+               "metrics (oracle-checked) plus each figure bench's wall "
+               "time over repeated runs, --quick and at default scale "
+               "(with peak RSS), on the host below.",
     "host": host,
     "workloads": workloads,
     "benches": rows,

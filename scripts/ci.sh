@@ -17,7 +17,7 @@
 #   5. an AddressSanitizer smoke (build + unit tests + crash-recovery
 #      smoke);
 #   6. a ThreadSanitizer build that runs the test suite through the
-#      parallel runtime (ThreadPool, RunSweep, threaded multi-core
+#      parallel runtime (ThreadPool, ProfileCells, threaded multi-core
 #      Profile, the server's concurrent class simulation), so data races
 #      in engine ForEach bodies or shared engines fail CI instead of
 #      silently breaking the bit-determinism contract.
@@ -366,22 +366,27 @@ python3 hostbench/run.py --selftest
 # Determinism gate: the same bench run twice must produce byte-identical
 # output. --stable-json zeroes wall_ms (the only host-time field of the
 # profile); everything else is simulated state, a pure function of
-# (config, seed, SF). The threaded multicore bench (the one gated bench
-# that records concurrently: RunSweep points plus threaded multi-core
-# runs) must match on stdout, minus the dbgen wall-time line, and on its
-# profile JSON and Chrome trace.
+# (config, seed, SF). Both benches fan their cells out on the thread pool
+# (BenchContext::ProfileCells; the multicore bench nests threaded
+# multi-core cells), and run B is serial (UOLAP_THREADS=1), so each cmp
+# also checks pool against serial. Stdout must match minus the dbgen
+# wall-time and output-path lines; so must the profile JSON and the
+# multicore bench's Chrome trace.
 echo "=== determinism gate ==="
 DET_OUT="$(mktemp -d)"
 build/bench/bench_fig11_14_join --quick --stable-json \
-  --json="$DET_OUT/a.json" >/dev/null
-build/bench/bench_fig11_14_join --quick --stable-json \
-  --json="$DET_OUT/second-run.json" >/dev/null
+  --json="$DET_OUT/a.json" |
+  grep -v "^# generated \|^# wrote " >"$DET_OUT/join-a.txt"
+UOLAP_THREADS=1 build/bench/bench_fig11_14_join --quick --stable-json \
+  --json="$DET_OUT/second-run.json" |
+  grep -v "^# generated \|^# wrote " >"$DET_OUT/join-b.txt"
+cmp "$DET_OUT/join-a.txt" "$DET_OUT/join-b.txt"
 cmp "$DET_OUT/a.json" "$DET_OUT/second-run.json"
 build/bench/bench_fig27_30_multicore --quick --stable-json \
   --json="$DET_OUT/mc-a.json" --trace="$DET_OUT/mc-a.trace" |
   grep -v "^# generated \|^# wrote " >"$DET_OUT/a.txt"
-build/bench/bench_fig27_30_multicore --quick --seed=42 --stable-json \
-  --json="$DET_OUT/mc-b.json" --trace="$DET_OUT/mc-b.trace" |
+UOLAP_THREADS=1 build/bench/bench_fig27_30_multicore --quick --seed=42 \
+  --stable-json --json="$DET_OUT/mc-b.json" --trace="$DET_OUT/mc-b.trace" |
   grep -v "^# generated \|^# wrote " >"$DET_OUT/b.txt"
 cmp "$DET_OUT/a.txt" "$DET_OUT/b.txt"
 cmp "$DET_OUT/mc-a.json" "$DET_OUT/mc-b.json"

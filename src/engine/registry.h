@@ -22,8 +22,8 @@ namespace uolap::engine {
 /// QuerySpecs through it without ever naming a concrete engine type.
 ///
 /// Instances are cached (one engine per key for the registry's lifetime)
-/// and construction is mutex-guarded, so sweep drivers may resolve
-/// concurrently. Registration is explicit — no static self-registration,
+/// and construction is mutex-guarded, so several threads may resolve
+/// keys at once. Registration is explicit — no static self-registration,
 /// which is linker-fragile with static libraries.
 class EngineRegistry {
  public:

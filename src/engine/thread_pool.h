@@ -23,14 +23,14 @@ namespace uolap::engine {
 ///  - `harness::Profile` (harness/profile.h) attaches the pool to
 ///    `Workers`, so each simulated worker core's body runs on its own OS
 ///    thread;
-///  - bench drivers wrap independent sweep points in `harness::RunSweep`
-///    (harness/sweep.h);
+///  - `harness::BenchContext::ProfileCells` (harness/context.h) profiles
+///    a figure's independent cells, one per pool item;
 ///  - `server::Server` simulates its query classes, each on its own fresh
 ///    machine, as one parallel-for per wave (server/serving.h).
 ///
 /// A thread already executing a pool item runs nested ParallelFor calls
-/// inline and serially — a sweep point that internally profiles a
-/// multi-core run cannot deadlock waiting for the pool it occupies.
+/// inline and serially — a cell that internally profiles a multi-core
+/// run cannot deadlock waiting for the pool it occupies.
 ///
 /// Determinism: the pool only decides *where* each index runs, never what
 /// it does; under the `Workers::ForEach` body contract (all mutable state

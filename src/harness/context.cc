@@ -7,6 +7,7 @@
 
 #include "audit/validation.h"
 #include "common/macros.h"
+#include "engine/thread_pool.h"
 #include "harness/engines.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -82,6 +83,25 @@ void BenchContext::RecordRun(obs::RunRecord run) {
   flushed_ = false;
 }
 
+std::vector<BenchContext::CellResult> BenchContext::ProfileCells(
+    const std::vector<Cell>& cells) {
+  std::printf("# profiling %zu configurations...\n", cells.size());
+  std::fflush(stdout);
+  engine::ThreadPool& pool = engine::ThreadPool::Global();
+  std::vector<CellResult> results(cells.size());
+  std::vector<obs::RunRecord> runs(cells.size());
+  pool.ParallelFor(cells.size(), [&](size_t i) {
+    const Cell& cell = cells[i];
+    auto [multi, run] = harness::Profile(cell.machine.value_or(machine_),
+                                         cell.threads, obs_options(),
+                                         cell.label, cell.body, &pool);
+    results[i] = {std::move(multi), run.cores[0].regions};
+    runs[i] = std::move(run);
+  });
+  for (obs::RunRecord& run : runs) RecordRun(std::move(run));
+  return results;
+}
+
 void BenchContext::FlushOutputs() {
   if (!exporting()) return;
   std::lock_guard<std::mutex> lock(session_mu_);
@@ -94,8 +114,8 @@ void BenchContext::FlushOutputs() {
                    : std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start_time_)
                          .count();
-  // Sweep drivers record concurrently, so insertion order is not
-  // deterministic; sort by (label, threads) for stable export bytes.
+  // Export runs sorted by (label, threads), so the bytes do not depend
+  // on the order callers recorded them in.
   std::stable_sort(session_.runs.begin(), session_.runs.end(),
                    [](const obs::RunRecord& a, const obs::RunRecord& b) {
                      return a.label != b.label ? a.label < b.label
@@ -143,6 +163,9 @@ void BenchContext::Emit(const TablePrinter& table) {
   if (!csv_path_.empty()) {
     std::ofstream out(csv_path_, std::ios::app);
     out << "# " << table.title() << "\n" << table.ToCsv() << "\n";
+    out.flush();
+    UOLAP_CHECK_MSG(out.good(),
+                    ("cannot append CSV to " + csv_path_).c_str());
   }
 }
 

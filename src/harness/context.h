@@ -2,10 +2,12 @@
 #define UOLAP_HARNESS_CONTEXT_H_
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/table_printer.h"
@@ -84,37 +86,34 @@ class BenchContext {
   void PrintHeader(const std::string& bench_name);
 
   // --- recorded profiling ---------------------------------------------
-  // These wrap harness::Profile: every run is recorded into the session
-  // (for --json/--trace) and the conventional analysis result is returned.
-  // Thread-safe: sweep drivers may profile concurrently (runs are sorted by
-  // label at export).
+  /// One profiled configuration: a bar of a paper figure.
+  struct Cell {
+    /// Run label in the session (and so in --json/--trace).
+    std::string label;
+    std::function<void(engine::Workers&)> body;
+    /// Simulated cores; more than one is a Section 10 multi-core run.
+    int threads = 1;
+    /// What-if machine; the context's machine when unset.
+    std::optional<core::MachineConfig> machine = std::nullopt;
+  };
 
-  /// Single-core profile on the context's machine.
-  template <typename Fn>
-  core::ProfileResult Profile(const std::string& label, Fn&& fn) {
-    return Profile(label, machine_, std::forward<Fn>(fn));
-  }
+  /// What ProfileCells returns for one cell.
+  struct CellResult {
+    core::MultiCoreResult multi;
+    /// Core 0's analyzed region tree (per-operator Top-Down).
+    obs::RegionTree regions;
+    /// Core 0's whole-run analysis: the result of a single-core cell.
+    const core::ProfileResult& whole() const { return multi.per_core[0]; }
+  };
 
-  /// Single-core profile on an explicit machine config (what-if variants).
-  template <typename Fn>
-  core::ProfileResult Profile(const std::string& label,
-                              const core::MachineConfig& cfg, Fn&& fn) {
-    obs::RunRecord run =
-        ProfileSingleObs(cfg, obs_options(), label, std::forward<Fn>(fn));
-    core::ProfileResult result = run.cores[0].whole;
-    RecordRun(std::move(run));
-    return result;
-  }
-
-  /// Multi-core profile on the context's machine (threaded executor).
-  template <typename Fn>
-  core::MultiCoreResult ProfileMulti(const std::string& label, int threads,
-                                     Fn&& fn) {
-    auto [multi, run] = harness::Profile(machine_, threads, obs_options(),
-                                         label, std::forward<Fn>(fn));
-    RecordRun(std::move(run));
-    return multi;
-  }
+  /// Profiles every cell through harness::Profile, fanned out on
+  /// engine::ThreadPool::Global(); a multi-core cell's workers then run
+  /// inline on the pool thread that took the cell. Bodies must be
+  /// independent of each other. Once all cells finished, the runs are
+  /// recorded into the session in cell order, and the results come back
+  /// in cell order, so printed tables and exports do not depend on the
+  /// schedule (UOLAP_THREADS=1 gives the same bytes).
+  std::vector<CellResult> ProfileCells(const std::vector<Cell>& cells);
 
   ObsOptions obs_options() const {
     return ObsOptions{sample_interval_};
@@ -132,6 +131,10 @@ class BenchContext {
   /// Records an externally produced run into the session (e.g. the
   /// serving runtime's per-class profiles). Thread-safe.
   void RecordRun(obs::RunRecord run);
+
+  /// The runs recorded so far, in record order until FlushOutputs sorts
+  /// them for export. Read it only while nothing records.
+  const std::vector<obs::RunRecord>& runs() const { return session_.runs; }
 
   /// Records a serving run's statistics; exported as the profile JSON's
   /// "server" block.

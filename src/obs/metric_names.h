@@ -79,7 +79,7 @@ inline constexpr char kServerJournalRecordsTotal[] =
 
 // --- bench harness (harness::BenchContext) --------------------------------
 /// Profiled runs recorded into the session (BenchContext::RecordRun,
-/// which Profile and ProfileMulti call).
+/// which ProfileCells calls).
 inline constexpr char kHarnessRunsRecorded[] = "harness.runs_recorded_total";
 /// Result tables emitted by the bench (BenchContext::Emit).
 inline constexpr char kHarnessTablesEmitted[] =

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config.h"
 #include "engines/tectorwise/tw_engine.h"
+#include "harness/profile.h"
 
 namespace uolap::harness {
 namespace {
@@ -95,6 +97,86 @@ TEST(BenchContextTest, CsvFlagAppendsTables) {
   EXPECT_NE(content.find("Figure X"), std::string::npos);
   EXPECT_NE(content.find("1,2"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(BenchContextTest, CsvFlagFailsLoudlyOnUnwritablePath) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ArgvBuilder args({"--sf=0.005", "--csv=/no/such/dir/x.csv"});
+  BenchContext ctx(args.argc(), args.argv(), 0.01);
+  TablePrinter t("Figure X");
+  t.SetHeader({"a", "b"});
+  t.AddRow({"1", "2"});
+  EXPECT_DEATH(ctx.Emit(t), "cannot append CSV to /no/such/dir/x.csv");
+}
+
+void ExpectBreakdownEq(const core::CycleBreakdown& a,
+                       const core::CycleBreakdown& b) {
+  EXPECT_EQ(a.retiring, b.retiring);
+  EXPECT_EQ(a.branch_misp, b.branch_misp);
+  EXPECT_EQ(a.icache, b.icache);
+  EXPECT_EQ(a.decoding, b.decoding);
+  EXPECT_EQ(a.dcache, b.dcache);
+  EXPECT_EQ(a.execution, b.execution);
+}
+
+void ExpectResultEq(const core::MultiCoreResult& a,
+                    const core::MultiCoreResult& b) {
+  EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
+  EXPECT_EQ(a.time_ms, b.time_ms);
+  EXPECT_EQ(a.total_dram_bytes, b.total_dram_bytes);
+  EXPECT_EQ(a.socket_bandwidth_gbps, b.socket_bandwidth_gbps);
+  EXPECT_EQ(a.bandwidth_scale, b.bandwidth_scale);
+  EXPECT_EQ(a.socket_saturated, b.socket_saturated);
+  ExpectBreakdownEq(a.aggregate, b.aggregate);
+  ASSERT_EQ(a.per_core.size(), b.per_core.size());
+  for (size_t i = 0; i < a.per_core.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "core " << i);
+    const core::ProfileResult& x = a.per_core[i];
+    const core::ProfileResult& y = b.per_core[i];
+    ExpectBreakdownEq(x.cycles, y.cycles);
+    EXPECT_EQ(x.total_cycles, y.total_cycles);
+    EXPECT_EQ(x.time_ms, y.time_ms);
+    EXPECT_EQ(x.dram_bytes, y.dram_bytes);
+    EXPECT_EQ(x.bandwidth_gbps, y.bandwidth_gbps);
+    EXPECT_EQ(x.instructions, y.instructions);
+  }
+}
+
+TEST(BenchContextTest, ProfileCellsMatchesSerialProfilesInCellOrder) {
+  ArgvBuilder args({"--sf=0.005"});
+  BenchContext ctx(args.argc(), args.argv(), 0.01);
+  engine::OlapEngine* typer = &ctx.engine("typer");
+  const auto projection = [typer](engine::Workers& w) {
+    typer->Projection(w, 4);
+  };
+  core::MachineConfig no_prefetch = ctx.machine();
+  no_prefetch.prefetchers = core::PrefetcherConfig::AllDisabled();
+  // Labels out of sorted order: ProfileCells records in cell order.
+  const std::vector<BenchContext::Cell> cells = {
+      {.label = "b default", .body = projection},
+      {.label = "c prefetchers off", .body = projection,
+       .machine = no_prefetch},
+      {.label = "a two cores", .body = projection, .threads = 2},
+  };
+  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+
+  ASSERT_EQ(res.size(), cells.size());
+  ASSERT_EQ(ctx.runs().size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(cells[i].label);
+    const auto [direct, run] =
+        Profile(cells[i].machine.value_or(ctx.machine()), cells[i].threads,
+                ctx.obs_options(), cells[i].label, cells[i].body,
+                /*executor=*/nullptr);
+    ExpectResultEq(res[i].multi, direct);
+    EXPECT_EQ(res[i].regions.nodes.size(), run.cores[0].regions.nodes.size());
+    EXPECT_EQ(ctx.runs()[i].label, cells[i].label);
+    EXPECT_EQ(ctx.runs()[i].threads, cells[i].threads);
+  }
+  // The override reached the machine: prefetchers change the answer.
+  EXPECT_NE(res[0].whole().total_cycles, res[1].whole().total_cycles);
+  EXPECT_EQ(res[2].multi.per_core.size(), 2u);
 }
 
 TEST(BenchContextTest, SeedChangesData) {
