@@ -9,24 +9,23 @@ families (run with --list-rules for the full table):
                        ordering, order-sensitive float accumulation
   LAY-*  layering      the module dependency DAG over the real include
                        graph, plus file-level cycle detection
-  CON-*  contracts     region RAII + pairing, central metric names,
-                       test-only hook confinement, include guards,
-                       own-header-first, storage discipline
+  CON-*  contracts     central metric names, test-only hook
+                       confinement, include guards, own-header-first,
+                       storage discipline, simulated addresses,
+                       checked persistence I/O
 
 Usage:
   python3 scripts/analyze [dirs...] [options]
 
 Options:
   --root=DIR              tree to analyze (default: this repo)
-  --baseline=FILE         grandfathered findings; only NEW findings fail
-  --write-baseline[=FILE] regenerate the baseline from current findings
   --json=FILE             machine-readable findings (uolap-analyze v1)
   --compile-commands=FILE cross-check scan coverage against a compile DB
   --list-rules            print the rule table and exit
 
 Suppression: append `// uolap-analyze: allow(RULE-ID) reason` to the
 flagged line.  The reason is mandatory by convention and reviewed like
-code.  Exit status: 0 clean, 1 new findings, 2 usage error.
+code.  Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 import argparse
@@ -91,9 +90,6 @@ def main(argv=None):
     p.add_argument("dirs", nargs="*", help="directories to scan "
                    "(default: src bench examples tests)")
     p.add_argument("--root", default=repo_root)
-    p.add_argument("--baseline", metavar="FILE")
-    p.add_argument("--write-baseline", metavar="FILE", nargs="?",
-                   const="", default=None)
     p.add_argument("--json", metavar="FILE", dest="json_out")
     p.add_argument("--compile-commands", metavar="FILE")
     p.add_argument("--list-rules", action="store_true")
@@ -122,26 +118,6 @@ def main(argv=None):
                                   ctx.files):
             return 2
 
-    if args.write_baseline is not None:
-        path = args.write_baseline or os.path.join(
-            repo_root, "scripts", "analyze", "baseline.json")
-        eng.write_baseline(path, findings)
-        print(f"uolap-analyze: wrote {len(findings)} finding(s) to "
-              f"{path}")
-        return 0
-
-    grandfathered = []
-    stale = 0
-    if args.baseline:
-        try:
-            counts = eng.load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as e:
-            print(f"uolap-analyze: cannot read baseline "
-                  f"{args.baseline}: {e}", file=sys.stderr)
-            return 2
-        findings, grandfathered = eng.apply_baseline(findings, counts)
-        stale = sum(counts.values()) - len(grandfathered)
-
     if not args.quiet:
         for f in findings:
             print(f.text())
@@ -151,28 +127,18 @@ def main(argv=None):
             "format": "uolap-analyze-findings v1",
             "root": root,
             "findings": [f.to_json() for f in findings],
-            "grandfathered": [f.to_json() for f in grandfathered],
             "summary": {
                 "files": len(ctx.files),
-                "new": len(findings),
-                "grandfathered": len(grandfathered),
+                "findings": len(findings),
                 "suppressed": ctx.suppressed_count,
-                "stale_baseline": stale,
             },
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
 
-    status = (f"uolap-analyze: {len(findings)} new finding(s), "
-              f"{len(grandfathered)} grandfathered, "
-              f"{ctx.suppressed_count} suppressed "
-              f"({len(ctx.files)} files)")
-    if stale > 0:
-        status += (f"; {stale} stale baseline entr"
-                   f"{'y' if stale == 1 else 'ies'} — regenerate with "
-                   "--write-baseline")
-    print(status)
+    print(f"uolap-analyze: {len(findings)} finding(s), "
+          f"{ctx.suppressed_count} suppressed ({len(ctx.files)} files)")
     return 1 if findings else 0
 
 

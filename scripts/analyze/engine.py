@@ -1,4 +1,4 @@
-"""uolap-analyze rule engine: findings, suppressions, baselines, driver.
+"""uolap-analyze rule engine: findings, suppressions, driver.
 
 A *rule* is a callable ``rule(ctx, sf)`` registered with an ID,
 severity, family, and one-line description.  ``ctx`` is the whole-tree
@@ -17,11 +17,6 @@ Suppression: a finding on a line whose source carries
 is dropped (several IDs comma-separate).  The legacy
 ``// lint:allow(rule)`` markers of the former line-regex lint are NOT
 honoured — they were migrated when this framework replaced the lint.
-
-Baseline: a JSON file of grandfathered findings.  Matching is by
-(rule, path, stripped line content) so unrelated edits that shift line
-numbers do not resurrect baselined findings; it is a multiset, so two
-identical violations need two baseline entries.
 """
 
 import json
@@ -55,7 +50,6 @@ class Finding:
     path: str      # repo-relative, forward slashes
     line: int      # 1-based
     message: str
-    content: str   # stripped source line (baseline key component)
 
     def text(self):
         return (f"{self.path}:{self.line}: {self.severity}: "
@@ -64,10 +58,7 @@ class Finding:
     def to_json(self):
         return {"rule": self.rule_id, "severity": self.severity,
                 "path": self.path, "line": self.line,
-                "message": self.message, "content": self.content}
-
-    def baseline_key(self):
-        return (self.rule_id, self.path, self.content)
+                "message": self.message}
 
 
 class SourceFile:
@@ -91,11 +82,6 @@ class SourceFile:
     def is_header(self):
         return self.relpath.endswith(".h")
 
-    def line_content(self, lineno):
-        if 1 <= lineno <= len(self.raw_lines):
-            return self.raw_lines[lineno - 1].strip()
-        return ""
-
     def in_dirs(self, prefixes):
         return self.relpath.startswith(tuple(p if p.endswith("/") else
                                              p + "/" for p in prefixes))
@@ -111,16 +97,14 @@ class AnalysisContext:
 
     def report(self, rule, sf_or_path, lineno, message):
         if isinstance(sf_or_path, SourceFile):
-            sf, path = sf_or_path, sf_or_path.relpath
-            content = sf.line_content(lineno)
-            allowed = sf.suppressions.get(lineno, ())
-            if rule.rule_id in allowed:
+            path = sf_or_path.relpath
+            if rule.rule_id in sf_or_path.suppressions.get(lineno, ()):
                 self.suppressed_count += 1
                 return
         else:
-            path, content = sf_or_path, ""
+            path = sf_or_path
         self.findings.append(Finding(rule.rule_id, rule.severity, path,
-                                     lineno, message, content))
+                                     lineno, message))
 
     def run(self):
         file_rules = [r for r in self.rules if r.scope == "file"]
@@ -133,50 +117,6 @@ class AnalysisContext:
             rule.check(self, rule)
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
         return self.findings
-
-
-# --- baseline -------------------------------------------------------------
-
-def load_baseline(path):
-    """Baseline file -> multiset {(rule, path, content): count}."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    counts = {}
-    for entry in data.get("findings", []):
-        key = (entry["rule"], entry["path"], entry.get("content", ""))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def apply_baseline(findings, baseline_counts):
-    """Splits findings into (new, grandfathered) against the multiset."""
-    remaining = dict(baseline_counts)
-    new, old = [], []
-    for f in findings:
-        key = f.baseline_key()
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            old.append(f)
-        else:
-            new.append(f)
-    return new, old
-
-
-def write_baseline(path, findings):
-    data = {
-        "format": "uolap-analyze-baseline v1",
-        "comment": "Grandfathered findings; regenerate with "
-                   "`python3 scripts/analyze --write-baseline`. "
-                   "Matching is by (rule, path, line content), not "
-                   "line number.",
-        "findings": [
-            {"rule": f.rule_id, "path": f.path, "content": f.content}
-            for f in findings
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=1)
-        f.write("\n")
 
 
 # --- file discovery -------------------------------------------------------

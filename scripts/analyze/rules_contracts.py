@@ -1,12 +1,11 @@
 """Contract rule family (CON-*).
 
-The simulation contracts the compiler cannot enforce (DESIGN.md §5d),
-promoted from the former line-regex lint onto the token/structure model:
+The simulation contracts the compiler cannot enforce (DESIGN.md §5e),
+promoted from the former line-regex lint onto the token/structure model.
+Two contracts the compiler does enforce are not here: every Status and
+StatusOr is [[nodiscard]] under -Werror=unused-result, and Core's region
+primitives are private to core::ScopedRegion.
 
-  * region discipline — engine/bench code uses core::ScopedRegion, never
-    raw ``PushRegion``/``PopRegion``; and wherever raw calls are legal
-    (core internals, obs), every function body pushes exactly as often
-    as it pops, so an early return cannot leave the region stack torn.
   * metric names — every name constant in src/obs/metric_names.h obeys
     the grammar and is unique; publish call sites use the constants,
     never inline string literals.
@@ -18,13 +17,15 @@ promoted from the former line-regex lint onto the token/structure model:
     through the Core/ColumnView API, not raw ``memory()``).
   * simulated addresses — engine code charges the addresses its
     structures were placed at (core::Placement), never host pointers.
+  * checked I/O — the persistence surface consumes every libc write,
+    flush, sync and rename result.
 """
 
 import os
 import re
 
 from engine import Rule
-from cpptok import KIND_IDENT, KIND_STRING
+from cpptok import KIND_IDENT, KIND_STRING, match_forward
 
 # Engine-level code: operator implementations and drivers that must go
 # through the sanctioned RAII/charging APIs.
@@ -32,59 +33,6 @@ ENGINE_DIRS = ("src/engines", "src/storage", "src/server", "bench",
                "examples")
 _SRC_DIRS = ("src",)
 _NO_TESTONLY_DIRS = ("src", "bench", "examples")
-
-# --- CON-REGION-RAW -------------------------------------------------------
-
-_RAW_REGION_RE = re.compile(r"\b(?:PushRegion|PopRegion)\s*\(")
-
-
-def check_region_raw(ctx, rule, sf):
-    if not sf.in_dirs(ENGINE_DIRS):
-        return
-    for lineno, line in enumerate(sf.model.code_lines, 1):
-        if _RAW_REGION_RE.search(line):
-            ctx.report(rule, sf, lineno,
-                       "raw PushRegion/PopRegion call site; only "
-                       "core::ScopedRegion keeps the push/pop stream "
-                       "LIFO under early returns")
-
-
-# --- CON-REGION-PAIR ------------------------------------------------------
-
-# The RAII wrapper and the primitives themselves are the sanctioned
-# unbalanced bodies (ctor pushes, dtor pops); everything else in src/
-# must balance within one function body.
-_PAIR_EXEMPT_FN = re.compile(r"^~?(?:ScopedRegion|PushRegion|PopRegion)$")
-
-
-def _count_calls(toks, start, end, name):
-    count = 0
-    for k in range(start, min(end, len(toks) - 1)):
-        t = toks[k]
-        if t.kind == KIND_IDENT and t.text == name and \
-                toks[k + 1].text == "(":
-            count += 1
-    return count
-
-
-def check_region_pair(ctx, rule, sf):
-    if not sf.in_dirs(_SRC_DIRS):
-        return
-    toks = sf.model.tokens
-    for fn in sf.model.functions:
-        if _PAIR_EXEMPT_FN.match(fn.name):
-            continue
-        pushes = _count_calls(toks, fn.body_start, fn.body_end,
-                              "PushRegion")
-        pops = _count_calls(toks, fn.body_start, fn.body_end,
-                            "PopRegion")
-        if pushes != pops:
-            ctx.report(rule, sf, fn.line,
-                       f"{fn.name}: {pushes} PushRegion vs {pops} "
-                       "PopRegion in one body; an unbalanced region "
-                       "stack silently skews every enclosing "
-                       "attribution node")
-
 
 # --- CON-METRIC-NAME ------------------------------------------------------
 
@@ -304,8 +252,8 @@ def check_sim_addr(ctx, rule, sf):
             continue
         if k + 1 >= len(toks) or toks[k + 1].text != "(":
             continue
-        close = _match_close(toks, k + 1)
-        if close < 0:
+        close = match_forward(toks, k + 1, "(", ")")
+        if close >= len(toks):
             continue
         args = _call_args(toks, k + 1, close)
         index = _SIM_ADDR_CALLS[t.text]
@@ -316,114 +264,21 @@ def check_sim_addr(ctx, rule, sf):
                        "the structure was placed at (core::Placement)")
 
 
-# --- CON-STATUS-DISCARD ---------------------------------------------------
-
-# The dispatch surface reports errors by value: engine::OlapEngine::Run
-# and engine::EngineRegistry::Get return common::StatusOr.  A call whose
-# entire statement is the call itself drops the error channel on the
-# floor — the `;` right after the closing paren means nobody can branch
-# on ok() or unwrap the value.  Expression uses (`acc += bal.Get(i)`,
-# `eng.Run(spec, w).value()`) are fine: the result feeds something.
-_STATUS_METHODS = {"Run", "Get"}
-# Idents that consume the value even though they precede the chain.
-_STATUS_CONSUMERS = {"return", "co_return", "co_await", "throw"}
-_CHAIN_PUNCT = {".", "->", "::"}
-
-
-def _match_open(toks, close_idx):
-    close = toks[close_idx].text
-    want = "(" if close == ")" else "["
-    depth = 0
-    for k in range(close_idx, -1, -1):
-        t = toks[k].text
-        if t == close:
-            depth += 1
-        elif t == want:
-            depth -= 1
-            if depth == 0:
-                return k
-    return -1
-
-
-def _match_close(toks, open_idx):
-    depth = 0
-    for k in range(open_idx, len(toks)):
-        t = toks[k].text
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth == 0:
-                return k
-    return -1
-
-
-def _begins_statement(toks, p):
-    """True when the receiver chain ending at toks[p] opens a statement,
-    i.e. nothing to the left can absorb the call's return value."""
-    while p >= 0:
-        t = toks[p]
-        if t.kind == KIND_IDENT:
-            if t.text in _STATUS_CONSUMERS:
-                return False
-            p -= 1
-            continue
-        if t.text in _CHAIN_PUNCT:
-            p -= 1
-            continue
-        if t.text in (")", "]"):
-            opener = _match_open(toks, p)
-            if opener < 1:
-                return False
-            if t.text == ")" and toks[opener - 1].kind != KIND_IDENT:
-                # Grouping or cast paren, not a chained call: the value
-                # is being fed into an expression (or explicitly
-                # void-cast, which is a deliberate annotation).
-                return False
-            p = opener - 1
-            continue
-        return t.text in (";", "{", "}")
-    return True
-
-
-def check_status_discard(ctx, rule, sf):
-    if not sf.in_dirs(ENGINE_DIRS):
-        return
-    toks = sf.model.tokens
-    for k, t in enumerate(toks):
-        if t.kind != KIND_IDENT or t.text not in _STATUS_METHODS:
-            continue
-        if k == 0 or toks[k - 1].text not in (".", "->"):
-            continue
-        if k + 1 >= len(toks) or toks[k + 1].text != "(":
-            continue
-        close = _match_close(toks, k + 1)
-        if close < 0 or close + 1 >= len(toks):
-            continue
-        if toks[close + 1].text != ";":
-            continue
-        if not _begins_statement(toks, k - 2):
-            continue
-        ctx.report(rule, sf, t.line,
-                   f"discarded Status from {t.text}() on the dispatch "
-                   "surface; consume the StatusOr by branching on ok() "
-                   "or unwrapping with value()")
-
-
 # --- CON-IO-CHECKED -------------------------------------------------------
 
 # The crash-consistency story (DESIGN.md §10) lives or dies on checked
 # I/O: a discarded fwrite/fflush/fsync/rename result on the persistence
 # surface turns a full disk or a failed atomic-rename into silent
 # corruption that the CRC framing can no longer tell apart from a torn
-# tail.  Statement-level, like CON-STATUS-DISCARD: a call whose entire
-# statement is the call itself drops the result.  Expression uses
-# (`== 0`, `if (!...)`, assignments) are fine, `(void)` casts are a
-# deliberate annotation, and flushing the stdout/stderr diagnostics
-# streams is exempt — those never carry durable state.
+# tail.  The project's own write helpers return Status, which the
+# compiler checks; the libc calls below are covered by no type.
+# Statement-level: a call whose entire statement is the call itself
+# drops the result.  Expression uses (`== 0`, `if (!...)`, assignments)
+# are fine, `(void)` casts are a deliberate annotation, and flushing the
+# stdout/stderr diagnostics streams is exempt — those never carry
+# durable state.
 _IO_SURFACE_STEMS = ("journal", "checkpoint", "file_io", "profile_export")
-_IO_CALLS = {"WriteTextFile", "WriteFileAtomic", "AppendRecord",
-             "fwrite", "fflush", "fsync", "rename", "ftruncate"}
+_IO_CALLS = {"fwrite", "fflush", "fsync", "rename", "ftruncate"}
 _IO_DIAG_STREAMS = {"stdout", "stderr"}
 
 
@@ -437,8 +292,8 @@ def _on_io_surface(sf):
 def _io_begins_statement(toks, p):
     """Walks left over ``ns::`` / ``obj.`` / ``obj->`` qualifier chains;
     the receiver must open a statement for the result to be dropped.
-    Unlike _begins_statement this refuses a bare identifier on the left,
-    so a declaration (``Status WriteTextFile(...);``) never matches."""
+    A bare identifier on the left is refused, so a declaration
+    (``int rename(...);``) never matches."""
     while p >= 0:
         t = toks[p]
         if t.text in ("::", ".", "->"):
@@ -460,8 +315,8 @@ def check_io_checked(ctx, rule, sf):
             continue
         if k + 1 >= len(toks) or toks[k + 1].text != "(":
             continue
-        close = _match_close(toks, k + 1)
-        if close < 0 or close + 1 >= len(toks):
+        close = match_forward(toks, k + 1, "(", ")")
+        if close + 1 >= len(toks):
             continue
         if toks[close + 1].text != ";":
             continue
@@ -477,12 +332,6 @@ def check_io_checked(ctx, rule, sf):
 
 
 RULES = [
-    Rule("CON-REGION-RAW", "error", "contracts",
-         "engine/bench code must use core::ScopedRegion, not raw "
-         "Push/PopRegion", check_region_raw),
-    Rule("CON-REGION-PAIR", "error", "contracts",
-         "PushRegion/PopRegion balance within every function body",
-         check_region_pair),
     Rule("CON-METRIC-NAME", "error", "contracts",
          "metric name grammar, uniqueness, and central registration",
          check_metric_names),
@@ -504,9 +353,6 @@ RULES = [
     Rule("CON-SIM-ADDR", "error", "contracts",
          "engine code charges simulated addresses, never host pointers",
          check_sim_addr),
-    Rule("CON-STATUS-DISCARD", "error", "contracts",
-         "dispatch-surface Run/Get call sites must consume the Status "
-         "channel", check_status_discard),
     Rule("CON-IO-CHECKED", "error", "contracts",
          "persistence-surface write/flush/rename results must be "
          "consumed", check_io_checked),

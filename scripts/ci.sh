@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point. Stages, in order:
 #   1. static analysis (scripts/analyze — uolap-analyze: determinism,
-#      layering, and contract rules against the checked-in baseline) +
-#      clang-tidy when installed;
+#      layering, and contract rules) + clang-tidy when installed;
 #   2. the normal optimized build (the configuration every figure runs in)
 #      with its test suite, exporter and multi-tenant serving smokes,
 #      byte-level determinism gates (figure benches and uolap_serve runs,
@@ -42,7 +41,7 @@ JOBS="${1:-$(nproc)}"
 
 analyze_stage() {
   echo "=== static analysis (uolap-analyze) ==="
-  local args=(--baseline=scripts/analyze/baseline.json)
+  local args=()
   # The compile DB (exported by any configured build tree) lets the
   # analyzer cross-check its scan coverage; skip silently before the
   # first configure.

@@ -30,7 +30,9 @@ std::string_view StatusCodeName(StatusCode code);
 /// A success-or-error result carried by fallible public APIs (configuration
 /// parsing, data generation entry points, harness plumbing). The simulator
 /// and engine hot paths never construct non-OK statuses.
-class Status {
+/// Dropping a returned Status or StatusOr is a compile error: the classes
+/// are [[nodiscard]] and the build passes -Werror=unused-result.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -72,7 +74,7 @@ class Status {
 /// Either a value of type T or an error Status. `value()` aborts if the
 /// status is not OK, matching the CHECK-fail discipline used elsewhere.
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   /*implicit*/ StatusOr(T value) : rep_(std::move(value)) {}
   /*implicit*/ StatusOr(Status status) : rep_(std::move(status)) {

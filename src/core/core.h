@@ -63,6 +63,10 @@ struct SeqCursor {
 ///
 /// The average x86 instruction is modelled as 4 bytes for I-fetch purposes.
 class Core {
+  // The only caller of the region primitives, so every push is matched by
+  // exactly one pop, also under early returns.
+  friend class ScopedRegion;
+
  public:
   /// `index` selects this core's simulated address range (Machine passes
   /// each core its position).
@@ -177,19 +181,6 @@ class Core {
   void SetReferencePaths(bool on) { memory_.SetReferencePaths(on); }
 
   /// --- observability ---------------------------------------------------
-  /// Marks the start/end of a named, nestable profiling region (an
-  /// operator phase: "build", "probe", ...). Pure markers: they never
-  /// touch simulated state, so a run's counters are bit-identical with or
-  /// without them, and with no observer attached each is one predictable
-  /// null check. Prefer the RAII `ScopedRegion` over calling these
-  /// directly.
-  void PushRegion(std::string_view name) {
-    if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnRegionPush(name);
-  }
-  void PopRegion() {
-    if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnRegionPop();
-  }
-
   /// Attaches/detaches the (single) observer. The harness attaches one
   /// obs::RegionProfiler per core for the lifetime of a profiled run.
   void SetObserver(CoreObserver* observer) { observer_ = observer; }
@@ -234,6 +225,18 @@ class Core {
   static constexpr double kAvgInstrBytes = 4.0;
 
   static uint64_t Addr(const void* p) { return reinterpret_cast<uint64_t>(p); }
+
+  /// Marks the start/end of a named, nestable profiling region (an
+  /// operator phase: "build", "probe", ...). Pure markers: they never
+  /// touch simulated state, so a run's counters are bit-identical with or
+  /// without them, and with no observer attached each is one predictable
+  /// null check.
+  void PushRegion(std::string_view name) {
+    if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnRegionPush(name);
+  }
+  void PopRegion() {
+    if (UOLAP_UNLIKELY(observer_ != nullptr)) observer_->OnRegionPop();
+  }
 
   /// The filter slot of `line`: one per 4 KB page, modulo the slot count.
   SeqCursor& FilterSlot(uint64_t line) {

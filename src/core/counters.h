@@ -140,6 +140,12 @@ struct MemCounters {
     return dram_demand_bytes_seq + dram_demand_bytes_rand +
            dram_prefetch_waste_bytes + dram_writeback_bytes;
   }
+  /// DRAM bytes that ride the sequential stream for bandwidth purposes:
+  /// sequential demand plus prefetch waste and writebacks.
+  uint64_t DramSeqStreamBytes() const {
+    return dram_demand_bytes_seq + dram_prefetch_waste_bytes +
+           dram_writeback_bytes;
+  }
 
   MemCounters& operator+=(const MemCounters& o);
   /// Snapshot delta; see InstrMix::operator-=.

@@ -1,7 +1,6 @@
 #include "core/multicore.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/macros.h"
 
@@ -14,46 +13,26 @@ MultiCoreResult MultiCoreModel::Analyze(
   result.threads = static_cast<int>(cores.size());
 
   TopDownModel model(config_);
-
-  // Blended socket ceiling: weight the sequential and random per-socket
-  // maxima by the byte mix the workload actually generates.
   double seq_bytes = 0;
   double rand_bytes = 0;
   for (const CoreCounters& c : cores) {
-    seq_bytes += static_cast<double>(c.mem.dram_demand_bytes_seq +
-                                     c.mem.dram_prefetch_waste_bytes +
-                                     c.mem.dram_writeback_bytes);
+    seq_bytes += static_cast<double>(c.mem.DramSeqStreamBytes());
     rand_bytes += static_cast<double>(c.mem.dram_demand_bytes_rand);
   }
   const double total_bytes = seq_bytes + rand_bytes;
-  const double seq_frac = total_bytes > 0 ? seq_bytes / total_bytes : 1.0;
-  const double socket_bpc = seq_frac * config_.SocketSeqBytesPerCycle() +
-                            (1.0 - seq_frac) * config_.SocketRandBytesPerCycle();
 
-  double scale = 1.0;
-  std::vector<ProfileResult> per_core;
   double makespan = 0;
-  for (int iter = 0; iter < 40; ++iter) {
-    per_core.clear();
-    per_core.reserve(cores.size());
-    makespan = 0;
-    for (const CoreCounters& c : cores) {
-      per_core.push_back(model.Analyze(c, scale));
-      makespan = std::max(makespan, per_core.back().total_cycles);
-    }
-    const double demand_bpc = makespan > 0 ? total_bytes / makespan : 0.0;
-    if (demand_bpc <= socket_bpc * 1.001) {
-      if (scale >= 0.999 || demand_bpc >= socket_bpc * 0.98) break;
-      // Undershooting after an earlier cut: relax (damped).
-      scale = std::min(1.0, scale * 1.05);
-      continue;
-    }
-    // Oversubscribed: shrink everyone's share (damped toward the fixed
-    // point so the loop converges monotonically in practice).
-    scale *= std::pow(socket_bpc / demand_bpc, 0.7);
-  }
+  const ContentionSolution sol = SolveContention(
+      config_, seq_bytes, rand_bytes, [&](double scale) {
+        result.per_core.clear();
+        makespan = 0;
+        for (const CoreCounters& c : cores) {
+          result.per_core.push_back(model.Analyze(c, scale));
+          makespan = std::max(makespan, result.per_core.back().total_cycles);
+        }
+        return makespan > 0 ? total_bytes / makespan : 0.0;
+      });
 
-  result.per_core = std::move(per_core);
   for (const ProfileResult& r : result.per_core) {
     result.aggregate += r.cycles;
   }
@@ -62,10 +41,9 @@ MultiCoreResult MultiCoreModel::Analyze(
   result.total_dram_bytes = total_bytes;
   result.socket_bandwidth_gbps =
       makespan > 0 ? total_bytes * config_.freq_ghz / makespan : 0.0;
-  result.bandwidth_scale = scale;
+  result.bandwidth_scale = sol.scale;
   result.socket_saturated =
-      result.socket_bandwidth_gbps >=
-      0.95 * socket_bpc * config_.freq_ghz;
+      result.socket_bandwidth_gbps >= 0.95 * sol.socket_bpc * config_.freq_ghz;
   return result;
 }
 

@@ -95,8 +95,7 @@ class OlapEngine {
   /// Unimplemented when this engine does not support the query — the
   /// error channel the serving runtime's degradation paths flow through
   /// instead of the former CHECK-abort.
-  [[nodiscard]] StatusOr<QueryResult> Run(const QuerySpec& spec,
-                                          Workers& w) const;
+  StatusOr<QueryResult> Run(const QuerySpec& spec, Workers& w) const;
 
   /// Projection micro-benchmark: SUM over the first `degree` (1..4) of
   /// l_extendedprice, l_discount, l_tax, l_quantity.

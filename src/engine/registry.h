@@ -44,7 +44,7 @@ class EngineRegistry {
   /// Returns NotFound when the key was never registered (callers that
   /// know the key is valid use `Get(name).value()` and keep the former
   /// CHECK-abort behavior — the message carries the registered keys).
-  [[nodiscard]] StatusOr<OlapEngine*> Get(const std::string& name);
+  StatusOr<OlapEngine*> Get(const std::string& name);
 
   /// Registered keys in sorted (deterministic) order.
   std::vector<std::string> names() const;

@@ -13,6 +13,7 @@
 #include "common/crc32c.h"
 #include "common/macros.h"
 #include "common/rng.h"
+#include "core/multicore.h"
 #include "engine/engine.h"
 #include "obs/attribution.h"
 #include "obs/metric_names.h"
@@ -201,7 +202,7 @@ void Server::SimulateClasses(size_t first) {
     SimulateClass(*engines[k], &classes_[first + k]);
   };
   if (executor_ != nullptr) {
-    executor_->Run(engines.size(), simulate);  // uolap-analyze: allow(CON-STATUS-DISCARD) ParallelExecutor::Run returns void
+    executor_->Run(engines.size(), simulate);
   } else {
     for (size_t k = 0; k < engines.size(); ++k) simulate(k);
   }
@@ -224,11 +225,7 @@ void Server::SimulateClass(const engine::OlapEngine& eng,
   const core::CoreCounters& counters = cls->solo().counters;
   cls->full_bw_cycles =
       core::TopDownModel(config_.machine).Analyze(counters, 1.0).total_cycles;
-  // Byte classes mirror core::MultiCoreModel: prefetch waste and
-  // writebacks ride the sequential stream.
-  cls->bytes_seq = static_cast<double>(counters.mem.dram_demand_bytes_seq +
-                                       counters.mem.dram_prefetch_waste_bytes +
-                                       counters.mem.dram_writeback_bytes);
+  cls->bytes_seq = static_cast<double>(counters.mem.DramSeqStreamBytes());
   cls->bytes_rand = static_cast<double>(counters.mem.dram_demand_bytes_rand);
   // Cancellation points (DESIGN.md §9): a timed-out query keeps running —
   // and contending — until the next top-level operator-region boundary of
@@ -552,26 +549,18 @@ class Server::ServeLoop {
     return next;
   }
 
-  // Damped fixed point (mirrors core::MultiCoreModel::Analyze): find the
-  // bandwidth scale at which the running set's aggregate DRAM byte rate
-  // fits the blended socket ceiling, leaving each instance's service-time
-  // total at that scale in g_.
+  // The bandwidth scale at which the running set's aggregate DRAM byte
+  // rate fits the socket (core::SolveContention), leaving each instance's
+  // service-time total at that scale in g_.
   double SolveScale() {
-    const core::MachineConfig& cfg = config_.machine;
     double seq_bytes = 0;
     double rand_bytes = 0;
     for (const QueryInstance* inst : running_) {
       seq_bytes += classes_[inst->cls].bytes_seq;
       rand_bytes += classes_[inst->cls].bytes_rand;
     }
-    const double class_bytes = seq_bytes + rand_bytes;
-    const double seq_frac = class_bytes > 0 ? seq_bytes / class_bytes : 1.0;
-    const double socket_bpc = seq_frac * cfg.SocketSeqBytesPerCycle() +
-                              (1.0 - seq_frac) * cfg.SocketRandBytesPerCycle();
-
-    double scale = 1.0;
     g_.assign(running_.size(), 0.0);
-    for (int iter = 0; iter < 40; ++iter) {
+    auto demand_at = [this](double scale) {
       double demand_bpc = 0;
       for (size_t i = 0; i < running_.size(); ++i) {
         const QueryClass& cls = classes_[running_[i]->cls];
@@ -584,15 +573,11 @@ class Server::ServeLoop {
         g_[i] = cycles * running_[i]->slow;
         demand_bpc += (cls.bytes_seq + cls.bytes_rand) / g_[i];
       }
-      if (demand_bpc <= socket_bpc * 1.001) {
-        if (scale >= 0.999 || demand_bpc >= socket_bpc * 0.98) break;
-        // Undershooting after an earlier cut: relax (damped).
-        scale = std::min(1.0, scale * 1.05);
-        continue;
-      }
-      scale *= std::pow(socket_bpc / demand_bpc, 0.7);
-    }
-    return scale;
+      return demand_bpc;
+    };
+    return core::SolveContention(config_.machine, seq_bytes, rand_bytes,
+                                 demand_at)
+        .scale;
   }
 
   // Advances virtual time to the next event — the earliest of the next

@@ -45,7 +45,7 @@ std::string DateToString(Date d) {
     d -= DaysInMonth(year, month);
     ++month;
   }
-  char buf[16];
+  char buf[36];  // "%04d-%02d-%02d" at any three int values, plus NUL
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, d + 1);
   return buf;
 }

@@ -5,23 +5,15 @@
 
 namespace uolap::server {
 
-struct Journal {
-  bool AppendRecord(const char* rec);
-};
-
-void BadDiscards(Journal& j, std::FILE* f, const char* buf,
-                 unsigned long n) {
+void BadDiscards(std::FILE* f, const char* buf, unsigned long n) {
   std::fwrite(buf, 1, n, f);
   fflush(f);
   std::rename("snap-new.tmp", "snap-new.ckpt");
-  j.AppendRecord("complete seq=7");
 }
 
-bool GoodUses(Journal& j, std::FILE* f, const char* buf,
-              unsigned long n) {
+bool GoodUses(std::FILE* f, const char* buf, unsigned long n) {
   if (std::fwrite(buf, 1, n, f) != n) return false;
   const bool flushed = std::fflush(f) == 0;
-  if (!j.AppendRecord("retry seq=9")) return false;
   (void)std::rename("snap-old.tmp", "snap-old.ckpt");
   std::fflush(stdout);  // diagnostics stream, exempt by design
   return flushed;

@@ -1,8 +1,9 @@
 // Region-profiler contract tests: tree structure and visit merging,
 // non-fatal unbalanced push/pop handling, the tentpole delta-sum invariant
 // (leaf-region breakdowns sum to the whole-run breakdown within 1e-9),
-// counter non-perturbation, timeline sampling, and bit-determinism of
-// threaded multi-core region trees against serial runs.
+// counter non-perturbation, timeline sampling, bit-determinism of
+// threaded multi-core region trees against serial runs, and that only
+// core::ScopedRegion can reach Core's raw region primitives.
 
 #include "obs/region_profiler.h"
 
@@ -10,7 +11,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/core.h"
@@ -31,6 +34,25 @@ using core::MachineConfig;
 using engine::Workers;
 using obs::RegionProfiler;
 using obs::RegionTree;
+
+// Region pairing holds by construction: the raw primitives are private to
+// Core and reachable only through core::ScopedRegion. (A requires-clause
+// outside a template is a hard error, so the probes are concepts.)
+template <class C>
+concept CanPushRegion = requires(C& c) { c.PushRegion("x"); };
+template <class C>
+concept CanPopRegion = requires(C& c) { c.PopRegion(); };
+
+struct PublicRegions {
+  void PushRegion(std::string_view) {}
+  void PopRegion() {}
+};
+static_assert(CanPushRegion<PublicRegions> && CanPopRegion<PublicRegions>,
+              "the probes must detect public region primitives");
+static_assert(!CanPushRegion<core::Core>,
+              "Core::PushRegion must be reachable only via ScopedRegion");
+static_assert(!CanPopRegion<core::Core>,
+              "Core::PopRegion must be reachable only via ScopedRegion");
 
 /// Bit-identity of two counter sets. Every member of CoreCounters (and its
 /// nested structs) is an 8-byte scalar, so the representation has no
@@ -59,17 +81,16 @@ TEST(RegionProfilerTest, MergesReentrantRegionsAndCountsVisits) {
   core::Core& core = machine.core(0);
   RegionProfiler prof(core);
 
-  core.PushRegion("a");
-  Alu(core, 100);
-  for (int i = 0; i < 3; ++i) {
-    core.PushRegion("b");
-    Alu(core, 10);
-    core.PopRegion();
+  {
+    core::ScopedRegion a(core, "a");
+    Alu(core, 100);
+    for (int i = 0; i < 3; ++i) {
+      core::ScopedRegion b(core, "b");
+      Alu(core, 10);
+    }
+    core::ScopedRegion c(core, "c");
+    Alu(core, 5);
   }
-  core.PushRegion("c");
-  Alu(core, 5);
-  core.PopRegion();
-  core.PopRegion();
   machine.FinalizeAll();
 
   const RegionTree tree = prof.Finish();
@@ -106,7 +127,7 @@ TEST(RegionProfilerTest, UnbalancedPopIsNonFatalAndRecorded) {
   RegionProfiler prof(core);
 
   Alu(core, 50);
-  core.PopRegion();  // no matching push
+  prof.OnRegionPop();  // no matching push
   Alu(core, 50);
   machine.FinalizeAll();
 
@@ -121,7 +142,7 @@ TEST(RegionProfilerTest, OpenRegionsAreClosedAtFinishAndFlagged) {
   core::Core& core = machine.core(0);
   RegionProfiler prof(core);
 
-  core.PushRegion("left-open");
+  prof.OnRegionPush("left-open");
   Alu(core, 25);
   machine.FinalizeAll();
 
@@ -135,10 +156,10 @@ TEST(RegionProfilerTest, OpenRegionsAreClosedAtFinishAndFlagged) {
 
 TEST(RegionProfilerTest, MarkersAndObserverDoNotPerturbCounters) {
   auto workload = [](core::Core& core, bool with_regions) {
-    if (with_regions) core.PushRegion("scan");
+    std::optional<core::ScopedRegion> scan;
+    if (with_regions) scan.emplace(core, "scan");
     core.LoadSeq(reinterpret_cast<const void*>(uint64_t{1} << 22), 8, 1024);
     Alu(core, 2048);
-    if (with_regions) core.PopRegion();
   };
 
   // Reference: no markers, no observer.

@@ -236,7 +236,9 @@ TEST_F(ServingTest, SpanTracingCoversEveryQueryAtFullSampling) {
     EXPECT_LT(s.core, config.cores);
     EXPECT_FALSE(s.tenant.empty());
     EXPECT_FALSE(s.cls.empty());
-    if (i > 0) EXPECT_GT(s.seq, last_seq);  // sorted by admission order
+    if (i > 0) {
+      EXPECT_GT(s.seq, last_seq);  // sorted by admission order
+    }
     last_seq = s.seq;
   }
 }
@@ -270,7 +272,9 @@ TEST_F(ServingTest, EpochWindowsPartitionCompletions) {
     const obs::EpochRecord& e = rec.epochs[i];
     EXPECT_EQ(e.index, static_cast<int>(i));
     EXPECT_LT(e.start_ms, e.end_ms);
-    if (i > 0) EXPECT_EQ(e.start_ms, rec.epochs[i - 1].end_ms);
+    if (i > 0) {
+      EXPECT_EQ(e.start_ms, rec.epochs[i - 1].end_ms);
+    }
     epoch_completed += e.completed;
     if (e.completed > 0) {
       EXPECT_LE(e.p50_ms, e.p95_ms);
