@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
 #include "common/rng.h"
 #include "core/branch_predictor.h"
 #include "core/cache.h"
@@ -67,28 +65,42 @@ void BM_LlcProbeFill(benchmark::State& state) {
 }
 BENCHMARK(BM_LlcProbeFill);
 
+// Simulated addresses come from the core's placement: the model never
+// reads host memory behind them, so no host array backs either stream.
 void BM_CoreSequentialLoad(benchmark::State& state) {
   Core core(MachineConfig::Broadwell());
-  std::vector<int64_t> data(1 << 20, 1);
-  size_t i = 0;
+  constexpr uint64_t kWords = 1 << 20;  // 8 MB of 8-byte words
+  const uint64_t base = core.placement().Fresh(kWords * 8);
+  uint64_t i = 0;
   for (auto _ : state) {
-    core.Load(&data[i], 8);
-    i = (i + 1) & (data.size() - 1);
+    core.Load(base + i * 8, 8);
+    i = (i + 1) & (kWords - 1);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoreSequentialLoad);
 
+// Random 8-byte loads over 32 MB: nearly every load walks the L3 set
+// image. Arg 1 also issues Core::Prefetch for the load 8 ahead (a second
+// generator replays the same sequence ahead), the engines' lookahead hint;
+// Arg 0 is the unhinted baseline.
 void BM_CoreRandomLoad(benchmark::State& state) {
   Core core(MachineConfig::Broadwell());
-  std::vector<int64_t> data(1 << 22, 1);
+  constexpr uint64_t kWords = 1 << 22;  // 32 MB of 8-byte words
+  constexpr int kLookahead = 8;
+  const uint64_t base = core.placement().Fresh(kWords * 8);
+  const bool hint = state.range(0) != 0;
   Rng rng(3);
+  Rng ahead(3);
+  for (int i = 0; i < kLookahead; ++i) ahead.Next();
   for (auto _ : state) {
-    core.Load(&data[static_cast<size_t>(rng.Next()) & (data.size() - 1)], 8);
+    if (hint) core.Prefetch(base + (ahead.Next() & (kWords - 1)) * 8);
+    core.Load(base + (rng.Next() & (kWords - 1)) * 8, 8);
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(hint ? "hint" : "plain");
 }
-BENCHMARK(BM_CoreRandomLoad);
+BENCHMARK(BM_CoreRandomLoad)->Arg(0)->Arg(1);
 
 void BM_BranchPredictor(benchmark::State& state) {
   BranchPredictor bp;

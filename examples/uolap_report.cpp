@@ -631,10 +631,12 @@ int Diff(const JsonValue& before, const JsonValue& after,
     const double delta = b > 0 ? (a - b) / b : 0;
     worst = std::max(worst, delta);
     if (delta > max_regress) ++regressed;
+    std::string delta_cell = delta >= 0 ? "+" : "";
+    delta_cell += TablePrinter::Pct(delta, 1);
+    if (delta > max_regress) delta_cell += "  REGRESSION";
     t.AddRow({key.first, TablePrinter::Fmt(key.second, 0),
               TablePrinter::Fmt(b / 1e6, 2), TablePrinter::Fmt(a / 1e6, 2),
-              (delta >= 0 ? "+" : "") + TablePrinter::Pct(delta, 1) +
-                  (delta > max_regress ? "  REGRESSION" : "")});
+              delta_cell});
     after_runs.erase(it);
   }
   for (const auto& [key, run] : after_runs) {

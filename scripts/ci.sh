@@ -350,10 +350,11 @@ perf_smoke() {
 echo "=== perf smoke (release) ==="
 perf_smoke build
 # Simulator-throughput spot check: the random-probe microbenchmark pair
-# (fast vs reference kernels) and the L3 set-block layer on its own
-# (BM_LlcProbeFill) from the bench suite must run clean.
+# (fast vs reference kernels), the random-load pair (plain vs host
+# prefetch hint) and the L3 set-block layer on its own (BM_LlcProbeFill)
+# from the bench suite must run clean.
 build/bench/bench_sim_micro \
-  --benchmark_filter='BM_CoreRandomProbe|BM_LlcProbeFill' \
+  --benchmark_filter='BM_CoreRandomProbe|BM_CoreRandomLoad|BM_LlcProbeFill' \
   --benchmark_min_time=0.05 >/dev/null
 
 # Host-cost oracle: scripts/bench.sh builds the perf record

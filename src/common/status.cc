@@ -22,6 +22,8 @@ std::string_view StatusCodeName(StatusCode code) {
   return "Unknown";
 }
 
+Status::~Status() = default;
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out(StatusCodeName(code_));

@@ -38,6 +38,14 @@ class [[nodiscard]] Status {
   Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
+  Status(const Status&) = default;
+  Status(Status&&) = default;
+  Status& operator=(const Status&) = default;
+  Status& operator=(Status&&) = default;
+  /// Out of line: inlined into std::variant's reset of a StatusOr that
+  /// holds a value, GCC 12 at -O3 warns (-Wmaybe-uninitialized) about the
+  /// message of the never-constructed Status alternative.
+  ~Status();
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {

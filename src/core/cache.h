@@ -152,6 +152,22 @@ class BasicSetAssociativeCache {
     Touch(Block(set), way);
   }
 
+  /// Asks the host to bring the set block `key` maps to into its caches,
+  /// for a lookup of `key` that follows later. A host hint only: no hit or
+  /// miss count, LRU rank or way changes. It computes the set and never
+  /// the tag, so a key whose quotient overflows the tag is fine too
+  /// (Locate aborts on those). Keys are line or page numbers (< 2^58),
+  /// the range the multiply-shift set reduction is exact for.
+  void PrefetchSet(uint64_t key) const {
+    uint64_t quot;
+    const uint64_t set = SetOf(key, &quot);
+    UOLAP_DCHECK(set < num_sets_);
+    const char* b = Block(set);
+    for (uint64_t off = 0; off < block_bytes_; off += kHostLine) {
+      __builtin_prefetch(b + off);
+    }
+  }
+
   /// Inserts `key` as MRU. Returns eviction information so the caller can
   /// propagate dirty writebacks down the hierarchy. Inserting a key that is
   /// already present just promotes it.
@@ -287,16 +303,8 @@ class BasicSetAssociativeCache {
   /// reciprocal, exact for every key the simulator can produce (verified
   /// against the error bound at construction, with a divide fallback).
   Loc Locate(uint64_t key) const {
-    uint64_t set;
     uint64_t quot;
-    if (pow2_sets_) {
-      set = key & set_mask_;
-      quot = key >> set_shift_;
-    } else {
-      const uint64_t q = key >> odd_shift_;
-      quot = odd_fast_ ? MulHi(q, odd_magic_) : q / odd_;
-      set = ((q - quot * odd_) << odd_shift_) | (key & low_mask_);
-    }
+    const uint64_t set = SetOf(key, &quot);
     if constexpr (sizeof(Tag) < sizeof(uint64_t)) {
       UOLAP_CHECK_MSG(quot < std::numeric_limits<Tag>::max(),
                       "key outside the cache's tag range");
@@ -304,6 +312,18 @@ class BasicSetAssociativeCache {
       UOLAP_DCHECK(quot < std::numeric_limits<Tag>::max());
     }
     return {set, static_cast<Tag>(quot + 1)};
+  }
+
+  /// The set of `key`, and its quotient key / num_sets in `*quot`, with no
+  /// tag-range check (Locate adds it; PrefetchSet needs only the set).
+  uint64_t SetOf(uint64_t key, uint64_t* quot) const {
+    if (pow2_sets_) {
+      *quot = key >> set_shift_;
+      return key & set_mask_;
+    }
+    const uint64_t q = key >> odd_shift_;
+    *quot = odd_fast_ ? MulHi(q, odd_magic_) : q / odd_;
+    return ((q - *quot * odd_) << odd_shift_) | (key & low_mask_);
   }
 
   char* Block(uint64_t set) const { return blocks_ + set * block_bytes_; }

@@ -104,6 +104,24 @@ class Core {
   void Load(const void* p, uint32_t bytes) { Load(Addr(p), bytes); }
   void Store(const void* p, uint32_t bytes) { Store(Addr(p), bytes); }
 
+  /// One lane of a vector load/store: walks the simulated hierarchy for
+  /// every line it touches, exactly as a straddling `Load`/`Store` does
+  /// (no line filter), but counts no scalar memory instruction — the wide
+  /// SIMD op the kernel retires carries the instruction cost. Tectorwise's
+  /// SIMD primitives charge their per-element gathers and scatters here.
+  void LaneAccess(uint64_t addr, uint32_t bytes, bool is_store) {
+    memory_.AccessData(addr, bytes, is_store);
+  }
+
+  /// Host prefetch hint for a later `Load`/`Store` of `addr`: brings the
+  /// simulator's own L3, L2 and STLB set blocks for it into the host
+  /// caches (the 3.7 MB Broadwell L3 image outgrows a host L2). Engines
+  /// issue it a constant distance ahead of a random access (DESIGN.md §7).
+  /// No simulated effect — no counter, cache, TLB, filter or stream state
+  /// changes — and it computes set indices only, never a tag, so no
+  /// address aborts it.
+  void Prefetch(uint64_t addr) const { memory_.PrefetchLine(addr >> 6); }
+
   /// --- batched sequential access (hot path) ----------------------------
   /// `LoadSeq(p, esz, count)` is counter-equivalent to
   ///   `for (i in [0, count)) Load(p + i * esz, esz)`

@@ -60,6 +60,14 @@ class MemorySystem {
   /// One line-granular data access.
   void AccessDataLine(uint64_t line, bool is_store);
 
+  /// Host-prefetches the L3, L2 and STLB set blocks a later data access of
+  /// `line` will probe (see Core::Prefetch); no simulated effect.
+  void PrefetchLine(uint64_t line) const {
+    l3_.PrefetchSet(line);
+    l2_.PrefetchSet(line);
+    stlb_.PrefetchSet(line >> (page_shift_ - kLineShift));
+  }
+
   /// One line-granular instruction fetch.
   void FetchCode(uint64_t line);
 

@@ -109,15 +109,48 @@ constexpr size_t kStateArenaBytes = 48ull << 20;
 /// paper's contrast with OLTP systems.
 constexpr uint64_t kRowstoreCodeFootprint = 24 * 1024;
 
-/// Touches `kStateLoadsPerTuple` pseudo-random 8-byte words of the arena
-/// placed at simulated address `arena`.
-inline void TouchState(core::Core& core, uint64_t arena, uint64_t* cursor) {
-  for (int i = 0; i < kStateLoadsPerTuple; ++i) {
-    *cursor = *cursor * 6364136223846793005ULL + 1442695040888963407ULL;
-    const size_t idx = (*cursor >> 17) % (kStateArenaBytes / 8);
-    core.Load(arena + idx * 8, 8);
+/// How many state loads ahead of the current one the host prefetch hint
+/// runs: one tuple's worth, so the host has fetched the set blocks by the
+/// time the Load walks them, and still holds them.
+constexpr int kStateLookahead = 8;
+
+/// The per-tuple pseudo-random walk over the execution-state arena: each
+/// `Touch` loads `kStateLoadsPerTuple` 8-byte words of it, in LCG order.
+/// A copy of the LCG runs `kStateLookahead` steps ahead and hints each
+/// future word to the host (Core::Prefetch), so the simulator's set blocks
+/// for it are in the host caches when its Load comes; the hint has no
+/// simulated effect and the Load order is the walk's own.
+class StateWalk {
+ public:
+  /// Places the arena keyed by `arena_key` on `core` (first use) and
+  /// starts the walk at `seed`.
+  StateWalk(core::Core& core, const char* arena_key, uint64_t seed)
+      : core_(core),
+        arena_(core.placement().Resident(arena_key, kStateArenaBytes)),
+        cursor_(seed),
+        ahead_(seed) {
+    for (int i = 0; i < kStateLookahead; ++i) core_.Prefetch(Next(&ahead_));
   }
-}
+
+  void Touch() {
+    for (int i = 0; i < kStateLoadsPerTuple; ++i) {
+      core_.Prefetch(Next(&ahead_));
+      core_.Load(Next(&cursor_), 8);
+    }
+  }
+
+ private:
+  /// Advances `cursor` one LCG step; returns the word it now names.
+  uint64_t Next(uint64_t* cursor) const {
+    *cursor = *cursor * 6364136223846793005ULL + 1442695040888963407ULL;
+    return arena_ + (*cursor >> 17) % (kStateArenaBytes / 8) * 8;
+  }
+
+  core::Core& core_;
+  const uint64_t arena_;
+  uint64_t cursor_;
+  uint64_t ahead_;
+};
 
 }  // namespace
 
@@ -226,15 +259,13 @@ Money RowstoreEngine::Projection(Workers& w, int degree) const {
     const std::unique_ptr<Expr> expr = make_expr();
     PlaceExpr(core, *expr);
     const RowTableView rows(*lineitem_, &core);
-    const uint64_t arena =
-        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
-    uint64_t cursor = 0x1234 + t;
+    StateWalk state(core, &state_arena_key_, 0x1234 + t);
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());  // Agg::Next
       core.Retire(IterNextMix());  // Scan::Next
       core.Retire(ScanOverheadMix());
-      TouchState(core, arena, &cursor);
+      state.Touch();
       const RowRef tuple = rows.TupleForScan(i);
       acc += EvalExpr(core, *expr, rows, tuple);
       core.RetireN(ColumnAccessMix(), static_cast<uint64_t>(degree));
@@ -268,16 +299,14 @@ Money RowstoreEngine::Selection(Workers& w,
                      Expr::ColI64(lf_.quantity)));
     PlaceExpr(core, *expr);
     const RowTableView rows(*lineitem_, &core);
-    const uint64_t arena =
-        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
-    uint64_t cursor = 0x9876 + t;
+    StateWalk state(core, &state_arena_key_, 0x9876 + t);
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());  // Agg::Next
       core.Retire(IterNextMix());  // Filter::Next
       core.Retire(IterNextMix());  // Scan::Next
       core.Retire(ScanOverheadMix());
-      TouchState(core, arena, &cursor);
+      state.Touch();
       const RowRef tuple = rows.TupleForScan(i);
       // Three SARG checks, evaluated eagerly, one branch on the result.
       const bool pass =
@@ -403,14 +432,12 @@ int64_t RowstoreEngine::GroupBy(Workers& w, int64_t num_groups) const {
                   num_groups, static_cast<int64_t>(r.size())) + 1));
     engine::AggHashTable<1>& agg = *aggs[t];
     const RowTableView rows(*lineitem_, &core);
-    const uint64_t arena =
-        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
-    uint64_t cursor = 0x6B + t;
+    StateWalk state(core, &state_arena_key_, 0x6B + t);
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());  // Agg::Next
       core.Retire(IterNextMix());  // Scan::Next
       core.Retire(ScanOverheadMix());
-      TouchState(core, arena, &cursor);
+      state.Touch();
       const RowRef tuple = rows.TupleForScan(i);
       const int64_t key = engine::groupby::GroupKey(
           rows.ReadI64(tuple, lf_.orderkey), num_groups);
@@ -445,14 +472,12 @@ engine::Q1Result RowstoreEngine::Q1(Workers& w) const {
     aggs[t] = std::make_unique<engine::AggHashTable<5>>(core, 8);
     engine::AggHashTable<5>& agg = *aggs[t];
     const RowTableView rows(*lineitem_, &core);
-    const uint64_t arena =
-        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
-    uint64_t cursor = 0x31 + t;
+    StateWalk state(core, &state_arena_key_, 0x31 + t);
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());
       core.Retire(IterNextMix());
       core.Retire(ScanOverheadMix());
-      TouchState(core, arena, &cursor);
+      state.Touch();
       const RowRef tuple = rows.TupleForScan(i);
       const bool pass = rows.ReadI32(tuple, lf_.shipdate) <= cut;
       core.Retire(SargMix());
@@ -514,15 +539,13 @@ Money RowstoreEngine::Q6(Workers& w, const engine::Q6Params& p) const {
     core.SetCodeRegion({"dbmsr/q6", kRowstoreCodeFootprint});
     core.SetMlpHint(core::kMlpDefault);
     const RowTableView rows(*lineitem_, &core);
-    const uint64_t arena =
-        core.placement().Resident(&state_arena_key_, kStateArenaBytes);
-    uint64_t cursor = 0x66 + t;
+    StateWalk state(core, &state_arena_key_, 0x66 + t);
     Money acc = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       core.Retire(IterNextMix());
       core.Retire(IterNextMix());
       core.Retire(ScanOverheadMix());
-      TouchState(core, arena, &cursor);
+      state.Touch();
       const RowRef tuple = rows.TupleForScan(i);
       const auto ship = rows.ReadI32(tuple, lf_.shipdate);
       const int64_t d = rows.ReadI64(tuple, lf_.discount);

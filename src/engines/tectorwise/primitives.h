@@ -77,14 +77,13 @@ inline void ChargeSimdLoop(VecCtx ctx, size_t n, uint64_t simd_per_group,
 }
 
 /// Memory access helpers: in SIMD mode the per-element accesses are issued
-/// to the memory model (behaviour is identical) but not counted as scalar
+/// to the memory model through Core::LaneAccess but not counted as scalar
 /// load/store instructions — the wide SIMD ops in ChargeSimdLoop carry the
 /// instruction cost. A "wide" variant is used for sequential data.
 template <typename T>
 inline std::remove_const_t<T> LoadElem(VecCtx ctx, SimPtr<T> p) {
   if (ctx.simd) {
-    ctx.core->memory().AccessData(p.addr, sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                  /*is_store=*/false);
+    ctx.core->LaneAccess(p.addr, sizeof(T), /*is_store=*/false);
   } else {
     ctx.core->Load(p.addr, sizeof(T));
   }
@@ -95,16 +94,15 @@ inline std::remove_const_t<T> LoadElem(VecCtx ctx, SimPtr<T> p) {
 /// driven through Core::LoadSeq/StoreSeq in scalar mode (one simulated
 /// line walk per cache line; counter-equivalent to the per-element loop),
 /// after which the kernel reads/writes the array raw. SIMD mode keeps its
-/// per-element AccessData issue (the wide ops in ChargeSimdLoop carry the
-/// instruction cost and the access-per-element stream shape is part of the
-/// gather/scatter model).
+/// per-element Core::LaneAccess issue (the wide ops in ChargeSimdLoop
+/// carry the instruction cost and the access-per-element stream shape is
+/// part of the gather/scatter model).
 template <typename T>
 inline void TouchVecLoad(VecCtx ctx, SimPtr<T> p, size_t n) {
   if (n == 0) return;
   if (ctx.simd) {
     for (size_t i = 0; i < n; ++i) {
-      ctx.core->memory().AccessData(p.At(i),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                    sizeof(T), /*is_store=*/false);
+      ctx.core->LaneAccess(p.At(i), sizeof(T), /*is_store=*/false);
     }
   } else {
     ctx.core->LoadSeq(p.addr, sizeof(T), n);
@@ -116,8 +114,7 @@ inline void TouchVecStore(VecCtx ctx, SimPtr<T> p, size_t n) {
   if (n == 0) return;
   if (ctx.simd) {
     for (size_t i = 0; i < n; ++i) {
-      ctx.core->memory().AccessData(p.At(i),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                    sizeof(T), /*is_store=*/true);
+      ctx.core->LaneAccess(p.At(i), sizeof(T), /*is_store=*/true);
     }
   } else {
     ctx.core->StoreSeq(p.addr, sizeof(T), n);
@@ -131,8 +128,7 @@ inline void TouchVecStore(VecCtx ctx, SimPtr<T> p, size_t n) {
 template <typename T>
 inline void StoreCompact(VecCtx ctx, core::SeqCursor& cur, SimPtr<T> p, T v) {
   if (ctx.simd) {
-    ctx.core->memory().AccessData(p.addr, sizeof(T),  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                  /*is_store=*/true);
+    ctx.core->LaneAccess(p.addr, sizeof(T), /*is_store=*/true);
   } else {
     ctx.core->StoreRange(cur, p.addr, sizeof(T), 1);
   }
@@ -460,8 +456,7 @@ size_t HtProbeSel(VecCtx ctx, uint32_t branch_site,
             : static_cast<int64_t>(keys[i]);
     const uint64_t b = ht.BucketOf(key);
     if (ctx.simd) {
-      ctx.core->memory().AccessData(heads.At(b), 4,  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                    false);
+      ctx.core->LaneAccess(heads.At(b), 4, /*is_store=*/false);
     } else {
       ctx.core->Load(heads.At(b), 4);
     }
@@ -477,8 +472,7 @@ size_t HtProbeSel(VecCtx ctx, uint32_t branch_site,
       const auto& entry = entries[static_cast<size_t>(e)];
       const uint64_t entry_addr = entries.At(static_cast<size_t>(e));
       if (ctx.simd) {
-        ctx.core->memory().AccessData(entry_addr, 16,  // uolap-analyze: allow(CON-STORAGE) sanctioned vectorized charging site
-                                      false);
+        ctx.core->LaneAccess(entry_addr, 16, /*is_store=*/false);
       } else {
         ctx.core->Load(entry_addr, 16);
       }
