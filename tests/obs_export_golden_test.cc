@@ -10,6 +10,12 @@
 // To update the goldens after an intentional schema/model change: run this
 // binary; on mismatch it writes the actual bytes to
 // obs_export_golden_actual.{json,trace} in the working directory.
+//
+// A second golden, tests/golden/obs_contended_profile.json, pins a
+// multi-core streaming run through obs::ProfileRun whose socket demand
+// pushes the bandwidth scale below 1, so region attribution under
+// contention is byte-covered too. On mismatch it writes
+// obs_contended_actual.json.
 
 #include "obs/profile_export.h"
 
@@ -25,6 +31,8 @@
 #include <utility>
 #include <vector>
 
+#include "audit/validation.h"
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "core/core.h"
 #include "core/machine.h"
@@ -33,6 +41,10 @@
 #include "obs/json_writer.h"
 #include "obs/record.h"
 #include "obs/region_profiler.h"
+
+#ifndef UOLAP_GOLDEN_DIR
+#error "UOLAP_GOLDEN_DIR must name the tests/golden directory"
+#endif
 
 namespace uolap::obs {
 namespace {
@@ -412,6 +424,69 @@ TEST(ObsExportGoldenTest, TraceEventsArePairedAndOrdered) {
   // scan and probe; the implicit <run> root has no push/pop events.
   EXPECT_EQ(durations, 2);
   EXPECT_GT(counters, 0);
+}
+
+/// Eight cores each stream 512 KB in a "scan" region and make 256
+/// page-strided random loads in a "probe" region, at disjoint fixed
+/// addresses. Eight streaming cores ask for more than the 66 GB/s socket
+/// ceiling, so the run is analyzed at a bandwidth scale below 1. The
+/// audit switch is held off so the validated build exports the same bytes.
+ProfileSession MakeContendedSession() {
+  const core::MachineConfig cfg = core::MachineConfig::Broadwell();
+  const bool validation = audit::ValidationEnabled();
+  audit::SetValidationEnabled(false);
+  RunRecord run =
+      ProfileRun(cfg, /*threads=*/8, /*sample_interval_instructions=*/0,
+                 "contended", [](core::Machine& machine) {
+                   for (uint64_t i = 0; i < machine.num_cores(); ++i) {
+                     core::Core& core = machine.core(i);
+                     const uint64_t base = (i + 1) << 28;
+                     {
+                       core::ScopedRegion scan(core, "scan");
+                       core.LoadSeq(base, 8, uint64_t{1} << 16);
+                       core::InstrMix m;
+                       m.alu = uint64_t{1} << 16;
+                       core.Retire(m);
+                     }
+                     {
+                       core::ScopedRegion probe(core, "probe");
+                       for (uint64_t k = 0; k < 256; ++k) {
+                         core.Load(base + (uint64_t{1} << 24) +
+                                       ((k * 2654435761u) % 4096) * 4096,
+                                   8);
+                       }
+                       core::InstrMix m;
+                       m.alu = 1024;
+                       m.complex = 64;
+                       core.Retire(m);
+                     }
+                   }
+                 })
+          .second;
+  audit::SetValidationEnabled(validation);
+
+  ProfileSession session;
+  session.bench = "obs_export_golden_test";
+  session.machine = cfg.name;
+  session.freq_ghz = cfg.freq_ghz;
+  session.scale_factor = 0.01;
+  session.seed = 42;
+  session.quick = true;
+  session.runs.push_back(std::move(run));
+  return session;
+}
+
+TEST(ObsExportGoldenTest, ContendedProfileJsonMatchesGolden) {
+  const ProfileSession session = MakeContendedSession();
+  ASSERT_EQ(session.runs.size(), 1u);
+  ASSERT_LT(session.runs[0].bw_scale, 1.0)
+      << "the golden must cover attribution under contention";
+  const std::string actual = ProfileToJson(session);
+  const std::string path =
+      std::string(UOLAP_GOLDEN_DIR) + "/obs_contended_profile.json";
+  const StatusOr<std::string> golden = ReadFileToString(path);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  ExpectGolden(actual, golden.value(), "obs_contended_actual.json");
 }
 
 TEST(ObsExportGoldenTest, ParserRejectsMalformedInput) {
