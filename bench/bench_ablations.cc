@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   for (const auto& [name, fn] : roofline) {
     cells.push_back({.label = "roofline " + name, .body = fn});
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   // --- (a) group-by cardinality sweep ---
   {
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     cpu.SetHeader({"cardinality", "Stall", "Retiring", "Execution",
                    "Dcache", "Branch misp."});
     for (size_t i = 0; i < cards.size(); ++i) {
-      const auto& b = res[i].whole().cycles;
+      const auto& b = res[i].cores[0].whole.cycles;
       cpu.AddRow({cards[i].first, TablePrinter::Pct(b.StallRatio()),
                   TablePrinter::Pct(b.Frac(b.retiring)),
                   TablePrinter::Pct(b.StallFrac(b.execution)),
@@ -118,9 +118,9 @@ int main(int argc, char** argv) {
 
   // --- (b) interleaved probes ---
   {
-    const ProfileResult& base = res[interleave_first].whole();
-    const ProfileResult& inter = res[interleave_first + 1].whole();
-    const ProfileResult& radix = res[interleave_first + 2].whole();
+    const ProfileResult& base = res[interleave_first].cores[0].whole;
+    const ProfileResult& inter = res[interleave_first + 1].cores[0].whole;
+    const ProfileResult& radix = res[interleave_first + 2].cores[0].whole;
     TablePrinter t(
         "Ablation (b): interleaved (coroutine-style) probes and the "
         "radix-partitioned join — the opportunities the paper cites "
@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
                 std::to_string(r.counters.mem.page_walks),
                 TablePrinter::Fmt(r.counters.mem.tlb_cycles, 0)});
     };
-    add("4 KB (default: no madvise)", res[pages_first].whole());
-    add("2 MB (huge pages)", res[pages_first + 1].whole());
+    add("4 KB (default: no madvise)", res[pages_first].cores[0].whole);
+    add("2 MB (huge pages)", res[pages_first + 1].cores[0].whole);
     ctx.Emit(t);
   }
 
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
                  "roof IPC", "verdict"});
     for (size_t i = 0; i < roofline.size(); ++i) {
       const auto p = uolap::core::ComputeRoofline(
-          res[roofline_first + i].whole(), ctx.machine());
+          res[roofline_first + i].cores[0].whole, ctx.machine());
       t.AddRow({roofline[i].first, TablePrinter::Fmt(p.intensity, 2),
                 TablePrinter::Fmt(p.achieved_ipc, 2),
                 TablePrinter::Fmt(p.roof_ipc, 2),

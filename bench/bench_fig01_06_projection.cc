@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                        .body = [e, d](Workers& w) { e->Projection(w, d); }});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/projectivity"));
     for (size_t i = 0; i < 8; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
         "DBMS C)");
     t.SetHeader(uolap::harness::StallHeader("system/projectivity"));
     for (size_t i = 0; i < 8; ++i) {
-      t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
+      t.AddRow(uolap::harness::StallRow(cells[i].label,
+                                        res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/projectivity"));
     for (size_t i = 8; i < 16; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/projectivity"));
     for (size_t i = 8; i < 16; ++i) {
-      t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
+      t.AddRow(uolap::harness::StallRow(cells[i].label,
+                                        res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     t.SetHeader({"system/projectivity", "Bandwidth (GB/s)", "MAX (GB/s)"});
     for (size_t i = 8; i < 16; ++i) {
       t.AddRow({cells[i].label,
-                TablePrinter::Fmt(res[i].whole().bandwidth_gbps, 2),
+                TablePrinter::Fmt(res[i].cores[0].whole.bandwidth_gbps, 2),
                 TablePrinter::Fmt(
                     ctx.machine().bandwidth.per_core_seq_gbps, 1)});
     }
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   }
   {
     // Figure 6 uses projectivity 4, normalized to Typer.
-    const double base = res[11].whole().total_cycles;  // Typer p4
+    const double base = res[11].cores[0].whole.total_cycles;  // Typer p4
     TablePrinter t(
         "Figure 6: Normalized response time breakdown for projection "
         "degree 4 (Typer = 1)");
@@ -111,10 +111,10 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(r.cycles.retiring / base, 1),
                 TablePrinter::Fmt(r.cycles.StallCycles() / base, 1)});
     };
-    add("DBMS R", res[3].whole());
-    add("DBMS C", res[7].whole());
-    add("Typer", res[11].whole());
-    add("Tectorwise", res[15].whole());
+    add("DBMS R", res[3].cores[0].whole);
+    add("DBMS C", res[7].cores[0].whole);
+    add("Typer", res[11].cores[0].whole);
+    add("Tectorwise", res[15].cores[0].whole);
     ctx.Emit(t);
   }
   return 0;

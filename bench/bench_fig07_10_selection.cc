@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
            }});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/selectivity"));
     for (size_t i = 0; i < 6; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
         "DBMS C)");
     t.SetHeader(uolap::harness::StallHeader("system/selectivity"));
     for (size_t i = 0; i < 6; ++i) {
-      t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
+      t.AddRow(uolap::harness::StallRow(cells[i].label,
+                                        res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/selectivity"));
     for (size_t i = 6; i < 12; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/selectivity"));
     for (size_t i = 6; i < 12; ++i) {
-      t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
+      t.AddRow(uolap::harness::StallRow(cells[i].label,
+                                        res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     t.SetHeader({"system/selectivity", "Bandwidth (GB/s)"});
     for (size_t i = 6; i < 12; ++i) {
       t.AddRow({cells[i].label,
-                TablePrinter::Fmt(res[i].whole().bandwidth_gbps, 2)});
+                TablePrinter::Fmt(res[i].cores[0].whole.bandwidth_gbps, 2)});
     }
     ctx.Emit(t);
   }
@@ -110,10 +110,10 @@ int main(int argc, char** argv) {
     t.SetHeader({"system/selectivity", "Slowdown vs Typer"});
     for (size_t i = 0; i < 6; ++i) {
       // Typer at the same selectivity.
-      const double base = res[6 + i % 3].whole().total_cycles;
+      const double base = res[6 + i % 3].cores[0].whole.total_cycles;
       t.AddRow({cells[i].label,
-                TablePrinter::Fmt(res[i].whole().total_cycles / base, 1) +
-                    "x"});
+                TablePrinter::Fmt(
+                    res[i].cores[0].whole.total_cycles / base, 1) + "x"});
     }
     ctx.Emit(t);
   }

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
            .body = [e, s](Workers& w) { e->Join(w, s); }});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/join size"));
     for (size_t i = 0; i < 6; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/join size"));
     for (size_t i = 6; i < 12; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/join size"));
     for (size_t i = 6; i < 12; ++i) {
-      t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
+      t.AddRow(uolap::harness::StallRow(cells[i].label,
+                                        res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -83,16 +83,18 @@ int main(int argc, char** argv) {
         "Figure 14 (left): single-core random-access bandwidth for the "
         "large join (MAX = 7 GB/s per core on Broadwell)");
     t.SetHeader({"system", "Bandwidth (GB/s)", "MAX (GB/s)"});
-    t.AddRow({"Typer", TablePrinter::Fmt(res[8].whole().bandwidth_gbps, 2),
+    t.AddRow({"Typer",
+              TablePrinter::Fmt(res[8].cores[0].whole.bandwidth_gbps, 2),
               TablePrinter::Fmt(ctx.machine().bandwidth.per_core_rand_gbps,
                                 1)});
-    t.AddRow({"Tectorwise", TablePrinter::Fmt(res[11].whole().bandwidth_gbps, 2),
+    t.AddRow({"Tectorwise",
+              TablePrinter::Fmt(res[11].cores[0].whole.bandwidth_gbps, 2),
               TablePrinter::Fmt(ctx.machine().bandwidth.per_core_rand_gbps,
                                 1)});
     ctx.Emit(t);
   }
   {
-    const double base = res[8].whole().total_cycles;  // Typer large
+    const double base = res[8].cores[0].whole.total_cycles;  // Typer large
     TablePrinter t(
         "Figure 14 (right): normalized response time breakdown for the "
         "large join (Typer = 1; paper: DBMS R 4.5x, DBMS C 6.3x)");
@@ -102,10 +104,10 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(r.cycles.retiring / base, 1),
                 TablePrinter::Fmt(r.cycles.StallCycles() / base, 1)});
     };
-    add("DBMS R", res[2].whole());
-    add("DBMS C", res[5].whole());
-    add("Typer", res[8].whole());
-    add("Tectorwise", res[11].whole());
+    add("DBMS R", res[2].cores[0].whole);
+    add("DBMS C", res[5].cores[0].whole);
+    add("Typer", res[8].cores[0].whole);
+    add("Tectorwise", res[11].cores[0].whole);
     ctx.Emit(t);
   }
   {
@@ -114,10 +116,10 @@ int main(int argc, char** argv) {
     // exclusive cycles summing back to the whole-run total.
     ctx.Emit(uolap::harness::RegionTable(
         "Large join, per-operator Top-Down attribution (Typer)",
-        res[8].regions));
+        res[8].cores[0].regions));
     ctx.Emit(uolap::harness::RegionTable(
         "Large join, per-operator Top-Down attribution (Tectorwise)",
-        res[11].regions));
+        res[11].cores[0].regions));
   }
   return 0;
 }

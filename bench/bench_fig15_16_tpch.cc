@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                        .body = [e, &fn](Workers& w) { fn(*e, w); }});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/query"));
     for (size_t i = 0; i < cells.size(); ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].whole().cycles));
+                                            res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
         "Tectorwise)");
     t.SetHeader(uolap::harness::StallHeader("system/query"));
     for (size_t i = 0; i < cells.size(); ++i) {
-      t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].whole().cycles));
+      t.AddRow(uolap::harness::StallRow(cells[i].label,
+                                        res[i].cores[0].whole.cycles));
     }
     ctx.Emit(t);
   }
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     t.SetHeader({"system/query", "Bandwidth (GB/s)"});
     for (size_t i = 0; i < cells.size(); ++i) {
       t.AddRow({cells[i].label,
-                TablePrinter::Fmt(res[i].whole().bandwidth_gbps, 2)});
+                TablePrinter::Fmt(res[i].cores[0].whole.bandwidth_gbps, 2)});
     }
     ctx.Emit(t);
   }

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                        Workers& w) { e->Q6(w, params); }});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   auto emit_pair = [&](const char* fig_resp, const char* fig_stall,
                        const char* name, size_t first) {
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       t.SetHeader(uolap::harness::TimeHeader("selectivity/variant"));
       for (size_t v = 0; v < variants.size(); ++v) {
         t.AddRow(uolap::harness::TimeRow(variants[v],
-                                         res[first + v].whole()));
+                                         res[first + v].cores[0].whole));
       }
       ctx.Emit(t);
     }
@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
                      name + " branched vs branch-free selection");
       t.SetHeader(uolap::harness::StallHeader("selectivity/variant"));
       for (size_t v = 0; v < variants.size(); ++v) {
-        t.AddRow(uolap::harness::StallRow(variants[v],
-                                          res[first + v].whole().cycles));
+        t.AddRow(uolap::harness::StallRow(
+            variants[v], res[first + v].cores[0].whole.cycles));
       }
       ctx.Emit(t);
     }
@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
     t.SetHeader({"system/selectivity", "Bandwidth (GB/s)"});
     for (size_t e = 0; e < engines.size(); ++e) {
       for (size_t i = 0; i < selectivities.size(); ++i) {
-        const ProfileResult& branch_free = res[6 * e + 2 * i + 1].whole();
+        const ProfileResult& branch_free =
+            res[6 * e + 2 * i + 1].cores[0].whole;
         t.AddRow({engines[e]->name() + " " +
                       TablePrinter::Pct(selectivities[i], 0),
                   TablePrinter::Fmt(branch_free.bandwidth_gbps, 2)});
@@ -117,8 +118,8 @@ int main(int argc, char** argv) {
     t.SetHeader({"system", "Branched ms", "Predicated ms", "Change",
                  "Branched GB/s", "Predicated GB/s"});
     for (size_t i = 0; i < engines.size(); ++i) {
-      const ProfileResult& branched = res[12 + 2 * i].whole();
-      const ProfileResult& predicated = res[13 + 2 * i].whole();
+      const ProfileResult& branched = res[12 + 2 * i].cores[0].whole;
+      const ProfileResult& predicated = res[13 + 2 * i].cores[0].whole;
       const double change =
           (predicated.total_cycles - branched.total_cycles) /
           branched.total_cycles;

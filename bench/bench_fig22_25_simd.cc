@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                        .body = [e, &fn](Workers& w) { fn(*e, w); }});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
   constexpr size_t kFig22To24Workloads = 4;
 
   {
@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
     t.SetHeader({"workload", "W/o SIMD", "W/ SIMD", "W/ SIMD Retiring",
                  "W/ SIMD Stall"});
     for (size_t k = 0; k < kFig22To24Workloads; ++k) {
-      const ProfileResult& with = res[2 * k + 1].whole();
-      const double base = res[2 * k].whole().total_cycles;
+      const ProfileResult& with = res[2 * k + 1].cores[0].whole;
+      const double base = res[2 * k].cores[0].whole.total_cycles;
       t.AddRow({workloads[k].first, "1.00",
                 TablePrinter::Fmt(with.total_cycles / base, 2),
                 TablePrinter::Fmt(with.cycles.retiring / base, 2),
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     t.SetHeader({"workload", "variant", "Execution", "Dcache", "Decoding",
                  "Icache", "Branch misp."});
     for (size_t k = 0; k < kFig22To24Workloads; ++k) {
-      const double base = res[2 * k].whole().cycles.StallCycles();
+      const double base = res[2 * k].cores[0].whole.cycles.StallCycles();
       auto row = [&](const char* variant, const ProfileResult& r) {
         const auto& b = r.cycles;
         t.AddRow({workloads[k].first, variant,
@@ -111,8 +111,8 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(b.icache / base, 2),
                   TablePrinter::Fmt(b.branch_misp / base, 2)});
       };
-      row("W/o SIMD", res[2 * k].whole());
-      row("W/ SIMD", res[2 * k + 1].whole());
+      row("W/o SIMD", res[2 * k].cores[0].whole);
+      row("W/ SIMD", res[2 * k + 1].cores[0].whole);
     }
     ctx.Emit(t);
   }
@@ -123,14 +123,15 @@ int main(int argc, char** argv) {
     t.SetHeader({"workload", "W/o SIMD (GB/s)", "W/ SIMD (GB/s)"});
     for (size_t k = 0; k < kFig22To24Workloads; ++k) {
       t.AddRow({workloads[k].first,
-                TablePrinter::Fmt(res[2 * k].whole().bandwidth_gbps, 2),
-                TablePrinter::Fmt(res[2 * k + 1].whole().bandwidth_gbps, 2)});
+                TablePrinter::Fmt(res[2 * k].cores[0].whole.bandwidth_gbps, 2),
+                TablePrinter::Fmt(
+                    res[2 * k + 1].cores[0].whole.bandwidth_gbps, 2)});
     }
     ctx.Emit(t);
   }
   {
-    const ProfileResult& without = res[8].whole();
-    const ProfileResult& with = res[9].whole();
+    const ProfileResult& without = res[8].cores[0].whole;
+    const ProfileResult& with = res[9].cores[0].whole;
     const double base = without.total_cycles;
     TablePrinter t(
         "Figure 25: large-join probe phase with and without SIMD "

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                                           : PrefetcherConfig::AllDisabled())});
     }
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -79,13 +79,14 @@ int main(int argc, char** argv) {
         "as all four)");
     t.SetHeader(uolap::harness::TimeHeader("prefetcher config"));
     for (size_t i = 0; i < configs.size(); ++i) {
-      t.AddRow(uolap::harness::TimeRow(configs[i].first, res[i].whole()));
+      t.AddRow(
+          uolap::harness::TimeRow(configs[i].first, res[i].cores[0].whole));
     }
     ctx.Emit(t);
   }
   {
-    const ProfileResult& off = res[0].whole();
-    const ProfileResult& on = res[configs.size() - 1].whole();
+    const ProfileResult& off = res[0].cores[0].whole;
+    const ProfileResult& on = res[configs.size() - 1].cores[0].whole;
     TablePrinter t(
         "Section 9 (text): prefetcher effectiveness for the projection");
     t.SetHeader({"metric", "value", "paper"});
@@ -106,8 +107,8 @@ int main(int argc, char** argv) {
     t.SetHeader({"system", "All disabled ms", "All enabled ms",
                  "Reduction"});
     for (size_t i = 0; i < join_engines.size(); ++i) {
-      const ProfileResult& off = res[configs.size() + 2 * i].whole();
-      const ProfileResult& on = res[configs.size() + 2 * i + 1].whole();
+      const ProfileResult& off = res[configs.size() + 2 * i].cores[0].whole;
+      const ProfileResult& on = res[configs.size() + 2 * i + 1].cores[0].whole;
       t.AddRow({join_engines[i]->name(), TablePrinter::Fmt(off.time_ms, 1),
                 TablePrinter::Fmt(on.time_ms, 1),
                 TablePrinter::Pct(1.0 - on.total_cycles / off.total_cycles,

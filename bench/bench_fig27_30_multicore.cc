@@ -25,7 +25,6 @@
 namespace {
 
 using uolap::TablePrinter;
-using uolap::core::MultiCoreResult;
 using uolap::engine::OlapEngine;
 using uolap::engine::Workers;
 using uolap::harness::BenchContext;
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
          },
          .threads = max_threads});
   }
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<uolap::obs::RunRecord> res = ctx.ProfileCells(cells);
 
   {
     TablePrinter t(
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::CpuCyclesHeader("system/query"));
     for (size_t i = 0; i < fig29_first; ++i) {
       t.AddRow(uolap::harness::CpuCyclesRow(cells[i].label,
-                                            res[i].multi.aggregate));
+                                            res[i].Aggregate()));
     }
     ctx.Emit(t);
   }
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
     t.SetHeader(uolap::harness::StallHeader("system/query"));
     for (size_t i = 0; i < fig29_first; ++i) {
       t.AddRow(
-          uolap::harness::StallRow(cells[i].label, res[i].multi.aggregate));
+          uolap::harness::StallRow(cells[i].label, res[i].Aggregate()));
     }
     ctx.Emit(t);
   }
@@ -123,9 +122,9 @@ int main(int argc, char** argv) {
       const int n = thread_counts[i];
       t.AddRow({std::to_string(n),
                 TablePrinter::Fmt(
-                    res[first + 2 * i].multi.socket_bandwidth_gbps, 1),
+                    res[first + 2 * i].socket_bandwidth_gbps, 1),
                 TablePrinter::Fmt(
-                    res[first + 2 * i + 1].multi.socket_bandwidth_gbps, 1),
+                    res[first + 2 * i + 1].socket_bandwidth_gbps, 1),
                 n == thread_counts.front()
                     ? TablePrinter::Fmt(
                           ctx.machine().bandwidth.per_socket_seq_gbps, 0)
@@ -148,8 +147,8 @@ int main(int argc, char** argv) {
   {
     // Section 10 in-text what-ifs: SIMD probe bandwidth at 14 threads and
     // the analytical hyper-threading uplift.
-    const MultiCoreResult& scalar_join = res[whatif_first].multi;
-    const MultiCoreResult& simd_join = res[whatif_first + 1].multi;
+    const uolap::obs::RunRecord& scalar_join = res[whatif_first];
+    const uolap::obs::RunRecord& simd_join = res[whatif_first + 1];
     TablePrinter t(
         "Section 10 (text): what-ifs (paper: SIMD raises Tectorwise's "
         "join bandwidth 21 -> 31.5 GB/s; hyper-threading adds ~1.3x)");

@@ -128,8 +128,7 @@ obs::ProfileSession RunSmoke(bool reference) {
   };
   session.runs.push_back(obs::ProfileRun(cfg, /*threads=*/1,
                                          /*sample_interval=*/100000,
-                                         "perfsmoke", trace)
-                             .second);
+                                         "perfsmoke", trace));
   return session;
 }
 

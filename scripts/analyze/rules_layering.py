@@ -5,7 +5,7 @@ Enforces the module dependency DAG over the *real* include graph
 of the per-line directory regexes the old contract lint used:
 
     common -> core -> {audit, obs, tpch, storage} -> engine
-           -> engines -> harness -> server
+           -> {engines, server} -> harness
 
 plus file-level cycle detection — a cycle is a layering bug even when
 every individual edge stays inside one module.

@@ -63,10 +63,30 @@ struct ProfileResult {
   CoreCounters counters;
 };
 
+/// The per-component terms Analyze combines, for one counter set at one
+/// bandwidth scale. The linear terms are sums over events, so they add up
+/// across counter deltas. The last three are the counter set's standalone
+/// demand for a component that is nonlinear across a run;
+/// obs::AttributeCycles splits a run's total of each in proportion to them.
+struct TopDownTerms {
+  double instructions = 0;
+  // Linear terms.
+  double retiring = 0;
+  double branch_misp = 0;
+  double icache = 0;
+  double execution = 0;
+  double dcache_linear = 0;  ///< seq residual + stream startup + TLB
+  // Nonlinear demands.
+  double decoding = 0;   ///< max(0, decode cycles - retiring)
+  double rand = 0;       ///< max(rand latency, rand bytes / rand bw)
+  double seq_bytes = 0;  ///< streamer-serviced bytes (seq throughput)
+};
+
 /// Combines a core's raw counters with the machine parameters into the
-/// paper's cycle breakdown. See DESIGN.md Section 3 for the model; all
-/// hardware constants come from MachineConfig (the paper's Table 1), all
-/// behavioural constants from calibration.h.
+/// paper's cycle breakdown: the one place counters become cycles. See
+/// DESIGN.md Section 3 for the model; all hardware constants come from
+/// MachineConfig (the paper's Table 1), all behavioural constants from
+/// calibration.h.
 class TopDownModel {
  public:
   explicit TopDownModel(const MachineConfig& config) : config_(config) {}
@@ -75,6 +95,11 @@ class TopDownModel {
   /// model uses it to express socket-level contention (< 1.0 when the
   /// socket is oversubscribed).
   ProfileResult Analyze(const CoreCounters& c, double bw_scale = 1.0) const;
+
+  /// The terms Analyze(c, bw_scale) is built from. Its Dcache is
+  /// dcache_linear + rand + the sequential throughput residual
+  /// max(0, seq_bytes / seq bw - overlap * (every other cycle)).
+  TopDownTerms Terms(const CoreCounters& c, double bw_scale = 1.0) const;
 
  private:
   const MachineConfig config_;

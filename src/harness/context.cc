@@ -83,23 +83,19 @@ void BenchContext::RecordRun(obs::RunRecord run) {
   flushed_ = false;
 }
 
-std::vector<BenchContext::CellResult> BenchContext::ProfileCells(
+std::vector<obs::RunRecord> BenchContext::ProfileCells(
     const std::vector<Cell>& cells) {
   std::printf("# profiling %zu configurations...\n", cells.size());
   std::fflush(stdout);
   engine::ThreadPool& pool = engine::ThreadPool::Global();
-  std::vector<CellResult> results(cells.size());
   std::vector<obs::RunRecord> runs(cells.size());
   pool.ParallelFor(cells.size(), [&](size_t i) {
     const Cell& cell = cells[i];
-    auto [multi, run] = harness::Profile(cell.machine.value_or(machine_),
-                                         cell.threads, obs_options(),
-                                         cell.label, cell.body, &pool);
-    results[i] = {std::move(multi), run.cores[0].regions};
-    runs[i] = std::move(run);
+    runs[i] = harness::Profile(cell.machine.value_or(machine_), cell.threads,
+                               obs_options(), cell.label, cell.body, &pool);
   });
-  for (obs::RunRecord& run : runs) RecordRun(std::move(run));
-  return results;
+  for (const obs::RunRecord& run : runs) RecordRun(run);
+  return runs;
 }
 
 void BenchContext::FlushOutputs() {

@@ -97,23 +97,14 @@ class BenchContext {
     std::optional<core::MachineConfig> machine = std::nullopt;
   };
 
-  /// What ProfileCells returns for one cell.
-  struct CellResult {
-    core::MultiCoreResult multi;
-    /// Core 0's analyzed region tree (per-operator Top-Down).
-    obs::RegionTree regions;
-    /// Core 0's whole-run analysis: the result of a single-core cell.
-    const core::ProfileResult& whole() const { return multi.per_core[0]; }
-  };
-
   /// Profiles every cell through harness::Profile, fanned out on
   /// engine::ThreadPool::Global(); a multi-core cell's workers then run
   /// inline on the pool thread that took the cell. Bodies must be
   /// independent of each other. Once all cells finished, the runs are
-  /// recorded into the session in cell order, and the results come back
+  /// recorded into the session in cell order, and their records come back
   /// in cell order, so printed tables and exports do not depend on the
   /// schedule (UOLAP_THREADS=1 gives the same bytes).
-  std::vector<CellResult> ProfileCells(const std::vector<Cell>& cells);
+  std::vector<obs::RunRecord> ProfileCells(const std::vector<Cell>& cells);
 
   ObsOptions obs_options() const {
     return ObsOptions{sample_interval_};

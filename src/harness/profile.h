@@ -22,9 +22,9 @@ struct ObsOptions {
 };
 
 /// Runs `fn(Workers&)` across `threads` fresh simulated cores through
-/// obs::ProfileRun and returns the socket-contention analysis plus the
-/// full RunRecord. One core is the standard measurement of every figure
-/// in Sections 3-9; several cores are the Section 10 measurement.
+/// obs::ProfileRun and returns its RunRecord. One core is the standard
+/// measurement of every figure in Sections 3-9; several cores are the
+/// Section 10 measurement.
 ///
 /// By default the global ThreadPool is attached as the Workers executor,
 /// so engine `ForEach` bodies (one per simulated worker core) run on their
@@ -33,7 +33,7 @@ struct ObsOptions {
 /// a serial run: pass `executor = nullptr` to force serial execution (the
 /// determinism tests assert the equivalence).
 template <typename Fn>
-std::pair<core::MultiCoreResult, obs::RunRecord> Profile(
+obs::RunRecord Profile(
     const core::MachineConfig& cfg, int threads, const ObsOptions& opts,
     const std::string& label, Fn&& fn,
     engine::ParallelExecutor* executor = &engine::ThreadPool::Global()) {
@@ -51,17 +51,15 @@ std::pair<core::MultiCoreResult, obs::RunRecord> Profile(
       });
 }
 
-/// Single-core Profile returning only the RunRecord (cores[0].whole
-/// carries the Top-Down analysis). One core runs serially under any
-/// executor; passing none keeps single-core callers from starting the
-/// global pool.
+/// Single-core Profile (cores[0].whole carries the Top-Down analysis).
+/// One core runs serially under any executor; passing none keeps
+/// single-core callers from starting the global pool.
 template <typename Fn>
 obs::RunRecord ProfileSingleObs(const core::MachineConfig& cfg,
                                 const ObsOptions& opts,
                                 const std::string& label, Fn&& fn) {
   return Profile(cfg, 1, opts, label, std::forward<Fn>(fn),
-                 /*executor=*/nullptr)
-      .second;
+                 /*executor=*/nullptr);
 }
 
 // --- standard row formats shared by the figure tables ---------------------

@@ -2,99 +2,37 @@
 
 #include <algorithm>
 
-#include "core/calibration.h"
-
 namespace uolap::obs {
 
 using core::CoreCounters;
 using core::CycleBreakdown;
 using core::MachineConfig;
-using core::MemCounters;
-
-namespace {
-
-/// The linear per-delta pieces of TopDownModel::Analyze, plus each delta's
-/// standalone demand for the nonlinear components.
-struct PartDemand {
-  double instructions = 0;
-  double retiring = 0;
-  double branch_misp = 0;
-  double icache = 0;
-  double execution = 0;
-  double dcache_linear = 0;  ///< seq residual + stream startup + TLB
-  double decode_demand = 0;  ///< max(0, decode cycles - retiring)
-  double rand_demand = 0;    ///< max(rand latency, rand bytes / rand bw)
-  double seq_bytes = 0;      ///< streamer-serviced bytes (seq throughput)
-};
-
-PartDemand ComputeDemand(const MachineConfig& config, const CoreCounters& c,
-                         double bw_scale) {
-  // Mirrors TopDownModel::Analyze component by component; keep in sync.
-  const core::ExecConfig& xc = config.exec;
-  const MemCounters& m = c.mem;
-  PartDemand d;
-  d.instructions = static_cast<double>(c.mix.TotalInstructions());
-  d.retiring = d.instructions / xc.issue_width;
-
-  const double simple = d.instructions - static_cast<double>(c.mix.complex);
-  const double decode_cycles =
-      simple / xc.decode_width +
-      static_cast<double>(c.mix.complex) * xc.complex_decode_cost;
-  d.decode_demand = std::max(0.0, decode_cycles - d.retiring);
-
-  d.branch_misp =
-      static_cast<double>(c.branch_mispredicts) * xc.branch_misp_penalty;
-
-  d.icache = (static_cast<double>(m.l1i_l2_hits) * config.L2HitCycles() +
-              static_cast<double>(m.l1i_l3_hits) * config.L3HitCycles() +
-              static_cast<double>(m.l1i_dram) * config.DramCycles()) *
-             (1.0 - core::kIcacheOverlap);
-
-  d.execution = c.exec_stall_cycles + m.exec_chase_cycles;
-
-  d.dcache_linear =
-      m.seq_residual_cycles + m.stream_startup_cycles + m.tlb_cycles;
-
-  const double rand_bw =
-      std::max(1e-9, config.RandBytesPerCycle() * bw_scale);
-  d.rand_demand = std::max(m.rand_dcache_cycles,
-                           static_cast<double>(m.dram_demand_bytes_rand) /
-                               rand_bw);
-
-  d.seq_bytes =
-      static_cast<double>(m.dram_seq_l2_streamer + m.dram_seq_l1_streamer) *
-          64.0 +
-      static_cast<double>(m.dram_prefetch_waste_bytes) +
-      static_cast<double>(m.dram_writeback_bytes);
-  return d;
-}
-
-}  // namespace
+using core::TopDownTerms;
 
 std::vector<CycleBreakdown> AttributeCycles(
     const MachineConfig& config, const CoreCounters& total,
     const std::vector<CoreCounters>& parts, double bw_scale) {
   const core::TopDownModel model(config);
   const core::ProfileResult whole = model.Analyze(total, bw_scale);
-  const PartDemand whole_d = ComputeDemand(config, total, bw_scale);
+  const TopDownTerms whole_t = model.Terms(total, bw_scale);
 
-  std::vector<PartDemand> demands;
-  demands.reserve(parts.size());
+  std::vector<TopDownTerms> terms;
+  terms.reserve(parts.size());
   double sum_instr = 0, sum_decode = 0, sum_rand = 0, sum_seq = 0;
   for (const CoreCounters& p : parts) {
-    demands.push_back(ComputeDemand(config, p, bw_scale));
-    sum_instr += demands.back().instructions;
-    sum_decode += demands.back().decode_demand;
-    sum_rand += demands.back().rand_demand;
-    sum_seq += demands.back().seq_bytes;
+    terms.push_back(model.Terms(p, bw_scale));
+    sum_instr += terms.back().instructions;
+    sum_decode += terms.back().decoding;
+    sum_rand += terms.back().rand;
+    sum_seq += terms.back().seq_bytes;
   }
 
   // Totals of the nonlinear components, exactly as Analyze computed them.
   const double total_decoding = whole.cycles.decoding;
-  const double total_rand = whole_d.rand_demand;  // the clamped component
+  const double total_rand = whole_t.rand;  // the clamped component
   // dcache = linear + rand + seq residual; recover the seq residual.
   const double total_dcache_seq = std::max(
-      0.0, whole.cycles.dcache - whole_d.dcache_linear - total_rand);
+      0.0, whole.cycles.dcache - whole_t.dcache_linear - total_rand);
 
   // Proportional share of a nonlinear total; falls back to instruction
   // share when no part expresses demand (only possible when the total is
@@ -108,17 +46,16 @@ std::vector<CycleBreakdown> AttributeCycles(
 
   std::vector<CycleBreakdown> out;
   out.reserve(parts.size());
-  for (const PartDemand& d : demands) {
+  for (const TopDownTerms& t : terms) {
     CycleBreakdown b;
-    b.retiring = d.retiring;
-    b.branch_misp = d.branch_misp;
-    b.icache = d.icache;
-    b.execution = d.execution;
-    b.decoding =
-        share(total_decoding, d.decode_demand, sum_decode, d.instructions);
-    b.dcache = d.dcache_linear +
-               share(total_rand, d.rand_demand, sum_rand, d.instructions) +
-               share(total_dcache_seq, d.seq_bytes, sum_seq, d.instructions);
+    b.retiring = t.retiring;
+    b.branch_misp = t.branch_misp;
+    b.icache = t.icache;
+    b.execution = t.execution;
+    b.decoding = share(total_decoding, t.decoding, sum_decode, t.instructions);
+    b.dcache = t.dcache_linear +
+               share(total_rand, t.rand, sum_rand, t.instructions) +
+               share(total_dcache_seq, t.seq_bytes, sum_seq, t.instructions);
     out.push_back(b);
   }
   return out;

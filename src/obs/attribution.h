@@ -22,12 +22,13 @@ namespace uolap::obs {
 /// Splits the whole-run Top-Down breakdown `Analyze(total, bw_scale)`
 /// across counter deltas `parts` (which must tile `total`, e.g. the
 /// exclusive deltas of a region tree) so the parts sum back to the whole
-/// exactly (up to floating-point addition order, << 1e-9 relative):
+/// exactly (up to floating-point addition order, << 1e-9 relative). Every
+/// term comes from core::TopDownModel::Terms, of the parts and the total:
 ///
 ///  - components that the model computes as a sum over events (retiring,
 ///    branch mispredictions, icache, execution, and the latency-accumulated
-///    dcache terms) are evaluated directly on each delta — they are linear,
-///    so the shares are the model's own answer for that interval;
+///    dcache terms) are each delta's own terms — they are linear, so the
+///    shares are the model's own answer for that interval;
 ///  - components with a nonlinearity across the whole run (decode
 ///    back-pressure `max(0, decode - retiring)`, the random-access
 ///    bandwidth clamp `max(latency, bytes/bw)`, and the sequential
@@ -60,19 +61,18 @@ void AnalyzeTree(const core::MachineConfig& config, RegionTree* tree,
 /// core under the socket-bandwidth contention model. On one core that
 /// model keeps the bandwidth scale at 1.0 (one core's demand stays below
 /// the socket ceiling), so the result is the plain Top-Down analysis.
-/// Returns the contention analysis plus the RunRecord (one CoreRecord per
-/// core, regions attributed at the run's bandwidth scale). When validation
-/// is on, the machine is armed before the body runs and the record carries
-/// the audit (AuditMachine plus CheckBreakdown per core); violations are
-/// reported under `label`.
+/// Returns the RunRecord: the contention summary plus one CoreRecord per
+/// core, its regions attributed at the run's bandwidth scale. When
+/// validation is on, the machine is armed before the body runs and the
+/// record carries the audit (AuditMachine plus CheckBreakdown per core);
+/// violations are reported under `label`.
 ///
 /// The profilers are strictly per-core observers, so a body that runs its
 /// cores on several OS threads records the same bytes as a serial one.
 template <typename Body>
-std::pair<core::MultiCoreResult, RunRecord> ProfileRun(
-    const core::MachineConfig& cfg, int threads,
-    uint64_t sample_interval_instructions, const std::string& label,
-    Body&& body) {
+RunRecord ProfileRun(const core::MachineConfig& cfg, int threads,
+                     uint64_t sample_interval_instructions,
+                     const std::string& label, Body&& body) {
   core::Machine machine(cfg, static_cast<uint32_t>(threads));
   const bool audited = audit::ValidationEnabled();
   if (audited) audit::ArmMachine(machine);
@@ -98,7 +98,7 @@ std::pair<core::MultiCoreResult, RunRecord> ProfileRun(
   run.cores.reserve(profilers.size());
   for (size_t i = 0; i < profilers.size(); ++i) {
     CoreRecord rec;
-    rec.whole = multi.per_core[i];
+    rec.whole = std::move(multi.per_core[i]);
     rec.regions = profilers[i]->Finish();
     AnalyzeTree(cfg, &rec.regions, run.bw_scale);
     rec.timeline = profilers[i]->timeline();
@@ -108,8 +108,8 @@ std::pair<core::MultiCoreResult, RunRecord> ProfileRun(
   }
   if (audited) {
     audit::AuditReport rep = audit::AuditMachine(machine, label);
-    for (size_t i = 0; i < multi.per_core.size(); ++i) {
-      audit::CheckBreakdown(multi.per_core[i], cfg.freq_ghz,
+    for (size_t i = 0; i < run.cores.size(); ++i) {
+      audit::CheckBreakdown(run.cores[i].whole, cfg.freq_ghz,
                             label + "/core" + std::to_string(i) + "/topdown",
                             &rep);
     }
@@ -118,7 +118,7 @@ std::pair<core::MultiCoreResult, RunRecord> ProfileRun(
     run.violations = rep.violations;
     audit::ReportViolations(rep, label);
   }
-  return {std::move(multi), std::move(run)};
+  return run;
 }
 
 }  // namespace uolap::obs

@@ -34,11 +34,19 @@ struct RunRecord {
   double bw_scale = 1.0;
   std::vector<CoreRecord> cores;
 
-  // Multi-core summary (mirrors MultiCoreResult; for threads == 1 these
-  // duplicate cores[0].whole).
+  // Socket summary of the contention analysis (core::MultiCoreModel):
+  // the slowest core's cycles and time, and the DRAM traffic over them.
   double makespan_cycles = 0;
   double time_ms = 0;
   double socket_bandwidth_gbps = 0;
+
+  /// Component-wise sum of the cores' whole-run breakdowns, in core order:
+  /// the multi-core CPU/stall breakdowns of the paper's Figs. 27/28.
+  core::CycleBreakdown Aggregate() const {
+    core::CycleBreakdown sum;
+    for (const CoreRecord& c : cores) sum += c.whole.cycles;
+    return sum;
+  }
 
   // Model-invariant validation results for this run (empty violations and
   // audit_checks == 0 when validation was off; see audit/validation.h).

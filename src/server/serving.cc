@@ -219,12 +219,9 @@ void Server::SimulateClass(const engine::OlapEngine& eng,
   };
   cls->solo_run = obs::ProfileRun(config_.machine, /*threads=*/1,
                                   config_.sample_interval_instructions,
-                                  "serve/" + cls->label, run_query)
-                      .second;
+                                  "serve/" + cls->label, run_query);
 
   const core::CoreCounters& counters = cls->solo().counters;
-  cls->full_bw_cycles =
-      core::TopDownModel(config_.machine).Analyze(counters, 1.0).total_cycles;
   cls->bytes_seq = static_cast<double>(counters.mem.DramSeqStreamBytes());
   cls->bytes_rand = static_cast<double>(counters.mem.dram_demand_bytes_rand);
   // Cancellation points (DESIGN.md §9): a timed-out query keeps running —
@@ -568,7 +565,7 @@ class Server::ServeLoop {
         // also thins its DRAM byte rate proportionally.
         const double cycles =
             scale == 1.0
-                ? cls.full_bw_cycles
+                ? cls.solo().total_cycles
                 : model_.Analyze(cls.solo().counters, scale).total_cycles;
         g_[i] = cycles * running_[i]->slow;
         demand_bpc += (cls.bytes_seq + cls.bytes_rand) / g_[i];

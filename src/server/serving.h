@@ -114,11 +114,12 @@ struct ServeResult {
 /// `OlapEngine::Run`, which yields its full counter set. The serving run
 /// itself is then a fluid event simulation: admitted queries occupy pool
 /// cores FIFO; between consecutive events the co-running set is fixed,
-/// and a damped fixed point (mirroring core::MultiCoreModel) finds the
-/// bandwidth scale `s` at which the set's aggregate DRAM demand fits the
-/// blended socket ceiling. Each running query advances through its work
-/// at rate 1/g(s), where g(s) is its class's Top-Down total re-analyzed
-/// at scale s — so co-running tenants genuinely dilate each other's
+/// and core::SolveContention, the damped fixed point core::MultiCoreModel
+/// also calls, finds the bandwidth scale `s` at which the set's aggregate
+/// DRAM demand fits the blended socket ceiling. Each running query
+/// advances through its work at rate 1/g(s), where g(s) is its class's
+/// Top-Down total re-analyzed at scale s (at s = 1 the solo run's own
+/// total) — so co-running tenants genuinely dilate each other's
 /// service times, and the dilation lands in the Dcache component exactly
 /// as the paper's Section 10 contention model prescribes.
 ///
@@ -170,13 +171,11 @@ class Server {
     std::vector<double> cancel_fractions;
     /// Index into classes_ of the brown-out downgrade class (-1 = none).
     int downgrade = -1;
-    /// solo().counters re-analyzed at bandwidth scale 1.0: the service
-    /// time of an uncontended instance, which every contention solve
-    /// starts from.
-    double full_bw_cycles = 0;
 
-    /// Analyze(counters, 1.0) of the solo execution; `.counters` is its
-    /// full counter set.
+    /// Analyze(counters, 1.0) of the solo execution: a one-core run stays
+    /// below the socket ceiling. `.total_cycles` is the service time of an
+    /// uncontended instance, which every contention solve starts from;
+    /// `.counters` is its full counter set.
     const core::ProfileResult& solo() const { return solo_run.cores[0].whole; }
   };
 

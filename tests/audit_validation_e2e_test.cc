@@ -59,22 +59,21 @@ TEST(AuditValidationE2eTest, SingleCoreProfileCleanUnderValidation) {
   const core::ProfileResult r =
       Profile(MachineConfig::Broadwell(), 1, ObsOptions{}, "single",
               [](Workers& w) { Workload(*w.cores[0]); })
-          .first.per_core[0];
+          .cores[0]
+          .whole;
   EXPECT_GT(r.total_cycles, 0.0);
 }
 
 TEST(AuditValidationE2eTest, MultiCoreProfileCleanUnderValidation) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
-  const core::MultiCoreResult r =
-      Profile(
-          MachineConfig::Broadwell(), 2, ObsOptions{}, "multi",
-          [](Workers& w) {
-            w.ForEach([&](size_t t) { Workload(*w.cores[t]); });
-          },
-          /*executor=*/nullptr)
-          .first;
-  EXPECT_EQ(r.per_core.size(), 2u);
+  const obs::RunRecord r = Profile(
+      MachineConfig::Broadwell(), 2, ObsOptions{}, "multi",
+      [](Workers& w) {
+        w.ForEach([&](size_t t) { Workload(*w.cores[t]); });
+      },
+      /*executor=*/nullptr);
+  EXPECT_EQ(r.cores.size(), 2u);
 }
 
 TEST(AuditValidationE2eTest, ObsRunCarriesAuditResults) {

@@ -240,25 +240,25 @@ TEST(ParallelDeterminismTest, ProfileMultiThreadedBitIdenticalToSerial) {
     });
   };
 
-  const MultiCoreResult serial =
+  const obs::RunRecord serial =
       harness::Profile(cfg, kThreads, {}, "serial", workload,
-                       /*executor=*/nullptr)
-          .first;
-  const MultiCoreResult threaded =
-      harness::Profile(cfg, kThreads, {}, "threaded", workload).first;
+                       /*executor=*/nullptr);
+  const obs::RunRecord threaded =
+      harness::Profile(cfg, kThreads, {}, "threaded", workload);
 
-  ASSERT_EQ(serial.per_core.size(), threaded.per_core.size());
+  ASSERT_EQ(serial.cores.size(), threaded.cores.size());
   EXPECT_EQ(serial.makespan_cycles, threaded.makespan_cycles);
-  EXPECT_EQ(serial.total_dram_bytes, threaded.total_dram_bytes);
   EXPECT_EQ(serial.socket_bandwidth_gbps, threaded.socket_bandwidth_gbps);
-  EXPECT_EQ(serial.aggregate.retiring, threaded.aggregate.retiring);
-  EXPECT_EQ(serial.aggregate.StallCycles(), threaded.aggregate.StallCycles());
-  for (size_t i = 0; i < serial.per_core.size(); ++i) {
+  EXPECT_EQ(serial.Aggregate().retiring, threaded.Aggregate().retiring);
+  EXPECT_EQ(serial.Aggregate().StallCycles(),
+            threaded.Aggregate().StallCycles());
+  for (size_t i = 0; i < serial.cores.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "core " << i);
-    EXPECT_EQ(serial.per_core[i].total_cycles,
-              threaded.per_core[i].total_cycles);
-    ExpectCountersEq(serial.per_core[i].counters,
-                     threaded.per_core[i].counters);
+    const ProfileResult& s = serial.cores[i].whole;
+    const ProfileResult& t = threaded.cores[i].whole;
+    EXPECT_EQ(s.total_cycles, t.total_cycles);
+    EXPECT_EQ(s.dram_bytes, t.dram_bytes);
+    ExpectCountersEq(s.counters, t.counters);
   }
 }
 
@@ -279,20 +279,18 @@ TEST(ParallelDeterminismTest, EngineWorkloadSchedulingInvariant) {
       *sum = typer.Join(w, engine::JoinSize::kMedium);
     };
   };
-  const MultiCoreResult serial =
+  const obs::RunRecord serial =
       harness::Profile(cfg, 4, {}, "serial", workload(&serial_sum),
-                       /*executor=*/nullptr)
-          .first;
-  const MultiCoreResult threaded =
-      harness::Profile(cfg, 4, {}, "threaded", workload(&threaded_sum))
-          .first;
+                       /*executor=*/nullptr);
+  const obs::RunRecord threaded =
+      harness::Profile(cfg, 4, {}, "threaded", workload(&threaded_sum));
 
   EXPECT_EQ(serial_sum, threaded_sum);
-  ASSERT_EQ(serial.per_core.size(), threaded.per_core.size());
-  for (size_t i = 0; i < serial.per_core.size(); ++i) {
+  ASSERT_EQ(serial.cores.size(), threaded.cores.size());
+  for (size_t i = 0; i < serial.cores.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "core " << i);
-    ExpectCountersEq(serial.per_core[i].counters,
-                     threaded.per_core[i].counters);
+    ExpectCountersEq(serial.cores[i].whole.counters,
+                     threaded.cores[i].whole.counters);
   }
 }
 

@@ -119,27 +119,27 @@ void ExpectBreakdownEq(const core::CycleBreakdown& a,
   EXPECT_EQ(a.execution, b.execution);
 }
 
-void ExpectResultEq(const core::MultiCoreResult& a,
-                    const core::MultiCoreResult& b) {
+void ExpectRunEq(const obs::RunRecord& a, const obs::RunRecord& b) {
+  EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.bw_scale, b.bw_scale);
   EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
   EXPECT_EQ(a.time_ms, b.time_ms);
-  EXPECT_EQ(a.total_dram_bytes, b.total_dram_bytes);
   EXPECT_EQ(a.socket_bandwidth_gbps, b.socket_bandwidth_gbps);
-  EXPECT_EQ(a.bandwidth_scale, b.bandwidth_scale);
-  EXPECT_EQ(a.socket_saturated, b.socket_saturated);
-  ExpectBreakdownEq(a.aggregate, b.aggregate);
-  ASSERT_EQ(a.per_core.size(), b.per_core.size());
-  for (size_t i = 0; i < a.per_core.size(); ++i) {
+  ExpectBreakdownEq(a.Aggregate(), b.Aggregate());
+  ASSERT_EQ(a.cores.size(), b.cores.size());
+  for (size_t i = 0; i < a.cores.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "core " << i);
-    const core::ProfileResult& x = a.per_core[i];
-    const core::ProfileResult& y = b.per_core[i];
+    const core::ProfileResult& x = a.cores[i].whole;
+    const core::ProfileResult& y = b.cores[i].whole;
     ExpectBreakdownEq(x.cycles, y.cycles);
     EXPECT_EQ(x.total_cycles, y.total_cycles);
     EXPECT_EQ(x.time_ms, y.time_ms);
     EXPECT_EQ(x.dram_bytes, y.dram_bytes);
     EXPECT_EQ(x.bandwidth_gbps, y.bandwidth_gbps);
     EXPECT_EQ(x.instructions, y.instructions);
+    EXPECT_EQ(a.cores[i].regions.nodes.size(),
+              b.cores[i].regions.nodes.size());
   }
 }
 
@@ -159,24 +159,23 @@ TEST(BenchContextTest, ProfileCellsMatchesSerialProfilesInCellOrder) {
        .machine = no_prefetch},
       {.label = "a two cores", .body = projection, .threads = 2},
   };
-  const std::vector<BenchContext::CellResult> res = ctx.ProfileCells(cells);
+  const std::vector<obs::RunRecord> res = ctx.ProfileCells(cells);
 
   ASSERT_EQ(res.size(), cells.size());
   ASSERT_EQ(ctx.runs().size(), cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE(cells[i].label);
-    const auto [direct, run] =
+    const obs::RunRecord direct =
         Profile(cells[i].machine.value_or(ctx.machine()), cells[i].threads,
                 ctx.obs_options(), cells[i].label, cells[i].body,
                 /*executor=*/nullptr);
-    ExpectResultEq(res[i].multi, direct);
-    EXPECT_EQ(res[i].regions.nodes.size(), run.cores[0].regions.nodes.size());
-    EXPECT_EQ(ctx.runs()[i].label, cells[i].label);
-    EXPECT_EQ(ctx.runs()[i].threads, cells[i].threads);
+    ExpectRunEq(res[i], direct);
+    ExpectRunEq(ctx.runs()[i], direct);
   }
   // The override reached the machine: prefetchers change the answer.
-  EXPECT_NE(res[0].whole().total_cycles, res[1].whole().total_cycles);
-  EXPECT_EQ(res[2].multi.per_core.size(), 2u);
+  EXPECT_NE(res[0].cores[0].whole.total_cycles,
+            res[1].cores[0].whole.total_cycles);
+  EXPECT_EQ(res[2].cores.size(), 2u);
 }
 
 TEST(BenchContextTest, SeedChangesData) {

@@ -71,12 +71,13 @@ TEST(ProfileTest, SingleCoreRunsAndAnalyzes) {
                 m.alu = 4000;
                 w.cores[0]->Retire(m);
               })
-          .first.per_core[0];
+          .cores[0]
+          .whole;
   EXPECT_DOUBLE_EQ(r.cycles.retiring, 1000.0);
 }
 
 TEST(ProfileTest, RunsAcrossCores) {
-  const core::MultiCoreResult r =
+  const obs::RunRecord r =
       Profile(MachineConfig::Broadwell(), 3, ObsOptions{}, "multi",
               [](Workers& w) {
                 ASSERT_EQ(w.count(), 3u);
@@ -85,10 +86,10 @@ TEST(ProfileTest, RunsAcrossCores) {
                   m.alu = 400;
                   c->Retire(m);
                 }
-              })
-          .first;
+              });
   EXPECT_EQ(r.threads, 3);
-  EXPECT_NEAR(r.aggregate.retiring, 300.0, 1e-9);
+  EXPECT_EQ(r.cores.size(), 3u);
+  EXPECT_NEAR(r.Aggregate().retiring, 300.0, 1e-9);
 }
 
 /// One profiling recipe serves one core and many because one core's DRAM
@@ -101,7 +102,7 @@ TEST(ProfileTest, SingleCoreStaysBelowSocketCeiling) {
   for (const MachineConfig& cfg :
        {MachineConfig::Broadwell(), MachineConfig::Skylake()}) {
     SCOPED_TRACE(cfg.name);
-    auto [multi, run] =
+    const obs::RunRecord run =
         Profile(cfg, 1, ObsOptions{}, "dram", [](Workers& w) {
           core::Core& core = *w.cores[0];
           constexpr uint64_t kStreamBytes = uint64_t{32} << 20;
@@ -120,12 +121,8 @@ TEST(ProfileTest, SingleCoreStaysBelowSocketCeiling) {
     // The plain single-core Top-Down analysis of the same counters.
     const ProfileResult whole =
         core::TopDownModel(cfg).Analyze(run.cores[0].whole.counters);
-    EXPECT_EQ(multi.bandwidth_scale, 1.0);
     EXPECT_EQ(run.bw_scale, 1.0);
     EXPECT_EQ(run.cores[0].whole.total_cycles, whole.total_cycles);
-    EXPECT_EQ(multi.makespan_cycles, whole.total_cycles);
-    EXPECT_EQ(multi.time_ms, whole.time_ms);
-    EXPECT_EQ(multi.socket_bandwidth_gbps, whole.bandwidth_gbps);
     EXPECT_EQ(run.makespan_cycles, whole.total_cycles);
     EXPECT_EQ(run.time_ms, whole.time_ms);
     EXPECT_EQ(run.socket_bandwidth_gbps, whole.bandwidth_gbps);

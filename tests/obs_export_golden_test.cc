@@ -461,8 +461,7 @@ ProfileSession MakeContendedSession() {
                        core.Retire(m);
                      }
                    }
-                 })
-          .second;
+                 });
   audit::SetValidationEnabled(validation);
 
   ProfileSession session;

@@ -295,15 +295,15 @@ TEST(RegionProfilerTest, ThreadedProfileMultiTreesBitIdenticalToSerial) {
     });
   };
 
-  auto [serial_multi, serial] = harness::Profile(
+  const obs::RunRecord serial = harness::Profile(
       MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
       "det", workload, /*executor=*/nullptr);
-  auto [pool_multi, pooled] = harness::Profile(
+  const obs::RunRecord pooled = harness::Profile(
       MachineConfig::Broadwell(), kThreads, harness::ObsOptions{1 << 12},
       "det", workload, &engine::ThreadPool::Global());
 
   ASSERT_EQ(serial.cores.size(), pooled.cores.size());
-  EXPECT_EQ(serial_multi.makespan_cycles, pool_multi.makespan_cycles);
+  EXPECT_EQ(serial.makespan_cycles, pooled.makespan_cycles);
   for (size_t c = 0; c < serial.cores.size(); ++c) {
     SCOPED_TRACE(testing::Message() << "core " << c);
     const obs::CoreRecord& a = serial.cores[c];
@@ -341,10 +341,10 @@ TEST_F(RegionEngineTest, EngineRegionTreesSchedulingInvariant) {
   const int threads = 4;
   auto workload = [&](Workers& w) { typer_->Q1(w); };
 
-  auto [serial_multi, serial] = harness::Profile(
+  const obs::RunRecord serial = harness::Profile(
       MachineConfig::Broadwell(), threads, harness::ObsOptions{},
       "q1", workload, /*executor=*/nullptr);
-  auto [pool_multi, pooled] = harness::Profile(
+  const obs::RunRecord pooled = harness::Profile(
       MachineConfig::Broadwell(), threads, harness::ObsOptions{},
       "q1", workload, &engine::ThreadPool::Global());
 

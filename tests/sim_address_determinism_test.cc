@@ -99,18 +99,16 @@ TEST_F(SimAddressDeterminismTest, ThreadedProfileMultiRepeatsBitExactly) {
       ASSERT_TRUE(eng.Run(QuerySpec::Join(engine::JoinSize::kMedium), w).ok());
     }
   };
-  const core::MultiCoreResult a =
-      harness::Profile(MachineConfig::Broadwell(), 4, {}, "a", workload)
-          .first;
-  const core::MultiCoreResult b =
-      harness::Profile(MachineConfig::Broadwell(), 4, {}, "b", workload)
-          .first;
-  ASSERT_EQ(a.per_core.size(), 4u);
-  ASSERT_EQ(b.per_core.size(), 4u);
-  for (size_t i = 0; i < a.per_core.size(); ++i) {
+  const obs::RunRecord a =
+      harness::Profile(MachineConfig::Broadwell(), 4, {}, "a", workload);
+  const obs::RunRecord b =
+      harness::Profile(MachineConfig::Broadwell(), 4, {}, "b", workload);
+  ASSERT_EQ(a.cores.size(), 4u);
+  ASSERT_EQ(b.cores.size(), 4u);
+  for (size_t i = 0; i < a.cores.size(); ++i) {
     SCOPED_TRACE("core " + std::to_string(i));
-    EXPECT_TRUE(a.per_core[i].counters == b.per_core[i].counters);
-    EXPECT_EQ(a.per_core[i].total_cycles, b.per_core[i].total_cycles);
+    EXPECT_TRUE(a.cores[i].whole.counters == b.cores[i].whole.counters);
+    EXPECT_EQ(a.cores[i].whole.total_cycles, b.cores[i].whole.total_cycles);
   }
   EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
 }
