@@ -146,12 +146,16 @@ chaos_stage() {
 # are a function of the workload alone, so resume works across processes.
 # Run A simulates its classes on the thread pool, the killed run and its
 # resume serially (UOLAP_THREADS=1): the final cmp is also serial vs pool.
+# The runs carry the chaos smoke's degradation flags, so the outcome
+# counters and the retry backoff histogram must survive the resume too.
 crash_recovery_smoke() {
   local build_dir="$1"
   local out
   out="$(mktemp -d)"
   local serve=("$build_dir/examples/uolap_serve" --quick --seed=11
-    --stable-json --epoch-ms=5 --checkpoint-every=2)
+    --stable-json --epoch-ms=5 --checkpoint-every=2 --deadline=5
+    --shed-policy=both --retries=2 --brownout=4
+    --fault-plan='seed=13,fail=0.2,slow=0.2,x=2,epoch=0.5')
   "${serve[@]}" --checkpoint-dir="$out/ck_a" --json="$out/a.json" >/dev/null
   local rc=0
   UOLAP_THREADS=1 "${serve[@]}" --checkpoint-dir="$out/ck_b" --crash-at=25 \

@@ -2,7 +2,8 @@
 // runs an uninterrupted serve, a serve killed by --crash-at mid-flight (in
 // a child process, since the crash exits it), and a resumed serve, and
 // asserts the resumed profile JSON is byte-identical to the uninterrupted
-// one. Around it: CRC32C known-answer vectors, journal
+// one, once plain and once with every robustness path armed; a golden
+// pins the metrics an armed, checkpointed run publishes. Around it: CRC32C known-answer vectors, journal
 // framing and torn-tail tolerance, snapshot encode/decode round-trips,
 // bit-exact MetricsRegistry restore, the configuration fingerprint's
 // coverage of every loop-relevant field, and the recovery failure modes
@@ -25,12 +26,18 @@
 #include "engine/query_spec.h"
 #include "engine/registry.h"
 #include "harness/engines.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/profile_export.h"
 #include "server/checkpoint.h"
+#include "server/fault.h"
 #include "server/journal.h"
 #include "server/serving.h"
 #include "tpch/dbgen.h"
+
+#ifndef UOLAP_GOLDEN_DIR
+#error "UOLAP_GOLDEN_DIR must name the tests/golden directory"
+#endif
 
 namespace uolap::server {
 namespace {
@@ -624,19 +631,44 @@ class CheckpointServeTest : public ::testing::Test {
     server.AddTenant(u);
   }
 
+  /// BaseConfig with every robustness path armed — a deadline with
+  /// admission rejection and queue shedding, bounded retries, a fault
+  /// plan, brown-out from rowstore to typer — plus span sampling and an
+  /// unmeetable SLO, so every outcome counter, the backoff histogram and
+  /// every telemetry family carry data.
+  static ServerConfig ArmedConfig() {
+    ServerConfig config = BaseConfig();
+    config.default_max_queries = 24;
+    config.trace_sample_n = 4;
+    config.slos = {{"*", obs::SloMetric::kP99, 0.001}};
+    config.admission.policy = ShedPolicy::kBoth;
+    config.admission.default_deadline_ms = 40.0;
+    config.retry.max_retries = 1;
+    config.brownout.queue_depth = 2;
+    config.brownout.downgrade = {{"rowstore", "typer"}};
+    config.faults =
+        ParseFaultPlan("seed=13,fail=0.3,slow=0.3,x=2,epoch=0.5").value();
+    return config;
+  }
+
   struct ChildSpec {
     CheckpointConfig ckpt;
     std::string json_path;
-    /// When non-empty the child also writes its final virtual clock (ms)
-    /// as text, so tests can prove a crash point landed mid-run.
-    std::string vtime_path;
+    bool armed = false;  ///< ArmedConfig() instead of BaseConfig()
+  };
+
+  /// What an in-process run reports besides its profile JSON.
+  struct ServeOutput {
+    obs::ServerRecord record;
+    obs::MetricsSnapshot metrics;
   };
 
   /// Runs one serve to completion in this process and writes its profile
-  /// JSON (and final virtual clock, if asked). Returns 0, 3 when the run
-  /// fails with a Status, 4 when an output cannot be written.
-  static int RunServe(const ChildSpec& spec) {
-    ServerConfig config = BaseConfig();
+  /// JSON; `out`, when set, receives the record and the metrics. Returns
+  /// 0, 3 when the run fails with a Status, 4 when the JSON cannot be
+  /// written.
+  static int RunServe(const ChildSpec& spec, ServeOutput* out = nullptr) {
+    ServerConfig config = spec.armed ? ArmedConfig() : BaseConfig();
     config.checkpoint = spec.ckpt;
     obs::MetricsRegistry metrics;
     config.metrics = &metrics;
@@ -662,11 +694,9 @@ class CheckpointServeTest : public ::testing::Test {
              .ok()) {
       return 4;
     }
-    if (!spec.vtime_path.empty()) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g\n",
-                    run.value().record.vtime_ms);
-      if (!obs::WriteTextFile(spec.vtime_path, buf).ok()) return 4;
+    if (out != nullptr) {
+      out->record = std::move(session.server);
+      out->metrics = std::move(session.metrics);
     }
     return 0;
   }
@@ -695,37 +725,100 @@ tpch::Database* CheckpointServeTest::db_ = nullptr;
 engine::EngineRegistry* CheckpointServeTest::registry_ = nullptr;
 
 TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
+  // Plain, then with every robustness path armed: the outcome counters,
+  // the per-tenant fault counts and the backoff histogram must survive a
+  // resume as well.
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "armed" : "plain");
+    const std::string tmp = TempDir();
+
+    // A: uninterrupted, checkpointing on. B: the same run killed
+    // mid-flight by --crash-at. C: resume from B's checkpoint directory
+    // and finish.
+    CheckpointConfig a;
+    a.dir = tmp + "/ck_a";
+    a.every_epochs = 2;
+    CheckpointConfig b;
+    b.dir = tmp + "/ck_b";
+    b.every_epochs = 2;
+    b.crash_at_ms = 40.0;
+    CheckpointConfig c;
+    c.dir = tmp + "/ck_b";
+    c.every_epochs = 2;
+    c.resume = true;
+    ServeOutput a_out;
+    ASSERT_EQ(RunServe({a, tmp + "/a.json", armed}, &a_out), 0);
+    // A's final virtual clock proves B's kill landed mid-run.
+    const obs::ServerRecord& rec = a_out.record;
+    ASSERT_GT(rec.vtime_ms, b.crash_at_ms + 1.0);
+    if (armed) {
+      EXPECT_GT(rec.retries, 0u);
+      EXPECT_GT(rec.faults_injected, 0u);
+      EXPECT_GT(rec.shed, 0u);
+      EXPECT_GT(rec.brownout_downgrades, 0u);
+    }
+    ASSERT_EQ(RunCrashing({b, tmp + "/b.json", armed}), 137);
+    ASSERT_EQ(RunServe({c, tmp + "/c.json", armed}), 0);
+
+    const std::string uninterrupted = MustRead(tmp + "/a.json");
+    const std::string resumed = MustRead(tmp + "/c.json");
+    ASSERT_FALSE(uninterrupted.empty());
+    EXPECT_EQ(resumed, uninterrupted)
+        << "resumed profile JSON must be byte-identical to the "
+           "uninterrupted run's";
+    // The killed child must not have produced a profile at all.
+    EXPECT_EQ(ReadFileToString(tmp + "/b.json").status().code(),
+              StatusCode::kNotFound);
+  }
+}
+
+// Pins the serve loop's published metrics: the Prometheus text of the
+// injected registry after an armed, checkpointed run. On a mismatch the
+// actual text is written to serve_metrics_actual.prom in the working
+// directory.
+TEST_F(CheckpointServeTest, ArmedRunMetricsMatchGolden) {
   const std::string tmp = TempDir();
+  CheckpointConfig ck;
+  ck.dir = tmp + "/ck";
+  ck.every_epochs = 2;
+  ServeOutput out;
+  ASSERT_EQ(RunServe({ck, tmp + "/a.json", /*armed=*/true}, &out), 0);
 
-  // A: uninterrupted, checkpointing on. B: the same run killed mid-flight
-  // by --crash-at. C: resume from B's checkpoint directory and finish.
-  CheckpointConfig a;
-  a.dir = tmp + "/ck_a";
-  a.every_epochs = 2;
-  CheckpointConfig b;
-  b.dir = tmp + "/ck_b";
-  b.every_epochs = 2;
-  b.crash_at_ms = 40.0;
-  CheckpointConfig c;
-  c.dir = tmp + "/ck_b";
-  c.every_epochs = 2;
-  c.resume = true;
-  ASSERT_EQ(RunServe({a, tmp + "/a.json", tmp + "/a.vtime"}), 0);
-  // A reports its final vtime, proving B's kill landed mid-run.
-  const double total_ms = std::stod(MustRead(tmp + "/a.vtime"));
-  ASSERT_GT(total_ms, b.crash_at_ms + 1.0);
-  ASSERT_EQ(RunCrashing({b, tmp + "/b.json", ""}), 137);
-  ASSERT_EQ(RunServe({c, tmp + "/c.json", ""}), 0);
+  // Every server family carries a non-zero value, so the golden cannot
+  // pass on a run whose robustness paths never fired.
+  namespace mn = obs::metric_names;
+  for (const char* name :
+       {mn::kServerQueriesSubmitted, mn::kServerQueriesCompleted,
+        mn::kServerLatencyMs, mn::kServerQueueWaitMs,
+        mn::kServerQueueDepthPeak, mn::kServerVtimeMs,
+        mn::kServerSocketGbpsPeak, mn::kServerEpochsTotal,
+        mn::kServerSloViolations, mn::kServerSpansRecorded,
+        mn::kServerQueriesRejected, mn::kServerQueriesShed,
+        mn::kServerQueriesTimedOut, mn::kServerQueriesFailed,
+        mn::kServerRetriesTotal, mn::kServerBackoffMs,
+        mn::kServerFaultsInjected, mn::kServerSlowdownsInjected,
+        mn::kServerBrownoutDowngrades, mn::kServerCheckpointsTotal,
+        mn::kServerJournalRecordsTotal}) {
+    const obs::MetricFamily* family = out.metrics.Find(name);
+    ASSERT_NE(family, nullptr) << name;
+    ASSERT_FALSE(family->series.empty()) << name;
+    for (const obs::MetricSeries& s : family->series) {
+      const bool nonzero = s.counter > 0 || s.gauge > 0 ||
+                           s.histogram.count > 0;
+      EXPECT_TRUE(nonzero) << name << "{" << s.label_value << "}";
+    }
+  }
 
-  const std::string uninterrupted = MustRead(tmp + "/a.json");
-  const std::string resumed = MustRead(tmp + "/c.json");
-  ASSERT_FALSE(uninterrupted.empty());
-  EXPECT_EQ(resumed, uninterrupted)
-      << "resumed profile JSON must be byte-identical to the "
-         "uninterrupted run's";
-  // The killed child must not have produced a profile at all.
-  EXPECT_EQ(ReadFileToString(tmp + "/b.json").status().code(),
-            StatusCode::kNotFound);
+  const std::string actual = obs::ToPrometheusText(out.metrics);
+  const auto golden =
+      ReadFileToString(std::string(UOLAP_GOLDEN_DIR) + "/serve_metrics.prom");
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  if (golden.value() != actual) {
+    ASSERT_TRUE(
+        obs::WriteTextFile("serve_metrics_actual.prom", actual).ok());
+  }
+  EXPECT_EQ(actual, golden.value())
+      << "actual text written to serve_metrics_actual.prom";
 }
 
 TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
@@ -741,8 +834,8 @@ TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
   resume.dir = crash.dir;
   resume.every_epochs = 4;
   resume.resume = true;
-  ASSERT_EQ(RunServe({ref, tmp + "/a.json", ""}), 0);
-  ASSERT_EQ(RunCrashing({crash, tmp + "/b.json", ""}), 137);
+  ASSERT_EQ(RunServe({ref, tmp + "/a.json"}), 0);
+  ASSERT_EQ(RunCrashing({crash, tmp + "/b.json"}), 137);
 
   // Corrupt the tail of the journal paired with the newest snapshot —
   // the bytes a real kill could have half-written.
@@ -756,7 +849,7 @@ TEST_F(CheckpointServeTest, ResumeDiscardsTornJournalTailLoudly) {
   std::fputs("GARBAGE-TAIL", f);
   std::fclose(f);
 
-  ASSERT_EQ(RunServe({resume, tmp + "/c.json", ""}), 0);
+  ASSERT_EQ(RunServe({resume, tmp + "/c.json"}), 0);
   EXPECT_EQ(MustRead(tmp + "/c.json"), MustRead(tmp + "/a.json"));
 }
 
@@ -767,7 +860,7 @@ TEST_F(CheckpointServeTest, ResumeSkipsCorruptNewestSnapshot) {
   base.every_epochs = 2;
   CheckpointConfig resume = base;
   resume.resume = true;
-  ASSERT_EQ(RunServe({base, tmp + "/a.json", ""}), 0);
+  ASSERT_EQ(RunServe({base, tmp + "/a.json"}), 0);
 
   const auto summary = InspectCheckpointDir(base.dir);
   ASSERT_TRUE(summary.ok());
@@ -782,7 +875,7 @@ TEST_F(CheckpointServeTest, ResumeSkipsCorruptNewestSnapshot) {
   std::fputs("\xde\xad\xbe\xef", f);
   std::fclose(f);
 
-  ASSERT_EQ(RunServe({resume, tmp + "/c.json", ""}), 0);
+  ASSERT_EQ(RunServe({resume, tmp + "/c.json"}), 0);
   EXPECT_EQ(MustRead(tmp + "/c.json"), MustRead(tmp + "/a.json"));
 }
 
@@ -806,7 +899,7 @@ TEST_F(CheckpointServeTest, ResumeRejectsAMismatchedConfiguration) {
   base.dir = tmp + "/ck";
   base.every_epochs = 2;
   base.crash_at_ms = 1.6;
-  ASSERT_EQ(RunCrashing({base, tmp + "/a.json", ""}), 137);
+  ASSERT_EQ(RunCrashing({base, tmp + "/a.json"}), 137);
 
   // Same directory, different serving configuration: recovery must
   // refuse rather than resume into divergence.
@@ -832,7 +925,7 @@ TEST_F(CheckpointServeTest, ResumeRefusesASnapshotThatDoesNotFit) {
   CheckpointConfig resume = crash;
   resume.crash_at_ms = 0;
   resume.resume = true;
-  ASSERT_EQ(RunCrashing({crash, tmp + "/a.json", ""}), 137);
+  ASSERT_EQ(RunCrashing({crash, tmp + "/a.json"}), 137);
 
   // Rewrite the newest snapshot with a slot naming a class the server
   // does not have. The file stays CRC-valid and matches the config
@@ -850,7 +943,7 @@ TEST_F(CheckpointServeTest, ResumeRefusesASnapshotThatDoesNotFit) {
   snap.value().state.slots[0].cls = 1000;
   ASSERT_TRUE(WriteSnapshotFile(crash.dir, snap.value()).ok());
 
-  EXPECT_EQ(RunServe({resume, tmp + "/c.json", ""}), 3)
+  EXPECT_EQ(RunServe({resume, tmp + "/c.json"}), 3)
       << "resume must fail with a Status";
   EXPECT_EQ(ReadFileToString(tmp + "/c.json").status().code(),
             StatusCode::kNotFound);
@@ -861,7 +954,7 @@ TEST_F(CheckpointServeTest, InspectSummarizesTheDirectory) {
   CheckpointConfig base;
   base.dir = tmp + "/ck";
   base.every_epochs = 2;
-  ASSERT_EQ(RunServe({base, tmp + "/a.json", ""}), 0);
+  ASSERT_EQ(RunServe({base, tmp + "/a.json"}), 0);
 
   const auto summary = InspectCheckpointDir(base.dir);
   ASSERT_TRUE(summary.ok());
