@@ -33,9 +33,6 @@ MultiCoreResult MultiCoreModel::Analyze(
         return makespan > 0 ? total_bytes / makespan : 0.0;
       });
 
-  for (const ProfileResult& r : result.per_core) {
-    result.aggregate += r.cycles;
-  }
   result.makespan_cycles = makespan;
   result.time_ms = makespan / (config_.freq_ghz * 1e6);
   result.total_dram_bytes = total_bytes;

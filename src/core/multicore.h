@@ -15,9 +15,6 @@ namespace uolap::core {
 /// per-socket memory-bandwidth ceiling (the paper's Section 10 analysis).
 struct MultiCoreResult {
   std::vector<ProfileResult> per_core;
-  /// Component-wise sum of all cores' cycles: the multi-core CPU/stall
-  /// breakdowns of the paper's Figs. 27/28 are plotted from this.
-  CycleBreakdown aggregate;
   double makespan_cycles = 0;  ///< slowest core's cycles == wall time
   double time_ms = 0;
   double total_dram_bytes = 0;

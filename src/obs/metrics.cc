@@ -223,18 +223,6 @@ void MetricsRegistry::Reset() {
   families_.clear();
 }
 
-void MetricsRegistry::Restore(const MetricsSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  families_.clear();
-  for (const MetricFamily& f : snapshot.families) {
-    Family& family = families_[f.name];
-    family.kind = f.kind;
-    for (const MetricSeries& s : f.series) {
-      family.series[{s.label_key, s.label_value}] = s;
-    }
-  }
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const registry = new MetricsRegistry();
   return *registry;

@@ -18,8 +18,9 @@ namespace uolap::obs {
 ///  - Counters and histogram buckets are integers.
 ///  - Histogram sums are kept in fixed-point micro-units (value × 1e6,
 ///    rounded to nearest): integer addition does not depend on the order
-///    values arrive in, checkpoint restore copies the sum bit for bit, and
-///    the profile JSON prints it as an exact integer.
+///    values arrive in, so observations published in one batch when a run
+///    ends give the bytes per-event publication would, and the profile
+///    JSON prints the sum as an exact integer.
 ///  - Snapshots list families sorted by name and series sorted by label,
 ///    so equal registries serialize to equal bytes.
 ///
@@ -52,8 +53,7 @@ struct HistogramCell {
       default;
 };
 
-/// Index of the log2 bucket `value` falls in (shared with the serving
-/// runtime's latency histograms, which predate the registry).
+/// Index of the log2 bucket `value` falls in.
 size_t Log2Bucket(double value);
 
 /// One series of a metric family: at most one label dimension plus the
@@ -135,12 +135,6 @@ class MetricsRegistry {
 
   /// Drops every family (tests isolate themselves with this).
   void Reset();
-
-  /// Replaces the registry contents with `snapshot`, exactly: kinds,
-  /// series, counters, gauges, and histogram `sum_micro` fixed-point
-  /// values are restored bit for bit, so Snapshot() after Restore(s)
-  /// equals s. Used by checkpoint recovery.
-  void Restore(const MetricsSnapshot& snapshot);
 
   /// The process-wide registry the engine dispatch path, the serving
   /// runtime (by default), and the bench harness publish into; the

@@ -21,7 +21,7 @@ namespace uolap::server {
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'U', 'O', 'L', 'A', 'P', 'C', 'K', 'P'};
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 
 // --- bit-exact two-way binary archive -------------------------------------
 // Little-endian fixed-width fields; doubles travel as raw bit patterns so
@@ -72,25 +72,6 @@ class Archive {
     const size_t n = Count(v.size());
     if (reading_) v.assign(n, T{});
     for (T& e : v) Field(e);
-  }
-  template <typename V>
-  void Field(std::map<std::string, V>& m) {
-    const size_t n = Count(m.size());
-    if (!reading_) {
-      for (auto& [key, value] : m) {
-        std::string k = key;
-        Field(k);
-        Field(value);
-      }
-      return;
-    }
-    m.clear();
-    for (size_t i = 0; i < n && !failed(); ++i) {
-      std::string key;
-      Field(key);
-      if (m.contains(key)) Fail("duplicate map key " + key);
-      Field(m[key]);
-    }
   }
   /// Structs: their single field list.
   template <typename T>
@@ -162,7 +143,12 @@ void Io(Archive& ar, QueryInstance& q) {
 
 void Io(Archive& ar, TenantLoopState& t) {
   ar(t.rng, t.submitted, t.rejected, t.shed, t.timed_out, t.failed,
-     t.retries, t.next_open_arrival, t.client_wake, t.latencies_ms);
+     t.faults_injected, t.slowdowns_injected, t.brownout_downgrades,
+     t.next_open_arrival, t.client_wake, t.backoff_ms);
+}
+
+void Io(Archive& ar, CompletionRecord& c) {
+  ar(c.tenant, c.cls, c.latency_ms, c.queue_wait_ms);
 }
 
 void Io(Archive& ar, ClassLoopStats& c) {
@@ -188,14 +174,13 @@ void Io(Archive& ar, obs::EpochRecord& e) {
 }
 
 void Io(Archive& ar, EpochAccState& a) {
-  ar(a.tenant_lat, a.class_lat, a.max_running, a.max_queued);
+  ar(a.first_completion, a.max_running, a.max_queued);
 }
 
 void Io(Archive& ar, LoopState& st) {
   ar(st.vtime, st.tenants, st.classes, st.slots, st.queue, st.retry_queue,
-     st.queue_head, st.queued_est_ms, st.faults_injected,
-     st.slowdowns_injected, st.brownout_downgrades, st.total_bytes,
-     st.peak_gbps, st.saturated, st.timeline, st.engine_latencies, st.spans,
+     st.queue_head, st.queued_est_ms, st.completions, st.checkpoints,
+     st.total_bytes, st.peak_gbps, st.saturated, st.timeline, st.spans,
      st.acc, st.epoch_start, st.epochs);
 }
 
@@ -203,24 +188,9 @@ void Io(Archive& ar, AdmissionController::ClassModel& m) {
   ar(m.est_ms, m.count);
 }
 
-void Io(Archive& ar, obs::HistogramCell& h) {
-  ar(h.buckets, h.count, h.sum_micro);
-}
-
-void Io(Archive& ar, obs::MetricSeries& s) {
-  ar(s.label_key, s.label_value, s.counter, s.gauge, s.histogram);
-}
-
-void Io(Archive& ar, obs::MetricFamily& f) {
-  ar(f.name, f.kind, f.series);
-  if (f.kind > obs::MetricKind::kHistogram) ar.Fail("unknown metric kind");
-}
-
-void Io(Archive& ar, obs::MetricsSnapshot& m) { ar(m.families); }
-
 void Io(Archive& ar, CheckpointSnapshot& s) {
   ar(s.config_fingerprint, s.class_digest, s.epoch_index, s.freq_ghz,
-     s.state, s.admission_models, s.metrics);
+     s.state, s.admission_models);
 }
 
 void Io(Archive& ar, JournalEvent& e) {
@@ -445,6 +415,16 @@ Status CheckSnapshotFits(const CheckpointSnapshot& snapshot,
   }
   if (st.queue_head > st.queue.size()) {
     return Status::InvalidArgument("queue head is past the queue's end");
+  }
+  for (const CompletionRecord& c : st.completions) {
+    if (c.tenant >= tenants.size() || c.cls >= num_classes) {
+      return Status::InvalidArgument(
+          "a completion record has an out-of-range tenant or class");
+    }
+  }
+  if (st.acc.first_completion > st.completions.size()) {
+    return Status::InvalidArgument(
+        "the epoch window starts past the last completion");
   }
   return Status::OK();
 }

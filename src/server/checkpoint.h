@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "server/admission.h"
 #include "server/loop_state.h"
 
@@ -77,7 +76,9 @@ StatusOr<JournalEvent> DecodeJournalEvent(std::string_view payload);
 
 /// A versioned point-in-time capture of the serving run. The file format
 /// is magic + version + payload + trailing whole-file CRC32C; doubles are
-/// serialized as raw bit patterns, so restore is bit-exact.
+/// serialized as raw bit patterns, so restore is bit-exact. The metrics
+/// registry is not captured: the run publishes it from the restored
+/// LoopState when it drains.
 struct CheckpointSnapshot {
   /// Guard against resuming under a different configuration: a CRC over
   /// the serving-relevant config plus the tenant list.
@@ -92,7 +93,6 @@ struct CheckpointSnapshot {
   double freq_ghz = 0;
   LoopState state;
   std::vector<AdmissionController::ClassModel> admission_models;
-  obs::MetricsSnapshot metrics;
 
   friend bool operator==(const CheckpointSnapshot&,
                          const CheckpointSnapshot&) = default;
@@ -133,7 +133,8 @@ StatusOr<RecoveredCheckpoint> LoadLatestCheckpoint(const std::string& dir);
 /// Checks that a decoded (CRC-valid) snapshot fits the configuration it is
 /// about to resume, so resuming it cannot index out of bounds:
 /// FailedPrecondition when the tenant/class/core/client counts differ,
-/// InvalidArgument for an out-of-range instance index or queue head.
+/// InvalidArgument for an out-of-range instance or completion index, queue
+/// head or epoch-window start.
 Status CheckSnapshotFits(const CheckpointSnapshot& snapshot,
                          const std::vector<TenantConfig>& tenants,
                          size_t num_classes, int cores);

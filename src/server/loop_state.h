@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,13 +12,16 @@ namespace uolap::server {
 
 /// The complete mutable state of the serving fluid loop (Server::TryRun),
 /// made explicit so checkpointing can capture it at an epoch boundary and
-/// recovery can restore it bit for bit. Every field the loop mutates
-/// lives here, once; everything else the loop touches is configuration
-/// (immutable for the run), a function of configuration (submission caps,
-/// Zipf CDFs), a function of other fields here (completion counts,
-/// histograms, the all-traffic latency series, current and peak occupancy,
-/// the admission sequence number, the epoch index), or per-iteration
-/// scratch. DESIGN.md §10 documents the capture-vs-derive split.
+/// recovery can restore it bit for bit. It is the run's only ledger: every
+/// fact the loop records lives here, once, and the ServerRecord and every
+/// server.* metric are projections of it computed when the run drains.
+/// Everything else the loop touches is configuration (immutable for the
+/// run), a function of configuration (submission caps, Zipf CDFs), a
+/// function of other fields here (completion and retry counts, the
+/// per-tenant, per-class, per-engine and per-epoch latency series,
+/// histograms, current and peak occupancy, the admission sequence number,
+/// the epoch index, the journal record count), or per-iteration scratch.
+/// DESIGN.md §10 documents the capture-vs-derive split.
 
 /// A query in flight. `remaining` is the fraction of the class's work
 /// outstanding; under bandwidth scale s it drains at rate 1/g(s) per
@@ -51,9 +52,9 @@ struct QueryInstance {
   friend bool operator==(const QueryInstance&, const QueryInstance&) = default;
 };
 
-/// Per-tenant loop state: the seeded RNG stream, outcome accounting, the
-/// arrival process heads, and the completed-latency series (whose size is
-/// the tenant's completion count).
+/// Per-tenant loop state: the seeded RNG stream, outcome and fault
+/// accounting, the retry backoffs, and the arrival process heads. The
+/// tenant's completions are the LoopState::completions naming it.
 struct TenantLoopState {
   Rng rng{0};
   uint64_t submitted = 0;
@@ -61,13 +62,26 @@ struct TenantLoopState {
   uint64_t shed = 0;
   uint64_t timed_out = 0;
   uint64_t failed = 0;
-  uint64_t retries = 0;
+  uint64_t faults_injected = 0;
+  uint64_t slowdowns_injected = 0;
+  uint64_t brownout_downgrades = 0;
   /// Cycles; open-loop stream head (infinity once capped/closed-loop).
   double next_open_arrival = std::numeric_limits<double>::infinity();
   std::vector<double> client_wake;  ///< cycles; closed-loop clients
-  std::vector<double> latencies_ms;  ///< completion order
+  std::vector<double> backoff_ms;   ///< one per retry, in retry order
 
   friend bool operator==(const TenantLoopState&, const TenantLoopState&) =
+      default;
+};
+
+/// One finished query.
+struct CompletionRecord {
+  uint32_t tenant = 0;
+  uint32_t cls = 0;  ///< the class that ran, after any brown-out downgrade
+  double latency_ms = 0;     ///< arrival to completion
+  double queue_wait_ms = 0;  ///< arrival to the finishing attempt's start
+
+  friend bool operator==(const CompletionRecord&, const CompletionRecord&) =
       default;
 };
 
@@ -82,12 +96,11 @@ struct ClassLoopStats {
       default;
 };
 
-/// One SLO epoch window being accumulated: the latencies completed inside
-/// it per tenant and per class (the all-traffic window is their union)
-/// plus occupancy extremes.
+/// The open SLO epoch window: its completions are
+/// LoopState::completions from `first_completion` to the end; occupancy
+/// extremes accumulate here.
 struct EpochAccState {
-  std::map<std::string, std::vector<double>> tenant_lat;
-  std::map<std::string, std::vector<double>> class_lat;
+  uint64_t first_completion = 0;
   uint32_t max_running = 0;
   uint32_t max_queued = 0;
 
@@ -104,16 +117,14 @@ struct LoopState {
   std::vector<QueryInstance> retry_queue;  ///< drained in (ready, seq) order
   uint64_t queue_head = 0;
   double queued_est_ms = 0;  ///< estimated service time sitting in queue
-  uint64_t faults_injected = 0;
-  uint64_t slowdowns_injected = 0;
-  uint64_t brownout_downgrades = 0;
+  std::vector<CompletionRecord> completions;  ///< completion order
+  uint64_t checkpoints = 0;  ///< snapshots written, this one included
   double total_bytes = 0;
   double peak_gbps = 0;
   bool saturated = false;
   /// Occupancy samples, appended whenever occupancy changes; the last one
   /// is the current (running, queued) level.
   std::vector<obs::QueueSample> timeline;
-  std::map<std::string, std::vector<double>> engine_latencies;
   std::vector<obs::QuerySpan> spans;
   EpochAccState acc;
   double epoch_start = 0;  ///< cycles

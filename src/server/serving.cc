@@ -42,17 +42,6 @@ double ExpDraw(Rng& rng, double mean) {
   return -std::log(1.0 - rng.NextDouble()) * mean;
 }
 
-/// Log2 latency bucket: 0 counts < 1 ms, bucket i counts [2^(i-1), 2^i).
-size_t HistBucket(double ms) {
-  size_t bucket = 0;
-  double edge = 1.0;
-  while (ms >= edge && bucket < 63) {
-    edge *= 2.0;
-    ++bucket;
-  }
-  return bucket;
-}
-
 /// Sorts `values` and stores their nearest-rank p50/p95/p99 in `out` (any
 /// record with p50_ms/p95_ms/p99_ms fields; an empty series reports 0).
 template <typename Record>
@@ -370,7 +359,6 @@ class Server::ServeLoop {
   // Returns false when the query was rejected at admission (the caller's
   // closed-loop client got its next wake from Terminal()).
   bool Submit(size_t t, int client) {
-    const TenantConfig& tc = tenants_[t];
     // Draw a catalog index from the Zipf CDF; the tenant's catalog maps it
     // to its class.
     const std::vector<double>& cdf = zipf_cdf_[t];
@@ -387,8 +375,6 @@ class Server::ServeLoop {
     const double deadline_ms = adm_.default_deadline_ms;
     if (deadline_ms > 0) inst.deadline = st_.vtime + Cycles(deadline_ms);
     ++st_.tenants[t].submitted;
-    metrics_.Count(obs::metric_names::kServerQueriesSubmitted, "tenant",
-                   tc.name);
     // Deadline-aware admission: refuse on arrival when the load model
     // (queued work draining across the pool, then one mean service time)
     // predicts a deadline miss.
@@ -486,9 +472,7 @@ class Server::ServeLoop {
   // the cheaper class, and the fault plan decides this attempt's fate.
   // Returns false when the query was dropped instead of started.
   bool Start(QueryInstance& inst, uint32_t depth) {
-    namespace mn = obs::metric_names;
     st_.queued_est_ms = std::max(0.0, st_.queued_est_ms - inst.est_ms);
-    const auto t = static_cast<size_t>(inst.tenant);
     if (inst.deadline < kInf && st_.vtime >= inst.deadline) {
       Terminal(inst, Outcome::kTimedOut, /*core=*/-1);
       return false;
@@ -501,12 +485,12 @@ class Server::ServeLoop {
       Terminal(inst, Outcome::kShed, /*core=*/-1);
       return false;
     }
+    TenantLoopState& ts = st_.tenants[static_cast<size_t>(inst.tenant)];
     if (config_.brownout.queue_depth > 0 &&
         depth >= static_cast<uint32_t>(config_.brownout.queue_depth) &&
         classes_[inst.cls].downgrade >= 0) {
       inst.cls = static_cast<size_t>(classes_[inst.cls].downgrade);
-      ++st_.brownout_downgrades;
-      metrics_.Count(mn::kServerBrownoutDowngrades, "tenant", tenants_[t].name);
+      ++ts.brownout_downgrades;
     }
     if (config_.faults.enabled()) {
       const auto fault_epoch =
@@ -516,15 +500,8 @@ class Server::ServeLoop {
                     inst.seq * 1024 + static_cast<uint64_t>(inst.attempt));
       inst.will_fail = draw.fail;
       inst.slow = draw.slow_factor;
-      if (draw.fail) {
-        ++st_.faults_injected;
-        metrics_.Count(mn::kServerFaultsInjected, "tenant", tenants_[t].name);
-      }
-      if (draw.slow_factor > 1.0) {
-        ++st_.slowdowns_injected;
-        metrics_.Count(mn::kServerSlowdownsInjected, "tenant",
-                       tenants_[t].name);
-      }
+      if (draw.fail) ++ts.faults_injected;
+      if (draw.slow_factor > 1.0) ++ts.slowdowns_injected;
     }
     inst.start = st_.vtime;
     return true;
@@ -662,40 +639,27 @@ class Server::ServeLoop {
   }
 
   void Complete(const QueryInstance& inst, int core) {
-    namespace mn = obs::metric_names;
-    const TenantConfig& tc = tenants_[static_cast<size_t>(inst.tenant)];
-    const QueryClass& cls = classes_[inst.cls];
-    const double latency_ms = Ms(st_.vtime - inst.arrival);
-    st_.tenants[static_cast<size_t>(inst.tenant)].latencies_ms.push_back(
-        latency_ms);
-    st_.engine_latencies[cls.engine].push_back(latency_ms);
+    st_.completions.push_back(
+        CompletionRecord{.tenant = static_cast<uint32_t>(inst.tenant),
+                         .cls = static_cast<uint32_t>(inst.cls),
+                         .latency_ms = Ms(st_.vtime - inst.arrival),
+                         .queue_wait_ms = Ms(inst.start - inst.arrival)});
     ClassLoopStats& cs = st_.classes[inst.cls];
     ++cs.executions;
     cs.service_cycles += st_.vtime - inst.start;
     cs.scale_cycles += inst.scale_cycles;
     cs.run_cycles += inst.run_cycles;
-    if (epoch_cycles_ > 0) {
-      st_.acc.tenant_lat[tc.name].push_back(latency_ms);
-      st_.acc.class_lat[cls.label].push_back(latency_ms);
-    }
     ctl_.RecordCompletion(inst.cls, Ms(st_.vtime - inst.start));
-    metrics_.Count(mn::kServerQueriesCompleted, "tenant", tc.name);
-    metrics_.Observe(mn::kServerLatencyMs, "tenant", tc.name, latency_ms);
-    metrics_.Observe(mn::kServerQueueWaitMs, "tenant", tc.name,
-                     Ms(inst.start - inst.arrival));
     Finish(inst, Outcome::kOk, JournalEventType::kComplete, core);
   }
 
   void Retry(const QueryInstance& inst) {
-    const TenantConfig& tc = tenants_[static_cast<size_t>(inst.tenant)];
-    ++st_.tenants[static_cast<size_t>(inst.tenant)].retries;
-    metrics_.Count(obs::metric_names::kServerRetriesTotal, "tenant", tc.name);
     Rng jitter_rng(Mix64(config_.faults.seed ^ kBackoffSalt) +
                    inst.seq * 1024 + static_cast<uint64_t>(inst.attempt));
     const double backoff_ms =
         RetryBackoffMs(inst.attempt, jitter_rng.NextDouble());
-    metrics_.Observe(obs::metric_names::kServerBackoffMs, "tenant", tc.name,
-                     backoff_ms);
+    st_.tenants[static_cast<size_t>(inst.tenant)].backoff_ms.push_back(
+        backoff_ms);
     QueryInstance again = inst;
     ++again.attempt;
     again.remaining = 1.0;
@@ -710,31 +674,25 @@ class Server::ServeLoop {
   }
 
   // Terminal non-completion outcomes (rejected/shed/timed_out/failed):
-  // count and publish, then Finish(). `core` is the slot the attempt ran
-  // on, -1 when it never started.
+  // count, then Finish(). `core` is the slot the attempt ran on, -1 when
+  // it never started.
   void Terminal(const QueryInstance& inst, Outcome outcome, int core) {
-    namespace mn = obs::metric_names;
     struct Disposition {
       Outcome outcome;
       uint64_t TenantLoopState::*count;
-      const char* metric;
       JournalEventType event;
     };
     static constexpr Disposition kDispositions[] = {
         {Outcome::kRejected, &TenantLoopState::rejected,
-         mn::kServerQueriesRejected, JournalEventType::kReject},
-        {Outcome::kShed, &TenantLoopState::shed, mn::kServerQueriesShed,
-         JournalEventType::kShed},
+         JournalEventType::kReject},
+        {Outcome::kShed, &TenantLoopState::shed, JournalEventType::kShed},
         {Outcome::kTimedOut, &TenantLoopState::timed_out,
-         mn::kServerQueriesTimedOut, JournalEventType::kTimeout},
-        {Outcome::kFailed, &TenantLoopState::failed,
-         mn::kServerQueriesFailed, JournalEventType::kFail},
+         JournalEventType::kTimeout},
+        {Outcome::kFailed, &TenantLoopState::failed, JournalEventType::kFail},
     };
-    const auto t = static_cast<size_t>(inst.tenant);
     for (const Disposition& d : kDispositions) {
       if (d.outcome != outcome) continue;
-      ++(st_.tenants[t].*d.count);
-      metrics_.Count(d.metric, "tenant", tenants_[t].name);
+      ++(st_.tenants[static_cast<size_t>(inst.tenant)].*d.count);
       Finish(inst, outcome, d.event, core);
     }
   }
@@ -766,8 +724,8 @@ class Server::ServeLoop {
     }
   }
 
-  // SLO epoch windows: fixed-width virtual-time buckets accumulating the
-  // latencies completed inside them plus occupancy extremes. Epochs are
+  // SLO epoch windows: fixed-width virtual-time buckets over the
+  // completions that land inside them, plus occupancy extremes. Epochs are
   // closed (and their percentiles frozen) the moment virtual time crosses
   // the boundary, so a completion exactly on a boundary starts the next
   // window — a deterministic tie rule.
@@ -784,20 +742,27 @@ class Server::ServeLoop {
     e.index = static_cast<int>(st_.epochs.size());
     e.start_ms = Ms(st_.epoch_start);
     e.end_ms = Ms(end_cycles);
-    std::vector<double> all;  // all traffic: the union of the tenant windows
-    for (const auto& [name, values] : acc.tenant_lat) {
-      all.insert(all.end(), values.begin(), values.end());
+    // The window's completions, all traffic and grouped by tenant name and
+    // by class label.
+    std::vector<double> all;
+    std::map<std::string, std::vector<double>> by_tenant;
+    std::map<std::string, std::vector<double>> by_class;
+    for (size_t i = acc.first_completion; i < st_.completions.size(); ++i) {
+      const CompletionRecord& c = st_.completions[i];
+      all.push_back(c.latency_ms);
+      by_tenant[tenants_[c.tenant].name].push_back(c.latency_ms);
+      by_class[classes_[c.cls].label].push_back(c.latency_ms);
     }
     e.completed = all.size();
     SetPercentiles(all, e);
     e.max_running = acc.max_running;
     e.max_queued = acc.max_queued;
-    e.tenants = WindowStats(acc.tenant_lat);
-    e.classes = WindowStats(acc.class_lat);
+    e.tenants = WindowStats(by_tenant);
+    e.classes = WindowStats(by_class);
     st_.epochs.push_back(std::move(e));
     // Occupancy persists across the boundary; seed the new window's
     // extremes with the level it inherits — the last occupancy sample.
-    acc = EpochAccState{};
+    acc = EpochAccState{.first_completion = st_.completions.size()};
     if (!st_.timeline.empty()) {
       acc.max_running = st_.timeline.back().running;
       acc.max_queued = st_.timeline.back().queued;
@@ -836,9 +801,6 @@ class Server::ServeLoop {
   // configuration) and only then starts appending new ones.
   void Journal(JournalEventType type, const QueryInstance& inst) {
     if (!ck_.enabled()) return;
-    // Counted before the verify/append split so a resumed run's counter
-    // matches the uninterrupted one.
-    metrics_.Count(obs::metric_names::kServerJournalRecordsTotal);
     const std::string payload = EncodeJournalEvent(
         JournalEvent{type, inst.seq, inst.tenant,
                      static_cast<uint32_t>(inst.attempt), Ms(st_.vtime)});
@@ -868,17 +830,15 @@ class Server::ServeLoop {
   // Writes the epoch-boundary snapshot and rotates the journal: events
   // after this snapshot land in its paired journal file.
   Status WriteSnapshot() {
-    // Counted before the registry capture so the snapshot's own metrics
-    // include this write — a resumed run's final counter then matches the
-    // uninterrupted one exactly.
-    metrics_.Count(obs::metric_names::kServerCheckpointsTotal);
+    // Counted before the capture, so a resumed run (which does not rewrite
+    // the snapshot it resumes from) still counts this write.
+    ++st_.checkpoints;
     CheckpointSnapshot snap{.config_fingerprint = config_fingerprint_,
                             .class_digest = class_digest_,
                             .epoch_index = static_cast<int>(st_.epochs.size()),
                             .freq_ghz = freq_,
                             .state = st_,
-                            .admission_models = ctl_.models(),
-                            .metrics = metrics_.Snapshot()};
+                            .admission_models = ctl_.models()};
     // The queue's popped prefix is dead weight; persist the live suffix.
     snap.state.queue.erase(
         snap.state.queue.begin(),
@@ -925,7 +885,6 @@ class Server::ServeLoop {
     }
     st_ = std::move(rec.snapshot.state);
     ctl_.RestoreModels(std::move(rec.snapshot.admission_models));
-    metrics_.Restore(rec.snapshot.metrics);
     expected_events_ = std::move(rec.journal_payloads);
     Status opened = journal_.OpenForAppend(
         ck_.dir + "/" + JournalFileName(rec.snapshot.epoch_index),
@@ -952,20 +911,30 @@ class Server::ServeLoop {
     record.cores = config_.cores;
     record.vtime_ms = Ms(st_.vtime);
     const double vtime_s = record.vtime_ms / 1000.0;
+    // The completions, all traffic and grouped by tenant and by engine.
     std::vector<double> all_latencies;
+    std::vector<std::vector<double>> by_tenant(tenants_.size());
+    std::map<std::string, std::vector<double>> by_engine;
+    all_latencies.reserve(st_.completions.size());
+    for (const CompletionRecord& c : st_.completions) {
+      all_latencies.push_back(c.latency_ms);
+      by_tenant[c.tenant].push_back(c.latency_ms);
+      by_engine[classes_[c.cls].engine].push_back(c.latency_ms);
+    }
     for (size_t t = 0; t < tenants_.size(); ++t) {
       const TenantLoopState& ts = st_.tenants[t];
+      std::vector<double>& latencies = by_tenant[t];
       obs::TenantRecord rec;
       rec.name = tenants_[t].name;
       rec.engine = tenants_[t].engine;
       rec.submitted = ts.submitted;
-      rec.completed = ts.latencies_ms.size();
+      rec.completed = latencies.size();
       rec.admitted = ts.submitted - ts.rejected;
       rec.rejected = ts.rejected;
       rec.shed = ts.shed;
       rec.timed_out = ts.timed_out;
       rec.failed = ts.failed;
-      rec.retries = ts.retries;
+      rec.retries = ts.backoff_ms.size();
       // The admission accounting invariant: every admitted query reaches
       // exactly one terminal disposition.
       UOLAP_CHECK_MSG(
@@ -980,28 +949,21 @@ class Server::ServeLoop {
       record.timed_out += rec.timed_out;
       record.failed += rec.failed;
       record.retries += rec.retries;
-      std::vector<double> sorted = ts.latencies_ms;
-      SetPercentiles(sorted, rec);
+      record.faults_injected += ts.faults_injected;
+      record.slowdowns_injected += ts.slowdowns_injected;
+      record.brownout_downgrades += ts.brownout_downgrades;
+      obs::HistogramCell histogram;
+      for (const double l : latencies) histogram.Observe(l);
+      rec.latency_histogram = std::move(histogram.buckets);
+      SetPercentiles(latencies, rec);
       double sum = 0;
-      for (const double l : sorted) sum += l;
+      for (const double l : latencies) sum += l;  // in ascending order
       rec.mean_ms =
-          sorted.empty() ? 0 : sum / static_cast<double>(sorted.size());
+          latencies.empty() ? 0 : sum / static_cast<double>(latencies.size());
       rec.throughput_qps =
           vtime_s > 0 ? static_cast<double>(rec.completed) / vtime_s : 0;
-      for (const double l : ts.latencies_ms) {
-        const size_t bucket = HistBucket(l);
-        if (rec.latency_histogram.size() <= bucket) {
-          rec.latency_histogram.resize(bucket + 1, 0);
-        }
-        ++rec.latency_histogram[bucket];
-      }
-      all_latencies.insert(all_latencies.end(), ts.latencies_ms.begin(),
-                           ts.latencies_ms.end());
       record.tenants.push_back(std::move(rec));
     }
-    record.faults_injected = st_.faults_injected;
-    record.slowdowns_injected = st_.slowdowns_injected;
-    record.brownout_downgrades = st_.brownout_downgrades;
     record.shed_policy = std::string(ShedPolicyName(adm_.policy));
     record.fault_plan = config_.faults.ToString();
     record.throughput_qps =
@@ -1012,7 +974,7 @@ class Server::ServeLoop {
     record.saturated = st_.saturated;
     SetPercentiles(all_latencies, record);
 
-    for (auto& [key, latencies] : st_.engine_latencies) {
+    for (auto& [key, latencies] : by_engine) {
       obs::EngineLoadRecord rec;
       rec.engine = key;
       rec.completed = latencies.size();
@@ -1070,7 +1032,7 @@ class Server::ServeLoop {
     record.queue_timeline = std::move(st_.timeline);
 
     // Serving telemetry: epoch windows, sampled spans (admission order),
-    // SLO verdicts, and the run-level metric rollups.
+    // SLO verdicts, and the run's metrics.
     record.epoch_ms = config_.epoch_ms;
     record.epochs = std::move(st_.epochs);
     record.trace_sample_n = config_.trace_sample_n;
@@ -1081,8 +1043,55 @@ class Server::ServeLoop {
     record.spans = std::move(st_.spans);
     record.slos = config_.slos;
     record.slo_results = obs::EvaluateSlos(config_.slos, record);
+    PublishMetrics(record, peak_queued);
+    return result;
+  }
 
+  // The run's one metrics publication, a projection of the ledger. A Count
+  // creates its series even for a zero delta, so zero per-tenant and
+  // persistence counts are skipped: a series exists only for what
+  // happened. Histogram sums are integer additions, so publishing once at
+  // the end gives the bytes per-event publication would.
+  void PublishMetrics(const obs::ServerRecord& record, double peak_queued) {
     namespace mn = obs::metric_names;
+    auto count = [this](const char* name, const std::string& tenant,
+                        uint64_t n) {
+      if (n > 0) metrics_.Count(name, "tenant", tenant, n);
+    };
+    for (size_t t = 0; t < tenants_.size(); ++t) {
+      const TenantLoopState& ts = st_.tenants[t];
+      const obs::TenantRecord& rec = record.tenants[t];
+      count(mn::kServerQueriesSubmitted, rec.name, rec.submitted);
+      count(mn::kServerQueriesCompleted, rec.name, rec.completed);
+      count(mn::kServerQueriesRejected, rec.name, rec.rejected);
+      count(mn::kServerQueriesShed, rec.name, rec.shed);
+      count(mn::kServerQueriesTimedOut, rec.name, rec.timed_out);
+      count(mn::kServerQueriesFailed, rec.name, rec.failed);
+      count(mn::kServerRetriesTotal, rec.name, rec.retries);
+      count(mn::kServerFaultsInjected, rec.name, ts.faults_injected);
+      count(mn::kServerSlowdownsInjected, rec.name, ts.slowdowns_injected);
+      count(mn::kServerBrownoutDowngrades, rec.name, ts.brownout_downgrades);
+      for (const double backoff : ts.backoff_ms) {
+        metrics_.Observe(mn::kServerBackoffMs, "tenant", rec.name, backoff);
+      }
+    }
+    for (const CompletionRecord& c : st_.completions) {
+      const std::string& tenant = tenants_[c.tenant].name;
+      metrics_.Observe(mn::kServerLatencyMs, "tenant", tenant, c.latency_ms);
+      metrics_.Observe(mn::kServerQueueWaitMs, "tenant", tenant,
+                       c.queue_wait_ms);
+    }
+    if (ck_.enabled()) {
+      if (st_.checkpoints > 0) {
+        metrics_.Count(mn::kServerCheckpointsTotal, st_.checkpoints);
+      }
+      // One journal record per admission and per retry, and one per
+      // terminal disposition (a rejection is one, with no admission).
+      const uint64_t records = record.submitted + record.completed +
+                               record.shed + record.timed_out +
+                               record.failed + record.retries;
+      if (records > 0) metrics_.Count(mn::kServerJournalRecordsTotal, records);
+    }
     metrics_.SetGauge(mn::kServerVtimeMs, record.vtime_ms);
     metrics_.MaxGauge(mn::kServerSocketGbpsPeak, record.peak_socket_gbps);
     metrics_.MaxGauge(mn::kServerQueueDepthPeak, peak_queued);
@@ -1093,7 +1102,6 @@ class Server::ServeLoop {
         metrics_.Count(mn::kServerSloViolations, "slo", r.spec.ToString());
       }
     }
-    return result;
   }
 
   double Ms(double cycles) const { return cycles / (freq_ * 1e6); }

@@ -70,8 +70,8 @@ struct ServerConfig {
   /// Declarative SLOs evaluated against the epoch windows when Run()
   /// finishes; results land in ServerRecord::slo_results.
   std::vector<obs::SloSpec> slos;
-  /// Registry the run publishes its metrics into; nullptr uses
-  /// obs::MetricsRegistry::Global().
+  /// Registry the run publishes its metrics into, once, when it drains;
+  /// nullptr uses obs::MetricsRegistry::Global().
   obs::MetricsRegistry* metrics = nullptr;
 
   // --- robustness (DESIGN.md §9) ----------------------------------------

@@ -50,7 +50,9 @@ TEST(MachineTest, AnalyzeAllAggregatesEveryCore) {
   const MultiCoreResult r = m.AnalyzeAll();
   EXPECT_EQ(r.threads, 3);
   // Retiring sums: (1000 + 2000 + 3000) cycles.
-  EXPECT_NEAR(r.aggregate.retiring, 6000.0, 1e-9);
+  CycleBreakdown sum;
+  for (const ProfileResult& core : r.per_core) sum += core.cycles;
+  EXPECT_NEAR(sum.retiring, 6000.0, 1e-9);
   // Makespan = slowest core (3000 retiring cycles).
   EXPECT_NEAR(r.makespan_cycles, 3000.0, 1e-6);
 }

@@ -3,17 +3,19 @@
 // a child process, since the crash exits it), and a resumed serve, and
 // asserts the resumed profile JSON is byte-identical to the uninterrupted
 // one, once plain and once with every robustness path armed; a golden
-// pins the metrics an armed, checkpointed run publishes. Around it: CRC32C known-answer vectors, journal
-// framing and torn-tail tolerance, snapshot encode/decode round-trips,
-// bit-exact MetricsRegistry restore, the configuration fingerprint's
-// coverage of every loop-relevant field, and the recovery failure modes
-// (missing directory, corrupt newest snapshot, nothing valid at all).
+// pins the metrics an armed, checkpointed run publishes. Around it: CRC32C
+// known-answer vectors, journal framing and torn-tail tolerance, snapshot
+// encode/decode round-trips and restore validation, the configuration
+// fingerprint's coverage of every loop-relevant field, and the recovery
+// failure modes (missing directory, corrupt newest snapshot, nothing
+// valid at all).
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -274,8 +276,10 @@ CheckpointSnapshot SampleSnapshot() {
     ts.shed = 2;
     ts.timed_out = 3;
     ts.failed = 4;
-    ts.retries = 5;
-    ts.latencies_ms = {1.25, 2.5};
+    ts.faults_injected = 5 + t;
+    ts.slowdowns_injected = 6;
+    ts.brownout_downgrades = 7;
+    ts.backoff_ms = {1.25, 2.5};
   }
   st.tenants[0].client_wake = {7.0e6, std::numeric_limits<double>::infinity()};
   st.tenants[1].next_open_arrival = 8.0e6;
@@ -287,14 +291,12 @@ CheckpointSnapshot SampleSnapshot() {
   st.queue_head = 1;
   st.retry_queue = {SampleInstance(1, -1, 43)};
   st.queued_est_ms = 6.5;
-  st.faults_injected = 6;
-  st.slowdowns_injected = 7;
-  st.brownout_downgrades = 8;
+  st.completions = {{0, 0, 1.25, 0.5}, {1, 0, 2.5, 0.25}, {0, 0, 3.0, 1.0}};
+  st.checkpoints = 8;
   st.total_bytes = 1.0e9;
   st.peak_gbps = 12.5;
   st.saturated = true;
   st.timeline = {{0.0, 1, 0}, {0.5, 2, 3}};
-  st.engine_latencies = {{"rowstore", {3.0}}, {"typer", {1.25, 2.5}}};
   obs::QuerySpan span;
   span.seq = 40;
   span.tenant = "scans";
@@ -306,8 +308,7 @@ CheckpointSnapshot SampleSnapshot() {
   span.outcome = "timed_out";
   span.attempts = 2;
   st.spans = {span};
-  st.acc.tenant_lat = {{"scans", {0.5, 0.25}}};
-  st.acc.class_lat = {{"typer/projection-d4", {0.5}}};
+  st.acc.first_completion = 2;
   st.acc.max_running = 2;
   st.acc.max_queued = 3;
   st.epoch_start = 1.4e9;
@@ -327,11 +328,6 @@ CheckpointSnapshot SampleSnapshot() {
   snap.admission_models.resize(1);
   snap.admission_models[0].est_ms = 3.25;
   snap.admission_models[0].count = 9;
-  obs::MetricsRegistry reg;
-  reg.Count("server.testing_total", 5);
-  reg.SetGauge("server.testing_depth", 4.5);
-  reg.Observe("server.testing_ms", 1.75);
-  snap.metrics = reg.Snapshot();
   return snap;
 }
 
@@ -345,7 +341,6 @@ TEST(SnapshotTest, EncodeDecodeRoundTripsBitExactly) {
   EXPECT_EQ(EncodeSnapshot(back.value()), bytes);
   EXPECT_EQ(back.value().epoch_index, 7);
   EXPECT_EQ(back.value().state.tenants.size(), 2u);
-  EXPECT_EQ(back.value().metrics, snap.metrics);
 }
 
 TEST(SnapshotTest, DetectsCorruptionTruncationAndWrongMagic) {
@@ -374,15 +369,20 @@ TEST(SnapshotTest, DecodedStateEqualsTheOriginal) {
   EXPECT_EQ(back.value(), snap);
 }
 
-TEST(SnapshotTest, RejectsAnUnknownMetricKind) {
-  CheckpointSnapshot snap = SampleSnapshot();
-  ASSERT_FALSE(snap.metrics.families.empty());
-  snap.metrics.families[0].kind = static_cast<obs::MetricKind>(7);
-  // Encoded with a valid CRC: only the field check can refuse it.
-  const auto back = DecodeSnapshot(EncodeSnapshot(snap));
+TEST(SnapshotTest, RefusesAnOlderVersion) {
+  // A version-2 header with a valid CRC: only the version check can
+  // refuse it.
+  std::string bytes = EncodeSnapshot(SampleSnapshot());
+  bytes.resize(bytes.size() - sizeof(uint32_t));
+  const uint32_t version = 2;
+  std::memcpy(&bytes[8], &version, sizeof(version));
+  const uint32_t crc = Crc32c(bytes);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  const auto back = DecodeSnapshot(bytes);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(back.status().message().find("metric kind"), std::string::npos);
+  EXPECT_NE(back.status().message().find("unsupported snapshot version 2"),
+            std::string::npos);
 }
 
 // Crafted snapshots that decode cleanly (valid CRC) but do not fit the
@@ -411,6 +411,9 @@ TEST_F(SnapshotFitTest, RefusesAShapeMismatch) {
   snap.state.slots.pop_back();
   EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
   snap = SampleSnapshot();
+  snap.state.tenants.pop_back();  // every per-tenant value lives in here
+  EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
+  snap = SampleSnapshot();
   snap.state.tenants[0].client_wake.push_back(0);
   EXPECT_EQ(Fit(snap), StatusCode::kFailedPrecondition);
   snap = SampleSnapshot();
@@ -437,30 +440,18 @@ TEST_F(SnapshotFitTest, RefusesOutOfRangeInstances) {
   snap = SampleSnapshot();
   snap.state.queue_head = 3;
   EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
-}
-
-// --- MetricsRegistry::Restore ----------------------------------------------
-
-TEST(MetricsRestoreTest, SnapshotAfterRestoreIsIdentical) {
-  obs::MetricsRegistry reg;
-  reg.Count("server.queries_total", 3);
-  reg.Count("server.queries_total", "tenant", "t0", 2);
-  reg.SetGauge("server.depth", 4.5);
-  // Values with fractional micro-parts: Restore must keep the
-  // fixed-point sum_micro bit for bit, not re-round through doubles.
-  reg.Observe("server.latency_ms", 0.123456);
-  reg.Observe("server.latency_ms", 7.654321);
-  const obs::MetricsSnapshot snap = reg.Snapshot();
-
-  obs::MetricsRegistry fresh;
-  fresh.Count("server.other_total", 1);  // must be dropped by Restore
-  fresh.Restore(snap);
-  EXPECT_EQ(fresh.Snapshot(), snap);
-
-  // And restored registries keep accumulating correctly.
-  fresh.Count("server.queries_total", 1);
-  const obs::MetricsSnapshot after = fresh.Snapshot();
-  EXPECT_EQ(after.Find("server.queries_total")->series[0].counter, 4u);
+  snap = SampleSnapshot();
+  snap.state.completions[1].tenant = 2;
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.completions[2].cls = 1;
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.acc.first_completion = 4;  // three completions
+  EXPECT_EQ(Fit(snap), StatusCode::kInvalidArgument);
+  snap = SampleSnapshot();
+  snap.state.acc.first_completion = 3;  // an empty open window fits
+  EXPECT_EQ(Fit(snap), StatusCode::kOk);
 }
 
 // --- configuration fingerprint ---------------------------------------------
