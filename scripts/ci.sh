@@ -9,13 +9,16 @@
 #      crash-recovery smoke (kill mid-run, corrupt the journal tail,
 #      resume, byte-compare against the uninterrupted run), and the
 #      hostbench oracle selftest;
-#   3. an UOLAP_VALIDATE=ON build: the full test suite plus a figure-bench
+#   3. an -march=x86-64-v3 build (FMA available): the golden tests, and
+#      the figure-bench and uolap_serve profile JSON byte-compared against
+#      the default build (skipped on a host without fma/avx2);
+#   4. an UOLAP_VALIDATE=ON build: the full test suite plus a figure-bench
 #      sweep with every model-invariant checker armed (a violation aborts);
-#   4. an UndefinedBehaviorSanitizer Debug build (UOLAP_DCHECKs armed)
+#   5. an UndefinedBehaviorSanitizer Debug build (UOLAP_DCHECKs armed)
 #      running the test suite;
-#   5. an AddressSanitizer smoke (build + unit tests + crash-recovery
+#   6. an AddressSanitizer smoke (build + unit tests + crash-recovery
 #      smoke);
-#   6. a ThreadSanitizer build that runs the test suite through the
+#   7. a ThreadSanitizer build that runs the test suite through the
 #      parallel runtime (ThreadPool, ProfileCells, threaded multi-core
 #      Profile, the server's concurrent class simulation), so data races
 #      in engine ForEach bodies or shared engines fail CI instead of
@@ -23,7 +26,7 @@
 #
 # Usage: scripts/ci.sh [stage] [jobs]
 #   stage: all (default) | analyze | asan | chaos_smoke |
-#          crash_recovery_smoke — run one stage in isolation
+#          crash_recovery_smoke | x86_64_v3 — run one stage in isolation
 #          (chaos_smoke: the fault-injection/degradation determinism
 #          gate; crash_recovery_smoke: kill-and-resume bit-equivalence
 #          plus torn-journal rejection; both under release + TSan)
@@ -195,15 +198,58 @@ crash_recovery_stage() {
   crash_recovery_smoke build-tsan
 }
 
+# x86-64-v3 stage: one set of bytes on every host (DESIGN.md §5b). At
+# -march=x86-64-v3 the target has FMA, and only -ffp-contract=off (a
+# uolap_common usage requirement) keeps gcc from fusing a*b+c into it and
+# moving last-ulp doubles. The golden tests must pass unchanged, and the
+# --quick --stable-json profile JSON of every figure bench and of
+# uolap_serve must cmp equal to the default build's. A host whose CPU
+# lacks fma or avx2 cannot run that code: the stage says so and skips.
+x86_64_v3_stage() {
+  echo "=== x86-64-v3 build (FMA on; no output byte may move) ==="
+  if ! grep -qw fma /proc/cpuinfo || ! grep -qw avx2 /proc/cpuinfo; then
+    echo "=== host CPU lacks fma/avx2; skipping the x86-64-v3 stage ==="
+    return 0
+  fi
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS"
+  cmake -B build-v3 -S . -DCMAKE_CXX_FLAGS=-march=x86-64-v3 >/dev/null
+  cmake --build build-v3 -j "$JOBS"
+  (cd build-v3 && ctest --output-on-failure -j "$JOBS" \
+    -R 'golden|server_checkpoint_test')
+  local out
+  out="$(mktemp -d)"
+  build-v3/examples/uolap_perfsmoke --json="$out/perfsmoke.json" >/dev/null
+  cmp tests/golden/perfsmoke_profile.json "$out/perfsmoke.json"
+  local bench name
+  for bench in build/bench/bench_*; do
+    name="$(basename "$bench")"
+    [[ "$name" == bench_sim_micro ]] && continue
+    "build/bench/$name" --quick --stable-json \
+      --json="$out/$name.default.json" >/dev/null
+    "build-v3/bench/$name" --quick --stable-json \
+      --json="$out/$name.v3.json" >/dev/null
+    cmp "$out/$name.default.json" "$out/$name.v3.json"
+  done
+  local serve=(examples/uolap_serve --quick --seed=7 --stable-json)
+  "build/${serve[0]}" "${serve[@]:1}" --json="$out/serve.default.json" \
+    >/dev/null
+  "build-v3/${serve[0]}" "${serve[@]:1}" --json="$out/serve.v3.json" \
+    >/dev/null
+  cmp "$out/serve.default.json" "$out/serve.v3.json"
+  rm -rf "$out"
+}
+
 case "$STAGE" in
   all) ;;
   analyze) analyze_stage; exit 0 ;;
   asan) asan_stage; exit 0 ;;
   chaos_smoke) chaos_stage; exit 0 ;;
   crash_recovery_smoke) crash_recovery_stage; exit 0 ;;
+  x86_64_v3) x86_64_v3_stage; exit 0 ;;
   *)
     echo "unknown stage: $STAGE (stages: all, analyze, asan, chaos_smoke," \
-      "crash_recovery_smoke)" >&2
+      "crash_recovery_smoke, x86_64_v3)" >&2
     exit 2
     ;;
 esac
@@ -396,6 +442,8 @@ cmp "$DET_OUT/a.txt" "$DET_OUT/b.txt"
 cmp "$DET_OUT/mc-a.json" "$DET_OUT/mc-b.json"
 cmp "$DET_OUT/mc-a.trace" "$DET_OUT/mc-b.trace"
 rm -rf "$DET_OUT"
+
+x86_64_v3_stage
 
 echo "=== validated build (UOLAP_VALIDATE=ON) ==="
 cmake -B build-validate -S . -DUOLAP_VALIDATE=ON >/dev/null

@@ -190,7 +190,6 @@ void CheckHierarchy(const core::MemorySystem& mem, std::string_view subject,
   const auto sub = [&subject](const char* part) {
     return std::string(subject) + "/" + part;
   };
-  CheckCache(mem.l1i(), sub("l1i"), report);
   CheckCache(mem.l1d(), sub("l1d"), report);
   CheckCache(mem.l2(), sub("l2"), report);
   CheckCache(mem.l3(), sub("l3"), report);
@@ -227,20 +226,12 @@ void CheckCounterIdentities(const core::CoreCounters& c,
            m.dram_lines);
 
   // DRAM traffic is line-granular and matches the serviced-line counts.
-  // The rand pool also absorbs demand code fetches (FetchCode), bounded by
-  // l1i_dram.
   ExpectEq(report, "counters.dram-bytes", subject, "dram_demand_bytes_seq",
            m.dram_demand_bytes_seq,
            64 * (m.dram_seq_l2_streamer + m.dram_seq_l1_streamer +
                  m.dram_seq_next_line + m.dram_seq_uncovered));
-  ExpectLe(report, "counters.dram-bytes", subject,
-           "64 * dram_rand <= dram_demand_bytes_rand", 64 * m.dram_rand,
-           m.dram_demand_bytes_rand);
-  ExpectLe(report, "counters.dram-bytes", subject,
-           "dram_demand_bytes_rand <= 64 * (dram_rand + l1i_dram)",
-           m.dram_demand_bytes_rand, 64 * (m.dram_rand + m.l1i_dram));
-  ExpectEq(report, "counters.dram-bytes", subject,
-           "dram_demand_bytes_rand % 64", m.dram_demand_bytes_rand % 64, 0);
+  ExpectEq(report, "counters.dram-bytes", subject, "dram_demand_bytes_rand",
+           m.dram_demand_bytes_rand, 64 * m.dram_rand);
   ExpectEq(report, "counters.dram-bytes", subject,
            "dram_prefetch_waste_bytes % 64", m.dram_prefetch_waste_bytes % 64,
            0);
@@ -261,8 +252,8 @@ void CheckCounterIdentities(const core::CoreCounters& c,
            c.mix.branch);
 
   // Analytic I-fetch: the total and the four per-level parts are rounded
-  // independently (llround each), so they may disagree by up to 2; demand
-  // FetchCode contributes exactly. Allow |diff| <= 3.
+  // independently (llround each), so they may disagree by up to 2. Allow
+  // |diff| <= 3.
   {
     ++report->checks;
     const uint64_t parts =
@@ -289,8 +280,7 @@ void CheckCounterIdentities(const core::CoreCounters& c,
   if (live == nullptr) return;
 
   // --- reconcile the counter ledger against the caches' own hit/miss
-  //     statistics (exact: Reset clears both sides together) ---
-  const auto& l1i = live->l1i();
+  //     statistics (exact: both start at zero with the core) ---
   const auto& l1d = live->l1d();
   const auto& l2 = live->l2();
   const auto& l3 = live->l3();
@@ -306,28 +296,17 @@ void CheckCounterIdentities(const core::CoreCounters& c,
   ExpectLe(report, "counters.cache-reconcile", subject,
            "live L1D hits <= l1d_hits", l1d.hits(), m.l1d_hits);
   ExpectEq(report, "counters.cache-reconcile", subject,
-           "live L2 accesses == L1D misses + L1I misses",
-           l2.hits() + l2.misses(), l1d.misses() + l1i.misses());
+           "live L2 accesses == L1D misses", l2.hits() + l2.misses(),
+           l1d.misses());
   ExpectEq(report, "counters.cache-reconcile", subject,
            "live L3 accesses == L2 misses", l3.hits() + l3.misses(),
            l2.misses());
-  if (l1i.hits() + l1i.misses() == 0) {
-    // No demand code fetches: the data-side counters and the shared-cache
-    // ledgers must agree exactly.
-    ExpectEq(report, "counters.cache-reconcile", subject,
-             "l2_hits == live L2 hits", m.l2_hits, l2.hits());
-    ExpectEq(report, "counters.cache-reconcile", subject,
-             "l3_hits == live L3 hits", m.l3_hits, l3.hits());
-    ExpectEq(report, "counters.cache-reconcile", subject,
-             "dram_lines == live L3 misses", m.dram_lines, l3.misses());
-  } else {
-    ExpectLe(report, "counters.cache-reconcile", subject,
-             "l2_hits <= live L2 hits", m.l2_hits, l2.hits());
-    ExpectLe(report, "counters.cache-reconcile", subject,
-             "l3_hits <= live L3 hits", m.l3_hits, l3.hits());
-    ExpectLe(report, "counters.cache-reconcile", subject,
-             "dram_lines <= live L3 misses", m.dram_lines, l3.misses());
-  }
+  ExpectEq(report, "counters.cache-reconcile", subject,
+           "l2_hits == live L2 hits", m.l2_hits, l2.hits());
+  ExpectEq(report, "counters.cache-reconcile", subject,
+           "l3_hits == live L3 hits", m.l3_hits, l3.hits());
+  ExpectEq(report, "counters.cache-reconcile", subject,
+           "dram_lines == live L3 misses", m.dram_lines, l3.misses());
 
   // Every walked data access translates exactly once.
   ExpectEq(report, "counters.tlb", subject,

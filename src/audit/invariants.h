@@ -80,7 +80,7 @@ void CheckStreamTable(const core::MemorySystem& mem, std::string_view subject,
 void CheckPredictor(const core::BranchPredictor& predictor,
                     std::string_view subject, AuditReport* report);
 
-/// Full memory-hierarchy pass: CheckCache over L1I/L1D/L2/L3/DTLB/STLB,
+/// Full memory-hierarchy pass: CheckCache over L1D/L2/L3/DTLB/STLB,
 /// CheckStreamTable, and
 ///   hierarchy.fill-containment  no fill left the line absent from a level
 ///                               it was inserted into (counted live by

@@ -16,18 +16,12 @@ constexpr bool kValidateDefault = false;
 #endif
 
 std::atomic<bool> g_enabled{kValidateDefault};
-std::atomic<bool> g_abort{true};
 
 }  // namespace
 
 bool ValidationEnabled() { return g_enabled.load(std::memory_order_relaxed); }
 void SetValidationEnabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool AbortOnViolation() { return g_abort.load(std::memory_order_relaxed); }
-void SetAbortOnViolation(bool on) {
-  g_abort.store(on, std::memory_order_relaxed);
 }
 
 void ArmMachine(core::Machine& machine) {
@@ -48,8 +42,8 @@ AuditReport AuditMachine(const core::Machine& machine,
   return report;
 }
 
-bool ReportViolations(const AuditReport& report, std::string_view context) {
-  if (report.ok()) return true;
+void ReportViolations(const AuditReport& report, std::string_view context) {
+  if (report.ok()) return;
   for (const Violation& v : report.violations) {
     std::fprintf(stderr, "uolap-audit: %s [%s]: %s\n", v.checker.c_str(),
                  v.subject.c_str(), v.message.c_str());
@@ -60,13 +54,10 @@ bool ReportViolations(const AuditReport& report, std::string_view context) {
                report.violations.size(), static_cast<int>(context.size()),
                context.data(),
                static_cast<unsigned long long>(report.checks));
-  if (AbortOnViolation()) {
-    std::fprintf(stderr,
-                 "uolap-audit: aborting — simulation counters cannot be "
-                 "trusted after an invariant violation\n");
-    std::abort();
-  }
-  return false;
+  std::fprintf(stderr,
+               "uolap-audit: aborting — simulation counters cannot be "
+               "trusted after an invariant violation\n");
+  std::abort();
 }
 
 }  // namespace uolap::audit

@@ -14,14 +14,6 @@ namespace uolap::audit {
 bool ValidationEnabled();
 void SetValidationEnabled(bool on);
 
-/// Whether a reported violation aborts the process (the CI gate). Defaults
-/// on: a model-invariant violation means the simulation's counters cannot
-/// be trusted, so failing loudly beats producing a wrong figure. Tests that
-/// exercise the checkers directly never go through ReportViolations, so
-/// they are unaffected.
-bool AbortOnViolation();
-void SetAbortOnViolation(bool on);
-
 /// Arms every core of `machine` for fill-containment validation. Call
 /// before the run starts (fills are only checked from then on).
 void ArmMachine(core::Machine& machine);
@@ -30,11 +22,13 @@ void ArmMachine(core::Machine& machine);
 /// counter identities); `label` prefixes the per-core subjects.
 AuditReport AuditMachine(const core::Machine& machine, std::string_view label);
 
-/// Prints every violation to stderr as one structured line each
+/// Does nothing for a clean report. Otherwise prints every violation to
+/// stderr as one structured line each
 ///   uolap-audit: <checker> [<subject>]: <message>
-/// and, when AbortOnViolation() and the report is not clean, aborts.
-/// Returns true when the report was clean.
-bool ReportViolations(const AuditReport& report, std::string_view context);
+/// and aborts: a model-invariant violation means the simulation's counters
+/// cannot be trusted, so failing loudly beats producing a wrong figure.
+/// Tests that exercise the checkers directly never go through here.
+void ReportViolations(const AuditReport& report, std::string_view context);
 
 }  // namespace uolap::audit
 

@@ -16,11 +16,4 @@ BranchPredictor::BranchPredictor(uint32_t table_bits, uint32_t history_bits) {
   history_shift_ = table_bits - history_bits;
 }
 
-void BranchPredictor::Reset() {
-  for (auto& c : table_) c = 1;
-  history_ = 0;
-  branches_ = 0;
-  mispredicts_ = 0;
-}
-
 }  // namespace uolap::core

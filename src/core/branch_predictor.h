@@ -59,8 +59,6 @@ class BranchPredictor {
                : static_cast<double>(mispredicts_) / static_cast<double>(branches_);
   }
 
-  void Reset();
-
  private:
   std::vector<uint8_t> table_;
   uint32_t table_mask_;

@@ -1,7 +1,6 @@
 #include "core/cache.h"
 
 #include <cstdint>
-#include <cstring>
 
 namespace uolap::core {
 
@@ -67,39 +66,6 @@ CacheAccessResult BasicSetAssociativeCache<Tag>::Insert(uint64_t key,
   CacheAccessResult result;
   result.hit = true;
   return result;
-}
-
-template <typename Tag>
-bool BasicSetAssociativeCache<Tag>::Invalidate(uint64_t key,
-                                               bool* was_dirty) {
-  const Loc l = Locate(key);
-  char* b = Block(l.set);
-  const int i = FindInBlock(b, l.tag);
-  if (i < 0) {
-    if (was_dirty != nullptr) *was_dirty = false;
-    return false;
-  }
-  const uint32_t way = static_cast<uint32_t>(i);
-  const uint32_t dirty_mask = DirtyMask(b);
-  if (was_dirty != nullptr) *was_dirty = (dirty_mask >> way & 1) != 0;
-  SetDirtyMask(b, dirty_mask & ~(1u << way));
-  SetTag(b, way, 0);
-  // The older valid ways each move one rank up, keeping the valid ranks a
-  // dense run ending at kMru.
-  const int8_t r = RankAt(b, way);
-  for (uint32_t w = 0; w < ways_; ++w) {
-    const int8_t rw = RankAt(b, w);
-    if (rw > 0 && rw < r) b[kRankOff + w] = static_cast<char>(rw + 1);
-  }
-  b[kRankOff + way] = 0;
-  return true;
-}
-
-template <typename Tag>
-void BasicSetAssociativeCache<Tag>::Clear() {
-  std::memset(blocks_, 0, num_sets_ * block_bytes_);
-  hits_ = 0;
-  misses_ = 0;
 }
 
 template <typename Tag>

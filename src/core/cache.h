@@ -200,12 +200,6 @@ class BasicSetAssociativeCache {
     return true;
   }
 
-  /// Invalidates `key` if resident; returns whether the line was dirty.
-  bool Invalidate(uint64_t key, bool* was_dirty);
-
-  /// Drops all contents and zeroes the hit/miss totals.
-  void Clear();
-
   uint64_t num_sets() const { return num_sets_; }
   uint32_t ways() const { return ways_; }
   uint64_t hits() const { return hits_; }
@@ -456,7 +450,7 @@ class BasicSetAssociativeCache {
 extern template class BasicSetAssociativeCache<uint32_t>;
 extern template class BasicSetAssociativeCache<uint64_t>;
 
-/// The L1I/L1D/L2/DTLB/STLB: 64-bit tags.
+/// The L1D/L2/DTLB/STLB: 64-bit tags.
 using SetAssociativeCache = BasicSetAssociativeCache<uint64_t>;
 /// The L3: 32-bit tags, two host lines per 20-way set.
 using LlcCache = BasicSetAssociativeCache<uint32_t>;

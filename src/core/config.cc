@@ -2,24 +2,6 @@
 
 namespace uolap::core {
 
-std::string PrefetcherConfig::ToString() const {
-  if (!AnyEnabled()) return "all-disabled";
-  if (l2_streamer && l2_next_line && l1_streamer && l1_next_line) {
-    return "all-enabled";
-  }
-  std::string out;
-  auto add = [&out](bool on, const char* name) {
-    if (!on) return;
-    if (!out.empty()) out += "+";
-    out += name;
-  };
-  add(l2_streamer, "L2-Str");
-  add(l2_next_line, "L2-NL");
-  add(l1_streamer, "L1-Str");
-  add(l1_next_line, "L1-NL");
-  return out;
-}
-
 MachineConfig MachineConfig::Broadwell() {
   MachineConfig m;
   m.name = "broadwell";

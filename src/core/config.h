@@ -50,8 +50,6 @@ struct PrefetcherConfig {
                                bool l1_nl) {
     return PrefetcherConfig{l2_str, l2_nl, l1_str, l1_nl, 20};
   }
-
-  std::string ToString() const;
 };
 
 /// Out-of-order execution engine widths and penalties.

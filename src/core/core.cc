@@ -20,7 +20,6 @@ double DivByPort(double x, double port, double recip) {
 
 Core::Core(const MachineConfig& config, uint32_t index)
     : config_(config), memory_(config), predictor_(), placement_(index) {
-  ResetFilter();
   RecomputeIfetchFractions();
   const ExecConfig& xc = config_.exec;
   inv_alu_ = RecipIfPow2(xc.alu_ports);
@@ -49,10 +48,6 @@ void Core::RecomputeIfetchFractions() {
   ifrac_l2_ = std::max(0.0, f_l2 - f_l1);
   ifrac_l3_ = std::max(0.0, f_l3 - f_l2);
   ifrac_dram_ = std::max(0.0, 1.0 - f_l3);
-}
-
-void Core::ResetFilter() {
-  for (SeqCursor& slot : filter_) slot.Reset();
 }
 
 void Core::AccessRun(SeqCursor* cur, uint64_t addr, uint32_t elem_bytes,
@@ -186,21 +181,6 @@ CoreCounters Core::counters() const {
   c.exec_stall_cycles = exec_stall_cycles_;
   c.mem = memory_.counters();
   return c;
-}
-
-void Core::Reset() {
-  memory_.Reset();
-  predictor_.Reset();
-  mix_ = InstrMix{};
-  pending_ = InstrMix{};
-  branch_events_ = 0;
-  branch_mispredicts_ = 0;
-  exec_stall_cycles_ = 0;
-  region_ = CodeRegion{"default", 2048};
-  RecomputeIfetchFractions();
-  ifetch_l1_ = ifetch_l2_ = ifetch_l3_ = ifetch_dram_ = 0;
-  ResetFilter();
-  placement_.Reset();
 }
 
 }  // namespace uolap::core

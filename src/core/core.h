@@ -35,11 +35,6 @@ struct SeqCursor {
   static constexpr uint64_t kNoLine = ~0ull;
   uint64_t line = kNoLine;
   bool dirty = false;
-
-  void Reset() {
-    line = kNoLine;
-    dirty = false;
-  }
 };
 
 /// Per-thread execution façade the engines drive. Contract:
@@ -235,9 +230,6 @@ class Core {
   /// Forwards to MemorySystem::SetValidateFills (audit layer).
   void SetValidateFills(bool on) { memory_.SetValidateFills(on); }
 
-  /// Full state reset (caches, predictor, counters, placement).
-  void Reset();
-
  private:
   static constexpr int kFilterSlots = 16;
   static constexpr double kAvgInstrBytes = 4.0;
@@ -292,8 +284,6 @@ class Core {
   /// StoreRange (`cur`: the caller's stream cursor is the memo).
   void AccessRun(SeqCursor* cur, uint64_t addr, uint32_t elem_bytes,
                  uint64_t count, bool is_store);
-  /// Shared by the constructor and Reset(): an empty filter.
-  void ResetFilter();
   /// Re-derives the per-level I-fetch fractions for the current code
   /// region (they change only on SetCodeRegion, so Retire need not
   /// redo the divides; hoisting them is bit-exact).

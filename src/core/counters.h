@@ -125,7 +125,7 @@ struct MemCounters {
   uint64_t page_walks = 0;
   double tlb_cycles = 0;
 
-  // --- instruction-side ---
+  // --- instruction-side (analytic; flushed by Core::Finalize) ---
   uint64_t code_fetches = 0;
   uint64_t l1i_hits = 0;
   uint64_t l1i_l2_hits = 0;

@@ -27,7 +27,6 @@ uint64_t Log2Exact(uint64_t x) {
 
 MemorySystem::MemorySystem(const MachineConfig& config)
     : config_(config),
-      l1i_(config.l1i.num_sets(), config.l1i.associativity),
       l1d_(config.l1d.num_sets(), config.l1d.associativity),
       l2_(config.l2.num_sets(), config.l2.associativity),
       l3_(config.l3.num_sets(), config.l3.associativity),
@@ -35,7 +34,6 @@ MemorySystem::MemorySystem(const MachineConfig& config)
       stlb_(config.stlb_entries / config.stlb_ways, config.stlb_ways),
       page_shift_(Log2Exact(config.page_bytes)) {
   UOLAP_CHECK(page_shift_ > kLineShift);
-  ResetFastPathState();
   // The seq-access residuals divide by compile-time MLP constants, which
   // IEEE forbids the compiler from strength-reducing itself — precompute
   // them (bit-exact: identical operands, identical quotient bits).
@@ -62,19 +60,6 @@ void MemorySystem::RecomputeMlpCosts() {
   dram_rand_cost_ = config_.DramCycles() / mlp_hint_;
 }
 
-void MemorySystem::ResetFastPathState() {
-  stream_index_.Clear();
-  stream_valid_mask_ = 0;
-  lru_prev_.fill(-1);
-  lru_next_.fill(-1);
-  lru_head_ = -1;
-  lru_tail_ = -1;
-  memo_page_ = kNoPage;
-  memo_dtlb_set_ = 0;
-  memo_dtlb_way_ = 0;
-  fast_stats_ = FastPathStats{};
-}
-
 void MemorySystem::TestOnlySetStream(int i, bool valid, uint32_t run,
                                      int8_t dir, uint64_t ts) {
   const size_t u = static_cast<size_t>(i);
@@ -84,7 +69,7 @@ void MemorySystem::TestOnlySetStream(int i, bool valid, uint32_t run,
   stream_ts_[u] = ts;
   // Rebuild the index, mask and LRU list from the table. LRU ties break
   // by entry index, matching ScanVictim's first-wins rule.
-  stream_index_.Clear();
+  stream_index_ = StreamIndex{};
   stream_valid_mask_ = 0;
   std::array<int8_t, kStreamTableEntries> order{};
   size_t n = 0;
@@ -100,34 +85,11 @@ void MemorySystem::TestOnlySetStream(int i, bool valid, uint32_t run,
                      return stream_ts_[static_cast<size_t>(a)] <
                             stream_ts_[static_cast<size_t>(b)];
                    });
-  lru_prev_.fill(-1);
-  lru_next_.fill(-1);
+  lru_prev_ = kNoLinks;
+  lru_next_ = kNoLinks;
   lru_head_ = -1;
   lru_tail_ = -1;
   for (size_t k = 0; k < n; ++k) LruAppend(order[k]);
-}
-
-void MemorySystem::Reset() {
-  l1i_.Clear();
-  l1d_.Clear();
-  l2_.Clear();
-  l3_.Clear();
-  dtlb_.Clear();
-  stlb_.Clear();
-  stream_next_fwd_.fill(0);
-  stream_next_bwd_.fill(0);
-  stream_ts_.fill(0);
-  stream_run_.fill(0);
-  stream_dir_.fill(0);
-  stream_valid_.fill(0);
-  stream_last_fill_dram_.fill(0);
-  stream_clock_ = 0;
-  matched_stream_ = -1;
-  ResetFastPathState();
-  fill_containment_violations_ = 0;
-  counters_ = MemCounters{};
-  mlp_hint_ = kMlpDefault;
-  RecomputeMlpCosts();
 }
 
 void MemorySystem::KillStream(int index) {
@@ -455,46 +417,6 @@ void MemorySystem::ValidateFill(uint64_t line, int from_level) {
   if (from_level >= 3 && l2_.ways() >= 2) ok = ok && l2_.Contains(line);
   if (from_level >= 4 && l3_.ways() >= 2) ok = ok && l3_.Contains(line);
   if (!ok) ++fill_containment_violations_;
-}
-
-int MemorySystem::WalkCode(uint64_t line) {
-  // WalkData's one-probe-per-level walk; code lines are never dirty, and
-  // the instruction side does not model writebacks of the data lines its
-  // fills displace.
-  const ProbeResult p1 = l1i_.Probe(line, /*is_store=*/false);
-  if (p1.hit) return 1;
-  int level = 2;
-  const ProbeResult p2 = l2_.Probe(line, /*is_store=*/false);
-  if (!p2.hit) {
-    level = 3;
-    const ProbeResult p3 = l3_.Probe(line, /*is_store=*/false);
-    if (!p3.hit) {
-      level = 4;
-      l3_.FillMiss(p3, line, /*dirty=*/false);
-    }
-    l2_.FillMiss(p2, line, /*dirty=*/false);
-  }
-  l1i_.FillMiss(p1, line, /*dirty=*/false);
-  return level;
-}
-
-void MemorySystem::FetchCode(uint64_t line) {
-  ++counters_.code_fetches;
-  switch (WalkCode(line)) {
-    case 1:
-      ++counters_.l1i_hits;
-      break;
-    case 2:
-      ++counters_.l1i_l2_hits;
-      break;
-    case 3:
-      ++counters_.l1i_l3_hits;
-      break;
-    case 4:
-      ++counters_.l1i_dram;
-      counters_.dram_demand_bytes_rand += 64;
-      break;
-  }
 }
 
 void MemorySystem::Finalize() {

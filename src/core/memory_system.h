@@ -12,9 +12,10 @@
 
 namespace uolap::core {
 
-/// Execution-driven model of one core's memory hierarchy:
-/// L1I + L1D + private L2 + L3, DTLB/STLB, a stream detector standing in
-/// for the four Intel hardware prefetchers, and DRAM byte accounting.
+/// Execution-driven model of one core's data-side memory hierarchy:
+/// L1D + private L2 + L3, DTLB/STLB, a stream detector standing in for the
+/// four Intel hardware prefetchers, and DRAM byte accounting. (The Icache
+/// share is analytic, from per-region code footprints; see Core::Retire.)
 ///
 /// Every data access the engines make is pushed through this model, so
 /// locality, reuse, conflict misses, hash-table residency and scan/probe
@@ -68,9 +69,6 @@ class MemorySystem {
     stlb_.PrefetchSet(line >> (page_shift_ - kLineShift));
   }
 
-  /// One line-granular instruction fetch.
-  void FetchCode(uint64_t line);
-
   /// Sets the memory-level-parallelism hint used to cost random accesses
   /// from now on. Engines set this per phase (scalar probe loop vs
   /// vectorized gather etc.; see calibration.h). Setting the hint it
@@ -102,9 +100,6 @@ class MemorySystem {
   MemCounters* mutable_counters() { return &counters_; }
   const MachineConfig& config() const { return config_; }
 
-  /// Drops cache/TLB/stream state and counters (for test isolation).
-  void Reset();
-
   // --- validation / introspection (audit layer; off the hot path) -------
 
   /// When enabled, every miss-path fill is re-checked for containment
@@ -118,7 +113,6 @@ class MemorySystem {
     return fill_containment_violations_;
   }
 
-  const SetAssociativeCache& l1i() const { return l1i_; }
   const SetAssociativeCache& l1d() const { return l1d_; }
   const SetAssociativeCache& l2() const { return l2_; }
   const LlcCache& l3() const { return l3_; }
@@ -174,6 +168,12 @@ class MemorySystem {
  private:
   static constexpr int kLineShift = 6;  // 64-byte lines
   static constexpr uint64_t kNoPage = ~0ull;
+  /// An LRU link array with every entry unlinked (-1).
+  static constexpr std::array<int8_t, kStreamTableEntries> kNoLinks = [] {
+    std::array<int8_t, kStreamTableEntries> links{};
+    links.fill(-1);
+    return links;
+  }();
 
   /// The detector table is structure-of-arrays: every data access probes
   /// it, so the per-entry hot fields live in dense parallel arrays instead
@@ -231,9 +231,9 @@ class MemorySystem {
 
   // Doubly-linked LRU list over valid detector entries (head = oldest
   // stamp, tail = youngest); -1 terminates. Maintained alongside the
-  // valid-entry bitmask. All of it is fast-path acceleration state: it is
-  // rebuilt empty on Reset and re-derived if a test-only hook edits the
-  // table underneath it.
+  // valid-entry bitmask. All of it is fast-path acceleration state: it
+  // starts empty and is re-derived if a test-only hook edits the table
+  // underneath it.
   void LruDetach(int index) {
     const size_t u = static_cast<size_t>(index);
     const int8_t p = lru_prev_[u];
@@ -261,16 +261,10 @@ class MemorySystem {
     lru_tail_ = static_cast<int8_t>(index);
   }
 
-  /// Shared by the constructor and Reset(): empty index/list/mask/memo
-  /// acceleration state.
-  void ResetFastPathState();
-
   /// Walks L1D -> L2 -> L3 -> DRAM with one probe per level and fills
   /// every missed level (each level's set index computed once); returns
   /// 1/2/3/4 for the level that serviced the access (4 == DRAM).
   int WalkData(uint64_t line, bool is_store);
-  /// Same for the instruction side (L1I -> shared L2/L3 -> DRAM).
-  int WalkCode(uint64_t line);
   /// Dirty L2 victim `line` goes to L3: marks it dirty there, or inserts
   /// it dirty (counting DRAM writeback bytes if that evicts a dirty line).
   void WriteBackToL3(uint64_t line);
@@ -286,7 +280,6 @@ class MemorySystem {
   void RecomputeMlpCosts();
 
   const MachineConfig config_;
-  SetAssociativeCache l1i_;
   SetAssociativeCache l1d_;
   SetAssociativeCache l2_;
   LlcCache l3_;
@@ -307,8 +300,8 @@ class MemorySystem {
   // --- fast-path acceleration state (never part of the modelled state) --
   StreamIndex stream_index_;
   uint32_t stream_valid_mask_ = 0;
-  std::array<int8_t, kStreamTableEntries> lru_prev_{};
-  std::array<int8_t, kStreamTableEntries> lru_next_{};
+  std::array<int8_t, kStreamTableEntries> lru_prev_ = kNoLinks;
+  std::array<int8_t, kStreamTableEntries> lru_next_ = kNoLinks;
   int8_t lru_head_ = -1;
   int8_t lru_tail_ = -1;
   bool reference_paths_ = false;

@@ -65,12 +65,6 @@ class Placement {
     return Resident(v.data(), v.size() * sizeof(T));
   }
 
-  /// Forgets every placement (Core::Reset).
-  void Reset() {
-    next_ = base_;
-    resident_.clear();
-  }
-
   uint64_t begin() const { return base_; }
   uint64_t end() const { return base_ + (uint64_t{1} << kRangeBits); }
 

@@ -31,8 +31,6 @@ namespace uolap::core {
 /// or clear per insert/remove and two per move.
 class StreamIndex {
  public:
-  void Clear() { owners_.fill(0); }
-
   /// Entries whose predicted line may lie in [lo, hi] (lo <= hi, a window
   /// of at most 17 lines): a superset of those whose line does, with no
   /// entry that is not inserted. Such a window spans at most two granules,

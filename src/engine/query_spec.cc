@@ -27,18 +27,6 @@ std::string QueryIdName(QueryId id) {
   return "?";
 }
 
-StatusOr<QueryId> ParseQueryId(std::string_view name) {
-  if (name == "projection") return QueryId::kProjection;
-  if (name == "selection") return QueryId::kSelection;
-  if (name == "join") return QueryId::kJoin;
-  if (name == "groupby") return QueryId::kGroupBy;
-  if (name == "q1") return QueryId::kQ1;
-  if (name == "q6") return QueryId::kQ6;
-  if (name == "q9") return QueryId::kQ9;
-  if (name == "q18") return QueryId::kQ18;
-  return Status::InvalidArgument("unknown query name: " + std::string(name));
-}
-
 std::string_view QueryOutcomeName(QueryOutcome outcome) {
   switch (outcome) {
     case QueryOutcome::kOk:

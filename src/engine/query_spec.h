@@ -30,10 +30,6 @@ enum class QueryId {
 /// Stable lower-case name ("projection", "q6", ...).
 std::string QueryIdName(QueryId id);
 
-/// Inverse of QueryIdName: parses a stable query name back into its id.
-/// Returns InvalidArgument for anything QueryIdName never produces.
-StatusOr<QueryId> ParseQueryId(std::string_view name);
-
 /// Terminal disposition of a dispatched query, recorded by the serving
 /// runtime. Everything except kOk means the query produced no answer;
 /// `QueryResult::error` says why.

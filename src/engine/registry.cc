@@ -38,12 +38,4 @@ StatusOr<OlapEngine*> EngineRegistry::Get(const std::string& name) {
   return instances_.emplace(name, std::move(engine)).first->second.get();
 }
 
-std::vector<std::string> EngineRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> keys;
-  keys.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) keys.push_back(key);
-  return keys;
-}
-
 }  // namespace uolap::engine

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "engine/engine.h"
@@ -45,9 +44,6 @@ class EngineRegistry {
   /// know the key is valid use `Get(name).value()` and keep the former
   /// CHECK-abort behavior — the message carries the registered keys).
   StatusOr<OlapEngine*> Get(const std::string& name);
-
-  /// Registered keys in sorted (deterministic) order.
-  std::vector<std::string> names() const;
 
   const tpch::Database& db() const { return db_; }
 

@@ -79,21 +79,4 @@ TablePrinter RegionTable(const std::string& title,
   return t;
 }
 
-std::vector<std::string> NormTimeRow(const std::string& key,
-                                     const core::ProfileResult& r,
-                                     double base_cycles) {
-  const auto& b = r.cycles;
-  auto norm = [&](double cycles) {
-    return TablePrinter::Fmt(base_cycles > 0 ? cycles / base_cycles : 0.0, 2);
-  };
-  return {key,
-          norm(r.total_cycles),
-          norm(b.retiring),
-          norm(b.branch_misp),
-          norm(b.icache),
-          norm(b.decoding),
-          norm(b.dcache),
-          norm(b.execution)};
-}
-
 }  // namespace uolap::harness

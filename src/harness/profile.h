@@ -81,10 +81,6 @@ std::vector<std::string> StallRow(const std::string& key,
 std::vector<std::string> TimeHeader(const std::string& key_name);
 std::vector<std::string> TimeRow(const std::string& key,
                                  const core::ProfileResult& r);
-/// Same but normalized against `base_cycles` (e.g. Figure 6/14/22/25).
-std::vector<std::string> NormTimeRow(const std::string& key,
-                                     const core::ProfileResult& r,
-                                     double base_cycles);
 
 /// Per-operator Top-Down table for an analyzed region tree: one indented
 /// row per node with its exclusive cycle share, IPC, and the six-component

@@ -127,11 +127,6 @@ void JsonWriter::Bool(bool value) {
   out_ += value ? "true" : "false";
 }
 
-void JsonWriter::Null() {
-  Prefix();
-  out_ += "null";
-}
-
 std::string JsonWriter::TakeString() {
   UOLAP_CHECK_MSG(needs_comma_.empty() && !after_key_,
                   "JsonWriter finished mid-structure");

@@ -37,7 +37,6 @@ class JsonWriter {
   void Int(int64_t value);
   void UInt(uint64_t value);
   void Bool(bool value);
-  void Null();
 
   /// Convenience: Key + value.
   void KV(std::string_view key, std::string_view value) {

@@ -218,11 +218,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return out;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  families_.clear();
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const registry = new MetricsRegistry();
   return *registry;

@@ -133,9 +133,6 @@ class MetricsRegistry {
   /// Deterministically ordered copy of the current state.
   MetricsSnapshot Snapshot() const;
 
-  /// Drops every family (tests isolate themselves with this).
-  void Reset();
-
   /// The process-wide registry the engine dispatch path, the serving
   /// runtime (by default), and the bench harness publish into; the
   /// harness snapshots it into the profile JSON v4 "metrics" block.

@@ -165,7 +165,7 @@ struct QuerySpan {
   friend bool operator==(const QuerySpan&, const QuerySpan&) = default;
 };
 
-/// Everything the serving runtime reports for one Server::Run(); exported
+/// Everything the serving runtime reports for one Server::TryRun(); exported
 /// as the profile JSON's "server" block (schema v4) when enabled.
 struct ServerRecord {
   bool enabled = false;  ///< false when the session recorded no serving run

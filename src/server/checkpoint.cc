@@ -435,8 +435,7 @@ uint64_t ServingConfigFingerprint(const ServerConfig& config,
   w.Put(config.machine.freq_ghz, config.machine.cores_per_socket,
         config.machine.SocketSeqBytesPerCycle(),
         config.machine.SocketRandBytesPerCycle(), config.cores,
-        config.default_max_queries, config.sample_interval_instructions,
-        config.epoch_ms, config.trace_sample_n,
+        config.default_max_queries, config.epoch_ms, config.trace_sample_n,
         static_cast<uint32_t>(config.slos.size()));
   for (const obs::SloSpec& slo : config.slos) w.Put(slo.ToString());
   w.Put(std::string(ShedPolicyName(config.admission.policy)),

@@ -1138,8 +1138,6 @@ class Server::ServeLoop {
   std::vector<double> g_;
 };
 
-ServeResult Server::Run() { return TryRun().value(); }
-
 StatusOr<ServeResult> Server::TryRun() {
   UOLAP_CHECK_MSG(!tenants_.empty(), "no tenants added");
   EnsureClasses();

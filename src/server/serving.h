@@ -67,7 +67,7 @@ struct ServerConfig {
   /// admission order, starting with the first) gets a QuerySpan recorded.
   /// 1 traces everything, 0 disables tracing.
   uint64_t trace_sample_n = 0;
-  /// Declarative SLOs evaluated against the epoch windows when Run()
+  /// Declarative SLOs evaluated against the epoch windows when TryRun()
   /// finishes; results land in ServerRecord::slo_results.
   std::vector<obs::SloSpec> slos;
   /// Registry the run publishes its metrics into, once, when it drains;
@@ -93,7 +93,7 @@ struct ServerConfig {
   CheckpointConfig checkpoint;
 };
 
-/// The outcome of one Server::Run().
+/// The outcome of one Server::TryRun().
 struct ServeResult {
   /// Latency percentiles, throughput, contention attribution and the
   /// queue-depth timeline — the profile JSON's "server" block.
@@ -123,7 +123,7 @@ struct ServeResult {
 /// service times, and the dilation lands in the Dcache component exactly
 /// as the paper's Section 10 contention model prescribes.
 ///
-/// Everything is virtual time; no host clock, no ambient RNG. Two Run()
+/// Everything is virtual time; no host clock, no ambient RNG. Two TryRun()
 /// calls on the same Server produce bit-identical results (class profiles
 /// are simulated once and cached; the fluid loop is pure arithmetic).
 ///
@@ -136,20 +136,16 @@ class Server {
   Server(const ServerConfig& config, engine::EngineRegistry& registry,
          engine::ParallelExecutor* executor = &engine::ThreadPool::Global());
 
-  /// Registers a tenant. Call before Run(). CHECK-fails on an empty
+  /// Registers a tenant. Call before TryRun(). CHECK-fails on an empty
   /// catalog, an unknown engine key, a spec the engine does not support,
   /// or a tenant that is neither open- nor closed-loop.
   void AddTenant(TenantConfig tenant);
 
   /// Simulates the serving run to completion (every tenant submits its
-  /// max_queries and drains). CHECK-fails on checkpoint/recovery errors;
-  /// use TryRun() to handle them as Status.
-  ServeResult Run();
-
-  /// Run() with recoverable failure semantics: checkpoint I/O errors,
-  /// resume against a missing/invalid/mismatched checkpoint directory,
-  /// and journal divergence come back as a non-OK Status instead of
-  /// aborting. With checkpointing off this never fails.
+  /// max_queries and drains). Checkpoint I/O errors, resume against a
+  /// missing/invalid/mismatched checkpoint directory, and journal
+  /// divergence come back as a non-OK Status. With checkpointing off this
+  /// never fails.
   StatusOr<ServeResult> TryRun();
 
   const ServerConfig& config() const { return config_; }
@@ -179,7 +175,7 @@ class Server {
     const core::ProfileResult& solo() const { return solo_run.cores[0].whole; }
   };
 
-  /// One Run()'s event machine (defined in serving.cc).
+  /// One TryRun()'s event machine (defined in serving.cc).
   class ServeLoop;
 
   /// Simulates every distinct class referenced by the tenants (idempotent).

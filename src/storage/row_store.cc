@@ -40,14 +40,6 @@ uint16_t RowTableStorage::TupleOffset(const Page& page, uint32_t slot) {
   return off;
 }
 
-const uint8_t* RowTableStorage::TupleRaw(size_t index) const {
-  UOLAP_DCHECK(index < num_tuples_);
-  const uint32_t per_page = SlotsPerPage();
-  const Page& page = pages_[index / per_page];
-  return page.bytes.get() +
-         TupleOffset(page, static_cast<uint32_t>(index % per_page));
-}
-
 RowRef RowTableView::TupleForScan(size_t index) const {
   UOLAP_DCHECK(index < table_.num_tuples());
   const uint32_t per_page = table_.SlotsPerPage();

@@ -62,9 +62,6 @@ class RowTableStorage {
   size_t num_pages() const { return pages_.size(); }
   const RowSchema& schema() const { return schema_; }
 
-  /// Unsimulated access for verification.
-  const uint8_t* TupleRaw(size_t index) const;
-
  private:
   struct Page {
     // Raw page image: [u16 slot_count][u16 slots...][...tuples from back].

@@ -1,7 +1,6 @@
 #include "tpch/types.h"
 
 #include <array>
-#include <cstdio>
 
 #include "common/macros.h"
 
@@ -30,24 +29,6 @@ Date MakeDate(int year, int month, int day) {
   for (int y = kEpochYear; y < year; ++y) days += IsLeap(y) ? 366 : 365;
   for (int m = 1; m < month; ++m) days += DaysInMonth(year, m);
   return days + (day - 1);
-}
-
-std::string DateToString(Date d) {
-  int year = kEpochYear;
-  while (true) {
-    const int ydays = IsLeap(year) ? 366 : 365;
-    if (d < ydays) break;
-    d -= ydays;
-    ++year;
-  }
-  int month = 1;
-  while (d >= DaysInMonth(year, month)) {
-    d -= DaysInMonth(year, month);
-    ++month;
-  }
-  char buf[36];  // "%04d-%02d-%02d" at any three int values, plus NUL
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, d + 1);
-  return buf;
 }
 
 int DateYear(Date d) {

@@ -2,7 +2,6 @@
 #define UOLAP_TPCH_TYPES_H_
 
 #include <cstdint>
-#include <string>
 
 namespace uolap::tpch {
 
@@ -16,9 +15,6 @@ using Money = int64_t;
 /// Days-since-epoch for a Gregorian date. Valid for 1992..2000, the TPC-H
 /// window.
 Date MakeDate(int year, int month, int day);
-
-/// Renders a Date as "YYYY-MM-DD" (for debugging and result printing).
-std::string DateToString(Date d);
 
 /// Year of a date (Q9 groups by year(o_orderdate)).
 int DateYear(Date d);

@@ -222,6 +222,14 @@ TEST_F(AuditInvariantsTest, DramBytesViolationDetected) {
   AuditReport report;
   CheckCounterIdentities(c, nullptr, "counters", &report);
   EXPECT_TRUE(HasRule(report, "counters.dram-bytes")) << report.ToString();
+
+  // 64 random-demand bytes with no DRAM line serviced behind them.
+  c = core_.counters();
+  c.mem.dram_demand_bytes_rand += 64;
+  AuditReport rand_report;
+  CheckCounterIdentities(c, nullptr, "counters", &rand_report);
+  EXPECT_TRUE(HasRule(rand_report, "counters.dram-bytes"))
+      << rand_report.ToString();
 }
 
 TEST_F(AuditInvariantsTest, BranchIdentityViolationDetected) {
@@ -308,23 +316,14 @@ TEST(AuditValidationTest, RuntimeSwitchRoundTrips) {
   SetValidationEnabled(false);
   EXPECT_FALSE(ValidationEnabled());
   SetValidationEnabled(before);
-
-  const bool abort_before = AbortOnViolation();
-  SetAbortOnViolation(false);
-  EXPECT_FALSE(AbortOnViolation());
-  SetAbortOnViolation(abort_before);
 }
 
-TEST(AuditValidationTest, ReportViolationsReturnsCleanliness) {
-  AuditReport clean;
-  EXPECT_TRUE(ReportViolations(clean, "clean"));
-
-  const bool abort_before = AbortOnViolation();
-  SetAbortOnViolation(false);
+TEST(AuditValidationDeathTest, ReportViolationsAbortsOnAViolation) {
+  ReportViolations(AuditReport{}, "clean");  // a clean report returns
   AuditReport dirty;
   dirty.Fail("test.rule", "subject", "synthetic violation");
-  EXPECT_FALSE(ReportViolations(dirty, "dirty"));
-  SetAbortOnViolation(abort_before);
+  EXPECT_DEATH(ReportViolations(dirty, "dirty"),
+               "uolap-audit: test.rule \\[subject\\]: synthetic violation");
 }
 
 TEST(AuditReportTest, MergeAndToString) {

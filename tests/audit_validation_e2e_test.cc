@@ -20,21 +20,15 @@ namespace {
 using core::MachineConfig;
 using engine::Workers;
 
-/// Restores the process-wide validation switches on scope exit so test
+/// Restores the process-wide validation switch on scope exit so test
 /// order never matters.
 class ValidationGuard {
  public:
-  ValidationGuard()
-      : enabled_(audit::ValidationEnabled()),
-        abort_(audit::AbortOnViolation()) {}
-  ~ValidationGuard() {
-    audit::SetValidationEnabled(enabled_);
-    audit::SetAbortOnViolation(abort_);
-  }
+  ValidationGuard() : enabled_(audit::ValidationEnabled()) {}
+  ~ValidationGuard() { audit::SetValidationEnabled(enabled_); }
 
  private:
   bool enabled_;
-  bool abort_;
 };
 
 /// A workload exercising scans, scattered probes, branches, and retire.
@@ -54,8 +48,8 @@ void Workload(core::Core& core) {
 TEST(AuditValidationE2eTest, SingleCoreProfileCleanUnderValidation) {
   ValidationGuard guard;
   audit::SetValidationEnabled(true);
-  // Zero violations expected; abort-on-violation armed makes a regression
-  // here fail loudly rather than quietly producing a wrong figure.
+  // Zero violations expected; a violation aborts, so a regression here
+  // fails loudly rather than quietly producing a wrong figure.
   const core::ProfileResult r =
       Profile(MachineConfig::Broadwell(), 1, ObsOptions{}, "single",
               [](Workers& w) { Workload(*w.cores[0]); })

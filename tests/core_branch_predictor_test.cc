@@ -73,17 +73,6 @@ TEST(BranchPredictorTest, CountsBranches) {
   EXPECT_EQ(bp.branches(), 17u);
 }
 
-TEST(BranchPredictorTest, ResetClearsState) {
-  BranchPredictor bp;
-  uolap::Rng rng(1);
-  for (int i = 0; i < 1000; ++i) bp.Record(2, rng.Bernoulli(0.5));
-  bp.Reset();
-  EXPECT_EQ(bp.branches(), 0u);
-  EXPECT_EQ(bp.mispredicts(), 0u);
-  for (int i = 0; i < 1000; ++i) bp.Record(2, true);
-  EXPECT_LT(bp.MispredictRate(), 0.02);
-}
-
 TEST(BranchPredictorTest, DistinctSitesDoNotAliasBadly) {
   // Two sites with opposite biases should both be predicted well.
   BranchPredictor bp;

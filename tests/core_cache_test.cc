@@ -77,26 +77,6 @@ TEST(SetAssociativeCacheTest, MarkDirtyOnlyWhenResident) {
   EXPECT_TRUE(c.MarkDirty(5));
 }
 
-TEST(SetAssociativeCacheTest, InvalidateRemovesLine) {
-  SetAssociativeCache c(2, 1);
-  c.Insert(5, true);
-  bool dirty = false;
-  EXPECT_TRUE(c.Invalidate(5, &dirty));
-  EXPECT_TRUE(dirty);
-  EXPECT_FALSE(c.Contains(5));
-  EXPECT_FALSE(c.Invalidate(5, &dirty));
-}
-
-TEST(SetAssociativeCacheTest, ClearDropsEverything) {
-  SetAssociativeCache c(4, 4);
-  for (uint64_t k = 0; k < 16; ++k) c.Insert(k, false);
-  EXPECT_TRUE(c.Access(3, false));
-  c.Clear();
-  EXPECT_EQ(c.hits(), 0u);  // the totals go with the contents
-  EXPECT_EQ(c.misses(), 0u);
-  for (uint64_t k = 0; k < 16; ++k) EXPECT_FALSE(c.Contains(k));
-}
-
 TEST(SetAssociativeCacheTest, DistinctSetsDoNotInterfere) {
   SetAssociativeCache c(2, 1);
   c.Insert(0, false);  // set 0
@@ -243,18 +223,6 @@ class LruOracle {
     return true;
   }
 
-  bool Invalidate(uint64_t key, bool* was_dirty) {
-    const int w = Find(key);
-    *was_dirty = false;
-    if (w < 0) return false;
-    Set& s = sets_[SetOf(key)];
-    const uint32_t u = static_cast<uint32_t>(w);
-    *was_dirty = s.ways[u].dirty;
-    s.ways[u] = Way{};
-    s.lru.remove(u);
-    return true;
-  }
-
   const Way& way(uint64_t set, uint32_t w) const { return sets_[set].ways[w]; }
 
   /// Recency rank of valid way `w`: 0 for the list back (most recent).
@@ -317,7 +285,7 @@ void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
   // random one; tags from a small range so keys recur and hit.
   const uint64_t hot_sets = num_sets < 5 ? num_sets : 5;
   const uint64_t tags = 2 * ways + 3;
-  uint64_t hits = 0, evictions = 0, invalidations = 0, tie_fills = 0;
+  uint64_t hits = 0, evictions = 0, tie_fills = 0;
   for (int i = 0; i < ops; ++i) {
     const uint64_t set = rng.Bernoulli(0.9)
                              ? (rng.Next() % hot_sets) * (num_sets / hot_sets)
@@ -342,12 +310,6 @@ void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
       evictions += r.evicted ? 1 : 0;
     } else if (op < 9) {
       ASSERT_EQ(c.MarkDirty(key), o.MarkDirty(key)) << "MarkDirty " << key;
-    } else if (op < 11) {
-      bool got_dirty = false, want_dirty = false;
-      const bool was = c.Invalidate(key, &got_dirty);
-      ASSERT_EQ(was, o.Invalidate(key, &want_dirty)) << "Invalidate " << key;
-      ASSERT_EQ(got_dirty, want_dirty) << "Invalidate " << key;
-      invalidations += was ? 1 : 0;
     } else {
       // Probe, then fill the miss: the probe's victim must be the way the
       // oracle (and InsertAbsent) would fill.
@@ -380,7 +342,6 @@ void RunLruOracle(uint64_t num_sets, uint32_t ways, uint64_t seed, int ops) {
   // The trace must have exercised what it is meant to.
   EXPECT_GT(hits, 0u);
   EXPECT_GT(evictions, 0u);
-  EXPECT_GT(invalidations, 0u);
   if (ways >= 4) {
     EXPECT_GT(tie_fills, 0u);  // fills chose among several invalid ways
   }
@@ -412,19 +373,16 @@ TEST(LlcCacheTest, MatchesNaiveLruOracle) {
 }
 
 TEST(SetAssociativeCacheTest, FirstInvalidWayWinsTies) {
-  // Invalidate two ways in the middle of a full set: both are rank-empty,
-  // and the fills must take them in way order before evicting anything.
+  // Two ways of a set are still empty: both are rank-empty, and the fills
+  // must take them in way order before evicting anything.
   SetAssociativeCache c(1, 6);
-  for (uint64_t k = 0; k < 6; ++k) c.Insert(k, false);
-  bool dirty = false;
-  ASSERT_TRUE(c.Invalidate(4, &dirty));
-  ASSERT_TRUE(c.Invalidate(1, &dirty));
+  for (uint64_t k = 0; k < 4; ++k) c.Insert(k, false);
   const CacheProbe p = c.Probe(10, false);
   ASSERT_FALSE(p.hit);
-  EXPECT_EQ(p.way, 1u);
+  EXPECT_EQ(p.way, 4u);
   EXPECT_FALSE(c.FillMiss(p, 10, false).evicted);
   EXPECT_FALSE(c.InsertAbsent(11, false).evicted);
-  EXPECT_EQ(c.way_state(0, 4).key, 11u);
+  EXPECT_EQ(c.way_state(0, 5).key, 11u);
   EXPECT_EQ(c.InsertAbsent(12, false).evicted_key, 0u);  // then true LRU
 }
 

@@ -66,15 +66,6 @@ TEST(PrefetcherConfigTest, Predicates) {
   EXPECT_FALSE(nl_only.AnyStreamer());
 }
 
-TEST(PrefetcherConfigTest, ToStringNames) {
-  EXPECT_EQ(PrefetcherConfig::AllEnabled().ToString(), "all-enabled");
-  EXPECT_EQ(PrefetcherConfig::AllDisabled().ToString(), "all-disabled");
-  EXPECT_EQ(PrefetcherConfig::Only(true, false, false, false).ToString(),
-            "L2-Str");
-  EXPECT_EQ(PrefetcherConfig::Only(true, false, true, false).ToString(),
-            "L2-Str+L1-Str");
-}
-
 TEST(ExecConfigTest, Defaults) {
   const ExecConfig xc;
   EXPECT_EQ(xc.issue_width, 4u);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "audit/invariants.h"
 #include "common/rng.h"
 
 namespace uolap::core {
@@ -118,26 +117,6 @@ TEST(CoreTest, MlpHintForwardsToMemory) {
   Core core(MachineConfig::Broadwell());
   core.SetMlpHint(8.0);
   EXPECT_DOUBLE_EQ(core.memory().mlp_hint(), 8.0);
-}
-
-TEST(CoreTest, ResetRestoresPristineState) {
-  Core core(MachineConfig::Broadwell());
-  std::vector<int64_t> data(512, 1);
-  for (auto& v : data) core.Load(&v, sizeof(v));
-  core.Branch(1, true);
-  core.Finalize();
-  core.Reset();
-  core.Finalize();
-  const CoreCounters c = core.counters();
-  EXPECT_EQ(c.mix.load, 0u);
-  EXPECT_EQ(c.branch_events, 0u);
-  EXPECT_EQ(c.mem.data_accesses, 0u);
-  // The caches' own hit/miss totals restart with the counters: fresh
-  // accesses after the Reset must audit clean against them.
-  for (auto& v : data) core.Load(&v, sizeof(v));
-  core.Finalize();
-  const audit::AuditReport report = audit::AuditCore(core, "after reset");
-  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(CoreTest, SequentialColumnScanMostlyStreamCovered) {

@@ -231,23 +231,5 @@ TEST(MemorySystemTest, DirectionLockPreventsPingPong) {
   EXPECT_GE(ms.counters().streams_established, 2u);
 }
 
-TEST(MemorySystemTest, ResetClearsEverything) {
-  MemorySystem ms(MachineConfig::Broadwell());
-  for (uint64_t i = 0; i < 100; ++i) ms.AccessDataLine(i, false);
-  ms.Reset();
-  const MemCounters& c = ms.counters();
-  EXPECT_EQ(c.data_accesses, 0u);
-  EXPECT_EQ(c.dram_lines, 0u);
-  EXPECT_EQ(c.l1d_hits, 0u);
-}
-
-TEST(MemorySystemTest, CodeFetchWalksSharedHierarchy) {
-  MemorySystem ms(SmallMachine());
-  ms.FetchCode(99);
-  EXPECT_EQ(ms.counters().l1i_dram, 1u);
-  ms.FetchCode(99);
-  EXPECT_EQ(ms.counters().l1i_hits, 1u);
-}
-
 }  // namespace
 }  // namespace uolap::core

@@ -72,14 +72,5 @@ TEST(PlacementTest, PlacementOrderAloneDecidesAddresses) {
   EXPECT_EQ(a.Fresh(8), b.Fresh(8));
 }
 
-TEST(PlacementTest, ResetForgetsEverything) {
-  Placement p(0);
-  std::vector<int64_t> column(64);
-  const uint64_t first = p.Fresh(256);
-  p.Resident(column);
-  p.Reset();
-  EXPECT_EQ(p.Fresh(256), first);
-}
-
 }  // namespace
 }  // namespace uolap::core

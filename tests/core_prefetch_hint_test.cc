@@ -108,7 +108,6 @@ void ExpectIdentical(const Core& plain, const Core& hinted) {
             hinted.counters().mem.data_accesses);
   const MemorySystem& a = plain.memory();
   const MemorySystem& b = hinted.memory();
-  ExpectSameWays(a.l1i(), b.l1i(), "l1i");
   ExpectSameWays(a.l1d(), b.l1d(), "l1d");
   ExpectSameWays(a.l2(), b.l2(), "l2");
   ExpectSameWays(a.l3(), b.l3(), "l3");

@@ -38,6 +38,10 @@ namespace {
 using core::CoreCounters;
 using engine::QuerySpec;
 
+/// The keys harness::RegisterBuiltinEngines registers, in sorted order.
+constexpr const char* kEngineKeys[] = {"colstore", "rowstore", "tectorwise",
+                                       "tectorwise+simd", "typer"};
+
 std::string Bits(double v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64,
@@ -130,7 +134,7 @@ std::string MeasureAll() {
   w.KV("machine", "broadwell");
   w.Key("runs");
   w.BeginArray();
-  for (const std::string& key : registry.names()) {
+  for (const std::string key : kEngineKeys) {
     const engine::OlapEngine& eng = *registry.Get(key).value();
     for (const QuerySpec& spec : AllSpecs(db)) {
       if (!eng.Supports(spec.id)) continue;

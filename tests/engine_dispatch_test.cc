@@ -30,6 +30,10 @@ using engine::QueryResult;
 using engine::QuerySpec;
 using engine::Workers;
 
+/// The keys harness::RegisterBuiltinEngines registers, in sorted order.
+constexpr const char* kEngineKeys[] = {"colstore", "rowstore", "tectorwise",
+                                       "tectorwise+simd", "typer"};
+
 /// The concrete-virtual execution the dispatch switch must agree with.
 QueryResult RunDirect(const engine::OlapEngine& eng, const QuerySpec& spec,
                       Workers& w) {
@@ -114,7 +118,7 @@ engine::EngineRegistry* DispatchTest::registry_ = nullptr;
 
 TEST_F(DispatchTest, RunMatchesDirectVirtualsBitExactly) {
   int combos = 0;
-  for (const std::string& key : registry_->names()) {
+  for (const std::string key : kEngineKeys) {
     const engine::OlapEngine& eng = *registry_->Get(key).value();
     for (const QuerySpec& spec : AllSpecs(*db_)) {
       if (!eng.Supports(spec.id)) continue;
@@ -192,12 +196,6 @@ TEST_F(DispatchTest, SuccessfulRunCarriesOkOutcome) {
   EXPECT_EQ(r.value().outcome, engine::QueryOutcome::kOk);
   EXPECT_TRUE(r.value().ok());
   EXPECT_TRUE(r.value().error.empty());
-}
-
-TEST_F(DispatchTest, ParseQueryIdCoversTheCatalog) {
-  EXPECT_EQ(engine::ParseQueryId("q18").value(), QueryId::kQ18);
-  EXPECT_EQ(engine::ParseQueryId("selection").value(), QueryId::kSelection);
-  EXPECT_FALSE(engine::ParseQueryId("q99").ok());
 }
 
 }  // namespace

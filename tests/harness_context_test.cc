@@ -72,11 +72,10 @@ TEST(BenchContextTest, EnginesAreCachedSingletons) {
 TEST(BenchContextTest, RegistryCarriesTheBuiltinKeys) {
   ArgvBuilder args({"--sf=0.005"});
   BenchContext ctx(args.argc(), args.argv(), 0.01);
-  const std::vector<std::string> names = ctx.engines().names();
-  const std::vector<std::string> want = {
-      "colstore", "rowstore", "tectorwise", "tectorwise+simd", "typer"};
-  EXPECT_EQ(names, want);
-  for (const std::string& name : want) EXPECT_TRUE(ctx.engines().Has(name));
+  for (const std::string name : {"colstore", "rowstore", "tectorwise",
+                                  "tectorwise+simd", "typer"}) {
+    EXPECT_TRUE(ctx.engines().Has(name));
+  }
   EXPECT_FALSE(ctx.engines().Has("no-such-engine"));
   EXPECT_EQ(ctx.engine("typer").name(), "Typer");
 }

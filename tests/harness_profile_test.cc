@@ -53,15 +53,6 @@ TEST(ProfileRowsTest, TimeRowSplitsComponents) {
   EXPECT_EQ(row[6], "4.0");   // dcache
 }
 
-TEST(ProfileRowsTest, NormTimeRowDividesByBase) {
-  ProfileResult r;
-  r.cycles = MakeBreakdown();
-  r.total_cycles = r.cycles.Total();
-  const auto row = NormTimeRow("q", r, /*base_cycles=*/50.0);
-  EXPECT_EQ(row[1], "2.00");  // 100 / 50
-  EXPECT_EQ(row[2], "0.50");  // retiring 25 / 50
-}
-
 TEST(ProfileTest, SingleCoreRunsAndAnalyzes) {
   const ProfileResult r =
       Profile(MachineConfig::Broadwell(), 1, ObsOptions{}, "single",

@@ -35,7 +35,7 @@ class ExprTest : public ::testing::Test {
   int64_t Eval(Expr& e, size_t row = 0) {
     PlaceExpr(core_, e);
     const storage::RowTableView rows(*table_, &core_);
-    return EvalExpr(core_, e, rows, {table_->TupleRaw(row), 0});
+    return EvalExpr(core_, e, rows, rows.TupleForScan(row));
   }
 
   core::Core core_;

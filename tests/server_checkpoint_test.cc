@@ -2,13 +2,14 @@
 // runs an uninterrupted serve, a serve killed by --crash-at mid-flight (in
 // a child process, since the crash exits it), and a resumed serve, and
 // asserts the resumed profile JSON is byte-identical to the uninterrupted
-// one, once plain and once with every robustness path armed; a golden
+// one: plain, with every robustness path armed, with journal records to
+// verify, and with class timelines switched on at the resume; a golden
 // pins the metrics an armed, checkpointed run publishes. Around it: CRC32C
 // known-answer vectors, journal framing and torn-tail tolerance, snapshot
 // encode/decode round-trips and restore validation, the configuration
 // fingerprint's coverage of every loop-relevant field, and the recovery
 // failure modes (missing directory, corrupt newest snapshot, nothing
-// valid at all).
+// valid at all, a divergent or a surplus journal record).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -507,8 +508,6 @@ TEST(ConfigFingerprintTest, EveryLoopRelevantFieldIsHashed) {
       {"cores", [](ServerConfig& c, Tenants&) { ++c.cores; }},
       {"default_max_queries",
        [](ServerConfig& c, Tenants&) { ++c.default_max_queries; }},
-      {"sample_interval_instructions",
-       [](ServerConfig& c, Tenants&) { c.sample_interval_instructions = 1000; }},
       {"epoch_ms", [](ServerConfig& c, Tenants&) { c.epoch_ms = 2.0; }},
       {"trace_sample_n", [](ServerConfig& c, Tenants&) { ++c.trace_sample_n; }},
       {"slos[0].threshold",
@@ -580,6 +579,12 @@ TEST(ConfigFingerprintTest, EveryLoopRelevantFieldIsHashed) {
     EXPECT_NE(ServingConfigFingerprint(config, tenants), fingerprint)
         << p.field << " does not feed the fingerprint";
   }
+  // The timeline interval shapes only the class profiles' exported
+  // timelines, never loop state, so a run may resume with or without
+  // --json (which sets it).
+  ServerConfig sampled = base;
+  sampled.sample_interval_instructions = 1000;
+  EXPECT_EQ(ServingConfigFingerprint(sampled, base_tenants), fingerprint);
 }
 
 // --- end-to-end kill and resume --------------------------------------------
@@ -646,6 +651,9 @@ class CheckpointServeTest : public ::testing::Test {
     CheckpointConfig ckpt;
     std::string json_path;
     bool armed = false;  ///< ArmedConfig() instead of BaseConfig()
+    /// Class-profile timeline interval; uolap_serve sets it when given
+    /// --json or --trace.
+    uint64_t sample_every = 0;
   };
 
   /// What an in-process run reports besides its profile JSON.
@@ -659,13 +667,8 @@ class CheckpointServeTest : public ::testing::Test {
   /// 0, 3 when the run fails with a Status, 4 when the JSON cannot be
   /// written.
   static int RunServe(const ChildSpec& spec, ServeOutput* out = nullptr) {
-    ServerConfig config = spec.armed ? ArmedConfig() : BaseConfig();
-    config.checkpoint = spec.ckpt;
     obs::MetricsRegistry metrics;
-    config.metrics = &metrics;
-    Server server(config, *registry_);
-    AddTenants(server);
-    StatusOr<ServeResult> run = server.TryRun();
+    StatusOr<ServeResult> run = Serve(spec, &metrics);
     if (!run.ok()) {
       std::fprintf(stderr, "serve: %s\n", run.status().ToString().c_str());
       return 3;
@@ -673,7 +676,7 @@ class CheckpointServeTest : public ::testing::Test {
     obs::ProfileSession session;
     session.bench = "server_checkpoint_test";
     session.machine = "sim-broadwell-2.2GHz";
-    session.freq_ghz = config.machine.freq_ghz;
+    session.freq_ghz = BaseConfig().machine.freq_ghz;
     session.scale_factor = 0.01;
     session.seed = 42;
     session.server = run.value().record;
@@ -692,6 +695,18 @@ class CheckpointServeTest : public ::testing::Test {
     return 0;
   }
 
+  /// The serve `spec` describes, publishing into `metrics`.
+  static StatusOr<ServeResult> Serve(const ChildSpec& spec,
+                                     obs::MetricsRegistry* metrics) {
+    ServerConfig config = spec.armed ? ArmedConfig() : BaseConfig();
+    config.checkpoint = spec.ckpt;
+    config.sample_interval_instructions = spec.sample_every;
+    config.metrics = metrics;
+    Server server(config, *registry_);
+    AddTenants(server);
+    return server.TryRun();
+  }
+
   /// RunServe in a child process, for a run that --crash-at kills (the
   /// crash exits the whole process with 137). Returns the exit code.
   static int RunCrashing(const ChildSpec& spec) {
@@ -700,6 +715,29 @@ class CheckpointServeTest : public ::testing::Test {
     int status = 0;
     EXPECT_EQ(waitpid(pid, &status, 0), pid);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  /// The records a resume from `dir` verifies: the valid frames of the
+  /// journal paired with the newest valid snapshot.
+  static std::vector<std::string> JournaledRecords(const std::string& dir) {
+    StatusOr<RecoveredCheckpoint> rec = LoadLatestCheckpoint(dir);
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+    return rec.ok() ? std::move(rec.value().journal_payloads)
+                    : std::vector<std::string>{};
+  }
+
+  /// Rewrites the journal paired with the newest valid snapshot in `dir`
+  /// as `records`, each frame with a freshly computed CRC.
+  static void RewriteJournal(const std::string& dir,
+                             const std::vector<std::string>& records) {
+    const StatusOr<RecoveredCheckpoint> rec = LoadLatestCheckpoint(dir);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    JournalWriter w;
+    ASSERT_TRUE(
+        w.Create(dir + "/" + JournalFileName(rec.value().snapshot.epoch_index))
+            .ok());
+    for (const std::string& r : records) ASSERT_TRUE(w.AppendRecord(r).ok());
+    ASSERT_TRUE(w.Close().ok());
   }
 
   static std::string MustRead(const std::string& path) {
@@ -715,12 +753,32 @@ class CheckpointServeTest : public ::testing::Test {
 tpch::Database* CheckpointServeTest::db_ = nullptr;
 engine::EngineRegistry* CheckpointServeTest::registry_ = nullptr;
 
+// A kill after snapshot 0 and before the first epoch boundary leaves the
+// time-zero events' journal records past the newest snapshot (11 of them
+// under BaseConfig); a kill at 40 ms lands right after a snapshot and
+// leaves none.
+constexpr double kBeforeFirstEpochMs = 0.5;
+
 TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
   // Plain, then with every robustness path armed: the outcome counters,
   // the per-tenant fault counts and the backoff histogram must survive a
-  // resume as well.
-  for (const bool armed : {false, true}) {
-    SCOPED_TRACE(armed ? "armed" : "plain");
+  // resume as well. Then a kill that leaves journal records: the resume
+  // re-derives the same events and matches them against the records one
+  // by one, and finishes only if every record was matched. Last, a run
+  // killed without class timelines resumes with them, as `uolap_serve`
+  // without and then with --json does.
+  struct Case {
+    const char* name;
+    bool armed;
+    double crash_at_ms;
+    uint64_t resume_sample_every;  ///< the killed run samples nothing
+  };
+  for (const Case& k :
+       {Case{"plain", false, 40.0, 0}, Case{"armed", true, 40.0, 0},
+        Case{"records to verify", false, kBeforeFirstEpochMs, 0},
+        Case{"timelines on resume", false, 40.0, 100'000}}) {
+    SCOPED_TRACE(k.name);
+    const bool armed = k.armed;
     const std::string tmp = TempDir();
 
     // A: uninterrupted, checkpointing on. B: the same run killed
@@ -732,13 +790,15 @@ TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
     CheckpointConfig b;
     b.dir = tmp + "/ck_b";
     b.every_epochs = 2;
-    b.crash_at_ms = 40.0;
+    b.crash_at_ms = k.crash_at_ms;
     CheckpointConfig c;
     c.dir = tmp + "/ck_b";
     c.every_epochs = 2;
     c.resume = true;
     ServeOutput a_out;
-    ASSERT_EQ(RunServe({a, tmp + "/a.json", armed}, &a_out), 0);
+    ASSERT_EQ(
+        RunServe({a, tmp + "/a.json", armed, k.resume_sample_every}, &a_out),
+        0);
     // A's final virtual clock proves B's kill landed mid-run.
     const obs::ServerRecord& rec = a_out.record;
     ASSERT_GT(rec.vtime_ms, b.crash_at_ms + 1.0);
@@ -749,7 +809,11 @@ TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
       EXPECT_GT(rec.brownout_downgrades, 0u);
     }
     ASSERT_EQ(RunCrashing({b, tmp + "/b.json", armed}), 137);
-    ASSERT_EQ(RunServe({c, tmp + "/c.json", armed}), 0);
+    if (k.crash_at_ms == kBeforeFirstEpochMs) {
+      EXPECT_GT(JournaledRecords(b.dir).size(), 0u);
+    }
+    ASSERT_EQ(RunServe({c, tmp + "/c.json", armed, k.resume_sample_every}),
+              0);
 
     const std::string uninterrupted = MustRead(tmp + "/a.json");
     const std::string resumed = MustRead(tmp + "/c.json");
@@ -761,6 +825,60 @@ TEST_F(CheckpointServeTest, KillAndResumeIsByteIdentical) {
     EXPECT_EQ(ReadFileToString(tmp + "/b.json").status().code(),
               StatusCode::kNotFound);
   }
+}
+
+TEST_F(CheckpointServeTest, ResumeFailsOnADivergentJournalRecord) {
+  const std::string tmp = TempDir();
+  CheckpointConfig crash;
+  crash.dir = tmp + "/ck";
+  crash.every_epochs = 2;
+  crash.crash_at_ms = kBeforeFirstEpochMs;
+  CheckpointConfig resume = crash;
+  resume.crash_at_ms = 0;
+  resume.resume = true;
+  ASSERT_EQ(RunCrashing({crash, tmp + "/a.json"}), 137);
+
+  // One payload byte flipped under a valid CRC: the frame reads back
+  // fine, and only the replay check can tell it from the real event.
+  std::vector<std::string> records = JournaledRecords(crash.dir);
+  ASSERT_GT(records.size(), 0u);
+  records[0].back() ^= 0x01;
+  RewriteJournal(crash.dir, records);
+
+  obs::MetricsRegistry metrics;
+  const StatusOr<ServeResult> run = Serve({resume, ""}, &metrics);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInternal);
+  EXPECT_NE(run.status().message().find("journal replay divergence at "
+                                        "record 0"),
+            std::string::npos)
+      << run.status().ToString();
+}
+
+TEST_F(CheckpointServeTest, ResumeFailsOnASurplusJournalRecord) {
+  // A finished run's newest journal ends with the run's last event, so one
+  // more valid record is an event the resume never re-derives.
+  const std::string tmp = TempDir();
+  CheckpointConfig done;
+  done.dir = tmp + "/ck";
+  done.every_epochs = 2;
+  CheckpointConfig resume = done;
+  resume.resume = true;
+  ASSERT_EQ(RunServe({done, tmp + "/a.json"}), 0);
+
+  std::vector<std::string> records = JournaledRecords(done.dir);
+  records.push_back(EncodeJournalEvent(
+      JournalEvent{JournalEventType::kComplete, /*seq=*/1, /*tenant=*/0,
+                   /*attempt=*/0, /*vtime_ms=*/1e6}));
+  RewriteJournal(done.dir, records);
+
+  obs::MetricsRegistry metrics;
+  const StatusOr<ServeResult> run = Serve({resume, ""}, &metrics);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInternal);
+  EXPECT_NE(run.status().message().find("journal replay incomplete: 1 "),
+            std::string::npos)
+      << run.status().ToString();
 }
 
 // Pins the serve loop's published metrics: the Prometheus text of the

@@ -142,8 +142,8 @@ TEST_F(RobustnessTest, FaultInjectedRunsAreBitIdentical) {
   Server server(config, *registry_);
   server.AddTenant(ScanTenant("a", "typer", 3, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 3, 11));
-  const obs::ServerRecord r1 = server.Run().record;
-  const obs::ServerRecord r2 = server.Run().record;
+  const obs::ServerRecord r1 = server.TryRun().value().record;
+  const obs::ServerRecord r2 = server.TryRun().value().record;
 
   EXPECT_EQ(r1.vtime_ms, r2.vtime_ms);
   EXPECT_EQ(r1.submitted, r2.submitted);
@@ -187,7 +187,7 @@ TEST_F(RobustnessTest, TransientFailuresRetryThenFail) {
 
   Server server(config, *registry_);
   server.AddTenant(ScanTenant("a", "typer", 3, 7));
-  const obs::ServerRecord rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
 
   ExpectAccounting(rec);
   EXPECT_GT(rec.faults_injected, 0u);
@@ -209,7 +209,7 @@ TEST_F(RobustnessTest, ImpossibleDeadlinesAreRejectedAtAdmission) {
 
   Server server(config, *registry_);
   server.AddTenant(ScanTenant("a", "typer", 3, 7));
-  const obs::ServerRecord rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
 
   ExpectAccounting(rec);
   EXPECT_GT(rec.rejected, 0u);
@@ -226,7 +226,7 @@ TEST_F(RobustnessTest, ExpiredQueuedQueriesTimeOutUnderNoShedPolicy) {
   Server server(config, *registry_);
   server.AddTenant(ScanTenant("a", "typer", 4, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 4, 11));
-  const obs::ServerRecord rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
 
   ExpectAccounting(rec);
   EXPECT_EQ(rec.rejected, 0u);
@@ -273,7 +273,7 @@ TEST_F(RobustnessTest, BrownoutDowngradesUnderBacklog) {
   Server server(config, *registry_);
   // Enough clients that the 2-core pool keeps a backlog.
   server.AddTenant(ScanTenant("a", "tectorwise", 6, 7));
-  const obs::ServerRecord rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
 
   ExpectAccounting(rec);
   EXPECT_GT(rec.brownout_downgrades, 0u);
@@ -294,7 +294,7 @@ TEST_F(RobustnessTest, DefaultConfigKeepsLegacyBehavior) {
   // everything admitted completes — the pre-robustness contract.
   Server server(BaseConfig(), *registry_);
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
-  const obs::ServerRecord rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
   EXPECT_EQ(rec.rejected, 0u);
   EXPECT_EQ(rec.shed, 0u);
   EXPECT_EQ(rec.timed_out, 0u);

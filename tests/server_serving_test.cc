@@ -72,8 +72,8 @@ TEST_F(ServingTest, RepeatedRunsAreBitIdentical) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const ServeResult first = server.Run();
-  const ServeResult second = server.Run();
+  const ServeResult first = server.TryRun().value();
+  const ServeResult second = server.TryRun().value();
 
   const obs::ServerRecord& r1 = first.record;
   const obs::ServerRecord& r2 = second.record;
@@ -112,7 +112,7 @@ TEST_F(ServingTest, AccountingIsConsistent) {
   server.AddTenant(ScanTenant("a", "typer", 2, 3));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 5));
 
-  const ServeResult result = server.Run();
+  const ServeResult result = server.TryRun().value();
   const obs::ServerRecord& rec = result.record;
 
   // Everything submitted drains; tenant sums match the totals.
@@ -158,7 +158,7 @@ TEST_F(ServingTest, FifoQueueingWhenTenantsExceedCores) {
   Server server(config, *registry_);
   server.AddTenant(ScanTenant("a", "typer", 3, 9));
 
-  const ServeResult result = server.Run();
+  const ServeResult result = server.TryRun().value();
   const obs::ServerRecord& rec = result.record;
   EXPECT_EQ(rec.completed, 4u);
   // Three clients contend for one core: the queue must have been depth
@@ -186,7 +186,7 @@ TEST_F(ServingTest, SharedBandwidthContentionInflatesDcacheShare) {
   server.AddTenant(ScanTenant("a", "typer", 2, 13));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 17));
 
-  const ServeResult result = server.Run();
+  const ServeResult result = server.TryRun().value();
   const obs::ServerRecord& rec = result.record;
   EXPECT_TRUE(rec.saturated);
 
@@ -222,7 +222,7 @@ TEST_F(ServingTest, SpanTracingCoversEveryQueryAtFullSampling) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const obs::ServerRecord& rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
   EXPECT_EQ(rec.trace_sample_n, 1u);
   ASSERT_EQ(rec.spans.size(), rec.completed);
   uint64_t last_seq = 0;
@@ -250,7 +250,7 @@ TEST_F(ServingTest, SpanHeadSamplingKeepsEveryNth) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const obs::ServerRecord& rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
   // Head sampling keys on the admission sequence number, and every
   // admitted query drains, so exactly ceil(submitted / N) spans survive.
   EXPECT_EQ(rec.spans.size(), (rec.submitted + 3) / 4);
@@ -264,7 +264,7 @@ TEST_F(ServingTest, EpochWindowsPartitionCompletions) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const obs::ServerRecord& rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
   EXPECT_EQ(rec.epoch_ms, 0.5);
   ASSERT_FALSE(rec.epochs.empty());
   uint64_t epoch_completed = 0;
@@ -305,7 +305,7 @@ TEST_F(ServingTest, SloSpecsGateOnEpochWindows) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const obs::ServerRecord& rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
   ASSERT_EQ(rec.slo_results.size(), 5u);
   // Loose pool-wide, per-tenant, and queue-depth specs pass.
   EXPECT_TRUE(rec.slo_results[0].pass);
@@ -329,8 +329,8 @@ TEST_F(ServingTest, TelemetryIsDeterministicAcrossRuns) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const obs::ServerRecord r1 = server.Run().record;
-  const obs::ServerRecord r2 = server.Run().record;
+  const obs::ServerRecord r1 = server.TryRun().value().record;
+  const obs::ServerRecord r2 = server.TryRun().value().record;
   ASSERT_EQ(r1.epochs.size(), r2.epochs.size());
   for (size_t i = 0; i < r1.epochs.size(); ++i) {
     EXPECT_EQ(r1.epochs[i].completed, r2.epochs[i].completed);
@@ -356,7 +356,7 @@ TEST_F(ServingTest, InjectedRegistryCapturesServeCounters) {
   server.AddTenant(ScanTenant("a", "typer", 2, 7));
   server.AddTenant(ScanTenant("b", "tectorwise", 2, 11));
 
-  const obs::ServerRecord& rec = server.Run().record;
+  const obs::ServerRecord rec = server.TryRun().value().record;
   const obs::MetricsSnapshot snap = local.Snapshot();
 
   auto series_sum = [&](const char* name) {
@@ -399,7 +399,7 @@ TEST_F(ServingTest, OpenLoopTenantObeysPoissonCap) {
   open.seed = 21;
   server.AddTenant(open);
 
-  const ServeResult result = server.Run();
+  const ServeResult result = server.TryRun().value();
   ASSERT_EQ(result.record.tenants.size(), 1u);
   EXPECT_EQ(result.record.tenants[0].submitted, 6u);
   EXPECT_EQ(result.record.tenants[0].completed, 6u);
@@ -459,7 +459,7 @@ class ServerServingTest : public ServingTest {
                       4});
 
     Outcome out;
-    out.result = server.Run();
+    out.result = server.TryRun().value();
     obs::ProfileSession session;
     session.bench = "server_serving_test";
     session.machine = config.machine.name;

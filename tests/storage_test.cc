@@ -109,13 +109,6 @@ TEST_F(RowStoreTest, SpillsAcrossPages) {
             RowTableStorage::kPageBytes);
 }
 
-TEST_F(RowStoreTest, RawMatchesSimulated) {
-  RowTableStorage t(MakeSchema());
-  core::Core core(core::MachineConfig::Broadwell());
-  AppendTuple(&t, 123, 45, 6);
-  EXPECT_EQ(t.TupleRaw(0), RowTableView(t, &core).TupleForScan(0).bytes);
-}
-
 TEST_F(RowStoreTest, ScanDrivesSimulatedAccesses) {
   RowTableStorage t(MakeSchema());
   core::Core core(core::MachineConfig::Broadwell());
